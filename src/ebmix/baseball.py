@@ -251,7 +251,7 @@ def run_baseball(
         estimates = {
             "naive": x1,
             "grand_mean": np.full(len(train), x1.mean()),
-            "james_stein": james_stein(x1, center=True),
+            "james_stein": james_stein(x1, center=True, var=0.25 / n1),
             "mixture": posterior_mean_arcsin(model, h1, n1, n_points=n_points),
         }
         h2 = np.array([train[i].h2 for i in test_idx])

@@ -155,17 +155,24 @@ def sure_threshold(z) -> float:
     return float(cands[int(np.argmin(risk))])
 
 
-def james_stein(z, center: bool = False):
-    """Positive-part James-Stein; optionally shrink toward the grand mean."""
+def james_stein(z, center: bool = False, var=1.0):
+    """Positive-part James-Stein with known sampling variances ``var``.
+
+    With ``center`` the estimate shrinks toward the precision-weighted
+    mean, by 1 - (n - 3) / sum((z - zbar)^2 / var), the heteroscedastic
+    form of Brown (2008, Ann. Appl. Stat.); otherwise toward 0, by
+    1 - (n - 2) / sum(z^2 / var).  ``var`` is a scalar or one value per case.
+    """
     z = np.asarray(z, dtype=float)
+    var = np.broadcast_to(np.asarray(var, dtype=float), z.shape)
     n = z.size
     if center:
-        zbar = z.mean()
+        zbar = np.sum(z / var) / np.sum(1.0 / var)
         resid = z - zbar
-        ss = float(np.sum(resid**2))
+        ss = float(np.sum(resid**2 / var))
         factor = max(0.0, 1.0 - (n - 3) / ss) if ss > 0 else 0.0
         return zbar + factor * resid
-    ss = float(np.sum(z**2))
+    ss = float(np.sum(z**2 / var))
     factor = max(0.0, 1.0 - (n - 2) / ss) if ss > 0 else 0.0
     return factor * z
 

@@ -12,11 +12,11 @@ beta_j = 0 and realizes "a larger penalty forces a bigger null group".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import polygamma, psi
 
 from . import families
 from .errors import ContractError, FitError, NumericError
@@ -263,62 +263,101 @@ def _normal_weighted_obj(z, s2, w_j, comp: NormalComponent) -> float:
     return float(np.sum(w_j * (-0.5 * (families.LOG_2PI + np.log(v)) - 0.5 * (z - comp.mean) ** 2 / v)))
 
 
-def _betabinom_weighted_obj(h, n, w_j, alpha: float, beta: float) -> float:
-    # choose(n, h) constant dropped; comparisons only ever share (h, n, w)
-    from scipy.special import betaln
-
-    return float(np.sum(w_j * (betaln(alpha + h, beta + n - h) - betaln(alpha, beta))))
+# Box of the beta M-step in (m, t) = (log(alpha/beta), log(alpha + beta)):
+# the smallest axis-aligned box that holds every alpha, beta in [1e-8, 1e8].
+_BETA_M_MAX = math.log(1e16)
+_BETA_T_MIN, _BETA_T_MAX = math.log(2e-8), math.log(2e8)
 
 
 def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> BetaComponent:
-    """Damped Newton ascent for the weighted beta-binomial log-likelihood.
+    """Weighted beta-binomial MLE by Newton in (m, t) = (log(alpha/beta), log c).
 
-    Works on (log alpha, log beta); steps are halved until the objective
-    improves, so the update never decreases the EM objective.
+    With mean p = alpha/c = sigmoid(m), concentration c = e^t and tail
+    weights W_H(i) = sum of w over cases with H > i (likewise W_F for
+    N-H and W_N for N), the weighted log-likelihood is, up to a constant,
+
+        F = S_H log p + S_F log(1-p)
+            + sum_i [W_H(i) log1p(i/alpha) + W_F(i) log1p(i/beta) - W_N(i) log1p(i/c)],
+
+    the kernel identity of `families` summed by parts, with S_H = sum w H
+    and S_F = sum w (N-H).  Its gradient and Hessian in (m, t) are
+    rational sums over i, such as d/d(log x) sum_i W(i) log1p(i/x) =
+    -sum_i W(i) i/(x+i), so no digamma, trigamma or log-beta function is
+    needed, and F keeps full precision up to the concentration bound.
+
+    The solve is held to the box |m| <= log 1e16, c in [2e-8, 2e8], the
+    smallest one holding every alpha, beta in [1e-8, 1e8]; a start
+    outside it is first moved onto it.  A coordinate at its bound whose
+    gradient points outward is held fixed, and Newton continues on the
+    other; where the free Hessian is not negative definite the step
+    follows the gradient.  Steps are capped at 2 per coordinate and
+    halved until F strictly improves, so the update never lowers the EM
+    objective.  The solve stops when the predicted gain g.step/2 falls
+    below 1e-13 (1 + |F|), or when 30 halvings do not improve F.
+    Underdispersed weighted data, whose MLE lies at infinite
+    concentration, end at c = 2e8 with mean sum wH / sum wN.
     """
-    h = h.astype(float)
-    n = n.astype(float)
-    alpha, beta = float(start.alpha), float(start.beta)
-    obj = _betabinom_weighted_obj(h, n, w_j, alpha, beta)
+    k_max = int(n.max())
+    tails = np.zeros((3, k_max))  # W_H, W_F, W_N
+    for row, k in zip(tails, (h, n - h, n)):
+        # W(i) = sum of w over cases with k > i, for i < max k
+        tail = np.cumsum(np.bincount(k, weights=w_j)[::-1])[::-1][1:]
+        row[: tail.size] = tail
+    s_h, s_f = tails[0].sum(), tails[1].sum()
+    signed = tails * np.array([[1.0], [1.0], [-1.0]])
+    i = np.arange(k_max)
+
+    def shapes(m, t):
+        c = math.exp(t)
+        return np.array([c / (1.0 + math.exp(-m)), c / (1.0 + math.exp(m)), c])
+
+    def objective(m, t):
+        rising = np.sum(signed * families.log_rising_steps(shapes(m, t), k_max))
+        return float(rising - s_h * math.log1p(math.exp(-m)) - s_f * math.log1p(math.exp(m)))
+
+    m = min(max(math.log(start.alpha) - math.log(start.beta), -_BETA_M_MAX), _BETA_M_MAX)
+    t = min(max(math.log(start.alpha + start.beta), _BETA_T_MIN), _BETA_T_MAX)
+    obj = objective(m, t)
     for _ in range(max_inner):
-        ab = alpha + beta
-        g_a = np.sum(w_j * (psi(alpha + h) - psi(ab + n) - psi(alpha) + psi(ab)))
-        g_b = np.sum(w_j * (psi(beta + n - h) - psi(ab + n) - psi(beta) + psi(ab)))
-        q_ab = np.sum(w_j * (polygamma(1, ab) - polygamma(1, ab + n)))
-        q_aa = np.sum(w_j * (polygamma(1, alpha + h) - polygamma(1, alpha))) + q_ab
-        q_bb = np.sum(w_j * (polygamma(1, beta + n - h) - polygamma(1, beta))) + q_ab
-        # chain rule to (log alpha, log beta)
-        ga, gb = alpha * g_a, beta * g_b
-        haa = alpha * alpha * q_aa + ga
-        hbb = beta * beta * q_bb + gb
-        hab = alpha * beta * q_ab
-        if max(abs(ga), abs(gb)) < 1e-9 * (1.0 + np.sum(w_j)):
-            break
-        det = haa * hbb - hab * hab
-        if det > 0 and haa < 0:
-            step_a = -(hbb * ga - hab * gb) / det
-            step_b = -(haa * gb - hab * ga) / det
+        p = 1.0 / (1.0 + math.exp(-m))
+        q = 1.0 / (1.0 + math.exp(m))
+        x = shapes(m, t)[:, None]
+        r = i / (x + i)
+        s = x / (x + i)
+        (da, db, dc), (ha, hb, hc) = (tails * r).sum(axis=1), (tails * r * s).sum(axis=1)
+        ra, rb = (tails[:2] * s[:2]).sum(axis=1)
+        # gradient and Hessian of F in (m, t); d(log alpha)/dm = q, d(log beta)/dm = -p
+        g_m, g_t = q * ra - p * rb, dc - da - db
+        h_mm = q * q * ha + p * p * hb - p * q * (ra + rb)
+        h_mt, h_tt = q * ha - p * hb, ha + hb - hc
+        if (m >= _BETA_M_MAX and g_m > 0) or (m <= -_BETA_M_MAX and g_m < 0):
+            g_m, h_mm, h_mt = 0.0, -1.0, 0.0
+        if (t >= _BETA_T_MAX and g_t > 0) or (t <= _BETA_T_MIN and g_t < 0):
+            g_t, h_tt, h_mt = 0.0, -1.0, 0.0
+        det = h_mm * h_tt - h_mt * h_mt
+        if h_mm < 0 and det > 0:
+            step_m = (h_mt * g_t - h_tt * g_m) / det
+            step_t = (h_mt * g_m - h_mm * g_t) / det
         else:
-            scale = max(abs(ga), abs(gb))
-            step_a, step_b = ga / scale, gb / scale
-        # keep single steps bounded on the log scale
-        norm = max(abs(step_a), abs(step_b))
-        if norm > 2.0:
-            step_a, step_b = step_a * 2.0 / norm, step_b * 2.0 / norm
-        improved = False
-        for _ in range(30):
-            cand_a = float(np.clip(alpha * np.exp(step_a), 1e-8, 1e8))
-            cand_b = float(np.clip(beta * np.exp(step_b), 1e-8, 1e8))
-            cand_obj = _betabinom_weighted_obj(h, n, w_j, cand_a, cand_b)
-            if cand_obj >= obj:
-                alpha, beta, obj = cand_a, cand_b, cand_obj
-                improved = True
-                break
-            step_a *= 0.5
-            step_b *= 0.5
-        if not improved or max(abs(step_a), abs(step_b)) < 1e-12:
+            scale = max(abs(g_m), abs(g_t), 1e-300)
+            step_m, step_t = g_m / scale, g_t / scale
+        if 0.5 * (g_m * step_m + g_t * step_t) < 1e-13 * (1.0 + abs(obj)):
             break
-    return BetaComponent(alpha=alpha, beta=beta)
+        shrink = min(1.0, 2.0 / max(abs(step_m), abs(step_t)))
+        step_m, step_t = step_m * shrink, step_t * shrink
+        for _ in range(30):
+            cand_m = min(max(m + step_m, -_BETA_M_MAX), _BETA_M_MAX)
+            cand_t = min(max(t + step_t, _BETA_T_MIN), _BETA_T_MAX)
+            cand_obj = objective(cand_m, cand_t)
+            if cand_obj > obj:
+                m, t, obj = cand_m, cand_t, cand_obj
+                break
+            step_m *= 0.5
+            step_t *= 0.5
+        else:
+            break
+    alpha, beta, _ = shapes(m, t)
+    return BetaComponent(alpha=float(alpha), beta=float(beta))
 
 
 def _reinit_component(data: Observations, index: int, j_total: int):

@@ -83,6 +83,31 @@ def weighted_betabinom_loglik(h, n, w, alpha, beta):
     return float(np.sum(w * (betaln(alpha + h, beta + n - h) - betaln(alpha, beta))))
 
 
+def betabinom_log_pmf_mp(h, n, alpha, beta, dps=40):
+    """Beta-binomial log pmf as an mpmath number, log-gamma at `dps` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(float(alpha)), mpmath.mpf(float(beta))
+        lg = mpmath.loggamma
+        return (
+            lg(n + 1) - lg(h + 1) - lg(n - h + 1)
+            + lg(a + h) + lg(b + n - h) - lg(a + b + n)
+            - lg(a) - lg(b) + lg(a + b)
+        )
+
+
+def weighted_betabinom_loglik_mp(h, n, w, alpha, beta, dps=40):
+    """sum_i w_i log BB(h_i | n_i, alpha, beta) as an mpmath number."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.fsum(
+            mpmath.mpf(float(wi)) * betabinom_log_pmf_mp(int(hi), int(ni), alpha, beta, dps)
+            for hi, ni, wi in zip(h, n, w)
+        )
+
+
 def grid_search_beta_fit(h, n, w, lo=0.1, hi=100.0):
     """Exhaustive log-grid maximizer of the weighted beta-binomial loglik.
 

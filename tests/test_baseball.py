@@ -62,9 +62,9 @@ class TestQuadrature:
 
     GRID_PRIORS = [
         (c * m, c * (1.0 - m))
-        for c in (0.5, 2.0, 50.0, 1e3, 1e5, 1e8)
+        for c in (0.5, 2.0, 50.0, 1e3, 1e5, 1e8, 2e8)
         for m in (0.02, 0.25, 0.5)
-    ] + [(34182611.45, 99547395.23)]  # the J=1 fit of seed 9, season 2, 400 players: at the clip
+    ] + [(34182611.45, 99547395.23)]  # the J=1 fit of seed 9, season 2, 400 players, at the old 1e8 clip
 
     @pytest.mark.parametrize("prior", GRID_PRIORS, ids=lambda ab: f"{ab[0]:.6g}-{ab[1]:.6g}")
     def test_any_posterior_width(self, prior):
@@ -133,6 +133,13 @@ class TestRunBaseball:
             result = run_baseball(records, n_components=1, groups=("overall",))
             wins += result.groups["overall"].normalized_tse["mixture"] < 1.0
         assert wins == 3
+
+    def test_james_stein_uses_arcsine_variance(self):
+        """With variance 1/(4 N1) the shrinkage factor is not clipped to 0."""
+        records, _ = synthetic_season(n_players=300, seed=5)
+        res = run_baseball(records, n_components=1, groups=("overall",)).groups["overall"]
+        assert res.normalized_tse["james_stein"] != res.normalized_tse["grand_mean"]
+        assert res.normalized_tse["james_stein"] < 1.0
 
     def test_fitted_prior_mean_near_truth(self):
         records, _ = synthetic_season(n_players=500, seed=2)

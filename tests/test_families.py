@@ -85,11 +85,39 @@ class TestComponentMarginal:
             )
 
     def test_matrix_agrees_with_columns(self):
-        obs = Observations.normal([-1.0, 0.5, 3.2], [1.0, 2.0, 0.5])
-        comps = (NormalComponent(0.0, 0.0), NormalComponent(1.0, 2.0))
-        mat = log_marginal_matrix(obs, comps)
-        for j, c in enumerate(comps):
-            np.testing.assert_allclose(mat[:, j], component_log_marginal(obs, c), rtol=1e-14)
+        cases = [
+            (
+                Observations.normal([-1.0, 0.5, 3.2], [1.0, 2.0, 0.5]),
+                (NormalComponent(0.0, 0.0), NormalComponent(1.0, 2.0)),
+            ),
+            (
+                Observations.binomial([0, 3, 40, 150], [11, 40, 150, 150]),
+                (
+                    BetaComponent(0.5, 0.3),
+                    BetaComponent(302.0, 884.0),
+                    BetaComponent(3.42e7, 9.95e7),
+                    BetaComponent(0.255 * 2e8, 0.745 * 2e8),  # at the concentration cap
+                ),
+            ),
+        ]
+        for obs, comps in cases:
+            mat = log_marginal_matrix(obs, comps)
+            for j, c in enumerate(comps):
+                np.testing.assert_allclose(mat[:, j], component_log_marginal(obs, c), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(0.5, 0.3), (3.0, 7.0), (302.0, 884.0), (1e-8, 2.0), (3.4e7, 9.95e7), (1e8, 1e8)],
+        ids=lambda ab: f"{ab[0]:g}-{ab[1]:g}",
+    )
+    def test_betabinom_matches_mpmath(self, shape):
+        """Full precision at any concentration; a betaln difference is off by ~7e-7 at 1e8."""
+        rng = np.random.default_rng(20)
+        n = 11 + rng.poisson(140, 20)
+        h = rng.integers(0, n + 1)
+        got = component_log_marginal(Observations.binomial(h, n), BetaComponent(*shape))
+        want = [float(oracles.betabinom_log_pmf_mp(int(hi), int(ni), *shape)) for hi, ni in zip(h, n)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 class TestComponentPosterior:

@@ -127,6 +127,47 @@ class TestMStep:
         assert abs(fit.alpha - a_star) / a_star < 0.01
         assert abs(fit.beta - b_star) / b_star < 0.01
 
+    @staticmethod
+    def underdispersed_season():
+        """Season 2 of seed 9, 400 players: every beta MLE is at infinite concentration."""
+        from ebmix.baseball import synthetic_season
+
+        records, _ = synthetic_season(n_players=400, seed=9, season_index=2)
+        return np.array([r.h1 for r in records]), np.array([r.n1 for r in records])
+
+    def test_binomial_underdispersed_fit_at_concentration_cap(self):
+        h, n = self.underdispersed_season()
+        obs = Observations.binomial(h, n)
+        config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
+        updated, _ = m_step(obs, np.ones((400, 1)), config, initialize(obs, config))
+        fit = updated.components[0]
+        np.testing.assert_allclose(fit.alpha + fit.beta, 2e8, rtol=1e-12)
+        np.testing.assert_allclose(fit.mean, h.sum() / n.sum(), rtol=1e-9)
+
+    def test_binomial_m_step_never_lowers_weighted_objective(self):
+        h, n = self.underdispersed_season()
+        rng = np.random.default_rng(4)
+        idx = rng.choice(len(h), 30, replace=False)
+        h, n = h[idx], n[idx]
+        w = rng.uniform(0.05, 1.0, 30)
+        obs = Observations.binomial(h, n)
+        config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
+        for _ in range(30):
+            mean = 1.0 / (1.0 + np.exp(-(np.log(1 / 3) + rng.standard_normal())))
+            conc = 10.0 ** rng.uniform(-1.0, np.log10(2e8))
+            start = BetaComponent(conc * mean, conc * (1.0 - mean))
+            model = MixtureModel(
+                family=Family.BINOMIAL,
+                pi=np.array([1.0]),
+                components=(start,),
+                null_mode=NullMode.NONE,
+                penalty=np.zeros(1),
+            )
+            fit = m_step(obs, w[:, None], config, model)[0].components[0]
+            before = oracles.weighted_betabinom_loglik_mp(h, n, w, start.alpha, start.beta)
+            after = oracles.weighted_betabinom_loglik_mp(h, n, w, fit.alpha, fit.beta)
+            assert after >= before
+
 
 class TestInitialize:
     def test_deterministic(self):

@@ -23,7 +23,11 @@ mu = alpha/c, concentration c = alpha + beta and
 and log C(N, H) = L_1(N) - L_1(H) - L_1(N-H), since L_1(k) = log k!.
 Every term is a sum of positive, well-scaled logs, so the value keeps
 full precision at any concentration; a difference of `betaln` values is
-off by up to 1e-6 per case near c = 1e8.  The beta M-step in `mixture`
+off by up to 1e-6 per case near c = 1e8.  Counts up to RISING_TABLE are
+read from cumulative tables of the steps log1p(i/x); the rest of a longer
+sum comes from Stirling series (`rising_beyond`), so time and memory do
+not grow with the trial counts; rounding then grows like eps N log N, the
+size of the terms.  The beta M-step in `mixture`
 maximizes the weighted sum of the same terms, so the E-step and the
 M-step agree to rounding.
 """
@@ -214,6 +218,12 @@ def component_posterior(obs: Observations, comp: Component) -> ComponentPosterio
     return ComponentPosterior(mean=mean, var=var, alpha=a, beta=b)
 
 
+# Length of the cumulative tables.  The Stirling series used beyond it are
+# exact to rounding (each first omitted term, scaled as in `rising_beyond`,
+# is below 1e-18 at y >= RISING_TABLE).
+RISING_TABLE = 2048
+
+
 def log_rising_steps(x, k_max: int) -> np.ndarray:
     """log1p(i/x) for i = 0 .. k_max-1, the steps of L_x(k) = sum_{i<k} log1p(i/x).
 
@@ -224,19 +234,62 @@ def log_rising_steps(x, k_max: int) -> np.ndarray:
     return np.log1p(np.arange(k_max) / np.asarray(x, dtype=float)[..., None])
 
 
+def rising_beyond(x, m, cut: int, derivs: bool = False):
+    """Sums over i = cut .. cut+m-1, for cut >= RISING_TABLE, from Stirling series.
+
+    Returns sum log1p(i/x) = L_x(cut + m) - L_x(cut); with ``derivs``
+    also sum x/(x+i) and sum i x/(x+i)^2, the pieces of its first two
+    derivatives in log x.  With y = x + cut and z = y + m,
+
+        sum log1p(i/x) = m log1p(cut/x) + (z - 1/2) log1p(m/y) - m + s(z) - s(y),
+        sum x/(x+i)    = x (psi(z) - psi(y)),
+        sum i x/(x+i)^2 = x (psi(z) - psi(y)) - x^2 (psi'(y) - psi'(z)),
+
+    where s is the Stirling remainder of log Gamma.  Every difference of
+    series terms is formed term by term, so nothing cancels beyond the
+    size of the sums themselves.  ``x`` and ``m`` broadcast.
+    """
+    x = np.asarray(x, dtype=float)
+    m = np.asarray(m, dtype=float)
+    y = x + cut
+    z = y + m
+    iy, iz = 1.0 / y, 1.0 / z
+    lr = np.log1p(m / y)
+    value = (
+        m * np.log1p(cut / x) + (z - 0.5) * lr - m
+        + (iz - iy) / 12.0 - (iz**3 - iy**3) / 360.0
+    )
+    if not derivs:
+        return value
+    # psi(z) - psi(y) and psi'(y) - psi'(z) from their asymptotic series
+    dpsi = lr - 0.5 * (iz - iy) - (iz**2 - iy**2) / 12.0 + (iz**4 - iy**4) / 120.0
+    dtri = m * iy * iz + 0.5 * (iy**2 - iz**2) + (iy**3 - iz**3) / 6.0 - (iy**5 - iz**5) / 30.0
+    s_sum = x * dpsi
+    return value, s_sum, s_sum - x * x * dtri
+
+
 def _betabinom_log_marginal(obs: Observations, components) -> np.ndarray:
     h, n = obs.counts, obs.trials
     f = n - h
-    shapes = np.array([(c.alpha, c.beta, c.alpha + c.beta) for c in components])
-    # L_x(k) for k = 0 .. max N, per component and shape; L_1(k) = log k! adds
-    # log C(N, H) = L_1(N) - L_1(H) - L_1(N-H) to the three gathered columns
-    steps = log_rising_steps(np.append(shapes.ravel(), 1.0), int(n.max(initial=0)))
-    table = np.zeros((steps.shape[0], steps.shape[1] + 1))
+    a, b = np.array([(c.alpha, c.beta) for c in components]).T
+    c = a + b
+    shapes = np.stack([a, b, c])
+    counts = (h, f, n)
+    n_max = int(n.max(initial=0))
+    cut = min(n_max, RISING_TABLE)
+    # L_x(k) - L_1(k) for every shape; L_1(k) = log k!, so gathering the alpha,
+    # beta and c rows at H, N-H and N adds log C(N, H) = L_1(N) - L_1(H) - L_1(N-H)
+    steps = log_rising_steps(np.append(shapes.ravel(), 1.0), cut)
+    table = np.zeros((steps.shape[0], cut + 1))
     np.cumsum(steps, axis=1, out=table[:, 1:])
-    table = (table[:-1] - table[-1]).reshape(len(components), 3, -1)
-    a, b, c = shapes.T
-    rising = np.take(table[:, 0], h, axis=1) + np.take(table[:, 1], f, axis=1) - np.take(table[:, 2], n, axis=1)
-    return h[:, None] * np.log(a / c) + f[:, None] * np.log(b / c) + rising.T
+    table = (table[:-1] - table[-1]).reshape(3, len(components), -1)
+    rising = [np.take(t, k, axis=1, mode="clip") for t, k in zip(table, counts)]  # L at min(k, cut)
+    if n_max > cut:
+        for x, k, r in zip(shapes, counts, rising):
+            big = k > cut
+            m = k[big] - cut
+            r[:, big] += rising_beyond(x[:, None], m, cut) - rising_beyond(1.0, m, cut)
+    return h[:, None] * np.log(a / c) + f[:, None] * np.log(b / c) + (rising[0] + rising[1] - rising[2]).T
 
 
 def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
@@ -244,10 +297,10 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
 
     Normal components are evaluated in closed form over all cases at
     once.  Beta components use the rising-factorial identity of the
-    module docstring: the tables L_alpha, L_beta and L_c of each
-    component, and L_1, are built up to the largest trial count and
-    gathered at H, N-H and N, at O(n + max N) cost per component and with
-    no special function.
+    module docstring: L_alpha, L_beta and L_c of each component, and L_1,
+    are gathered at H, N-H and N from cumulative tables up to
+    RISING_TABLE, plus `rising_beyond` for larger counts, at
+    O(n + RISING_TABLE) cost per component and with no special function.
     """
     components = tuple(components)
     for c in components:

@@ -284,6 +284,10 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> Be
     rational sums over i, such as d/d(log x) sum_i W(i) log1p(i/x) =
     -sum_i W(i) i/(x+i), so no digamma, trigamma or log-beta function is
     needed, and F keeps full precision up to the concentration bound.
+    The sums run over i < RISING_TABLE; the rest of each case's sum comes
+    from `families.rising_beyond`, evaluated once per distinct count, so
+    an objective call costs O(RISING_TABLE + distinct N) at any trial
+    count.
 
     The solve is held to the box |m| <= log 1e16, c in [2e-8, 2e8], the
     smallest one holding every alpha, beta in [1e-8, 1e8]; a start
@@ -298,21 +302,34 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> Be
     concentration, end at c = 2e8 with mean sum wH / sum wN.
     """
     k_max = int(n.max())
-    tails = np.zeros((3, k_max))  # W_H, W_F, W_N
+    cut = min(k_max, families.RISING_TABLE)
+    tails = np.zeros((3, cut))  # W_H, W_F, W_N for i < cut
     for row, k in zip(tails, (h, n - h, n)):
-        # W(i) = sum of w over cases with k > i, for i < max k
-        tail = np.cumsum(np.bincount(k, weights=w_j)[::-1])[::-1][1:]
-        row[: tail.size] = tail
-    s_h, s_f = tails[0].sum(), tails[1].sum()
-    signed = tails * np.array([[1.0], [1.0], [-1.0]])
-    i = np.arange(k_max)
+        # W(i) = sum of w over cases with k > i
+        row[:] = np.cumsum(np.bincount(np.minimum(k, cut), weights=w_j, minlength=cut + 1)[::-1])[::-1][1:]
+    # distinct counts above the table: shape row, count less cut, summed weight
+    rows, ms, us = (np.zeros(0, dtype=np.int64),) * 3
+    if k_max > cut:
+        parts = []
+        for row_idx, k in enumerate((h, n - h, n)):
+            big = k > cut
+            vals, inv = np.unique(k[big] - cut, return_inverse=True)
+            parts.append((np.full(vals.size, row_idx), vals, np.bincount(inv, weights=w_j[big])))
+        rows, ms, us = (np.concatenate(col) for col in zip(*parts))
+    s_h, s_f = tails[:2].sum(axis=1) + np.bincount(rows, weights=us * ms, minlength=3)[:2]
+    signs = np.array([1.0, 1.0, -1.0])
+    signed = tails * signs[:, None]
+    i = np.arange(cut)
 
     def shapes(m, t):
         c = math.exp(t)
         return np.array([c / (1.0 + math.exp(-m)), c / (1.0 + math.exp(m)), c])
 
     def objective(m, t):
-        rising = np.sum(signed * families.log_rising_steps(shapes(m, t), k_max))
+        x = shapes(m, t)
+        rising = np.sum(signed * families.log_rising_steps(x, cut))
+        if ms.size:
+            rising += (signs[rows] * us) @ families.rising_beyond(x[rows], ms, cut)
         return float(rising - s_h * math.log1p(math.exp(-m)) - s_f * math.log1p(math.exp(m)))
 
     m = min(max(math.log(start.alpha) - math.log(start.beta), -_BETA_M_MAX), _BETA_M_MAX)
@@ -321,11 +338,16 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> Be
     for _ in range(max_inner):
         p = 1.0 / (1.0 + math.exp(-m))
         q = 1.0 / (1.0 + math.exp(m))
-        x = shapes(m, t)[:, None]
-        r = i / (x + i)
-        s = x / (x + i)
-        (da, db, dc), (ha, hb, hc) = (tails * r).sum(axis=1), (tails * r * s).sum(axis=1)
-        ra, rb = (tails[:2] * s[:2]).sum(axis=1)
+        x = shapes(m, t)
+        r = i / (x[:, None] + i)
+        s = x[:, None] / (x[:, None] + i)
+        sum_r, sum_rs, sum_s = (tails * r).sum(axis=1), (tails * r * s).sum(axis=1), (tails * s).sum(axis=1)
+        if ms.size:
+            _, s_part, rs_part = families.rising_beyond(x[rows], ms, cut, derivs=True)
+            sum_r += np.bincount(rows, weights=us * (ms - s_part), minlength=3)
+            sum_rs += np.bincount(rows, weights=us * rs_part, minlength=3)
+            sum_s += np.bincount(rows, weights=us * s_part, minlength=3)
+        (da, db, dc), (ha, hb, hc), (ra, rb, _) = sum_r, sum_rs, sum_s
         # gradient and Hessian of F in (m, t); d(log alpha)/dm = q, d(log beta)/dm = -p
         g_m, g_t = q * ra - p * rb, dc - da - db
         h_mm = q * q * ha + p * p * hb - p * q * (ra + rb)

@@ -16,7 +16,7 @@ from ebmix import (
     component_marginal_cdf,
     component_posterior,
 )
-from ebmix.families import component_marginal_sf, log_marginal_matrix
+from ebmix.families import RISING_TABLE, component_marginal_sf, log_marginal_matrix, rising_beyond
 
 
 class TestComponentMarginal:
@@ -118,6 +118,44 @@ class TestComponentMarginal:
         got = component_log_marginal(Observations.binomial(h, n), BetaComponent(*shape))
         want = [float(oracles.betabinom_log_pmf_mp(int(hi), int(ni), *shape)) for hi, ni in zip(h, n)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n_trials", [2047, 2048, 2049, 5000, 10**6])
+    def test_betabinom_large_trials_matches_mpmath(self, n_trials):
+        """Counts around and beyond the table length, where the Stirling series take over.
+
+        Every summand is O(N), so the tolerance grows with N; a betaln
+        difference is off by ~8e-7 at N = 1e6 and c = 1.3e8.
+        """
+        n = n_trials + np.array([-1, 0, 1, 0, 0, 0])
+        rng = np.random.default_rng(5)
+        for shape in [(0.5, 0.3), (302.0, 884.0), (1e-8, 2.0), (3.4e7, 9.95e7), (1e8, 1e8)]:
+            h = rng.binomial(n, shape[0] / sum(shape))
+            h[:2] = 0, n[1]
+            got = component_log_marginal(Observations.binomial(h, n), BetaComponent(*shape))
+            want = [float(oracles.betabinom_log_pmf_mp(int(hi), int(ni), *shape)) for hi, ni in zip(h, n)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 + 1e-14 * n_trials)
+
+    @pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 302.0, 3.4e7, 2e8])
+    def test_rising_beyond_matches_mpmath(self, x):
+        """The series part and its log-x derivative pieces, against 40-digit psi."""
+        import mpmath
+
+        cut = RISING_TABLE
+        m = np.array([1.0, 7.0, 1000.0, 1e6])
+        value, s_sum, rs_sum = rising_beyond(x, m, cut, derivs=True)
+        with mpmath.workdps(40):
+            xm, y = mpmath.mpf(x), mpmath.mpf(x) + cut
+            for j, mj in enumerate(m):
+                z = y + int(mj)
+                dpsi = mpmath.psi(0, z) - mpmath.psi(0, y)
+                want = (
+                    mpmath.loggamma(z) - mpmath.loggamma(y) - int(mj) * mpmath.log(xm),
+                    xm * dpsi,
+                    xm * dpsi - xm**2 * (mpmath.psi(1, y) - mpmath.psi(1, z)),
+                )
+                for got, w in zip((value[j], s_sum[j], rs_sum[j]), want):
+                    np.testing.assert_allclose(got, float(w), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(rising_beyond(x, m, cut), value)
 
 
 class TestComponentPosterior:

@@ -168,6 +168,41 @@ class TestMStep:
             after = oracles.weighted_betabinom_loglik_mp(h, n, w, fit.alpha, fit.beta)
             assert after >= before
 
+    def test_binomial_large_trials_optimal_in_bounded_memory(self):
+        """N near 1e6: memory does not grow with N, and the fit is a local maximum.
+
+        Counts beyond the table length come from series, one term per
+        distinct count, so an M-step allocates well under 2 MB here, where
+        tables up to max N would take tens of MB.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        n = (1e6 * rng.uniform(0.5, 1.5, 200)).astype(np.int64)
+        h = rng.binomial(n, rng.beta(30.0, 70.0, 200))
+        w = rng.uniform(0.05, 1.0, 200)
+        obs = Observations.binomial(h, n)
+        config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
+        model = initialize(obs, config)
+        tracemalloc.start()
+        try:
+            fit = m_step(obs, w[:, None], config, model)[0].components[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+        def loglik(m, t):
+            c = np.exp(t)
+            return oracles.weighted_betabinom_loglik_mp(h, n, w, c / (1 + np.exp(-m)), c / (1 + np.exp(m)))
+
+        m0, t0 = np.log(fit.alpha / fit.beta), np.log(fit.alpha + fit.beta)
+        best = loglik(m0, t0)
+        start = model.components[0]
+        assert best >= oracles.weighted_betabinom_loglik_mp(h, n, w, start.alpha, start.beta)
+        for dm, dt in [(1e-3, 0), (-1e-3, 0), (0, 1e-3), (0, -1e-3)]:
+            assert best > loglik(m0 + dm, t0 + dt)
+
 
 class TestInitialize:
     def test_deterministic(self):
@@ -202,6 +237,17 @@ class TestInitialize:
 
 
 class TestEmFit:
+    def test_binomial_large_trials_converges(self):
+        """N near 1e6: E-step and M-step agree closely enough for EM's 1e-9 monotonicity check."""
+        rng = np.random.default_rng(1)
+        n = (1e6 * rng.uniform(0.5, 1.5, 200)).astype(np.int64)
+        p = np.where(rng.uniform(size=200) < 0.7, rng.beta(30.0, 70.0, 200), rng.beta(60.0, 40.0, 200))
+        obs = Observations.binomial(rng.binomial(n, p), n)
+        config = FitConfig(n_components=2, penalty=0.0, null_mode=NullMode.NONE, n_restarts=1)
+        model = em_fit(obs, config)
+        assert model.diagnostics.converged
+        np.testing.assert_allclose(sorted(c.mean for c in model.components), [0.3, 0.6], atol=0.03)
+
     def test_fdr_scenario_recovers_null_fraction(self):
         obs = fdr_scenario_obs()
         config = FitConfig(n_components=3, penalty=50.0, null_mode=NullMode.THEORETICAL)

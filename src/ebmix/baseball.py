@@ -24,7 +24,6 @@ from scipy.special import betaincinv, roots_legendre
 
 from .errors import ContractError, DataError
 from .families import Family, Observations
-from .inference import posterior_weights
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
 
@@ -153,7 +152,7 @@ def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 2
     obs = Observations.binomial(counts, trials)
     h = obs.counts.astype(float)
     n = obs.trials.astype(float)
-    weights = posterior_weights(obs, model)
+    weights, _ = model.posterior_weights(obs)
     levels, wts = _gl_rule(n_points)
     out = np.zeros(len(obs))
     for j, comp in enumerate(model.components):

@@ -9,6 +9,7 @@ identical inputs produce byte-identical outputs.  Errors print a single
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -38,7 +39,9 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write a CSV file, or to stdout when ``path`` is None."""
+    out = open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -70,7 +73,7 @@ def read_cases(path, family: Family):
                 continue
             try:
                 if family is Family.NORMAL:
-                    if len(row) not in (2, 3):
+                    if not 2 <= len(row) <= len(cols):
                         raise ValueError(f"expected {len(cols)} columns, got {len(row)}")
                     ids.append(row[0].strip())
                     a.append(float(row[1]))
@@ -163,13 +166,7 @@ def cmd_estimate(args) -> int:
                     None if summary.tail_fdr is None else summary.tail_fdr[i],
                 ]
             )
-    if args.output:
-        _write_csv(args.output, header, rows)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(args.output, header, rows)
     return 0
 
 

@@ -109,6 +109,15 @@ class BetaComponent:
 
 Component = Union[NormalComponent, BetaComponent]
 
+COMPONENT_TYPES = {Family.NORMAL: NormalComponent, Family.BINOMIAL: BetaComponent}
+
+
+def check_components(family: Family, components) -> None:
+    """Raise ContractError unless every component has `family`'s component type."""
+    want = COMPONENT_TYPES[family]
+    if not all(isinstance(c, want) for c in components):
+        raise ContractError(f"{family.value} components must be {want.__name__}")
+
 
 @dataclass(frozen=True)
 class Observations:
@@ -175,11 +184,9 @@ class ComponentPosterior:
     beta: np.ndarray | None = None
 
 
-def _check_family(obs: Observations, comp: Component) -> None:
-    if obs.family is Family.NORMAL and not isinstance(comp, NormalComponent):
-        raise ContractError("normal observations require a NormalComponent")
-    if obs.family is Family.BINOMIAL and not isinstance(comp, BetaComponent):
-        raise ContractError("binomial observations require a BetaComponent")
+def normal_logpdf(x, mean, var):
+    """log phi(x; mean, var); the arguments broadcast."""
+    return -0.5 * (LOG_2PI + np.log(var)) - 0.5 * (x - mean) ** 2 / var
 
 
 def component_log_marginal(obs: Observations, comp: Component) -> np.ndarray:
@@ -199,7 +206,7 @@ def component_posterior(obs: Observations, comp: Component) -> ComponentPosterio
     var*s2/(var + s2)); a point-mass prior (var = 0) stays a point mass.
     Binomial: Be(alpha + H, beta + N - H) with standard Beta moments.
     """
-    _check_family(obs, comp)
+    check_components(obs.family, (comp,))
     if obs.family is Family.NORMAL:
         if comp.var == 0.0:
             # degenerate branch: data cannot move a point mass
@@ -303,13 +310,11 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     O(n + RISING_TABLE) cost per component and with no special function.
     """
     components = tuple(components)
-    for c in components:
-        _check_family(obs, c)
+    check_components(obs.family, components)
     if obs.family is Family.NORMAL:
         mu = np.array([c.mean for c in components])
         var = np.array([c.var for c in components])
-        v = var[None, :] + obs.s2[:, None]
-        out = -0.5 * (LOG_2PI + np.log(v)) - 0.5 * (obs.z[:, None] - mu) ** 2 / v
+        out = normal_logpdf(obs.z[:, None], mu, var[None, :] + obs.s2[:, None])
     else:
         out = _betabinom_log_marginal(obs, components)
     if not np.all(np.isfinite(out)):
@@ -317,17 +322,17 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     return out
 
 
-def component_marginal_cdf(z, comp: Component, s2=1.0) -> np.ndarray:
-    """Marginal cdf F^(j)(z) = Phi((z - mean)/sqrt(var + s2)); normal only."""
+def _standardized(z, comp: Component, s2) -> np.ndarray:
     if not isinstance(comp, NormalComponent):
         raise UnsupportedError("marginal cdfs are defined for the normal family only")
-    z = np.asarray(z, dtype=float)
-    return ndtr((z - comp.mean) / np.sqrt(comp.var + np.asarray(s2, dtype=float)))
+    return (np.asarray(z, dtype=float) - comp.mean) / np.sqrt(comp.var + np.asarray(s2, dtype=float))
+
+
+def component_marginal_cdf(z, comp: Component, s2=1.0) -> np.ndarray:
+    """Marginal cdf F^(j)(z) = Phi((z - mean)/sqrt(var + s2)); normal only."""
+    return ndtr(_standardized(z, comp, s2))
 
 
 def component_marginal_sf(z, comp: Component, s2=1.0) -> np.ndarray:
     """Upper tail 1 - F^(j)(z), computed directly for tail accuracy."""
-    if not isinstance(comp, NormalComponent):
-        raise UnsupportedError("marginal cdfs are defined for the normal family only")
-    z = np.asarray(z, dtype=float)
-    return ndtr(-(z - comp.mean) / np.sqrt(comp.var + np.asarray(s2, dtype=float)))
+    return ndtr(-_standardized(z, comp, s2))

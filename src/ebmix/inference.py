@@ -19,18 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import logsumexp
 
 from .errors import ContractError, NoRejectionRegionError, NumericError, UnsupportedError
 from .families import (
-    LOG_2PI,
     Family,
-    NormalComponent,
     Observations,
     component_marginal_cdf,
     component_marginal_sf,
     component_posterior,
-    logsumexp_rows,
+    normal_logpdf,
 )
 from .mixture import MixtureModel, NullMode
 
@@ -96,19 +93,6 @@ class PosteriorSummary:
     tail_fdr: np.ndarray | None = None
 
 
-def posterior_weights(obs: Observations, model: MixtureModel) -> np.ndarray:
-    """p_j(z) = pi_j f^(j)(z) / f(z), shape (n, J)."""
-    logf = model.log_marginal_matrix(obs)
-    with np.errstate(divide="ignore"):
-        logw = logf + np.log(model.pi)
-    norm = logsumexp_rows(logw)
-    if not np.all(np.isfinite(norm)):
-        raise NumericError("zero marginal density; posterior weights undefined")
-    w = np.exp(logw - norm[:, None])
-    w[:, model.pi == 0.0] = 0.0
-    return w
-
-
 def _resolve_grouping(model: MixtureModel, grouping: NullGrouping | None):
     if grouping is not None:
         if model.null_mode is not NullMode.NONE and 0 not in grouping.null_set:
@@ -150,7 +134,7 @@ def posterior_summary(
     if obs.family is not model.family:
         raise ContractError("observation family does not match the model")
     grouping = _resolve_grouping(model, grouping)
-    w = posterior_weights(obs, model)
+    w, _ = model.posterior_weights(obs)
     means = np.empty_like(w)
     varis = np.empty_like(w)
     for j, c in enumerate(model.components):
@@ -187,7 +171,7 @@ def fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None,
     if grouping is None:
         raise UnsupportedError("model has no designated null component")
     obs = Observations.normal(z_grid, np.full(z_grid.shape, float(s2)))
-    w = posterior_weights(obs, model)
+    w, _ = model.posterior_weights(obs)
     return w[:, sorted(grouping.null_set)].sum(axis=1)
 
 
@@ -259,7 +243,7 @@ class NormalLogpdf:
         self.var = float(var)
 
     def __call__(self, z):
-        return -0.5 * (LOG_2PI + np.log(self.var)) - 0.5 * (np.asarray(z, dtype=float) - self.mean) ** 2 / self.var
+        return normal_logpdf(np.asarray(z, dtype=float), self.mean, self.var)
 
     def d1(self, z):
         return -(np.asarray(z, dtype=float) - self.mean) / self.var
@@ -271,41 +255,39 @@ class NormalLogpdf:
 class NormalMixtureLogpdf:
     """Log marginal of a normal mixture model with analytic derivatives.
 
-    The marginal is sum_j pi_j phi(z; mu_j, var_j + s2); derivatives are
-    computed through the posterior component weights, which keeps them
-    stable far into the tails.
+    The marginal is sum_j pi_j phi(z; mu_j, var_j + s2).  Its value and
+    the posterior component weights, through which the derivatives are
+    computed (stable far into the tails), come from
+    `MixtureModel.posterior_weights`, so z must be finite and of nonzero
+    marginal density.
     """
 
     def __init__(self, model: MixtureModel, s2: float = 1.0):
         if model.family is not Family.NORMAL:
             raise UnsupportedError("analytic log-density requires a normal model")
-        self.pi = model.pi
+        self.model = model
+        self.s2 = float(s2)
         self.mu = np.array([c.mean for c in model.components])
-        self.v = np.array([c.var for c in model.components]) + float(s2)
+        self.v = np.array([c.var for c in model.components]) + self.s2
 
-    def _logterms(self, z):
+    def _posterior(self, z):
+        """z as an array, the weights and log f at its entries, and (z - mu_j)/v_j."""
         z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            logpi = np.log(self.pi)
-        return logpi + (-0.5 * (LOG_2PI + np.log(self.v)) - 0.5 * (z[..., None] - self.mu) ** 2 / self.v)
+        w, logf = self.model.posterior_weights(Observations.normal(z.ravel(), self.s2))
+        return z, w, logf, (z.reshape(-1, 1) - self.mu) / self.v
 
     def __call__(self, z):
-        return logsumexp(self._logterms(z), axis=-1)
-
-    def _weights(self, z):
-        lt = self._logterms(z)
-        return np.exp(lt - logsumexp(lt, axis=-1)[..., None])
+        z, _, logf, _ = self._posterior(z)
+        return logf.reshape(z.shape)
 
     def d1(self, z):
-        z = np.asarray(z, dtype=float)
-        w = self._weights(z)
-        return np.sum(w * (-(z[..., None] - self.mu) / self.v), axis=-1)
+        z, w, _, r = self._posterior(z)
+        return -np.sum(w * r, axis=1).reshape(z.shape)
 
     def d2(self, z):
-        z = np.asarray(z, dtype=float)
-        w = self._weights(z)
-        r = (z[..., None] - self.mu) / self.v
-        return np.sum(w * (r**2 - 1.0 / self.v), axis=-1) - self.d1(z) ** 2
+        z, w, _, r = self._posterior(z)
+        d1 = np.sum(w * r, axis=1)
+        return (np.sum(w * (r**2 - 1.0 / self.v), axis=1) - d1**2).reshape(z.shape)
 
 
 def _numeric_d1(fn, z, h=1e-5):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import families
 from .errors import ContractError, FitError, NumericError
-from .families import BetaComponent, Family, NormalComponent, Observations, logsumexp_rows
+from .families import BetaComponent, Family, NormalComponent, Observations, logsumexp_rows, normal_logpdf
 from .seeding import STREAM_INIT, derive_rng
 
 _MONOTONE_SLACK = 1e-9
@@ -71,9 +71,7 @@ class MixtureModel:
             raise ContractError("mixture proportions must be a simplex point")
         if np.any(penalty < 0):
             raise ContractError("penalty entries must be nonnegative")
-        want = NormalComponent if self.family is Family.NORMAL else BetaComponent
-        if not all(isinstance(c, want) for c in self.components):
-            raise ContractError(f"all components must be {want.__name__}")
+        families.check_components(self.family, self.components)
         if self.null_mode is NullMode.THEORETICAL:
             c0 = self.components[0]
             if self.family is not Family.NORMAL:
@@ -103,15 +101,25 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.components)
 
-    def log_marginal_matrix(self, obs: Observations) -> np.ndarray:
-        """Per-case, per-component log marginals, shape (n, J)."""
-        return families.log_marginal_matrix(obs, self.components)
+    def posterior_weights(self, obs: Observations):
+        """(w, log f): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J), and log f(z_i).
+
+        Components with pi_j = 0 get weight exactly 0.  Raises NumericError
+        at a case of zero (or infinite) mixture density f.
+        """
+        with np.errstate(divide="ignore"):
+            logw = families.log_marginal_matrix(obs, self.components) + np.log(self.pi)
+        logf = logsumexp_rows(logw)
+        bad = ~np.isfinite(logf)
+        if np.any(bad):
+            raise NumericError(f"zero marginal density at case {int(np.flatnonzero(bad)[0])}")
+        w = np.exp(logw - logf[:, None])
+        w[:, self.pi == 0.0] = 0.0
+        return w, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
         """Log of the mixture marginal f(z) = sum_j pi_j f^(j)(z)."""
-        with np.errstate(divide="ignore"):
-            logpi = np.log(self.pi)
-        return logsumexp_rows(self.log_marginal_matrix(obs) + logpi)
+        return self.posterior_weights(obs)[1]
 
     def sample(self, n: int, rng: np.random.Generator, s2=1.0, trials=None) -> Observations:
         """Draw n cases from the model's marginal distribution."""
@@ -238,29 +246,15 @@ def e_step(data: Observations, model: MixtureModel):
 
     Returns (w, pll) with w row-stochastic of shape (n, J).
     """
-    logf = model.log_marginal_matrix(data)
-    with np.errstate(divide="ignore"):
-        logpi = np.log(model.pi)
-    logw = logf + logpi
-    ll = logsumexp_rows(logw)
-    bad = ~np.isfinite(ll)
-    if np.any(bad):
-        raise NumericError(f"zero marginal density at case {int(np.flatnonzero(bad)[0])}")
-    w = np.exp(logw - ll[:, None])
-    w[:, model.pi == 0.0] = 0.0
+    w, logf = model.posterior_weights(data)
     beta = model.penalty
     active = beta > 0
     if np.any(active & (model.pi == 0.0)):
         raise NumericError("penalized component has zero proportion")
-    pll = float(ll.sum() + np.sum(beta[active] * logpi[active]))
+    pll = float(logf.sum() + np.sum(beta[active] * np.log(model.pi[active])))
     if not np.isfinite(pll):
         raise NumericError("non-finite penalized log-likelihood")
     return w, pll
-
-
-def _normal_weighted_obj(z, s2, w_j, comp: NormalComponent) -> float:
-    v = comp.var + s2
-    return float(np.sum(w_j * (-0.5 * (families.LOG_2PI + np.log(v)) - 0.5 * (z - comp.mean) ** 2 / v)))
 
 
 # Box of the beta M-step in (m, t) = (log(alpha/beta), log(alpha + beta)):
@@ -382,23 +376,13 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> Be
     return BetaComponent(alpha=float(alpha), beta=float(beta))
 
 
-def _reinit_component(data: Observations, index: int, j_total: int):
-    if data.family is Family.NORMAL:
-        q = (index + 1) / (j_total + 1)
-        return NormalComponent(float(np.quantile(data.z, q)), 1.0)
-    rate = data.counts / data.trials
-    order = np.argsort(rate, kind="stable")
-    groups = np.array_split(order, j_total)
-    idx = groups[min(index, len(groups) - 1)]
-    return _beta_mom(rate[idx] if len(idx) else rate)
-
-
 def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureModel):
     """One penalized M-step.
 
-    Returns (updated model, reinitialized flag); the flag is True when an
-    empty component was restarted from the data quantiles, in which case
-    the EM objective may legitimately dip for one iteration.
+    Returns (updated model, reinitialized flag).  A free component left
+    with no weight and no penalty restarts as the same component of the
+    unjittered start, ``initialize(data, config, 0)``; the flag is then
+    True, and the EM objective may legitimately dip for one iteration.
     """
     n, j = w.shape
     if j != model.n_components or n != len(data):
@@ -413,7 +397,7 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     for k in range(start_free, j):
         if nj[k] + beta[k] == 0.0:
-            comps[k] = _reinit_component(data, k, j)
+            comps[k] = initialize(data, config, 0).components[k]
             pi[k] = 1.0 / (n + beta.sum())
             reinitialized = True
             continue
@@ -427,9 +411,9 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
             cand = NormalComponent(mu, var)
             # moment update is exact for constant s2; with heterogeneous
             # s2 keep the old parameters if the update would not improve
-            if homoscedastic or _normal_weighted_obj(
-                data.z, data.s2, w_k, cand
-            ) >= _normal_weighted_obj(data.z, data.s2, w_k, comps[k]):
+            if homoscedastic or np.sum(w_k * normal_logpdf(data.z, mu, var + data.s2)) >= np.sum(
+                w_k * normal_logpdf(data.z, comps[k].mean, comps[k].var + data.s2)
+            ):
                 comps[k] = cand
         else:
             comps[k] = _fit_beta_newton(data.counts, data.trials, w_k, comps[k])
@@ -485,10 +469,6 @@ def _run_em(data: Observations, config: FitConfig, restart_index: int) -> Mixtur
 
 def em_fit(data: Observations, config: FitConfig) -> MixtureModel:
     """Fit the penalized mixture by EM, best of ``config.n_restarts`` runs."""
-    if len(data) == 0:
-        raise ContractError("data must be nonempty")
-    if data.family is Family.BINOMIAL and config.null_mode is NullMode.THEORETICAL:
-        raise ContractError("theoretical null is not defined for the binomial family")
     best = None
     last_error: Exception | None = None
     for r in range(config.n_restarts):

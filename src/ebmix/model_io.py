@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ContractError, DataError
-from .families import BetaComponent, Family, NormalComponent
+from .families import COMPONENT_TYPES, Family
 from .mixture import FitDiagnostics, MixtureModel, NullMode
 
 FORMAT_VERSION = 1
@@ -58,10 +58,11 @@ class ModelDocument:
     format_version: int = FORMAT_VERSION
 
 
-def _component_record(comp):
-    if isinstance(comp, NormalComponent):
-        return {"mean": comp.mean, "var": comp.var}
-    return {"alpha": comp.alpha, "beta": comp.beta}
+def _json_int(value, name: str) -> int:
+    # json.loads gives int only for integer literals; bool is an int subclass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def serialize_model(doc: ModelDocument) -> str:
@@ -79,7 +80,7 @@ def serialize_model(doc: ModelDocument) -> str:
         "n_components": m.n_components,
         "null_mode": m.null_mode.value,
         "pi": [float(p) for p in m.pi],
-        "components": [_component_record(c) for c in m.components],
+        "components": [asdict(c) for c in m.components],
         "penalty": [float(b) for b in m.penalty],
         "diagnostics": diag,
         "seed": doc.seed,
@@ -100,23 +101,18 @@ def parse_model(text: str) -> ModelDocument:
         if version != FORMAT_VERSION:
             raise DataError(f"unsupported model format_version {version}")
         family = Family(payload["family"])
-        if family is Family.NORMAL:
-            comps = tuple(
-                NormalComponent(float(c["mean"]), float(c["var"]))
-                for c in payload["components"]
-            )
-        else:
-            comps = tuple(
-                BetaComponent(float(c["alpha"]), float(c["beta"]))
-                for c in payload["components"]
-            )
+        comp_type = COMPONENT_TYPES[family]
+        names = [f.name for f in fields(comp_type)]
+        comps = tuple(comp_type(*(float(c[name]) for name in names)) for c in payload["components"])
         diag = None
         if payload.get("diagnostics") is not None:
             d = payload["diagnostics"]
+            if not isinstance(d["converged"], bool):
+                raise DataError(f"converged must be a JSON boolean, got {d['converged']!r}")
             diag = FitDiagnostics(
                 penalized_loglik=float(d["penalized_loglik"]),
-                iterations=int(d["iterations"]),
-                converged=bool(d["converged"]),
+                iterations=_json_int(d["iterations"], "iterations"),
+                converged=d["converged"],
             )
         model = MixtureModel(
             family=family,
@@ -130,7 +126,7 @@ def parse_model(text: str) -> ModelDocument:
             raise DataError("n_components disagrees with the component list")
         return ModelDocument(
             model=model,
-            seed=int(payload["seed"]),
+            seed=_json_int(payload["seed"], "seed"),
             timestamp=payload.get("timestamp"),
             format_version=int(version),
         )

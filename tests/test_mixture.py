@@ -21,6 +21,7 @@ from ebmix import (
     initialize,
     m_step,
 )
+from ebmix import mixture
 from ebmix.mixture import n_free_parameters, unpenalized_loglik
 from ebmix.seeding import derive_rng
 
@@ -202,6 +203,35 @@ class TestMStep:
         assert best >= oracles.weighted_betabinom_loglik_mp(h, n, w, start.alpha, start.beta)
         for dm, dt in [(1e-3, 0), (-1e-3, 0), (0, 1e-3), (0, -1e-3)]:
             assert best > loglik(m0 + dm, t0 + dt)
+
+    @pytest.mark.parametrize(
+        "mode, k",
+        [(NullMode.THEORETICAL, 2), (NullMode.EMPIRICAL, 0), (NullMode.EMPIRICAL, 2), (NullMode.NONE, 1)],
+    )
+    def test_empty_component_restarts_from_initial_model(self, monkeypatch, mode, k):
+        obs = Observations.normal(derive_rng(5, 0).standard_normal(200))
+        config = FitConfig(n_components=3, penalty=0.0, null_mode=mode, n_restarts=1)
+        start = initialize(obs, config)
+        comps = list(start.components)
+        comps[k] = NormalComponent(1000.0, 0.0)
+        model = dataclasses.replace(start, components=tuple(comps))
+        w, _ = e_step(obs, model)
+        assert np.all(w[:, k] == 0.0)
+        updated, reinit = m_step(obs, w, config, model)
+        assert reinit
+        assert updated.components[k] == start.components[k]
+
+        # EM from the emptied start restarts it and keeps the objective monotone
+        calls = []
+
+        def initialize_empty_first(data, cfg, restart_index=0):
+            calls.append(restart_index)
+            return model if len(calls) == 1 else initialize(data, cfg, restart_index)
+
+        monkeypatch.setattr(mixture, "initialize", initialize_empty_first)
+        fitted = em_fit(obs, config)
+        assert calls[0] == 0
+        assert fitted.components[k].mean != 1000.0
 
 
 class TestInitialize:

@@ -17,13 +17,14 @@ path testable when the real season file is not on hand.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv, roots_legendre
 
 from .errors import ContractError, DataError
-from .families import Family, Observations
+from .families import Family, Observations, component_posterior
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
 
@@ -120,20 +121,16 @@ def synthetic_season(
     return records, delta
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gl_rule(n_points: int):
     """Gauss-Legendre rule for integrals over probability levels u in (0, 1).
 
     The nodes are mapped through u = t^2 (3 - 2t), which flattens the
     power-law behaviour of a quantile function at u = 0 and u = 1.
     """
-    if n_points not in _GL_CACHE:
-        x, w = roots_legendre(n_points)
-        t = 0.5 * (x + 1.0)
-        _GL_CACHE[n_points] = (t * t * (3.0 - 2.0 * t), 3.0 * w * t * (1.0 - t))
-    return _GL_CACHE[n_points]
+    x, w = roots_legendre(n_points)
+    t = 0.5 * (x + 1.0)
+    return t * t * (3.0 - 2.0 * t), 3.0 * w * t * (1.0 - t)
 
 
 def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 256):
@@ -150,15 +147,12 @@ def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 2
     if model.family is not Family.BINOMIAL:
         raise ContractError("arcsin posterior means require a binomial model")
     obs = Observations.binomial(counts, trials)
-    h = obs.counts.astype(float)
-    n = obs.trials.astype(float)
     weights, _ = model.posterior_weights(obs)
     levels, wts = _gl_rule(n_points)
     out = np.zeros(len(obs))
     for j, comp in enumerate(model.components):
-        a = comp.alpha + h
-        b = comp.beta + (n - h)
-        delta = betaincinv(a[:, None], b[:, None], levels[None, :])
+        post = component_posterior(obs, comp)
+        delta = betaincinv(post.alpha[:, None], post.beta[:, None], levels[None, :])
         out += weights[:, j] * (np.arcsin(np.sqrt(delta)) @ wts)
     return out
 
@@ -206,17 +200,15 @@ def _group_filter(records, group):
 def run_baseball(
     records,
     n_components: int = 3,
-    penalty: float = 0.0,
-    n_restarts: int = 3,
     seed: int = 0,
     groups=("overall", "pitchers", "nonpitchers"),
-    n_points: int = 256,
 ) -> BaseballResult:
     """Fit per group on half one, score estimators on half two.
 
     Training keeps players with at least 11 first-half at bats; scoring
     keeps those with at least 11 in each half.  Players with no
-    second-half record are excluded and counted.
+    second-half record are excluded and counted.  Each group's prior is
+    the best of three EM restarts with no null and zero penalty.
     """
     from .harness import james_stein  # local import; avoids a module cycle
 
@@ -240,9 +232,9 @@ def run_baseball(
 
         config = FitConfig(
             n_components=n_components,
-            penalty=penalty,
+            penalty=0.0,
             null_mode=NullMode.NONE,
-            n_restarts=n_restarts,
+            n_restarts=3,
             seed=seed,
         )
         model = em_fit(Observations.binomial(h1, n1), config)
@@ -251,7 +243,7 @@ def run_baseball(
             "naive": x1,
             "grand_mean": np.full(len(train), x1.mean()),
             "james_stein": james_stein(x1, center=True, var=0.25 / n1),
-            "mixture": posterior_mean_arcsin(model, h1, n1, n_points=n_points),
+            "mixture": posterior_mean_arcsin(model, h1, n1),
         }
         h2 = np.array([train[i].h2 for i in test_idx])
         n2 = np.array([train[i].n2 for i in test_idx])

@@ -30,10 +30,10 @@ class CalibrationPlan:
 
     candidates: np.ndarray
     preliminary_penalty: float
-    n_perturbed: int
-    n_bootstrap: int
-    null_mean_jitter: float
-    null_sd_scales: tuple
+    n_perturbed: int = 4
+    n_bootstrap: int = 20
+    null_mean_jitter: float = 0.05
+    null_sd_scales: tuple = (0.95, 1.0, 1.05, 1.1)
     seed: int = 0
 
     def __post_init__(self):
@@ -60,10 +60,6 @@ def default_plan(n_cases: int, seed: int = 0) -> CalibrationPlan:
     return CalibrationPlan(
         candidates=np.linspace(100.0, n_cases / 2.0, 20),
         preliminary_penalty=n_cases / 5.0,
-        n_perturbed=4,
-        n_bootstrap=20,
-        null_mean_jitter=0.05,
-        null_sd_scales=(0.95, 1.0, 1.05, 1.1),
         seed=seed,
     )
 
@@ -124,8 +120,6 @@ def calibrate_penalty(
     a single restart; per-cell datasets are seeded from (plan.seed, l, b)
     so the whole table is reproducible and embarrassingly parallel.
     """
-    if len(data) == 0:
-        raise ContractError("data must be nonempty")
     if data.family is not Family.NORMAL:
         raise UnsupportedError("penalty calibration scores fdr curves; normal family only")
     n = len(data)

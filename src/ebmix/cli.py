@@ -172,8 +172,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     _ensure_out_dir(args.out_dir)
+    n_comp = args.J if args.J is not None else (10 if args.what == "effect" else 3)
     if args.what == "effect":
-        n_comp = 10 if args.J is None else args.J
         methods = harness.default_effect_methods(n_comp, args.penalty)
         result = harness.run_effect_study(methods, reps=args.reps, seed=args.seed)
         _write_csv(
@@ -191,19 +191,16 @@ def cmd_simulate(args) -> int:
             print(f"{name}: mean={mean_rel:.4f} median={med_rel:.4f}")
         return 0
     if args.what == "fdr":
-        n_comp = 3 if args.J is None else args.J
-        if args.null is None or args.null == "both":
-            methods = harness.default_fdr_methods()
-        else:
-            mode = NullMode(args.null)
-            methods = (
-                harness.FdrMethod(
-                    name=f"mixture_{mode.value}",
-                    null_mode=mode,
-                    n_components=n_comp,
-                    penalty=args.penalty,
-                ),
+        modes = ("theoretical", "empirical") if args.null == "both" else (args.null,)
+        methods = tuple(
+            harness.FdrMethod(
+                name=f"mixture_{mode}",
+                null_mode=NullMode(mode),
+                n_components=n_comp,
+                penalty=args.penalty,
             )
+            for mode in modes
+        )
         result = harness.run_fdr_study(methods, reps=args.reps, seed=args.seed)
         for kind, fname in (("fdr", "fdr_curves.csv"), ("FDR", "FDR_curves.csv")):
             rows = []
@@ -235,7 +232,6 @@ def cmd_simulate(args) -> int:
         print(f"fdr study written to {args.out_dir}")
         return 0
     # baseball
-    n_comp = 3 if args.J is None else args.J
     if args.input:
         records = bb.load_baseball_csv(args.input)
         result = bb.run_baseball(records, n_components=n_comp, seed=args.seed)
@@ -300,18 +296,12 @@ def cmd_calibrate(args) -> int:
     if args.candidates == "auto":
         plan = calibration.default_plan(len(obs), seed=args.seed)
     else:
-        cands = np.array([float(c) for c in args.candidates.split(",")])
         plan = calibration.CalibrationPlan(
-            candidates=cands,
+            candidates=np.array([float(c) for c in args.candidates.split(",")]),
             preliminary_penalty=len(obs) / 5.0,
-            n_perturbed=args.perturbed,
-            n_bootstrap=args.bootstrap,
-            null_mean_jitter=0.05,
-            null_sd_scales=(0.95, 1.0, 1.05, 1.1),
             seed=args.seed,
         )
-    if args.bootstrap != plan.n_bootstrap or args.perturbed != plan.n_perturbed:
-        plan = dataclasses.replace(plan, n_bootstrap=args.bootstrap, n_perturbed=args.perturbed)
+    plan = dataclasses.replace(plan, n_bootstrap=args.bootstrap, n_perturbed=args.perturbed)
     result = calibration.calibrate_penalty(obs, base, plan)
     if args.output:
         _write_csv(
@@ -397,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-dir", required=True, dest="out_dir")
     p_sim.add_argument("--J", type=int, default=None)
     p_sim.add_argument("--penalty", type=float, default=50.0)
-    p_sim.add_argument("--null", choices=["theoretical", "empirical", "both"], default=None)
+    p_sim.add_argument("--null", choices=["theoretical", "empirical", "both"], default="both")
     p_sim.add_argument("--input", default=None, help="baseball: real season CSV")
     p_sim.add_argument("--seasons", type=int, default=20, help="baseball: synthetic seasons")
     p_sim.set_defaults(func=cmd_simulate)
@@ -409,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--null", choices=["theoretical", "empirical"], default="empirical")
     p_cal.add_argument("--seed", type=int, default=0)
     p_cal.add_argument("--restarts", type=int, default=3)
-    p_cal.add_argument("--bootstrap", type=int, default=20)
-    p_cal.add_argument("--perturbed", type=int, default=4)
+    p_cal.add_argument("--bootstrap", type=int, default=calibration.CalibrationPlan.n_bootstrap)
+    p_cal.add_argument("--perturbed", type=int, default=calibration.CalibrationPlan.n_perturbed)
     p_cal.add_argument("--max-iters", type=int, default=1000, dest="max_iters")
     p_cal.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
     p_cal.add_argument("--output", default=None, help="score table CSV path")

@@ -47,21 +47,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-D array; lean hot-path variant.
+    """Row-wise log-sum-exp of a 2-D array whose every row has a finite maximum.
 
-    Rows that are identically -inf come back as -inf rather than nan.
+    A row with a nan, or with no finite entry, comes back non-finite.
     """
     m = np.max(a, axis=1)
-    ok = np.isfinite(m)
-    out = np.full(a.shape[0], -np.inf)
-    if np.all(ok):
-        return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-    if np.any(ok):
-        sub = a[ok]
-        out[ok] = m[ok] + np.log(np.exp(sub - m[ok, None]).sum(axis=1))
-    # +inf rows propagate for the caller's finiteness checks
-    out[np.isposinf(m)] = np.inf
-    return out
+    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
 class Family(str, Enum):

@@ -262,17 +262,12 @@ def make_baseline_method(name: str, q: float = 0.1) -> EffectMethod:
     return EffectMethod(label, lambda z, spec: baseline_estimate(name, z, q=q))
 
 
-def make_mixture_method(
-    n_components: int = 10,
-    penalty: float = 50.0,
-    null_mode: NullMode = NullMode.THEORETICAL,
-    n_restarts: int = 1,
-) -> EffectMethod:
+def make_mixture_method(n_components: int = 10, penalty: float = 50.0) -> EffectMethod:
+    """Posterior means of a one-restart fit with a theoretical null."""
     config = FitConfig(
         n_components=n_components,
         penalty=penalty,
-        null_mode=null_mode,
-        n_restarts=n_restarts,
+        n_restarts=1,
     )
 
     def estimate(z, spec):
@@ -417,15 +412,16 @@ def fdr_scenario_sample(deltas, seed: int, rep: int, n_cases: int = 1000) -> np.
 
 @dataclass(frozen=True)
 class FdrMethod:
-    """A mixture-model fdr estimator configuration for the study."""
+    """A mixture-model fdr estimator configuration for the study.
+
+    Each fit runs one EM restart, and nearly null components join the
+    null set under `nearly_null_grouping`'s default tolerances.
+    """
 
     name: str
     null_mode: NullMode
     n_components: int = 3
     penalty: float = 50.0
-    n_restarts: int = 1
-    mean_tol: float = 0.25
-    var_tol: float = 0.25
 
     def fit(self, z):
         obs = Observations.normal(z)
@@ -433,18 +429,10 @@ class FdrMethod:
             n_components=self.n_components,
             penalty=self.penalty,
             null_mode=self.null_mode,
-            n_restarts=self.n_restarts,
+            n_restarts=1,
         )
         model = em_fit(obs, config)
-        grouping = nearly_null_grouping(model, self.mean_tol, self.var_tol)
-        return model, grouping
-
-
-def default_fdr_methods():
-    return (
-        FdrMethod(name="mixture_theoretical", null_mode=NullMode.THEORETICAL),
-        FdrMethod(name="mixture_empirical", null_mode=NullMode.EMPIRICAL),
-    )
+        return model, nearly_null_grouping(model)
 
 
 @dataclass(frozen=True)
@@ -470,7 +458,7 @@ class FdrStudyResult:
 
 
 def run_fdr_study(
-    methods: Sequence[FdrMethod] = None,
+    methods: Sequence[FdrMethod],
     reps: int = 50,
     seed: int = 0,
     n_cases: int = 1000,
@@ -483,8 +471,6 @@ def run_fdr_study(
     The alternative effects are drawn once from the study seed and held
     fixed; each replication redraws the noise only.
     """
-    if methods is None:
-        methods = default_fdr_methods()
     z_grid = np.asarray(z_grid, dtype=float)
     qs = tuple(float(q) for q in qs)
     deltas = fdr_scenario_deltas(seed, n_nonzero=n_nonzero)

@@ -37,11 +37,9 @@ DEFAULT_VAR_TOL = 0.25
 
 @dataclass(frozen=True)
 class NullGrouping:
-    """Which mixture components count as null for fdr/FDR purposes."""
+    """Which mixture components, by index, count as null for fdr/FDR purposes."""
 
     null_set: frozenset
-    mean_tol: float | None = None
-    var_tol: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "null_set", frozenset(int(i) for i in self.null_set))
@@ -74,7 +72,7 @@ def nearly_null_grouping(
     for j, c in enumerate(model.components[1:], start=1):
         if abs(c.mean - c0.mean) <= mean_tol and c.var <= c0.var + var_tol:
             members.add(j)
-    return NullGrouping(null_set=frozenset(members), mean_tol=mean_tol, var_tol=var_tol)
+    return NullGrouping(null_set=frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,11 @@ def tail_fdr_at(z, model: MixtureModel, grouping: NullGrouping, s2=1.0) -> np.nd
         den += model.pi[j] * two_sided
         if j in grouping.null_set:
             num += model.pi[j] * two_sided
-    out = np.full_like(z, np.nan)
+    # where both tails are empty the conditional event has probability
+    # zero; FDR is then 1
+    out = np.ones_like(z)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok]
-    # both tails empty: the conditional event has probability zero; fall
-    # back to the local ratio limit, which is the null posterior weight
-    if np.any(~ok):
-        out[~ok] = 1.0
     return np.clip(out, 0.0, 1.0)
 
 
@@ -290,12 +286,13 @@ class NormalMixtureLogpdf:
         return (np.sum(w * (r**2 - 1.0 / self.v), axis=1) - d1**2).reshape(z.shape)
 
 
-def _numeric_d1(fn, z, h=1e-5):
-    return (fn(z + h) - fn(z - h)) / (2.0 * h)
-
-
-def _numeric_d2(fn, z, h=1e-4):
-    return (fn(z + h) - 2.0 * fn(z) + fn(z - h)) / (h * h)
+def _derivatives(fn, z):
+    """(d1, d2) of ``fn`` at z: its analytic ``d1``/``d2``, else central differences."""
+    if hasattr(fn, "d1") and hasattr(fn, "d2"):
+        return fn.d1(z), fn.d2(z)
+    h1, h2 = 1e-5, 1e-4
+    d1 = (fn(z + h1) - fn(z - h1)) / (2.0 * h1)
+    return d1, (fn(z + h2) - 2.0 * fn(z) + fn(z - h2)) / (h2 * h2)
 
 
 def tweedie_continuous(log_f, log_f0, z):
@@ -306,14 +303,8 @@ def tweedie_continuous(log_f, log_f0, z):
     fall back to central differences.
     """
     z = np.asarray(z, dtype=float)
-    if hasattr(log_f, "d1") and hasattr(log_f, "d2"):
-        d1f, d2f = log_f.d1(z), log_f.d2(z)
-    else:
-        d1f, d2f = _numeric_d1(log_f, z), _numeric_d2(log_f, z)
-    if hasattr(log_f0, "d1") and hasattr(log_f0, "d2"):
-        d1n, d2n = log_f0.d1(z), log_f0.d2(z)
-    else:
-        d1n, d2n = _numeric_d1(log_f0, z), _numeric_d2(log_f0, z)
+    d1f, d2f = _derivatives(log_f, z)
+    d1n, d2n = _derivatives(log_f0, z)
     mean = d1f - d1n
     var = d2f - d2n
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):

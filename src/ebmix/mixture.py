@@ -104,7 +104,7 @@ class MixtureModel:
     def posterior_weights(self, obs: Observations):
         """(w, log f): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J), and log f(z_i).
 
-        Components with pi_j = 0 get weight exactly 0.  Raises NumericError
+        Components with pi_j = 0 get weight exp(-inf) = 0.  Raises NumericError
         at a case of zero (or infinite) mixture density f.
         """
         with np.errstate(divide="ignore"):
@@ -113,9 +113,7 @@ class MixtureModel:
         bad = ~np.isfinite(logf)
         if np.any(bad):
             raise NumericError(f"zero marginal density at case {int(np.flatnonzero(bad)[0])}")
-        w = np.exp(logw - logf[:, None])
-        w[:, self.pi == 0.0] = 0.0
-        return w, logf
+        return np.exp(logw - logf[:, None]), logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
         """Log of the mixture marginal f(z) = sum_j pi_j f^(j)(z)."""
@@ -205,13 +203,8 @@ def initialize(data: Observations, config: FitConfig, restart_index: int = 0) ->
             comps.append(NormalComponent(0.0, 0.0))
         elif config.null_mode is NullMode.EMPIRICAL:
             comps.append(NormalComponent(float(np.median(z)) + jitter[0], 0.0))
-        n_free_slots = j - len(comps)
-        if len(comps) == 0:
-            qs = (np.arange(1, j + 1)) / (j + 1)
-        else:
-            qs = np.arange(1, n_free_slots + 1) / j
-        centers = np.quantile(z, qs) if n_free_slots else np.array([])
-        for c in centers:
+        n_free = j - len(comps)  # >= 1: a designated null needs J >= 2
+        for c in np.quantile(z, np.arange(1, n_free + 1) / (n_free + 1)):
             comps.append(NormalComponent(float(c) + jitter[len(comps)], 1.0))
     else:
         rate = data.counts / data.trials
@@ -263,7 +256,7 @@ _BETA_M_MAX = math.log(1e16)
 _BETA_T_MIN, _BETA_T_MAX = math.log(2e-8), math.log(2e8)
 
 
-def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> BetaComponent:
+def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
     """Weighted beta-binomial MLE by Newton in (m, t) = (log(alpha/beta), log c).
 
     With mean p = alpha/c = sigmoid(m), concentration c = e^t and tail
@@ -291,7 +284,8 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> Be
     follows the gradient.  Steps are capped at 2 per coordinate and
     halved until F strictly improves, so the update never lowers the EM
     objective.  The solve stops when the predicted gain g.step/2 falls
-    below 1e-13 (1 + |F|), or when 30 halvings do not improve F.
+    below 1e-13 (1 + |F|), when 30 halvings do not improve F, or after
+    50 Newton steps.
     Underdispersed weighted data, whose MLE lies at infinite
     concentration, end at c = 2e8 with mean sum wH / sum wN.
     """
@@ -329,7 +323,7 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent, max_inner: int = 50) -> Be
     m = min(max(math.log(start.alpha) - math.log(start.beta), -_BETA_M_MAX), _BETA_M_MAX)
     t = min(max(math.log(start.alpha + start.beta), _BETA_T_MIN), _BETA_T_MAX)
     obj = objective(m, t)
-    for _ in range(max_inner):
+    for _ in range(50):
         p = 1.0 / (1.0 + math.exp(-m))
         q = 1.0 / (1.0 + math.exp(m))
         x = shapes(m, t)
@@ -418,7 +412,6 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
         else:
             comps[k] = _fit_beta_newton(data.counts, data.trials, w_k, comps[k])
 
-    pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     updated = MixtureModel(
         family=model.family,
@@ -433,7 +426,6 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
 
 def _run_em(data: Observations, config: FitConfig, restart_index: int) -> MixtureModel:
     model = initialize(data, config, restart_index)
-    prev = None
     skip_check = False
     converged = False
     trace = []

@@ -55,7 +55,6 @@ class ModelDocument:
     model: MixtureModel
     seed: int = 0
     timestamp: str | None = None
-    format_version: int = FORMAT_VERSION
 
 
 def _json_int(value, name: str) -> int:
@@ -75,7 +74,7 @@ def serialize_model(doc: ModelDocument) -> str:
             "converged": m.diagnostics.converged,
         }
     payload = {
-        "format_version": doc.format_version,
+        "format_version": FORMAT_VERSION,
         "family": m.family.value,
         "n_components": m.n_components,
         "null_mode": m.null_mode.value,
@@ -97,9 +96,12 @@ def parse_model(text: str) -> ModelDocument:
     if not isinstance(payload, dict):
         raise DataError("model document must be a JSON object")
     try:
-        version = payload["format_version"]
+        version = _json_int(payload["format_version"], "format_version")
         if version != FORMAT_VERSION:
             raise DataError(f"unsupported model format_version {version}")
+        timestamp = payload.get("timestamp")
+        if timestamp is not None and not isinstance(timestamp, str):
+            raise DataError(f"timestamp must be a JSON string or null, got {timestamp!r}")
         family = Family(payload["family"])
         comp_type = COMPONENT_TYPES[family]
         names = [f.name for f in fields(comp_type)]
@@ -127,8 +129,7 @@ def parse_model(text: str) -> ModelDocument:
         return ModelDocument(
             model=model,
             seed=_json_int(payload["seed"], "seed"),
-            timestamp=payload.get("timestamp"),
-            format_version=int(version),
+            timestamp=timestamp,
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc

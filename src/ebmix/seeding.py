@@ -17,7 +17,6 @@ STREAM_DELTA = 3
 STREAM_FDR_DELTA = 4
 STREAM_BOOT = 5
 STREAM_SEASON = 6
-STREAM_STUDY = 7
 
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 

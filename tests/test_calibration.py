@@ -10,12 +10,14 @@ from ebmix import (
     ContractError,
     DegenerateRangeError,
     FitConfig,
+    FitError,
     NullMode,
     Observations,
     UnsupportedError,
     calibrate_penalty,
     default_plan,
 )
+from ebmix import calibration
 from ebmix.calibration import perturb_null, perturbed_models
 from ebmix.harness import fdr_scenario_deltas, fdr_scenario_sample
 from ebmix.mixture import em_fit
@@ -135,6 +137,21 @@ class TestCalibratePenalty:
         base = FitConfig(n_components=1, null_mode=NullMode.NONE, n_restarts=1)
         with pytest.raises(UnsupportedError):
             calibrate_penalty(obs, base, small_plan([10.0, 20.0]))
+
+    def test_failed_fit_scores_worst(self, monkeypatch):
+        def em_fit_failing_at_300(data, config):
+            if config.penalty == 300.0:
+                raise FitError("forced failure")
+            return em_fit(data, config)
+
+        monkeypatch.setattr(calibration, "em_fit", em_fit_failing_at_300)
+        obs = scenario_obs()
+        base = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL, n_restarts=1, rel_tol=1e-6)
+        result = calibrate_penalty(obs, base, small_plan([150.0, 300.0], n_bootstrap=1, n_perturbed=1))
+        np.testing.assert_array_equal(result.failed, [[False], [True]])
+        assert result.scores[1, 0] == 1.0
+        assert result.scores[0, 0] < 1.0
+        assert result.chosen_penalty == 150.0
 
     def test_plan_validation(self):
         with pytest.raises(ContractError):

@@ -12,7 +12,6 @@ from ebmix.harness import (
     baseline_estimate,
     bayes_oracle_estimate,
     bh_threshold,
-    default_fdr_methods,
     fdr_scenario_deltas,
     fdr_scenario_sample,
     fdr_truth_model,

@@ -439,3 +439,23 @@ class TestBic:
             )
             scores[j] = bic(obs, model)
         assert min(scores, key=scores.get) == 2
+
+
+class TestSample:
+    def test_binomial_counts_follow_the_prior(self):
+        model = MixtureModel(
+            family=Family.BINOMIAL,
+            pi=np.array([0.5, 0.5]),
+            components=(BetaComponent(30.0, 70.0), BetaComponent(60.0, 40.0)),
+            null_mode=NullMode.NONE,
+            penalty=np.zeros(2),
+        )
+        trials = np.arange(1, 2001) % 50 + 1
+        obs = model.sample(2000, derive_rng(0, 99), trials=trials)
+        assert obs.family is Family.BINOMIAL
+        np.testing.assert_array_equal(obs.trials, trials)
+        assert np.all((obs.counts >= 0) & (obs.counts <= trials))
+        # prior mean rate 0.45; the sd of the mean of 2000 rates is below 0.005
+        assert abs(np.mean(obs.counts / trials) - 0.45) < 0.02
+        with pytest.raises(ContractError):
+            model.sample(10, derive_rng(0, 99))

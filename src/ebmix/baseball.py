@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betaincinv, roots_legendre
 
 from .errors import ContractError, DataError
-from .families import Family, Observations, component_posterior
+from .families import Family, Observations
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
 
@@ -136,23 +136,27 @@ def _gl_rule(n_points: int):
 def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 256):
     """E(arcsin sqrt(delta) | H, N) under the fitted beta mixture.
 
-    Each component's conjugate Beta(a, b) posterior is integrated in its
-    own quantile: E g(delta) = int_0^1 g(F^-1(u)) du, with F^-1 the
+    A point-mass component (kappa = 0) contributes arcsin sqrt(p) exactly.
+    Any other component's conjugate Beta(a, b) posterior is integrated in
+    its own quantile: E g(delta) = int_0^1 g(F^-1(u)) du, with F^-1 the
     inverse regularized incomplete beta function.  The nodes thus follow
-    the posterior mass at any width, including fits at the 1e8
-    concentration clip of the beta M-step.  `n_points` is the number of
+    the posterior mass at any width.  `n_points` is the number of
     Gauss-Legendre nodes in u per player and component.  The component
     means are combined with the posterior weights.
     """
     if model.family is not Family.BINOMIAL:
         raise ContractError("arcsin posterior means require a binomial model")
     obs = Observations.binomial(counts, trials)
-    weights, _ = model.posterior_weights(obs)
+    weights, _ = model.posterior_weights(obs, centered=True)
     levels, wts = _gl_rule(n_points)
     out = np.zeros(len(obs))
     for j, comp in enumerate(model.components):
-        post = component_posterior(obs, comp)
-        delta = betaincinv(post.alpha[:, None], post.beta[:, None], levels[None, :])
+        if comp.kappa == 0.0:
+            out += weights[:, j] * np.arcsin(np.sqrt(comp.mean))
+            continue
+        a = comp.alpha + obs.counts
+        b = comp.beta + (obs.trials - obs.counts)
+        delta = betaincinv(a[:, None], b[:, None], levels[None, :])
         out += weights[:, j] * (np.arcsin(np.sqrt(delta)) @ wts)
     return out
 
@@ -208,10 +212,20 @@ def run_baseball(
     Training keeps players with at least 11 first-half at bats; scoring
     keeps those with at least 11 in each half.  Players with no
     second-half record are excluded and counted.  Each group's prior is
-    the best of three EM restarts with no null and zero penalty.
+    the best of three EM restarts with no null and zero penalty, fitted
+    once per distinct training set: groups with the same players (say
+    "overall" and "nonpitchers" when there are no pitchers) share a fit.
     """
     from .harness import james_stein  # local import; avoids a module cycle
 
+    config = FitConfig(
+        n_components=n_components,
+        penalty=0.0,
+        null_mode=NullMode.NONE,
+        n_restarts=3,
+        seed=seed,
+    )
+    fits = {}  # (H1, N1) of the training players -> fitted model
     out = {}
     for group in groups:
         members = _group_filter(records, group)
@@ -230,14 +244,10 @@ def run_baseball(
         n1 = np.array([r.n1 for r in train])
         x1 = arcsin_transform(h1, n1)
 
-        config = FitConfig(
-            n_components=n_components,
-            penalty=0.0,
-            null_mode=NullMode.NONE,
-            n_restarts=3,
-            seed=seed,
-        )
-        model = em_fit(Observations.binomial(h1, n1), config)
+        key = (h1.tobytes(), n1.tobytes())
+        if key not in fits:
+            fits[key] = em_fit(Observations.binomial(h1, n1), config)
+        model = fits[key]
 
         estimates = {
             "naive": x1,

@@ -112,7 +112,7 @@ def _resolve_null(args, family: Family) -> NullMode:
     if family is Family.BINOMIAL and mode is NullMode.THEORETICAL:
         raise UsageError(
             "--null theoretical is undefined for --family binomial "
-            "(no point-mass null rate is supported); use --null none"
+            "(no binomial null rate is supported); use --null none"
         )
     return mode
 
@@ -170,7 +170,18 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+# flags each study does not use; giving one explicitly is a usage error
+_SIMULATE_UNUSED = {"effect": ("null",), "fdr": (), "baseball": ("penalty", "reps")}
+_SIMULATE_DEFAULTS = {"reps": 25, "penalty": 50.0, "null": "both"}
+
+
 def cmd_simulate(args) -> int:
+    for name in _SIMULATE_UNUSED[args.what]:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name} does not apply to simulate {args.what}")
+    for name, value in _SIMULATE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     _ensure_out_dir(args.out_dir)
     n_comp = args.J if args.J is not None else (10 if args.what == "effect" else 3)
     if args.what == "effect":
@@ -296,8 +307,12 @@ def cmd_calibrate(args) -> int:
     if args.candidates == "auto":
         plan = calibration.default_plan(len(obs), seed=args.seed)
     else:
+        try:
+            candidates = np.array([float(c) for c in args.candidates.split(",")])
+        except ValueError as exc:
+            raise UsageError(f"--candidates must be 'auto' or a comma list of numbers, got {args.candidates!r}") from exc
         plan = calibration.CalibrationPlan(
-            candidates=np.array([float(c) for c in args.candidates.split(",")]),
+            candidates=candidates,
             preliminary_penalty=len(obs) / 5.0,
             seed=args.seed,
         )
@@ -382,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a simulation study")
     p_sim.add_argument("what", choices=["effect", "fdr", "baseball"])
-    p_sim.add_argument("--reps", type=int, default=25)
+    p_sim.add_argument("--reps", type=int, default=None, help="effect and fdr: default 25")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out-dir", required=True, dest="out_dir")
     p_sim.add_argument("--J", type=int, default=None)
-    p_sim.add_argument("--penalty", type=float, default=50.0)
-    p_sim.add_argument("--null", choices=["theoretical", "empirical", "both"], default="both")
+    p_sim.add_argument("--penalty", type=float, default=None, help="effect and fdr: default 50")
+    p_sim.add_argument("--null", choices=["theoretical", "empirical", "both"], default=None, help="fdr: default both")
     p_sim.add_argument("--input", default=None, help="baseball: real season CSV")
     p_sim.add_argument("--seasons", type=int, default=20, help="baseball: synthetic seasons")
     p_sim.set_defaults(func=cmd_simulate)

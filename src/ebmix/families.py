@@ -5,41 +5,49 @@ Two sampling families are supported:
 * normal with known (possibly case-specific) variance, conjugate normal
   prior components ``N(mean, var)``; ``var = 0`` encodes a point mass,
 * binomial with case-specific trial counts, conjugate beta prior
-  components ``Be(alpha, beta)``.
+  components given by their mean p and kappa = 1/(alpha + beta);
+  ``kappa = 0`` is the point mass at p, where the beta-binomial is the
+  binomial.
 
 Component marginals f^(j), component posteriors g_j(delta | z) and the
 normal marginal cdfs F^(j) are computed here.  Everything is evaluated
 in log space and vectorized over cases.
 
 The beta-binomial marginal uses one exact, cancellation-free form
-(Minka 2000, "Estimating a Dirichlet distribution").  With mean
-mu = alpha/c, concentration c = alpha + beta and
+(Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
 
-    L_x(k) = sum_{i<k} log1p(i/x) = log Gamma(x + k)/Gamma(x) - k log x,
+    R_r(k) = sum_{i<k} log1p(i r),
 
-    log B(alpha+H, beta+N-H) - log B(alpha, beta)
-        = H log mu + (N-H) log(1-mu) + L_alpha(H) + L_beta(N-H) - L_c(N),
+    log BB(H | N, p, kappa) = log C(N, H) + H log p + (N-H) log q
+        + R_{kappa/p}(H) + R_{kappa/q}(N-H) - R_kappa(N),
 
-and log C(N, H) = L_1(N) - L_1(H) - L_1(N-H), since L_1(k) = log k!.
-Every term is a sum of positive, well-scaled logs, so the value keeps
-full precision at any concentration; a difference of `betaln` values is
-off by up to 1e-6 per case near c = 1e8.  Counts up to RISING_TABLE are
-read from cumulative tables of the steps log1p(i/x); the rest of a longer
-sum comes from Stirling series (`rising_beyond`), so time and memory do
-not grow with the trial counts; rounding then grows like eps N log N, the
-size of the terms.  The beta M-step in `mixture`
-maximizes the weighted sum of the same terms, so the E-step and the
-M-step agree to rounding.
+the rising factorials of alpha = p/kappa, beta = q/kappa and
+c = 1/kappa written step by step.  Every step is exactly 0 at
+kappa = 0, so the point mass needs no branch.  Each case's data-only
+saturated term, the binomial log pmf at its own rate h = H/N,
+
+    s = H log h + (N-H) log(1-h) + log C(N, H),   log C(N, H) = R_1(N) - R_1(H) - R_1(N-H),
+
+is split off (`Observations.saturated`) and added back once to a sum
+over cases.  The parameter-dependent rest, H log(p/h) + (N-H) log(q/(1-h))
+plus the rising sums, then has no terms of size N log N at or near the
+point mass; the rising sums themselves still grow like N log(N kappa)
+where N kappa is large.  Counts up to RISING_TABLE are read from cumulative tables of
+the steps; the rest of a longer sum comes from series (`rising_beyond`),
+so time and memory do not grow with the trial counts.  The beta M-step
+in `mixture` maximizes the weighted sum of the same terms, so the E-step
+and the M-step agree to rounding.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, xlogy
 
 from .errors import ContractError, NumericError, UnsupportedError
 
@@ -80,22 +88,41 @@ class NormalComponent:
 
 @dataclass(frozen=True)
 class BetaComponent:
-    """Beta prior component Be(alpha, beta) on the success probability."""
+    """Beta prior component on the success probability, by mean and kappa = 1/(alpha + beta).
 
-    alpha: float
-    beta: float
+    ``kappa = 0`` is an exact point mass at ``mean``, an ordinary value
+    rather than a limit: there the beta-binomial marginal is the
+    binomial pmf and the data cannot move the posterior.
+    """
+
+    mean: float
+    kappa: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (np.isfinite(self.mean) and np.isfinite(self.kappa)):
             raise ContractError("beta component parameters must be finite")
-        if self.alpha <= 0 or self.beta <= 0:
+        if not 0.0 < self.mean < 1.0 or self.kappa < 0:
             raise ContractError(
-                f"beta shapes must be > 0, got ({self.alpha}, {self.beta})"
+                f"beta components need 0 < mean < 1 and kappa >= 0, got ({self.mean}, {self.kappa})"
             )
 
+    @classmethod
+    def from_shapes(cls, alpha: float, beta: float) -> "BetaComponent":
+        """The component Be(alpha, beta), for finite alpha, beta > 0."""
+        if not (np.isfinite(alpha) and np.isfinite(beta)) or alpha <= 0 or beta <= 0:
+            raise ContractError(f"beta shapes must be finite and > 0, got ({alpha}, {beta})")
+        c = alpha + beta
+        return cls(mean=alpha / c, kappa=1.0 / c)
+
     @property
-    def mean(self):
-        return self.alpha / (self.alpha + self.beta)
+    def alpha(self) -> float:
+        """mean / kappa; inf at the point mass."""
+        return self.mean / self.kappa if self.kappa > 0 else float("inf")
+
+    @property
+    def beta(self) -> float:
+        """(1 - mean) / kappa; inf at the point mass."""
+        return (1.0 - self.mean) / self.kappa if self.kappa > 0 else float("inf")
 
 
 Component = Union[NormalComponent, BetaComponent]
@@ -160,19 +187,31 @@ class Observations:
         arr = self.z if self.family is Family.NORMAL else self.counts
         return int(arr.shape[0])
 
+    @functools.cached_property
+    def saturated(self) -> np.ndarray:
+        """Each case's data-only term of the log marginal, computed once per batch.
+
+        Binomial: the binomial log pmf at the case's own rate h = H/N,
+        H log h + (N-H) log(1-h) + log C(N, H).  Normal: 0.
+        ``log_marginal_matrix(..., centered=True)`` leaves it out.
+        """
+        if self.family is Family.NORMAL:
+            return np.broadcast_to(0.0, (len(self),))
+        h, n = self.counts, self.trials
+        f = n - h
+        cut = min(int(n.max()), RISING_TABLE)
+        log_fact = _rising(np.ones(1), np.stack([n, h, f]).ravel(), cut).reshape(3, -1)  # R_1(k) = log k!
+        out = xlogy(h, h / n) + xlogy(f, f / n) + log_fact[0] - log_fact[1] - log_fact[2]
+        out.flags.writeable = False  # shared by every caller
+        return out
+
 
 @dataclass(frozen=True)
 class ComponentPosterior:
-    """Per-case posterior of one prior component given the data.
-
-    ``mean`` and ``var`` are always populated; for the binomial family
-    ``alpha`` and ``beta`` carry the updated Beta shapes.
-    """
+    """Per-case posterior mean and variance of one prior component's effect."""
 
     mean: np.ndarray
     var: np.ndarray
-    alpha: np.ndarray | None = None
-    beta: np.ndarray | None = None
 
 
 def normal_logpdf(x, mean, var):
@@ -184,7 +223,8 @@ def component_log_marginal(obs: Observations, comp: Component) -> np.ndarray:
     """Log of the component marginal density f^(j) at each case.
 
     Normal:   log phi(z; mean, var + s2).
-    Binomial: log of the beta-binomial pmf C(N,H) B(alpha+H, beta+N-H) / B(alpha, beta).
+    Binomial: log of the beta-binomial pmf C(N,H) B(alpha+H, beta+N-H) / B(alpha, beta),
+              the binomial pmf at kappa = 0.
     One column of `log_marginal_matrix`.
     """
     return log_marginal_matrix(obs, (comp,))[:, 0]
@@ -195,7 +235,10 @@ def component_posterior(obs: Observations, comp: Component) -> ComponentPosterio
 
     Normal with case variance s2: N((s2*mean + var*z)/(var + s2),
     var*s2/(var + s2)); a point-mass prior (var = 0) stays a point mass.
-    Binomial: Be(alpha + H, beta + N - H) with standard Beta moments.
+    Binomial: the Beta with mean (p + H kappa)/(1 + N kappa) and kappa
+    kappa/(1 + N kappa), Be(alpha + H, beta + N - H) written in (mean,
+    kappa); a point-mass prior (kappa = 0) stays the point mass at p,
+    with variance 0.
     """
     check_components(obs.family, (comp,))
     if obs.family is Family.NORMAL:
@@ -208,97 +251,139 @@ def component_posterior(obs: Observations, comp: Component) -> ComponentPosterio
             mean = (obs.s2 * comp.mean + comp.var * obs.z) / denom
             var = comp.var * obs.s2 / denom
         return ComponentPosterior(mean=mean, var=var)
-    a = comp.alpha + obs.counts.astype(float)
-    b = comp.beta + (obs.trials - obs.counts).astype(float)
-    tot = a + b
-    mean = a / tot
-    var = a * b / (tot**2 * (tot + 1.0))
-    return ComponentPosterior(mean=mean, var=var, alpha=a, beta=b)
+    denom = 1.0 + obs.trials * comp.kappa
+    mean = (comp.mean + obs.counts * comp.kappa) / denom
+    rest = (1.0 - comp.mean + (obs.trials - obs.counts) * comp.kappa) / denom
+    kappa = comp.kappa / denom
+    return ComponentPosterior(mean=mean, var=mean * rest * kappa / (1.0 + kappa))
 
 
 # Length of the cumulative tables.  The Stirling series used beyond it are
-# exact to rounding (each first omitted term, scaled as in `rising_beyond`,
-# is below 1e-18 at y >= RISING_TABLE).
+# exact to rounding (the first omitted term is below 1e-18 relative there).
 RISING_TABLE = 2048
 
 
-def log_rising_steps(x, k_max: int) -> np.ndarray:
-    """log1p(i/x) for i = 0 .. k_max-1, the steps of L_x(k) = sum_{i<k} log1p(i/x).
+def log_rising_steps(r, k_max: int) -> np.ndarray:
+    """log1p(i r) for i = 0 .. k_max-1, the steps of R_r(k) = sum_{i<k} log1p(i r).
 
-    L_x(k) = log Gamma(x + k)/Gamma(x) - k log x, the rising-factorial
-    part of the beta-binomial kernel (see the module docstring).  ``x``
-    may be an array; the steps run along a new last axis.
+    R_r(k) = log Gamma(1/r + k)/Gamma(1/r) + k log r, the rising-factorial
+    part of the beta-binomial kernel (see the module docstring); every
+    step is 0 at r = 0.  ``r`` may be an array; the steps run along a new
+    last axis.
     """
-    return np.log1p(np.arange(k_max) / np.asarray(x, dtype=float)[..., None])
+    return np.log1p(np.arange(k_max) * np.asarray(r, dtype=float)[..., None])
 
 
-def rising_beyond(x, m, cut: int, derivs: bool = False):
-    """Sums over i = cut .. cut+m-1, for cut >= RISING_TABLE, from Stirling series.
+# chi(u) = (u - log1p(u))/u^2 = sum_k (-1)^k u^k/(k+2) and its derivative, as series for u < 0.1
+_CHI_SERIES = (-1.0) ** np.arange(17) / np.arange(2, 19)
+_DCHI_SERIES = (-1.0) ** np.arange(1, 17) * np.arange(1, 17) / np.arange(3, 19)
 
-    Returns sum log1p(i/x) = L_x(cut + m) - L_x(cut); with ``derivs``
-    also sum x/(x+i) and sum i x/(x+i)^2, the pieces of its first two
-    derivatives in log x.  With y = x + cut and z = y + m,
 
-        sum log1p(i/x) = m log1p(cut/x) + (z - 1/2) log1p(m/y) - m + s(z) - s(y),
-        sum x/(x+i)    = x (psi(z) - psi(y)),
-        sum i x/(x+i)^2 = x (psi(z) - psi(y)) - x^2 (psi'(y) - psi'(z)),
+def _chi(u):
+    """(chi(u), chi'(u)) for u >= 0, with chi(u) = (u - log1p(u))/u^2 and chi(0) = 1/2."""
+    small = u < 0.1
+    us = np.where(small, u, 0.0)
+    ul = np.where(small, 1.0, u)
+    chi_l = (ul - np.log1p(ul)) / (ul * ul)
+    poly = np.polynomial.polynomial.polyval
+    chi = np.where(small, poly(us, _CHI_SERIES), chi_l)
+    dchi = np.where(small, poly(us, _DCHI_SERIES), (1.0 / (1.0 + ul) - 2.0 * chi_l) / ul)
+    return chi, dchi
 
-    where s is the Stirling remainder of log Gamma.  Every difference of
-    series terms is formed term by term, so nothing cancels beyond the
-    size of the sums themselves.  ``x`` and ``m`` broadcast.
+
+def rising_beyond(r, m, cut: int, derivs: bool = False):
+    """Sums over i = cut .. cut+m-1, for cut >= RISING_TABLE, in closed form.
+
+    Returns V = sum log1p(i r) = R_r(cut + m) - R_r(cut); with ``derivs``
+    also V' = sum i/(1 + i r) and -V'' = sum i^2/(1 + i r)^2, its first
+    two derivatives in r.  With s_a = 1 + cut r, s_b = s_a + m r,
+    u = m r / s_a and chi(u) = (u - log1p(u))/u^2,
+
+        V = m log1p(cut r) + m (log1p(u) - u chi(u)) - log1p(u)/2 + S(r/s_b) - S(r/s_a),
+
+    which is the Stirling series of log Gamma(1/r + cut + m)/Gamma(1/r + cut)
+    + m log r, with S(t) = t/12 - t^3/360 its remainder, rearranged so
+    that every term vanishes at r = 0; V' and V'' are its exact
+    derivatives.  No term cancels at small r, and r = 0 (the point mass)
+    gives 0, sum i and sum i^2 exactly.  The first omitted term is below
+    1e-18 relative for cut >= RISING_TABLE.  ``r`` and ``m`` broadcast.
     """
-    x = np.asarray(x, dtype=float)
+    r = np.asarray(r, dtype=float)
     m = np.asarray(m, dtype=float)
-    y = x + cut
-    z = y + m
-    iy, iz = 1.0 / y, 1.0 / z
-    lr = np.log1p(m / y)
-    value = (
-        m * np.log1p(cut / x) + (z - 0.5) * lr - m
-        + (iz - iy) / 12.0 - (iz**3 - iy**3) / 360.0
-    )
+    a = float(cut)
+    sa = 1.0 + a * r
+    sb = sa + m * r
+    u = m * r / sa
+    chi, dchi = _chi(u)
+    lu = np.log1p(u)
+    ta, tb = r / sa, r / sb
+    value = m * np.log1p(a * r) + m * (lu - u * chi) - 0.5 * lu + (tb - ta) / 12.0 - (tb**3 - ta**3) / 360.0
     if not derivs:
         return value
-    # psi(z) - psi(y) and psi'(y) - psi'(z) from their asymptotic series
-    dpsi = lr - 0.5 * (iz - iy) - (iz**2 - iy**2) / 12.0 + (iz**4 - iy**4) / 120.0
-    dtri = m * iy * iz + 0.5 * (iy**2 - iz**2) + (iy**3 - iz**3) / 6.0 - (iy**5 - iz**5) / 30.0
-    s_sum = x * dpsi
-    return value, s_sum, s_sum - x * x * dtri
+    b = a + m
+    d1 = (
+        m * a / sa + m * m * chi / sa**2 - 0.5 * m / (sa * sb)
+        + (sb**-2 - sa**-2) / 12.0 - (tb**2 / sb**2 - ta**2 / sa**2) / 120.0
+    )
+    d2 = (
+        -m * a * a / sa**2 + m**3 * dchi / sa**4 - 2.0 * a * m * m * chi / sa**3
+        + 0.5 * m * (a / (sa**2 * sb) + b / (sa * sb**2)) + (a / sa**3 - b / sb**3) / 6.0
+        - (2.0 * r / sb**4 - 4.0 * b * r * r / sb**5 - 2.0 * r / sa**4 + 4.0 * a * r * r / sa**5) / 120.0
+    )
+    return value, d1, -d2
+
+
+def _rising(rates, counts, cut: int) -> np.ndarray:
+    """R_r(k) for every rate r (rows) at every count k (columns); tables up to ``cut``."""
+    table = np.zeros((rates.size, cut + 1))
+    np.cumsum(log_rising_steps(rates, cut), axis=1, out=table[:, 1:])
+    out = np.take(table, counts, axis=1, mode="clip")  # R at min(k, cut)
+    big = counts > cut
+    if np.any(big):
+        out[:, big] += rising_beyond(rates[:, None], counts[big] - cut, cut)
+    return out
+
+
+def _log_ratio(a, b):
+    """log(a/b) for a, b > 0, to full relative precision also where a is close to b."""
+    t = (a - b) / b
+    return np.where(np.abs(t) < 0.5, np.log1p(t), np.log(a / b))
+
+
+def _xlog_ratio(k, p, rate):
+    """k log(p/rate) per case (rows) and component (columns); 0 where k = 0."""
+    safe = np.where(k > 0, rate, 1.0)
+    return k[:, None] * _log_ratio(p[None, :], safe[:, None])
 
 
 def _betabinom_log_marginal(obs: Observations, components) -> np.ndarray:
+    """log BB(H | N, p, kappa) - obs.saturated, shape (n, J)."""
     h, n = obs.counts, obs.trials
     f = n - h
-    a, b = np.array([(c.alpha, c.beta) for c in components]).T
-    c = a + b
-    shapes = np.stack([a, b, c])
-    counts = (h, f, n)
-    n_max = int(n.max(initial=0))
-    cut = min(n_max, RISING_TABLE)
-    # L_x(k) - L_1(k) for every shape; L_1(k) = log k!, so gathering the alpha,
-    # beta and c rows at H, N-H and N adds log C(N, H) = L_1(N) - L_1(H) - L_1(N-H)
-    steps = log_rising_steps(np.append(shapes.ravel(), 1.0), cut)
-    table = np.zeros((steps.shape[0], cut + 1))
-    np.cumsum(steps, axis=1, out=table[:, 1:])
-    table = (table[:-1] - table[-1]).reshape(3, len(components), -1)
-    rising = [np.take(t, k, axis=1, mode="clip") for t, k in zip(table, counts)]  # L at min(k, cut)
-    if n_max > cut:
-        for x, k, r in zip(shapes, counts, rising):
-            big = k > cut
-            m = k[big] - cut
-            r[:, big] += rising_beyond(x[:, None], m, cut) - rising_beyond(1.0, m, cut)
-    return h[:, None] * np.log(a / c) + f[:, None] * np.log(b / c) + (rising[0] + rising[1] - rising[2]).T
+    p = np.array([c.mean for c in components])
+    kappa = np.array([c.kappa for c in components])
+    q = 1.0 - p
+    out = _xlog_ratio(h, p, h / n) + _xlog_ratio(f, q, f / n)
+    live = kappa > 0  # the rising sums of a point mass are 0
+    if np.any(live):
+        k = kappa[live]
+        cut = min(int(n.max()), RISING_TABLE)
+        rising = _rising(k / p[live], h, cut) + _rising(k / q[live], f, cut) - _rising(k, n, cut)
+        out[:, live] += rising.T
+    return out
 
 
-def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
+def log_marginal_matrix(obs: Observations, components, centered: bool = False) -> np.ndarray:
     """Stacked component log marginals, shape (n, J), one vectorized pass.
 
     Normal components are evaluated in closed form over all cases at
-    once.  Beta components use the rising-factorial identity of the
-    module docstring: L_alpha, L_beta and L_c of each component, and L_1,
-    are gathered at H, N-H and N from cumulative tables up to
-    RISING_TABLE, plus `rising_beyond` for larger counts, at
+    once.  Beta components use the form of the module docstring: the
+    per-case log ratios, plus R_{kappa/p}, R_{kappa/q} and R_kappa of each
+    component with kappa > 0 gathered at H, N-H and N from cumulative
+    tables up to RISING_TABLE and `rising_beyond` for larger counts, at
     O(n + RISING_TABLE) cost per component and with no special function.
+    With ``centered`` each case's data-only term ``obs.saturated`` is
+    left out; posterior weights do not depend on it.
     """
     components = tuple(components)
     check_components(obs.family, components)
@@ -308,6 +393,8 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
         out = normal_logpdf(obs.z[:, None], mu, var[None, :] + obs.s2[:, None])
     else:
         out = _betabinom_log_marginal(obs, components)
+        if not centered:
+            out += obs.saturated[:, None]
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite component log marginal")
     return out

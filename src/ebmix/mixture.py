@@ -67,6 +67,8 @@ class MixtureModel:
         j = len(self.components)
         if j < 1 or pi.shape != (j,) or penalty.shape != (j,):
             raise ContractError("pi, penalty and components must share length J >= 1")
+        if not (np.all(np.isfinite(pi)) and np.all(np.isfinite(penalty))):
+            raise ContractError("mixture proportions and penalty must be finite")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ContractError("mixture proportions must be a simplex point")
         if np.any(penalty < 0):
@@ -75,10 +77,7 @@ class MixtureModel:
         if self.null_mode is NullMode.THEORETICAL:
             c0 = self.components[0]
             if self.family is not Family.NORMAL:
-                raise ContractError(
-                    "theoretical null requires the normal family "
-                    "(no point-mass beta component exists)"
-                )
+                raise ContractError("theoretical null requires the normal family")
             if c0.mean != 0.0 or c0.var != 0.0:
                 raise ContractError("theoretical null must be the point mass at 0")
         if self.null_mode is NullMode.EMPIRICAL and j > 1:
@@ -101,19 +100,22 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.components)
 
-    def posterior_weights(self, obs: Observations):
+    def posterior_weights(self, obs: Observations, centered: bool = False):
         """(w, log f): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J), and log f(z_i).
 
-        Components with pi_j = 0 get weight exp(-inf) = 0.  Raises NumericError
-        at a case of zero (or infinite) mixture density f.
+        Components with pi_j = 0 get weight exp(-inf) = 0.  With ``centered``
+        log f leaves out the data-only term ``obs.saturated`` (see
+        `families`).  Raises NumericError at a case of zero (or infinite)
+        mixture density f.
         """
         with np.errstate(divide="ignore"):
-            logw = families.log_marginal_matrix(obs, self.components) + np.log(self.pi)
+            logw = families.log_marginal_matrix(obs, self.components, centered=True) + np.log(self.pi)
         logf = logsumexp_rows(logw)
         bad = ~np.isfinite(logf)
         if np.any(bad):
             raise NumericError(f"zero marginal density at case {int(np.flatnonzero(bad)[0])}")
-        return np.exp(logw - logf[:, None]), logf
+        w = np.exp(logw - logf[:, None])
+        return w, (logf if centered else logf + obs.saturated)
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
         """Log of the mixture marginal f(z) = sum_j pi_j f^(j)(z)."""
@@ -131,9 +133,11 @@ class MixtureModel:
         if trials is None:
             raise ContractError("binomial sampling requires per-case trial counts")
         trials = np.broadcast_to(np.asarray(trials, dtype=np.int64), (n,))
-        alpha = np.array([c.alpha for c in self.components])[comps]
-        beta = np.array([c.beta for c in self.components])[comps]
-        delta = rng.beta(alpha, beta)
+        mean = np.array([c.mean for c in self.components])[comps]
+        kappa = np.array([c.kappa for c in self.components])[comps]
+        point = kappa == 0.0
+        spread = np.where(point, 1.0, kappa)  # a point mass draws delta = mean
+        delta = np.where(point, mean, rng.beta(mean / spread, (1.0 - mean) / spread))
         return Observations.binomial(rng.binomial(trials, delta), trials)
 
 
@@ -179,7 +183,7 @@ def _beta_mom(p: np.ndarray) -> BetaComponent:
     else:
         conc = m * (1.0 - m) / v - 1.0
     conc = float(np.clip(conc, 0.01, 1e5))
-    return BetaComponent(alpha=m * conc, beta=(1.0 - m) * conc)
+    return BetaComponent(mean=m, kappa=1.0 / conc)
 
 
 def initialize(data: Observations, config: FitConfig, restart_index: int = 0) -> MixtureModel:
@@ -214,9 +218,9 @@ def initialize(data: Observations, config: FitConfig, restart_index: int = 0) ->
         for g, idx in enumerate(groups):
             base = _beta_mom(rate[idx] if len(idx) else rate)
             if restart_index >= 1:
-                base = BetaComponent(
-                    alpha=float(base.alpha * np.exp(0.25 * jitter[g])),
-                    beta=float(base.beta * np.exp(0.25 * rng.standard_normal())),
+                base = BetaComponent.from_shapes(
+                    float(base.alpha * np.exp(0.25 * jitter[g])),
+                    float(base.beta * np.exp(0.25 * rng.standard_normal())),
                 )
             comps.append(base)
 
@@ -237,137 +241,186 @@ def initialize(data: Observations, config: FitConfig, restart_index: int = 0) ->
 def e_step(data: Observations, model: MixtureModel):
     """Responsibilities and the penalized log-likelihood at the model.
 
-    Returns (w, pll) with w row-stochastic of shape (n, J).
+    Returns (w, pll) with w row-stochastic of shape (n, J).  The per-case
+    log marginals are summed without their data-only terms
+    (``data.saturated``), whose sum is added once at the end, so the
+    pll's rounding does not grow with the binomial trial counts.
     """
-    w, logf = model.posterior_weights(data)
+    w, logf = model.posterior_weights(data, centered=True)
     beta = model.penalty
     active = beta > 0
     if np.any(active & (model.pi == 0.0)):
         raise NumericError("penalized component has zero proportion")
-    pll = float(logf.sum() + np.sum(beta[active] * np.log(model.pi[active])))
+    # the data-only terms are added back once, as one sum
+    pll = float(logf.sum() + np.sum(beta[active] * np.log(model.pi[active])) + data.saturated.sum())
     if not np.isfinite(pll):
         raise NumericError("non-finite penalized log-likelihood")
     return w, pll
 
 
-# Box of the beta M-step in (m, t) = (log(alpha/beta), log(alpha + beta)):
-# the smallest axis-aligned box that holds every alpha, beta in [1e-8, 1e8].
-_BETA_M_MAX = math.log(1e16)
-_BETA_T_MIN, _BETA_T_MAX = math.log(2e-8), math.log(2e8)
+# Bounds of the beta M-step: the mean within [1e-15, 1 - 1e-15], and
+# kappa = 1/(alpha + beta) within [0, 5e7], so alpha + beta >= 2e-8.
+_BETA_MEAN_MIN = 1e-15
+_BETA_LOGIT_MAX = math.log((1.0 - _BETA_MEAN_MIN) / _BETA_MEAN_MIN)
+_BETA_KAPPA_MAX = 5e7
+_ROUNDING = 1e-15
+
+
+def _log_ratio(a, b):
+    """log(a/b) for scalars a, b > 0; `families._log_ratio` for one pair, without numpy's call cost."""
+    t = (a - b) / b
+    return math.log1p(t) if abs(t) < 0.5 else math.log(a / b)
 
 
 def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
-    """Weighted beta-binomial MLE by Newton in (m, t) = (log(alpha/beta), log c).
+    """Weighted beta-binomial MLE in (p, kappa), closed form at kappa = 0.
 
-    With mean p = alpha/c = sigmoid(m), concentration c = e^t and tail
-    weights W_H(i) = sum of w over cases with H > i (likewise W_F for
-    N-H and W_N for N), the weighted log-likelihood is, up to a constant,
+    With q = 1 - p, rates r = (kappa/p, kappa/q, kappa) and tail weights
+    W_H(i) = sum of w over cases with H > i (likewise W_F for N-H and W_N
+    for N), the weighted log-likelihood is, up to a constant,
 
-        F = S_H log p + S_F log(1-p)
-            + sum_i [W_H(i) log1p(i/alpha) + W_F(i) log1p(i/beta) - W_N(i) log1p(i/c)],
+        F = S_H log(p/p*) + S_F log(q/q*)
+            + sum_i [W_H(i) log1p(i kappa/p) + W_F(i) log1p(i kappa/q) - W_N(i) log1p(i kappa)],
 
-    the kernel identity of `families` summed by parts, with S_H = sum w H
-    and S_F = sum w (N-H).  Its gradient and Hessian in (m, t) are
-    rational sums over i, such as d/d(log x) sum_i W(i) log1p(i/x) =
-    -sum_i W(i) i/(x+i), so no digamma, trigamma or log-beta function is
-    needed, and F keeps full precision up to the concentration bound.
-    The sums run over i < RISING_TABLE; the rest of each case's sum comes
-    from `families.rising_beyond`, evaluated once per distinct count, so
-    an objective call costs O(RISING_TABLE + distinct N) at any trial
+    the kernel of `families` summed by parts, with S_H = sum w H,
+    S_F = sum w (N-H) and p* = S_H/(S_H + S_F), q* = 1 - p*.  Its
+    derivatives are rational sums over i, such as d/dr sum_i W(i)
+    log1p(i r) = sum_i W(i) i/(1 + i r), so no special function is
+    needed.  The sums run over i < RISING_TABLE; the rest of each case's
+    sum comes from `families.rising_beyond`, evaluated once per distinct
+    count, so a call costs O(RISING_TABLE + distinct N) at any trial
     count.
 
-    The solve is held to the box |m| <= log 1e16, c in [2e-8, 2e8], the
-    smallest one holding every alpha, beta in [1e-8, 1e8]; a start
-    outside it is first moved onto it.  A coordinate at its bound whose
-    gradient points outward is held fixed, and Newton continues on the
-    other; where the free Hessian is not negative definite the step
-    follows the gradient.  Steps are capped at 2 per coordinate and
-    halved until F strictly improves, so the update never lowers the EM
-    objective.  The solve stops when the predicted gain g.step/2 falls
-    below 1e-13 (1 + |F|), when 30 halvings do not improve F, or after
-    50 Newton steps.
-    Underdispersed weighted data, whose MLE lies at infinite
-    concentration, end at c = 2e8 with mean sum wH / sum wN.
+    At kappa = 0 (the point mass) the rising sums vanish and p* is the
+    maximizer over p.  The one-sided score there,
+
+        dF/dkappa = sum w [H(H-1)/(2p) + (N-H)(N-H-1)/(2q) - N(N-1)/2],
+
+    is Tarone's (1979) C(alpha) statistic for overdispersion.  If it is
+    <= 0 at p* and F(p*, 0) >= F(start), the update is (p*, 0) in closed
+    form.  Otherwise Newton runs in (logit p, kappa) from the better of
+    the start and (p*, 0), held to logit p within +-log((1 - 1e-15)/1e-15)
+    and kappa in [0, 5e7]: a coordinate at its bound whose gradient points
+    outward is held fixed, and Newton continues on the other; where the
+    free Hessian is not negative definite each coordinate steps by its
+    gradient over its curvature.  Steps are scaled to move logit p by at
+    most 2, projected onto the bounds, and halved until F improves by
+    more than its rounding, tol = 1e-15 (1 + the sum of |F's terms|): at
+    large trial counts the rising sums are of size N log N, and steps
+    that only chase their rounding would be seen by the E-step as a
+    falling likelihood.  The solve stops when the predicted gain
+    g.step/2, or that of the halved step, falls below tol, when 30
+    halvings do not improve F, or after 50 Newton steps.  If F ended
+    below F(start), the start is returned, so the update never lowers
+    the EM objective.
     """
+    counts = np.stack([h, n - h, n])  # rows H, N-H, N
     k_max = int(n.max())
     cut = min(k_max, families.RISING_TABLE)
-    tails = np.zeros((3, cut))  # W_H, W_F, W_N for i < cut
-    for row, k in zip(tails, (h, n - h, n)):
-        # W(i) = sum of w over cases with k > i
-        row[:] = np.cumsum(np.bincount(np.minimum(k, cut), weights=w_j, minlength=cut + 1)[::-1])[::-1][1:]
+    # W(i) = sum of w over cases with count > i, for i < cut: one bincount of (row, min(count, cut))
+    keys = np.minimum(counts, cut) + (cut + 1) * np.arange(3)[:, None]
+    bins = np.bincount(keys.ravel(), weights=np.tile(w_j, 3), minlength=3 * (cut + 1)).reshape(3, cut + 1)
+    tails = np.cumsum(bins[:, ::-1], axis=1)[:, -2::-1]
     # distinct counts above the table: shape row, count less cut, summed weight
     rows, ms, us = (np.zeros(0, dtype=np.int64),) * 3
     if k_max > cut:
         parts = []
-        for row_idx, k in enumerate((h, n - h, n)):
+        for row_idx, k in enumerate(counts):
             big = k > cut
             vals, inv = np.unique(k[big] - cut, return_inverse=True)
             parts.append((np.full(vals.size, row_idx), vals, np.bincount(inv, weights=w_j[big])))
         rows, ms, us = (np.concatenate(col) for col in zip(*parts))
-    s_h, s_f = tails[:2].sum(axis=1) + np.bincount(rows, weights=us * ms, minlength=3)[:2]
+    s_h, s_f = counts[:2] @ w_j
+    s_n = s_h + s_f
     signs = np.array([1.0, 1.0, -1.0])
-    signed = tails * signs[:, None]
     i = np.arange(cut)
+    p_star = float(min(max(s_h / s_n, _BETA_MEAN_MIN), 1.0 - _BETA_MEAN_MIN))
 
-    def shapes(m, t):
-        c = math.exp(t)
-        return np.array([c / (1.0 + math.exp(-m)), c / (1.0 + math.exp(m)), c])
+    def objective(p, kappa):
+        """F and the size of its terms, the sum of their absolute values."""
+        log_h, log_f = s_h * _log_ratio(p, p_star), s_f * _log_ratio(1.0 - p, 1.0 - p_star)
+        obj, size = log_h + log_f, abs(log_h) + abs(log_f)
+        if kappa > 0.0:
+            r = np.array([kappa / p, kappa / (1.0 - p), kappa])
+            sums = np.sum(tails * families.log_rising_steps(r, cut), axis=1)
+            if ms.size:
+                sums += np.bincount(rows, weights=us * families.rising_beyond(r[rows], ms, cut), minlength=3)
+            obj += sums @ signs
+            size += sums.sum()
+        return float(obj), float(size)
 
-    def objective(m, t):
-        x = shapes(m, t)
-        rising = np.sum(signed * families.log_rising_steps(x, cut))
+    def slopes(p, kappa):
+        """Per row: sum W i/(1+ir), sum W i/(1+ir)^2 and sum W i^2/(1+ir)^2."""
+        r = np.array([kappa / p, kappa / (1.0 - p), kappa])
+        d = 1.0 / (1.0 + i * r[:, None])
+        wid = tails * (i * d)
+        g1, t1, t2 = wid.sum(axis=1), (wid * d).sum(axis=1), (wid * i * d).sum(axis=1)
         if ms.size:
-            rising += (signs[rows] * us) @ families.rising_beyond(x[rows], ms, cut)
-        return float(rising - s_h * math.log1p(math.exp(-m)) - s_f * math.log1p(math.exp(m)))
+            _, b1, b2 = families.rising_beyond(r[rows], ms, cut, derivs=True)
+            g1 += np.bincount(rows, weights=us * b1, minlength=3)
+            t1 += np.bincount(rows, weights=us * (b1 - r[rows] * b2), minlength=3)
+            t2 += np.bincount(rows, weights=us * b2, minlength=3)
+        return g1, t1, t2
 
-    m = min(max(math.log(start.alpha) - math.log(start.beta), -_BETA_M_MAX), _BETA_M_MAX)
-    t = min(max(math.log(start.alpha + start.beta), _BETA_T_MIN), _BETA_T_MAX)
-    obj = objective(m, t)
+    start_obj, _ = objective(start.mean, start.kappa)
+    zero_obj, _ = objective(p_star, 0.0)
+    pa, pb, pc = (counts * (counts - 1.0)) @ w_j / 2.0  # sum w k(k-1)/2 for k = H, N-H, N
+    if pa / p_star + pb / (1.0 - p_star) - pc <= 0.0 and zero_obj >= start_obj:
+        return BetaComponent(mean=p_star, kappa=0.0)
+
+    p = min(max(start.mean, _BETA_MEAN_MIN), 1.0 - _BETA_MEAN_MIN)
+    kappa = min(start.kappa, _BETA_KAPPA_MAX)
+    obj, size = objective(p, kappa)
+    if zero_obj > obj:
+        p, kappa, obj, size = p_star, 0.0, zero_obj, 0.0
     for _ in range(50):
-        p = 1.0 / (1.0 + math.exp(-m))
-        q = 1.0 / (1.0 + math.exp(m))
-        x = shapes(m, t)
-        r = i / (x[:, None] + i)
-        s = x[:, None] / (x[:, None] + i)
-        sum_r, sum_rs, sum_s = (tails * r).sum(axis=1), (tails * r * s).sum(axis=1), (tails * s).sum(axis=1)
-        if ms.size:
-            _, s_part, rs_part = families.rising_beyond(x[rows], ms, cut, derivs=True)
-            sum_r += np.bincount(rows, weights=us * (ms - s_part), minlength=3)
-            sum_rs += np.bincount(rows, weights=us * rs_part, minlength=3)
-            sum_s += np.bincount(rows, weights=us * s_part, minlength=3)
-        (da, db, dc), (ha, hb, hc), (ra, rb, _) = sum_r, sum_rs, sum_s
-        # gradient and Hessian of F in (m, t); d(log alpha)/dm = q, d(log beta)/dm = -p
-        g_m, g_t = q * ra - p * rb, dc - da - db
-        h_mm = q * q * ha + p * p * hb - p * q * (ra + rb)
-        h_mt, h_tt = q * ha - p * hb, ha + hb - hc
-        if (m >= _BETA_M_MAX and g_m > 0) or (m <= -_BETA_M_MAX and g_m < 0):
-            g_m, h_mm, h_mt = 0.0, -1.0, 0.0
-        if (t >= _BETA_T_MAX and g_t > 0) or (t <= _BETA_T_MIN and g_t < 0):
-            g_t, h_tt, h_mt = 0.0, -1.0, 0.0
-        det = h_mm * h_tt - h_mt * h_mt
+        q = 1.0 - p
+        (ga, gb, gc), (ta, tb, _), (ua, ub, uc) = slopes(p, kappa)
+        # gradient and Hessian of F in (m, kappa), m = logit p; dp/dm = pq
+        g_m = s_h * q - s_f * p - kappa * (q / p) * ga + kappa * (p / q) * gb
+        g_k = ga / p + gb / q - gc
+        h_mm = -s_n * p * q + kappa * (q * ga + p * gb + (q * q / p) * ta + (p * p / q) * tb)
+        h_mk = -(q / p) * ta + (p / q) * tb
+        h_kk = -ua / (p * p) - ub / (q * q) + uc
+        m = math.log(p / q)
+        if (m >= _BETA_LOGIT_MAX and g_m > 0) or (m <= -_BETA_LOGIT_MAX and g_m < 0):
+            g_m, h_mm, h_mk = 0.0, -1.0, 0.0
+        if (kappa <= 0.0 and g_k <= 0) or (kappa >= _BETA_KAPPA_MAX and g_k > 0):
+            g_k, h_kk, h_mk = 0.0, -1.0, 0.0
+        det = h_mm * h_kk - h_mk * h_mk
         if h_mm < 0 and det > 0:
-            step_m = (h_mt * g_t - h_tt * g_m) / det
-            step_t = (h_mt * g_m - h_mm * g_t) / det
+            step_m = (h_mk * g_k - h_kk * g_m) / det
+            step_k = (h_mk * g_m - h_mm * g_k) / det
         else:
-            scale = max(abs(g_m), abs(g_t), 1e-300)
-            step_m, step_t = g_m / scale, g_t / scale
-        if 0.5 * (g_m * step_m + g_t * step_t) < 1e-13 * (1.0 + abs(obj)):
+            step_m = g_m / abs(h_mm) if h_mm else 0.0
+            step_k = g_k / abs(h_kk) if h_kk else 0.0
+        gain = 0.5 * (g_m * step_m + g_k * step_k)
+        tol = _ROUNDING * (1.0 + size)  # F's rounding: gains below it are not seen
+        if gain < tol:
             break
-        shrink = min(1.0, 2.0 / max(abs(step_m), abs(step_t)))
-        step_m, step_t = step_m * shrink, step_t * shrink
+        if abs(step_m) > 2.0:
+            gain *= 2.0 / abs(step_m)
+            step_k *= 2.0 / abs(step_m)
+            step_m = math.copysign(2.0, step_m)
+        moved = False
         for _ in range(30):
-            cand_m = min(max(m + step_m, -_BETA_M_MAX), _BETA_M_MAX)
-            cand_t = min(max(t + step_t, _BETA_T_MIN), _BETA_T_MAX)
-            cand_obj = objective(cand_m, cand_t)
-            if cand_obj > obj:
-                m, t, obj = cand_m, cand_t, cand_obj
+            cand_m = min(max(m + step_m, -_BETA_LOGIT_MAX), _BETA_LOGIT_MAX)
+            cand_p = 1.0 / (1.0 + math.exp(-cand_m))
+            cand_k = min(max(kappa + step_k, 0.0), _BETA_KAPPA_MAX)
+            cand_obj, cand_size = objective(cand_p, cand_k)
+            if cand_obj > obj + tol:
+                p, kappa, obj, size, moved = cand_p, cand_k, cand_obj, cand_size, True
                 break
             step_m *= 0.5
-            step_t *= 0.5
-        else:
+            step_k *= 0.5
+            gain *= 0.5
+            if gain < tol:
+                break
+        if not moved:
             break
-    alpha, beta, _ = shapes(m, t)
-    return BetaComponent(alpha=float(alpha), beta=float(beta))
+    if obj < start_obj:
+        return start
+    return BetaComponent(mean=float(p), kappa=float(kappa))
 
 
 def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureModel):

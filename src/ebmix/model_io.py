@@ -3,6 +3,13 @@
 Canonical means sorted keys, compact separators and floats printed with
 17 significant digits, so identical models serialize to identical bytes
 and every float round-trips exactly.
+
+Each component is written as the record of its dataclass fields:
+``{"mean", "var"}`` for a normal component and ``{"kappa", "mean"}``
+for a beta component, where kappa = 1/(alpha + beta) and kappa = 0 is
+the point mass that shape parameters cannot express.  Beta records in
+the older ``{"alpha", "beta"}`` form are still read, as the same
+component (`BetaComponent.from_shapes`).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ContractError, DataError
-from .families import COMPONENT_TYPES, Family
+from .families import COMPONENT_TYPES, BetaComponent, Family
 from .mixture import FitDiagnostics, MixtureModel, NullMode
 
 FORMAT_VERSION = 1
@@ -105,7 +112,12 @@ def parse_model(text: str) -> ModelDocument:
         family = Family(payload["family"])
         comp_type = COMPONENT_TYPES[family]
         names = [f.name for f in fields(comp_type)]
-        comps = tuple(comp_type(*(float(c[name]) for name in names)) for c in payload["components"])
+        comps = tuple(
+            BetaComponent.from_shapes(float(c["alpha"]), float(c["beta"]))
+            if comp_type is BetaComponent and "alpha" in c  # the record written before (mean, kappa)
+            else comp_type(*(float(c[name]) for name in names))
+            for c in payload["components"]
+        )
         diag = None
         if payload.get("diagnostics") is not None:
             d = payload["diagnostics"]

@@ -88,12 +88,40 @@ def betabinom_log_pmf_mp(h, n, alpha, beta, dps=40):
     import mpmath
 
     with mpmath.workdps(dps):
-        a, b = mpmath.mpf(float(alpha)), mpmath.mpf(float(beta))
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
         lg = mpmath.loggamma
         return (
             lg(n + 1) - lg(h + 1) - lg(n - h + 1)
             + lg(a + h) + lg(b + n - h) - lg(a + b + n)
             - lg(a) - lg(b) + lg(a + b)
+        )
+
+
+def beta_component_log_pmf_mp(h, n, mean, kappa, dps=40):
+    """log BB(h | n) of the beta component (mean, kappa = 1/(alpha + beta)) in mpmath.
+
+    At kappa = 0 the component is the point mass at `mean` and this is the
+    binomial log pmf; otherwise alpha = mean/kappa and beta = (1 - mean)/kappa
+    are formed at `dps` digits from the exact float inputs.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        p, k = mpmath.mpf(float(mean)), mpmath.mpf(float(kappa))
+        if k == 0:
+            lg = mpmath.loggamma
+            return lg(n + 1) - lg(h + 1) - lg(n - h + 1) + h * mpmath.log(p) + (n - h) * mpmath.log1p(-p)
+        return betabinom_log_pmf_mp(h, n, p / k, (1 - p) / k, dps)
+
+
+def weighted_component_loglik_mp(h, n, w, comp, dps=40):
+    """sum_i w_i log BB(h_i | n_i) of a component with ``mean`` and ``kappa``, in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.fsum(
+            mpmath.mpf(float(wi)) * beta_component_log_pmf_mp(int(hi), int(ni), comp.mean, comp.kappa, dps)
+            for hi, ni, wi in zip(h, n, w)
         )
 
 
@@ -207,33 +235,115 @@ def poisson_gamma_posterior_mean_loglam(z, shape, rate):
     return val / mass
 
 
-def beta_mixture_arcsin_mean_quad(h, n, pi, comps):
-    """E(arcsin sqrt(delta) | h) under a beta-mixture prior, by quadrature.
+def _beta_arcsin_terms(h, n, a, b):
+    """(marginal pmf of h, E(arcsin sqrt(delta) | h)) for a Be(a, b) prior, by quadrature.
 
-    Each posterior integral is split at its mean +- 10 and +- 60 sds, so
-    adaptive quadrature finds the mass of a posterior of any width.
+    The posterior integral is split at its mean +- 10 and +- 60 sds, so
+    adaptive quadrature finds the mass of a posterior of any width.  The
+    marginal comes from 40-digit log-gamma: a difference of `betaln`
+    values loses about 1e-6 at shapes near 1e9.
     """
-    num = 0.0
-    den = 0.0
-    for (a, b), p in zip(comps, pi):
-        marg = np.exp(
-            gammaln(n + 1)
-            - gammaln(h + 1)
-            - gammaln(n - h + 1)
-            + betaln(a + h, b + n - h)
-            - betaln(a, b)
-        )
-        pa, pb = a + h, b + n - h
-        mean = pa / (pa + pb)
-        sd = np.sqrt(mean * (1.0 - mean) / (pa + pb + 1.0))
-        cuts = {mean + k * sd for k in (-60, -10, 10, 60)}
-        edges = [0.0] + sorted(c for c in cuts if 0.0 < c < 1.0) + [1.0]
-        post_mean = sum(
-            integrate.quad(
-                lambda d: np.arcsin(np.sqrt(d)) * beta_dist.pdf(d, pa, pb), lo, hi, limit=200
-            )[0]
-            for lo, hi in zip(edges[:-1], edges[1:])
-        )
-        num += p * marg * post_mean
-        den += p * marg
-    return num / den
+    import mpmath
+
+    marg = float(mpmath.exp(betabinom_log_pmf_mp(h, n, a, b)))
+    pa, pb = a + h, b + n - h
+    mean = pa / (pa + pb)
+    sd = np.sqrt(mean * (1.0 - mean) / (pa + pb + 1.0))
+    cuts = {mean + k * sd for k in (-60, -10, 10, 60)}
+    edges = [0.0] + sorted(c for c in cuts if 0.0 < c < 1.0) + [1.0]
+    post_mean = sum(
+        integrate.quad(
+            lambda d: np.arcsin(np.sqrt(d)) * beta_dist.pdf(d, pa, pb), lo, hi, limit=200
+        )[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    return marg, post_mean
+
+
+def beta_mixture_arcsin_mean_quad(h, n, pi, comps):
+    """E(arcsin sqrt(delta) | h) under a beta-mixture prior given as (alpha, beta) pairs, by quadrature."""
+    terms = [_beta_arcsin_terms(h, n, a, b) for a, b in comps]
+    return sum(p * m * e for p, (m, e) in zip(pi, terms)) / sum(p * m for p, (m, _) in zip(pi, terms))
+
+
+def point_beta_mixture_arcsin_mean(h, n, pi, comps):
+    """As `beta_mixture_arcsin_mean_quad`, for components given as (mean, kappa).
+
+    A point mass (kappa = 0) has the binomial pmf as its marginal and
+    arcsin sqrt(mean) as its posterior mean, whatever h is.
+    """
+    import mpmath
+
+    terms = []
+    for mean, kappa in comps:
+        if kappa == 0.0:
+            marg = float(mpmath.exp(beta_component_log_pmf_mp(h, n, mean, 0.0)))
+            terms.append((marg, np.arcsin(np.sqrt(mean))))
+        else:
+            terms.append(_beta_arcsin_terms(h, n, mean / kappa, (1.0 - mean) / kappa))
+    return sum(p * m * e for p, (m, e) in zip(pi, terms)) / sum(p * m for p, (m, _) in zip(pi, terms))
+
+
+def box_newton_beta_fit(h, n, w, alpha, beta):
+    """The beta M-step before kappa: Newton in (log(alpha/beta), log(alpha + beta)) on a box.
+
+    A reference for the current solver, restricted to trial counts whose
+    rising sums fit one table.  The box is |log(alpha/beta)| <= log 1e16 and
+    alpha + beta in [2e-8, 2e8], so underdispersed data end at the cap
+    2e8, not at the point mass.  Returns (alpha, beta).
+    """
+    m_max, t_min, t_max = np.log(1e16), np.log(2e-8), np.log(2e8)
+    k_max = int(n.max())
+    tails = np.zeros((3, k_max))
+    for row, k in zip(tails, (h, n - h, n)):
+        row[:] = np.cumsum(np.bincount(k, weights=w, minlength=k_max + 1)[::-1])[::-1][1:]
+    s_h, s_f = tails[:2].sum(axis=1)
+    signed = tails * np.array([1.0, 1.0, -1.0])[:, None]
+    i = np.arange(k_max)
+
+    def shapes(m, t):
+        c = np.exp(t)
+        return np.array([c / (1.0 + np.exp(-m)), c / (1.0 + np.exp(m)), c])
+
+    def objective(m, t):
+        x = shapes(m, t)
+        rising = np.sum(signed * np.log1p(i / x[:, None]))
+        return float(rising - s_h * np.log1p(np.exp(-m)) - s_f * np.log1p(np.exp(m)))
+
+    m = min(max(np.log(alpha) - np.log(beta), -m_max), m_max)
+    t = min(max(np.log(alpha + beta), t_min), t_max)
+    obj = objective(m, t)
+    for _ in range(50):
+        p, q = 1.0 / (1.0 + np.exp(-m)), 1.0 / (1.0 + np.exp(m))
+        x = shapes(m, t)
+        r = i / (x[:, None] + i)
+        s = x[:, None] / (x[:, None] + i)
+        (da, db, dc), (ha, hb, hc), (ra, rb, _) = (tails * r).sum(1), (tails * r * s).sum(1), (tails * s).sum(1)
+        g_m, g_t = q * ra - p * rb, dc - da - db
+        h_mm = q * q * ha + p * p * hb - p * q * (ra + rb)
+        h_mt, h_tt = q * ha - p * hb, ha + hb - hc
+        if (m >= m_max and g_m > 0) or (m <= -m_max and g_m < 0):
+            g_m, h_mm, h_mt = 0.0, -1.0, 0.0
+        if (t >= t_max and g_t > 0) or (t <= t_min and g_t < 0):
+            g_t, h_tt, h_mt = 0.0, -1.0, 0.0
+        det = h_mm * h_tt - h_mt * h_mt
+        if h_mm < 0 and det > 0:
+            step_m, step_t = (h_mt * g_t - h_tt * g_m) / det, (h_mt * g_m - h_mm * g_t) / det
+        else:
+            scale = max(abs(g_m), abs(g_t), 1e-300)
+            step_m, step_t = g_m / scale, g_t / scale
+        if 0.5 * (g_m * step_m + g_t * step_t) < 1e-13 * (1.0 + abs(obj)):
+            break
+        shrink = min(1.0, 2.0 / max(abs(step_m), abs(step_t)))
+        step_m, step_t = step_m * shrink, step_t * shrink
+        for _ in range(30):
+            cand_m, cand_t = min(max(m + step_m, -m_max), m_max), min(max(t + step_t, t_min), t_max)
+            cand_obj = objective(cand_m, cand_t)
+            if cand_obj > obj:
+                m, t, obj = cand_m, cand_t, cand_obj
+                break
+            step_m, step_t = step_m * 0.5, step_t * 0.5
+        else:
+            break
+    a, b, _ = shapes(m, t)
+    return float(a), float(b)

@@ -1,5 +1,7 @@
 """Baseball analysis: transform, quadrature, TSE and synthetic seasons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def beta_model(comps, pi=None):
     return MixtureModel(
         family=Family.BINOMIAL,
         pi=np.full(j, 1.0 / j) if pi is None else np.asarray(pi),
-        components=tuple(BetaComponent(a, b) for a, b in comps),
+        components=tuple(BetaComponent.from_shapes(a, b) for a, b in comps),
         null_mode=NullMode.NONE,
         penalty=np.zeros(j),
     )
@@ -59,6 +61,22 @@ class TestQuadrature:
         a = posterior_mean_arcsin(model, h, n, n_points=256)
         b = posterior_mean_arcsin(model, h, n, n_points=1024)
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-9, 1e-6])
+    def test_near_point_mass_matches_oracle(self, kappa):
+        """At kappa = 0 the mean is arcsin sqrt(p) in closed form; near it the quantile rule still holds."""
+        comps = [(0.27, kappa), (0.24, 1e-3)]
+        model = MixtureModel(
+            family=Family.BINOMIAL,
+            pi=np.array([0.6, 0.4]),
+            components=tuple(BetaComponent(m, k) for m, k in comps),
+            null_mode=NullMode.NONE,
+            penalty=np.zeros(2),
+        )
+        h, n = np.array([0, 3, 40, 150, 41]), np.array([11, 40, 150, 150, 160])
+        got = posterior_mean_arcsin(model, h, n)
+        want = [oracles.point_beta_mixture_arcsin_mean(int(hi), int(ni), [0.6, 0.4], comps) for hi, ni in zip(h, n)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     GRID_PRIORS = [
         (c * m, c * (1.0 - m))
@@ -160,6 +178,30 @@ class TestRunBaseball:
         assert res.n_test == 22  # minus "c" and "d"
         assert res.n_excluded_missing == 1
         assert result.groups["pitchers"].n_train == 1
+
+    def test_one_fit_per_distinct_training_set(self, monkeypatch):
+        """With no pitchers, "overall" and "nonpitchers" hold the same players and share one fit."""
+        from ebmix import baseball
+
+        calls = []
+
+        def counting_em_fit(data, config):
+            calls.append(len(data))
+            return em_fit(data, config)
+
+        records, _ = synthetic_season(n_players=80, seed=4)
+        em_fit = baseball.em_fit
+        monkeypatch.setattr(baseball, "em_fit", counting_em_fit)
+        result = run_baseball(records, n_components=1)
+        assert calls == [80]
+        assert set(result.groups) == {"overall", "nonpitchers"}
+        assert result.groups["overall"].model is result.groups["nonpitchers"].model
+        assert result.groups["overall"].tse == result.groups["nonpitchers"].tse
+
+        calls.clear()
+        records[0] = dataclasses.replace(records[0], is_pitcher=True)
+        run_baseball(records, n_components=1)
+        assert calls == [80, 1, 79]
 
     def test_empty_group_skipped(self):
         records, _ = synthetic_season(n_players=60, seed=1)

@@ -40,7 +40,7 @@ FIT_CASES = {
 # captured from the implementation; outputs must stay byte-identical
 MODEL_JSON = {
     "binomial-none": (
-        '{"components":[{"alpha":55654105.866342731,"beta":144345892.22466132},{"alpha":86307676.869462788,"beta":113692323.1305372},{"alpha":86307688.951471552,"beta":113692311.04852846}],"diagnostics":{"converged":true,"iterations":36,"penalized_loglik":-77.668399349976781},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.89253535947117868,0.058449417212769444,0.049015223316051973],"seed":0,"timestamp":null}\n'
+        '{"components":[{"kappa":0.012452668698097049,"mean":0.2995979511683326},{"kappa":0,"mean":0.44251396264389253},{"kappa":0,"mean":0.44251396264389248}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862005},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124505988955e-06,2.1030331282741434e-06],"seed":0,"timestamp":null}\n'
     ),
     "normal-empirical": (
         '{"components":[{"mean":0.5406918581651915,"var":0.86449042218822791},{"mean":3.3188049545265517,"var":0},{"mean":6.7702178412082308,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181059,9.129319933476077e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
@@ -64,12 +64,23 @@ ESTIMATE_CSV = {
     ),
     "binomial-none": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.2784261666034634,2.3834823800847338e-05,,\n"
-        "b,9,0.28438341378858306,0.0008995415226515091,,\n"
-        "c,17,0.34922788601602267,0.005840535724317475,,\n"
-        "d,45,0.4315385178390223,2.9396561851413594e-09,,\n"
+        "a,0,0.23986001229687748,0.0017998021473137477,,\n"
+        "b,9,0.29970756516893154,0.0018857053127627893,,\n"
+        "c,17,0.34129478489488413,0.001853443281783676,,\n"
+        "d,45,0.5299799727291208,0.0018973263353740943,,\n"
     ),
 }
+# a binomial model file in the {"alpha", "beta"} component records written before (mean, kappa)
+ALPHA_BETA_MODEL_JSON = (
+    '{"components":[{"alpha":55654105.866342731,"beta":144345892.22466132},{"alpha":86307676.869462788,"beta":113692323.1305372},{"alpha":86307688.951471552,"beta":113692311.04852846}],"diagnostics":{"converged":true,"iterations":36,"penalized_loglik":-77.668399349976781},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.89253535947117868,0.058449417212769444,0.049015223316051973],"seed":0,"timestamp":null}\n'
+)
+ALPHA_BETA_ESTIMATE_CSV = (
+    "id,z,effect_mean,effect_var,fdr,FDR\n"
+    "a,0,0.2784261666034635,2.3834823800861216e-05,,\n"
+    "b,9,0.284383413788583,0.0008995415226514952,,\n"
+    "c,17,0.34922788601602284,0.005840535724317461,,\n"
+    "d,45,0.43153851783902164,2.939656490452691e-09,,\n"
+)
 
 
 def _write(tmp_path, name, text):
@@ -105,6 +116,29 @@ class TestModelFile:
     @pytest.mark.parametrize("case", sorted(FIT_CASES))
     def test_same_seed_same_bytes(self, tmp_path, case):
         assert _fit(tmp_path, case, seed=5, name="a.json") == _fit(tmp_path, case, seed=5, name="b.json")
+
+    def test_point_mass_round_trip(self):
+        """A beta component at kappa = 0 (which no alpha, beta can write) round-trips byte for byte."""
+        text = MODEL_JSON["binomial-none"]
+        assert '{"kappa":0,"mean":0.44251396264389253}' in text
+        doc = parse_model(text)
+        assert [c.kappa for c in doc.model.components][1:] == [0.0, 0.0]
+        assert serialize_model(doc) == text
+
+    def test_alpha_beta_file_loads_as_the_same_model(self, tmp_path):
+        """An {"alpha", "beta"} file loads as the (mean, kappa) model it describes, and estimates the same."""
+        old = parse_model(ALPHA_BETA_MODEL_JSON)
+        assert all(c.kappa > 0 for c in old.model.components)
+        new_text = serialize_model(old)
+        assert '"alpha"' not in new_text and '"kappa"' in new_text
+        assert parse_model(new_text) == old
+        cases = _write(tmp_path, "est.csv", BINOMIAL_ESTIMATE_CSV)
+        outputs = []
+        for name, text in (("old.json", ALPHA_BETA_MODEL_JSON), ("new.json", new_text)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["estimate", "--model", _write(tmp_path, name, text), "--input", cases, "--output", str(out)]) == 0
+            outputs.append(out.read_text(encoding="utf-8"))
+        assert outputs == [ALPHA_BETA_ESTIMATE_CSV, ALPHA_BETA_ESTIMATE_CSV]
 
 
 class TestEstimate:
@@ -154,6 +188,32 @@ class TestErrors:
         assert code == 1
         assert err.startswith("ERROR data:")
         assert "header" in err
+
+    @pytest.mark.parametrize("field", ["pi", "penalty"])
+    def test_nan_in_model_file_is_data_error(self, tmp_path, capsys, field):
+        payload = json.loads(MODEL_JSON["normal-theoretical"])
+        payload[field][0] = float("nan")  # json.dumps writes NaN, which json.loads reads back
+        model = _write(tmp_path, "model.json", json.dumps(payload))
+        cases = _write(tmp_path, "cases.csv", NORMAL_ESTIMATE_CSV)
+        code, err = self._run(capsys, ["estimate", "--model", model, "--input", cases])
+        assert code == 1
+        assert err == "ERROR data: malformed model document: mixture proportions and penalty must be finite\n"
+
+    def test_bad_candidates_is_usage_error(self, tmp_path, capsys):
+        cases = _write(tmp_path, "cases.csv", NORMAL_CSV)
+        code, err = self._run(capsys, ["calibrate", "--input", cases, "--candidates", "5,x"])
+        assert code == 2
+        assert err.startswith("ERROR usage: --candidates")
+
+    @pytest.mark.parametrize(
+        "what, flags",
+        [("baseball", ["--penalty", "5"]), ("baseball", ["--reps", "1"]), ("effect", ["--null", "both"])],
+    )
+    def test_simulate_flag_that_does_not_apply_is_usage_error(self, tmp_path, capsys, what, flags):
+        code, err = self._run(capsys, ["simulate", what, "--out-dir", str(tmp_path)] + flags)
+        assert code == 2
+        assert err == f"ERROR usage: {flags[0]} does not apply to simulate {what}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_missing_model_file_is_io_error(self, tmp_path, capsys):
         cases = _write(tmp_path, "cases.csv", NORMAL_ESTIMATE_CSV)
@@ -279,25 +339,25 @@ EFFECT_STDOUT = (
 )
 BASEBALL_SYNTHETIC_CSV = (
     "season,method,tse,normalized_tse,fitted_prior_mean\n"
-    "0,naive,0.9938618578663836,1.0,0.2569179521478148\n"
-    "0,grand_mean,0.14383152479891628,0.14471983572011998,0.2569179521478148\n"
-    "0,james_stein,0.14846505252076653,0.14938198034834577,0.2569179521478148\n"
-    "0,mixture,0.14634644295075896,0.14725028613627913,0.2569179521478148\n"
+    "0,naive,0.9938618578663836,1.0,0.2569179521420158\n"
+    "0,grand_mean,0.14383152479891628,0.14471983572011998,0.2569179521420158\n"
+    "0,james_stein,0.14846505252076653,0.14938198034834577,0.2569179521420158\n"
+    "0,mixture,0.14634640939230276,0.14725025237056416,0.2569179521420158\n"
 )
 BASEBALL_TSE_CSV = (
     "group,method,n_train,n_test,n_excluded,tse,normalized_tse\n"
     "overall,naive,12,10,2,0.003936473938692206,1.0\n"
     "overall,grand_mean,12,10,2,0.013383846969193463,3.3999582310558645\n"
     "overall,james_stein,12,10,2,0.013733513465711177,3.488785567896784\n"
-    "overall,mixture,12,10,2,0.013422872224472037,3.4098719903964225\n"
+    "overall,mixture,12,10,2,0.013422883028194901,3.4098747349142404\n"
     "pitchers,naive,4,4,0,0.004024426643691107,1.0\n"
     "pitchers,grand_mean,4,4,0,0.006902877409426364,1.7152449331503312\n"
     "pitchers,james_stein,4,4,0,0.004818710095689483,1.1973656180920913\n"
-    "pitchers,mixture,4,4,0,0.0075895993260611215,1.8858833811665963\n"
+    "pitchers,mixture,4,4,0,0.007589604662630993,1.8858847072113585\n"
     "nonpitchers,naive,8,6,2,-8.795270499890049e-05,1.0\n"
     "nonpitchers,grand_mean,8,6,2,0.005256534188980982,-59.7654635982679\n"
     "nonpitchers,james_stein,8,6,2,0.0050541322521518404,-57.46420479296257\n"
-    "nonpitchers,mixture,8,6,2,0.004881070498721045,-55.49653644856135\n"
+    "nonpitchers,mixture,8,6,2,0.0048810757905500615,-55.49659661531821\n"
 )
 BASEBALL_TSE_STDOUT = (
     "overall: naive=1.000 grand_mean=3.400 james_stein=3.489 mixture=3.410\n"

@@ -27,7 +27,7 @@ class TestComponentMarginal:
 
     def test_uniform_beta_prior_gives_flat_counts(self):
         """Be(1,1) prior makes every count equally likely: pmf = 1/(N+1)."""
-        comp = BetaComponent(1.0, 1.0)
+        comp = BetaComponent.from_shapes(1.0, 1.0)
         obs = Observations.binomial(np.arange(4), np.full(4, 3))
         lp = component_log_marginal(obs, comp)
         np.testing.assert_allclose(lp, np.log(0.25), atol=1e-12)
@@ -35,7 +35,7 @@ class TestComponentMarginal:
     def test_betabinom_against_quadrature_oracle(self):
         # frozen from oracles.betabinom_pmf_grid(1, 3, 2, 2) = 0.3
         obs = Observations.binomial([1], [3])
-        lp = component_log_marginal(obs, BetaComponent(2.0, 2.0))
+        lp = component_log_marginal(obs, BetaComponent.from_shapes(2.0, 2.0))
         np.testing.assert_allclose(lp, np.log(0.3), atol=1e-10)
         np.testing.assert_allclose(
             np.exp(lp[0]), oracles.betabinom_pmf_grid(1, 3, 2.0, 2.0), atol=1e-8
@@ -55,7 +55,7 @@ class TestComponentMarginal:
         beta=st.floats(0.05, 50.0),
     )
     def test_betabinom_pmf_normalizes(self, n, alpha, beta):
-        comp = BetaComponent(alpha, beta)
+        comp = BetaComponent.from_shapes(alpha, beta)
         obs = Observations.binomial(np.arange(n + 1), np.full(n + 1, n))
         total = np.exp(component_log_marginal(obs, comp)).sum()
         np.testing.assert_allclose(total, 1.0, atol=1e-10)
@@ -78,7 +78,7 @@ class TestComponentMarginal:
 
     def test_family_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            component_log_marginal(Observations.normal([1.0]), BetaComponent(1.0, 1.0))
+            component_log_marginal(Observations.normal([1.0]), BetaComponent.from_shapes(1.0, 1.0))
         with pytest.raises(ContractError):
             component_log_marginal(
                 Observations.binomial([1], [2]), NormalComponent(0.0, 1.0)
@@ -93,10 +93,10 @@ class TestComponentMarginal:
             (
                 Observations.binomial([0, 3, 40, 150], [11, 40, 150, 150]),
                 (
-                    BetaComponent(0.5, 0.3),
-                    BetaComponent(302.0, 884.0),
-                    BetaComponent(3.42e7, 9.95e7),
-                    BetaComponent(0.255 * 2e8, 0.745 * 2e8),  # at the concentration cap
+                    BetaComponent.from_shapes(0.5, 0.3),
+                    BetaComponent.from_shapes(302.0, 884.0),
+                    BetaComponent.from_shapes(3.42e7, 9.95e7),
+                    BetaComponent.from_shapes(0.255 * 2e8, 0.745 * 2e8),  # at the concentration cap
                 ),
             ),
         ]
@@ -115,9 +115,34 @@ class TestComponentMarginal:
         rng = np.random.default_rng(20)
         n = 11 + rng.poisson(140, 20)
         h = rng.integers(0, n + 1)
-        got = component_log_marginal(Observations.binomial(h, n), BetaComponent(*shape))
+        got = component_log_marginal(Observations.binomial(h, n), BetaComponent.from_shapes(*shape))
         want = [float(oracles.betabinom_log_pmf_mp(int(hi), int(ni), *shape)) for hi, ni in zip(h, n)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-9, 1e-6])
+    @pytest.mark.parametrize("n_trials", [150, 5000, 10**6, 10**9])
+    def test_near_point_mass_matches_mpmath(self, kappa, n_trials):
+        """At kappa = 0 the kernel is the binomial pmf; at and near it, at any N, it matches 40-digit mpmath.
+
+        The tolerance grows with N like the rounding of the data-only
+        saturated term, whose summands have size N log N.
+        """
+        rng = np.random.default_rng(n_trials)
+        n = (n_trials * rng.uniform(0.9, 1.1, 8)).astype(np.int64)
+        for mean in (0.02, 0.3, 0.9):
+            h = rng.binomial(n, mean)
+            h[:2] = 0, n[1]
+            obs = Observations.binomial(h, n)
+            got = component_log_marginal(obs, BetaComponent(mean, kappa))
+            want = [float(oracles.beta_component_log_pmf_mp(int(hi), int(ni), mean, kappa)) for hi, ni in zip(h, n)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 + 1e-14 * n_trials)
+            post = component_posterior(obs, BetaComponent(mean, kappa))
+            if kappa == 0.0:
+                assert np.all(post.mean == mean) and np.all(post.var == 0.0)
+            else:
+                a, b = mean / kappa + h, (1.0 - mean) / kappa + n - h
+                np.testing.assert_allclose(post.mean, a / (a + b), rtol=1e-13)
+                np.testing.assert_allclose(post.var, a * b / ((a + b) ** 2 * (a + b + 1)), rtol=1e-9)
 
     @pytest.mark.parametrize("n_trials", [2047, 2048, 2049, 5000, 10**6])
     def test_betabinom_large_trials_matches_mpmath(self, n_trials):
@@ -131,31 +156,57 @@ class TestComponentMarginal:
         for shape in [(0.5, 0.3), (302.0, 884.0), (1e-8, 2.0), (3.4e7, 9.95e7), (1e8, 1e8)]:
             h = rng.binomial(n, shape[0] / sum(shape))
             h[:2] = 0, n[1]
-            got = component_log_marginal(Observations.binomial(h, n), BetaComponent(*shape))
+            got = component_log_marginal(Observations.binomial(h, n), BetaComponent.from_shapes(*shape))
             want = [float(oracles.betabinom_log_pmf_mp(int(hi), int(ni), *shape)) for hi, ni in zip(h, n)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 + 1e-14 * n_trials)
 
     @pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 302.0, 3.4e7, 2e8])
     def test_rising_beyond_matches_mpmath(self, x):
-        """The series part and its log-x derivative pieces, against 40-digit psi."""
+        """The series sum at rate r = 1/x and its two r-derivatives, against 40-digit log-gamma and psi."""
         import mpmath
 
         cut = RISING_TABLE
         m = np.array([1.0, 7.0, 1000.0, 1e6])
-        value, s_sum, rs_sum = rising_beyond(x, m, cut, derivs=True)
+        value, d1, d2 = rising_beyond(1.0 / x, m, cut, derivs=True)
         with mpmath.workdps(40):
             xm, y = mpmath.mpf(x), mpmath.mpf(x) + cut
             for j, mj in enumerate(m):
                 z = y + int(mj)
                 dpsi = mpmath.psi(0, z) - mpmath.psi(0, y)
+                dtri = mpmath.psi(1, y) - mpmath.psi(1, z)
                 want = (
                     mpmath.loggamma(z) - mpmath.loggamma(y) - int(mj) * mpmath.log(xm),
-                    xm * dpsi,
-                    xm * dpsi - xm**2 * (mpmath.psi(1, y) - mpmath.psi(1, z)),
+                    xm * (int(mj) - xm * dpsi),  # sum i/(1 + i r) = sum i x/(x + i)
+                    xm**2 * (int(mj) - 2 * xm * dpsi + xm**2 * dtri),  # sum i^2/(1 + i r)^2
                 )
-                for got, w in zip((value[j], s_sum[j], rs_sum[j]), want):
+                for got, w in zip((value[j], d1[j], d2[j]), want):
                     np.testing.assert_allclose(got, float(w), rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(rising_beyond(x, m, cut), value)
+        np.testing.assert_array_equal(rising_beyond(1.0 / x, m, cut), value)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-15, 1e-9, 1e-6])
+    def test_rising_beyond_at_small_rates(self, r):
+        """At and near r = 0 (the point mass) the sums need no limit: 0, sum i and sum i^2 at r = 0."""
+        import mpmath
+
+        cut = RISING_TABLE
+        m = np.array([1.0, 7.0, 1000.0, 1e6, 1e9])
+        value, d1, d2 = rising_beyond(r, m, cut, derivs=True)
+        if r == 0.0:
+            b = cut + m
+            np.testing.assert_array_equal(value, 0.0)
+            np.testing.assert_allclose(d1, (b * (b - 1) - cut * (cut - 1)) / 2, rtol=1e-15)
+            np.testing.assert_allclose(d2, (b * (b - 1) * (2 * b - 1) - cut * (cut - 1) * (2 * cut - 1)) / 6, rtol=1e-14)
+            return
+        with mpmath.workdps(60):
+            rm = mpmath.mpf(r)
+            for j, mj in enumerate(m):
+                # sum_{i=cut}^{cut+m-1} of log1p(i r), i/(1+ir), i^2/(1+ir)^2 by Euler-Maclaurin, exact to 60 digits
+                want = [
+                    mpmath.sumem(f, [cut, cut + int(mj) - 1])
+                    for f in (lambda i: mpmath.log1p(i * rm), lambda i: i / (1 + i * rm), lambda i: (i / (1 + i * rm)) ** 2)
+                ]
+                for got, w in zip((value[j], d1[j], d2[j]), want):
+                    np.testing.assert_allclose(got, float(w), rtol=1e-13)
 
 
 class TestComponentPosterior:
@@ -170,10 +221,11 @@ class TestComponentPosterior:
 
     def test_conjugate_beta_update(self):
         post = component_posterior(
-            Observations.binomial([10], [30]), BetaComponent(302.0, 884.0)
+            Observations.binomial([10], [30]), BetaComponent.from_shapes(302.0, 884.0)
         )
-        assert post.alpha[0] == 312.0 and post.beta[0] == 904.0
+        # Be(302 + 10, 884 + 20)
         np.testing.assert_allclose(post.mean, 312.0 / 1216.0, rtol=1e-14)
+        np.testing.assert_allclose(post.var, 312.0 * 904.0 / (1216.0**2 * 1217.0), rtol=1e-13)
 
     def test_posterior_moments_match_quadrature_normal(self):
         cases = [(1.0, 0.5, 2.0, 1.0), (-2.5, 0.0, 1.0, 0.5), (3.0, 2.0, 4.0, 2.0)]
@@ -186,7 +238,7 @@ class TestComponentPosterior:
     def test_posterior_moments_match_quadrature_binomial(self):
         cases = [(3, 10, 2.0, 5.0), (0, 4, 1.0, 1.0), (40, 120, 302.0, 884.0)]
         for h, n, a, b in cases:
-            post = component_posterior(Observations.binomial([h], [n]), BetaComponent(a, b))
+            post = component_posterior(Observations.binomial([h], [n]), BetaComponent.from_shapes(a, b))
             em, vm = oracles.betabinom_posterior_moments_quad(h, n, a, b)
             np.testing.assert_allclose(post.mean[0], em, atol=1e-6)
             np.testing.assert_allclose(post.var[0], vm, atol=1e-6)
@@ -207,7 +259,7 @@ class TestMarginalCdf:
 
     def test_binomial_unsupported(self):
         with pytest.raises(UnsupportedError):
-            component_marginal_cdf(1.0, BetaComponent(1.0, 1.0))
+            component_marginal_cdf(1.0, BetaComponent.from_shapes(1.0, 1.0))
 
     @given(
         zs=st.lists(st.floats(-30, 30), min_size=2, max_size=20),

@@ -88,7 +88,7 @@ class TestPosteriorSummary:
         model = MixtureModel(
             family=Family.BINOMIAL,
             pi=np.array([1.0]),
-            components=(BetaComponent(2.0, 5.0),),
+            components=(BetaComponent.from_shapes(2.0, 5.0),),
             null_mode=NullMode.NONE,
             penalty=np.zeros(1),
         )

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ebmix import (
@@ -136,14 +138,18 @@ class TestMStep:
         records, _ = synthetic_season(n_players=400, seed=9, season_index=2)
         return np.array([r.h1 for r in records]), np.array([r.n1 for r in records])
 
-    def test_binomial_underdispersed_fit_at_concentration_cap(self):
+    def test_binomial_underdispersed_fit_is_point_mass(self):
+        """The overdispersion score at kappa = 0 is negative: one M-step lands on the point mass."""
         h, n = self.underdispersed_season()
         obs = Observations.binomial(h, n)
         config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
         updated, _ = m_step(obs, np.ones((400, 1)), config, initialize(obs, config))
         fit = updated.components[0]
-        np.testing.assert_allclose(fit.alpha + fit.beta, 2e8, rtol=1e-12)
-        np.testing.assert_allclose(fit.mean, h.sum() / n.sum(), rtol=1e-9)
+        assert fit.kappa == 0.0
+        np.testing.assert_allclose(fit.mean, h.sum() / n.sum(), rtol=1e-15)
+        # Tarone's score at the fitted rate is indeed <= 0
+        p = fit.mean
+        assert np.sum(h * (h - 1) / (2 * p) + (n - h) * (n - h - 1) / (2 * (1 - p)) - n * (n - 1) / 2) <= 0
 
     def test_binomial_m_step_never_lowers_weighted_objective(self):
         h, n = self.underdispersed_season()
@@ -156,7 +162,7 @@ class TestMStep:
         for _ in range(30):
             mean = 1.0 / (1.0 + np.exp(-(np.log(1 / 3) + rng.standard_normal())))
             conc = 10.0 ** rng.uniform(-1.0, np.log10(2e8))
-            start = BetaComponent(conc * mean, conc * (1.0 - mean))
+            start = BetaComponent.from_shapes(conc * mean, conc * (1.0 - mean))
             model = MixtureModel(
                 family=Family.BINOMIAL,
                 pi=np.array([1.0]),
@@ -165,9 +171,37 @@ class TestMStep:
                 penalty=np.zeros(1),
             )
             fit = m_step(obs, w[:, None], config, model)[0].components[0]
-            before = oracles.weighted_betabinom_loglik_mp(h, n, w, start.alpha, start.beta)
-            after = oracles.weighted_betabinom_loglik_mp(h, n, w, fit.alpha, fit.beta)
+            before = oracles.weighted_component_loglik_mp(h, n, w, start)
+            after = oracles.weighted_component_loglik_mp(h, n, w, fit)
             assert after >= before
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_binomial_m_step_beats_start_and_box_newton(self, seed):
+        """On random weights F(update) >= F(start), and >= F of the box-clipped (alpha, beta) Newton.
+
+        Seasons 0-5 of seed 9 hold both underdispersed data (the update is
+        the point mass; the box solver stops at its cap c = 2e8) and
+        overdispersed data.  F is the 40-digit weighted log-likelihood;
+        where both solvers reach the same optimum they agree to rounding.
+        """
+        from ebmix.baseball import synthetic_season
+        from ebmix.mixture import _fit_beta_newton
+
+        rng = np.random.default_rng(seed)
+        records, _ = synthetic_season(n_players=400, seed=9, season_index=int(rng.integers(0, 6)))
+        idx = rng.choice(len(records), 30, replace=False)
+        h = np.array([records[i].h1 for i in idx])
+        n = np.array([records[i].n1 for i in idx])
+        w = rng.uniform(0.05, 1.0, 30)
+        mean = 1.0 / (1.0 + np.exp(-(np.log(1 / 3) + rng.standard_normal())))
+        conc = 10.0 ** rng.uniform(-1.0, np.log10(2e8))
+        start = BetaComponent.from_shapes(conc * mean, conc * (1.0 - mean))
+        fit = _fit_beta_newton(h, n, w, start)
+        f_fit = oracles.weighted_component_loglik_mp(h, n, w, fit)
+        assert f_fit >= oracles.weighted_component_loglik_mp(h, n, w, start)
+        f_box = oracles.weighted_betabinom_loglik_mp(h, n, w, *oracles.box_newton_beta_fit(h, n, w, start.alpha, start.beta))
+        assert f_fit >= f_box - 1e-12 * (1 + abs(f_box))
 
     def test_binomial_large_trials_optimal_in_bounded_memory(self):
         """N near 1e6: memory does not grow with N, and the fit is a local maximum.
@@ -277,6 +311,30 @@ class TestEmFit:
         model = em_fit(obs, config)
         assert model.diagnostics.converged
         np.testing.assert_allclose(sorted(c.mean for c in model.components), [0.3, 0.6], atol=0.03)
+
+    @staticmethod
+    def point_mass_cases(seed, n_trials=1e9):
+        """200 cases with N near n_trials, from a 70/30 mixture of the point masses 0.3 and 0.6."""
+        rng = np.random.default_rng(seed)
+        n = (n_trials * rng.uniform(0.5, 1.5, 200)).astype(np.int64)
+        p = np.where(rng.uniform(size=200) < 0.7, 0.3, 0.6)
+        return Observations.binomial(rng.binomial(n, p), n)
+
+    def test_binomial_huge_trials_no_restart_fails(self):
+        """N near 1e9, J=3, seed 1: no restart trips EM's 1e-9 monotonicity check.
+
+        The kernel's terms have size N log N; without the data-only
+        saturated terms split off, their rounding made restarts 1 and 2
+        stop with "penalized log-likelihood decreased".
+        """
+        obs = self.point_mass_cases(1)
+        config = FitConfig(n_components=3, penalty=0.0, null_mode=NullMode.NONE, seed=1)
+        for restart in range(config.n_restarts):
+            model = mixture._run_em(obs, config, restart)  # raises NumericError if the check trips
+            assert model.diagnostics.converged
+            means = sorted(c.mean for c, p in zip(model.components, model.pi) if p > 0.01)
+            np.testing.assert_allclose([means[0], means[-1]], [0.3, 0.6], atol=1e-4)
+            assert np.all(np.diff(model.diagnostics.trace) >= -1e-9)
 
     def test_fdr_scenario_recovers_null_fraction(self):
         obs = fdr_scenario_obs()
@@ -403,7 +461,7 @@ class TestBic:
         binom = MixtureModel(
             family=Family.BINOMIAL,
             pi=np.array([1.0]),
-            components=(BetaComponent(2.0, 2.0),),
+            components=(BetaComponent.from_shapes(2.0, 2.0),),
             null_mode=NullMode.NONE,
             penalty=np.zeros(1),
         )
@@ -446,7 +504,7 @@ class TestSample:
         model = MixtureModel(
             family=Family.BINOMIAL,
             pi=np.array([0.5, 0.5]),
-            components=(BetaComponent(30.0, 70.0), BetaComponent(60.0, 40.0)),
+            components=(BetaComponent.from_shapes(30.0, 70.0), BetaComponent.from_shapes(60.0, 40.0)),
             null_mode=NullMode.NONE,
             penalty=np.zeros(2),
         )
@@ -459,3 +517,17 @@ class TestSample:
         assert abs(np.mean(obs.counts / trials) - 0.45) < 0.02
         with pytest.raises(ContractError):
             model.sample(10, derive_rng(0, 99))
+
+    def test_binomial_point_mass_draws_binomial_counts(self):
+        """A kappa = 0 component draws delta = mean: counts are binomial, with no overdispersion."""
+        model = MixtureModel(
+            family=Family.BINOMIAL,
+            pi=np.array([0.5, 0.5]),
+            components=(BetaComponent(0.3, 0.0), BetaComponent.from_shapes(90.0, 10.0)),
+            null_mode=NullMode.NONE,
+            penalty=np.zeros(2),
+        )
+        obs = model.sample(4000, derive_rng(1, 99), trials=400)
+        low = obs.counts[obs.counts < 240] / 400.0  # the point-mass draws; the Be(90, 10) ones sit near 0.9
+        assert abs(low.mean() - 0.3) < 0.002
+        np.testing.assert_allclose(low.var(), 0.3 * 0.7 / 400, rtol=0.1)

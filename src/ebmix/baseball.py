@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betaincinv, roots_legendre
 
 from .errors import ContractError, DataError
-from .families import Family, Observations
+from .families import Family, Observations, beta_shapes, component_posterior
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
 
@@ -147,15 +147,15 @@ def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 2
     if model.family is not Family.BINOMIAL:
         raise ContractError("arcsin posterior means require a binomial model")
     obs = Observations.binomial(counts, trials)
-    weights, _ = model.posterior_weights(obs, centered=True)
+    weights, _ = model.posterior_weights(obs)
     levels, wts = _gl_rule(n_points)
     out = np.zeros(len(obs))
     for j, comp in enumerate(model.components):
         if comp.kappa == 0.0:
             out += weights[:, j] * np.arcsin(np.sqrt(comp.mean))
             continue
-        a = comp.alpha + obs.counts
-        b = comp.beta + (obs.trials - obs.counts)
+        post = component_posterior(obs, comp)
+        a, b = beta_shapes(post.mean, post.kappa)
         delta = betaincinv(a[:, None], b[:, None], levels[None, :])
         out += weights[:, j] * (np.arcsin(np.sqrt(delta)) @ wts)
     return out
@@ -212,9 +212,7 @@ def run_baseball(
     Training keeps players with at least 11 first-half at bats; scoring
     keeps those with at least 11 in each half.  Players with no
     second-half record are excluded and counted.  Each group's prior is
-    the best of three EM restarts with no null and zero penalty, fitted
-    once per distinct training set: groups with the same players (say
-    "overall" and "nonpitchers" when there are no pitchers) share a fit.
+    the best of three EM restarts with no null and zero penalty.
     """
     from .harness import james_stein  # local import; avoids a module cycle
 
@@ -225,7 +223,6 @@ def run_baseball(
         n_restarts=3,
         seed=seed,
     )
-    fits = {}  # (H1, N1) of the training players -> fitted model
     out = {}
     for group in groups:
         members = _group_filter(records, group)
@@ -244,10 +241,7 @@ def run_baseball(
         n1 = np.array([r.n1 for r in train])
         x1 = arcsin_transform(h1, n1)
 
-        key = (h1.tobytes(), n1.tobytes())
-        if key not in fits:
-            fits[key] = em_fit(Observations.binomial(h1, n1), config)
-        model = fits[key]
+        model = em_fit(Observations.binomial(h1, n1), config)
 
         estimates = {
             "naive": x1,

@@ -171,14 +171,20 @@ def cmd_estimate(args) -> int:
 
 
 # flags each study does not use; giving one explicitly is a usage error
-_SIMULATE_UNUSED = {"effect": ("null",), "fdr": (), "baseball": ("penalty", "reps")}
-_SIMULATE_DEFAULTS = {"reps": 25, "penalty": 50.0, "null": "both"}
+_SIMULATE_UNUSED = {
+    "effect": ("null", "input", "seasons"),
+    "fdr": ("input", "seasons"),
+    "baseball": ("penalty", "reps", "null"),
+}
+_SIMULATE_DEFAULTS = {"reps": 25, "penalty": 50.0, "null": "both", "seasons": 20}
 
 
 def cmd_simulate(args) -> int:
     for name in _SIMULATE_UNUSED[args.what]:
         if getattr(args, name) is not None:
             raise UsageError(f"--{name} does not apply to simulate {args.what}")
+    if args.input and args.seasons is not None:
+        raise UsageError("--seasons does not apply to simulate baseball --input")
     for name, value in _SIMULATE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -404,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--penalty", type=float, default=None, help="effect and fdr: default 50")
     p_sim.add_argument("--null", choices=["theoretical", "empirical", "both"], default=None, help="fdr: default both")
     p_sim.add_argument("--input", default=None, help="baseball: real season CSV")
-    p_sim.add_argument("--seasons", type=int, default=20, help="baseball: synthetic seasons")
+    p_sim.add_argument("--seasons", type=int, default=None, help="baseball: synthetic seasons, default 20")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="bootstrap-calibrate the penalty")

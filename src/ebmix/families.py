@@ -117,12 +117,17 @@ class BetaComponent:
     @property
     def alpha(self) -> float:
         """mean / kappa; inf at the point mass."""
-        return self.mean / self.kappa if self.kappa > 0 else float("inf")
+        return beta_shapes(self.mean, self.kappa)[0] if self.kappa > 0 else float("inf")
 
     @property
     def beta(self) -> float:
         """(1 - mean) / kappa; inf at the point mass."""
-        return (1.0 - self.mean) / self.kappa if self.kappa > 0 else float("inf")
+        return beta_shapes(self.mean, self.kappa)[1] if self.kappa > 0 else float("inf")
+
+
+def beta_shapes(mean, kappa):
+    """(alpha, beta) = (mean/kappa, (1 - mean)/kappa) for kappa > 0; the arguments broadcast."""
+    return mean / kappa, (1.0 - mean) / kappa
 
 
 Component = Union[NormalComponent, BetaComponent]
@@ -193,13 +198,13 @@ class Observations:
 
         Binomial: the binomial log pmf at the case's own rate h = H/N,
         H log h + (N-H) log(1-h) + log C(N, H).  Normal: 0.
-        ``log_marginal_matrix(..., centered=True)`` leaves it out.
+        `log_marginal_matrix` leaves it out.
         """
         if self.family is Family.NORMAL:
             return np.broadcast_to(0.0, (len(self),))
         h, n = self.counts, self.trials
         f = n - h
-        cut = min(int(n.max()), RISING_TABLE)
+        cut = min(int(n.max(initial=0)), RISING_TABLE)
         log_fact = _rising(np.ones(1), np.stack([n, h, f]).ravel(), cut).reshape(3, -1)  # R_1(k) = log k!
         out = xlogy(h, h / n) + xlogy(f, f / n) + log_fact[0] - log_fact[1] - log_fact[2]
         out.flags.writeable = False  # shared by every caller
@@ -208,10 +213,14 @@ class Observations:
 
 @dataclass(frozen=True)
 class ComponentPosterior:
-    """Per-case posterior mean and variance of one prior component's effect."""
+    """Per-case posterior mean and variance of one prior component's effect.
+
+    Binomial posteriors, beta again, also carry their kappa = 1/(alpha + beta).
+    """
 
     mean: np.ndarray
     var: np.ndarray
+    kappa: np.ndarray | None = None
 
 
 def normal_logpdf(x, mean, var):
@@ -225,9 +234,9 @@ def component_log_marginal(obs: Observations, comp: Component) -> np.ndarray:
     Normal:   log phi(z; mean, var + s2).
     Binomial: log of the beta-binomial pmf C(N,H) B(alpha+H, beta+N-H) / B(alpha, beta),
               the binomial pmf at kappa = 0.
-    One column of `log_marginal_matrix`.
+    One column of `log_marginal_matrix` with ``obs.saturated`` added back.
     """
-    return log_marginal_matrix(obs, (comp,))[:, 0]
+    return log_marginal_matrix(obs, (comp,))[:, 0] + obs.saturated
 
 
 def component_posterior(obs: Observations, comp: Component) -> ComponentPosterior:
@@ -238,7 +247,7 @@ def component_posterior(obs: Observations, comp: Component) -> ComponentPosterio
     Binomial: the Beta with mean (p + H kappa)/(1 + N kappa) and kappa
     kappa/(1 + N kappa), Be(alpha + H, beta + N - H) written in (mean,
     kappa); a point-mass prior (kappa = 0) stays the point mass at p,
-    with variance 0.
+    with variance 0.  Binomial posteriors also carry their kappa.
     """
     check_components(obs.family, (comp,))
     if obs.family is Family.NORMAL:
@@ -255,7 +264,7 @@ def component_posterior(obs: Observations, comp: Component) -> ComponentPosterio
     mean = (comp.mean + obs.counts * comp.kappa) / denom
     rest = (1.0 - comp.mean + (obs.trials - obs.counts) * comp.kappa) / denom
     kappa = comp.kappa / denom
-    return ComponentPosterior(mean=mean, var=mean * rest * kappa / (1.0 + kappa))
+    return ComponentPosterior(mean=mean, var=mean * rest * kappa / (1.0 + kappa), kappa=kappa)
 
 
 # Length of the cumulative tables.  The Stirling series used beyond it are
@@ -367,14 +376,14 @@ def _betabinom_log_marginal(obs: Observations, components) -> np.ndarray:
     live = kappa > 0  # the rising sums of a point mass are 0
     if np.any(live):
         k = kappa[live]
-        cut = min(int(n.max()), RISING_TABLE)
+        cut = min(int(n.max(initial=0)), RISING_TABLE)
         rising = _rising(k / p[live], h, cut) + _rising(k / q[live], f, cut) - _rising(k, n, cut)
         out[:, live] += rising.T
     return out
 
 
-def log_marginal_matrix(obs: Observations, components, centered: bool = False) -> np.ndarray:
-    """Stacked component log marginals, shape (n, J), one vectorized pass.
+def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
+    """Stacked component log marginals less ``obs.saturated``, shape (n, J), one vectorized pass.
 
     Normal components are evaluated in closed form over all cases at
     once.  Beta components use the form of the module docstring: the
@@ -382,8 +391,9 @@ def log_marginal_matrix(obs: Observations, components, centered: bool = False) -
     component with kappa > 0 gathered at H, N-H and N from cumulative
     tables up to RISING_TABLE and `rising_beyond` for larger counts, at
     O(n + RISING_TABLE) cost per component and with no special function.
-    With ``centered`` each case's data-only term ``obs.saturated`` is
-    left out; posterior weights do not depend on it.
+    Each case's data-only term ``obs.saturated`` (0 for normal cases) is
+    left out: posterior weights do not depend on it, and sums over cases
+    add it back once.
     """
     components = tuple(components)
     check_components(obs.family, components)
@@ -393,8 +403,6 @@ def log_marginal_matrix(obs: Observations, components, centered: bool = False) -
         out = normal_logpdf(obs.z[:, None], mu, var[None, :] + obs.s2[:, None])
     else:
         out = _betabinom_log_marginal(obs, components)
-        if not centered:
-            out += obs.saturated[:, None]
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite component log marginal")
     return out

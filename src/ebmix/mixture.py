@@ -100,26 +100,26 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.components)
 
-    def posterior_weights(self, obs: Observations, centered: bool = False):
-        """(w, log f): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J), and log f(z_i).
+    def posterior_weights(self, obs: Observations):
+        """(w, log f - obs.saturated): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J).
 
-        Components with pi_j = 0 get weight exp(-inf) = 0.  With ``centered``
-        log f leaves out the data-only term ``obs.saturated`` (see
-        `families`).  Raises NumericError at a case of zero (or infinite)
-        mixture density f.
+        Components with pi_j = 0 get weight exp(-inf) = 0.  The log
+        marginals leave out each case's data-only term ``obs.saturated``
+        (0 for normal cases; see `families`).  Raises NumericError at a
+        case of zero (or infinite) mixture density f.
         """
         with np.errstate(divide="ignore"):
-            logw = families.log_marginal_matrix(obs, self.components, centered=True) + np.log(self.pi)
+            logw = families.log_marginal_matrix(obs, self.components) + np.log(self.pi)
         logf = logsumexp_rows(logw)
         bad = ~np.isfinite(logf)
         if np.any(bad):
             raise NumericError(f"zero marginal density at case {int(np.flatnonzero(bad)[0])}")
         w = np.exp(logw - logf[:, None])
-        return w, (logf if centered else logf + obs.saturated)
+        return w, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
         """Log of the mixture marginal f(z) = sum_j pi_j f^(j)(z)."""
-        return self.posterior_weights(obs)[1]
+        return self.posterior_weights(obs)[1] + obs.saturated
 
     def sample(self, n: int, rng: np.random.Generator, s2=1.0, trials=None) -> Observations:
         """Draw n cases from the model's marginal distribution."""
@@ -136,8 +136,8 @@ class MixtureModel:
         mean = np.array([c.mean for c in self.components])[comps]
         kappa = np.array([c.kappa for c in self.components])[comps]
         point = kappa == 0.0
-        spread = np.where(point, 1.0, kappa)  # a point mass draws delta = mean
-        delta = np.where(point, mean, rng.beta(mean / spread, (1.0 - mean) / spread))
+        shapes = families.beta_shapes(mean, np.where(point, 1.0, kappa))  # a point mass draws delta = mean
+        delta = np.where(point, mean, rng.beta(*shapes))
         return Observations.binomial(rng.binomial(trials, delta), trials)
 
 
@@ -246,7 +246,7 @@ def e_step(data: Observations, model: MixtureModel):
     (``data.saturated``), whose sum is added once at the end, so the
     pll's rounding does not grow with the binomial trial counts.
     """
-    w, logf = model.posterior_weights(data, centered=True)
+    w, logf = model.posterior_weights(data)
     beta = model.penalty
     active = beta > 0
     if np.any(active & (model.pi == 0.0)):
@@ -264,12 +264,6 @@ _BETA_MEAN_MIN = 1e-15
 _BETA_LOGIT_MAX = math.log((1.0 - _BETA_MEAN_MIN) / _BETA_MEAN_MIN)
 _BETA_KAPPA_MAX = 5e7
 _ROUNDING = 1e-15
-
-
-def _log_ratio(a, b):
-    """log(a/b) for scalars a, b > 0; `families._log_ratio` for one pair, without numpy's call cost."""
-    t = (a - b) / b
-    return math.log1p(t) if abs(t) < 0.5 else math.log(a / b)
 
 
 def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
@@ -335,10 +329,13 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
     signs = np.array([1.0, 1.0, -1.0])
     i = np.arange(cut)
     p_star = float(min(max(s_h / s_n, _BETA_MEAN_MIN), 1.0 - _BETA_MEAN_MIN))
+    q_star = 1.0 - p_star
 
     def objective(p, kappa):
         """F and the size of its terms, the sum of their absolute values."""
-        log_h, log_f = s_h * _log_ratio(p, p_star), s_f * _log_ratio(1.0 - p, 1.0 - p_star)
+        # log(p/p*) and log(q/q*) as log1p, exact near p*; off by about p*/p (q*/q) ulps far below it
+        log_h = s_h * math.log1p((p - p_star) / p_star)
+        log_f = s_f * math.log1p((1.0 - p - q_star) / q_star)
         obj, size = log_h + log_f, abs(log_h) + abs(log_f)
         if kappa > 0.0:
             r = np.array([kappa / p, kappa / (1.0 - p), kappa])
@@ -365,7 +362,7 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
     start_obj, _ = objective(start.mean, start.kappa)
     zero_obj, _ = objective(p_star, 0.0)
     pa, pb, pc = (counts * (counts - 1.0)) @ w_j / 2.0  # sum w k(k-1)/2 for k = H, N-H, N
-    if pa / p_star + pb / (1.0 - p_star) - pc <= 0.0 and zero_obj >= start_obj:
+    if pa / p_star + pb / q_star - pc <= 0.0 and zero_obj >= start_obj:
         return BetaComponent(mean=p_star, kappa=0.0)
 
     p = min(max(start.mean, _BETA_MEAN_MIN), 1.0 - _BETA_MEAN_MIN)

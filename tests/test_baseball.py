@@ -1,7 +1,5 @@
 """Baseball analysis: transform, quadrature, TSE and synthetic seasons."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -178,30 +176,6 @@ class TestRunBaseball:
         assert res.n_test == 22  # minus "c" and "d"
         assert res.n_excluded_missing == 1
         assert result.groups["pitchers"].n_train == 1
-
-    def test_one_fit_per_distinct_training_set(self, monkeypatch):
-        """With no pitchers, "overall" and "nonpitchers" hold the same players and share one fit."""
-        from ebmix import baseball
-
-        calls = []
-
-        def counting_em_fit(data, config):
-            calls.append(len(data))
-            return em_fit(data, config)
-
-        records, _ = synthetic_season(n_players=80, seed=4)
-        em_fit = baseball.em_fit
-        monkeypatch.setattr(baseball, "em_fit", counting_em_fit)
-        result = run_baseball(records, n_components=1)
-        assert calls == [80]
-        assert set(result.groups) == {"overall", "nonpitchers"}
-        assert result.groups["overall"].model is result.groups["nonpitchers"].model
-        assert result.groups["overall"].tse == result.groups["nonpitchers"].tse
-
-        calls.clear()
-        records[0] = dataclasses.replace(records[0], is_pitcher=True)
-        run_baseball(records, n_components=1)
-        assert calls == [80, 1, 79]
 
     def test_empty_group_skipped(self):
         records, _ = synthetic_season(n_players=60, seed=1)

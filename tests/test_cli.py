@@ -207,12 +207,28 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "what, flags",
-        [("baseball", ["--penalty", "5"]), ("baseball", ["--reps", "1"]), ("effect", ["--null", "both"])],
+        [
+            ("baseball", ["--penalty", "5"]),
+            ("baseball", ["--reps", "1"]),
+            ("baseball", ["--null", "empirical"]),
+            ("effect", ["--null", "both"]),
+            ("effect", ["--input", "season.csv"]),
+            ("effect", ["--seasons", "2"]),
+            ("fdr", ["--input", "season.csv"]),
+            ("fdr", ["--seasons", "2"]),
+        ],
     )
     def test_simulate_flag_that_does_not_apply_is_usage_error(self, tmp_path, capsys, what, flags):
         code, err = self._run(capsys, ["simulate", what, "--out-dir", str(tmp_path)] + flags)
         assert code == 2
         assert err == f"ERROR usage: {flags[0]} does not apply to simulate {what}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_simulate_baseball_input_rejects_seasons(self, tmp_path, capsys):
+        argv = ["simulate", "baseball", "--input", "season.csv", "--seasons", "2", "--out-dir", str(tmp_path)]
+        code, err = self._run(capsys, argv)
+        assert code == 2
+        assert err == "ERROR usage: --seasons does not apply to simulate baseball --input\n"
         assert not any(tmp_path.iterdir())
 
     def test_missing_model_file_is_io_error(self, tmp_path, capsys):
@@ -342,7 +358,7 @@ BASEBALL_SYNTHETIC_CSV = (
     "0,naive,0.9938618578663836,1.0,0.2569179521420158\n"
     "0,grand_mean,0.14383152479891628,0.14471983572011998,0.2569179521420158\n"
     "0,james_stein,0.14846505252076653,0.14938198034834577,0.2569179521420158\n"
-    "0,mixture,0.14634640939230276,0.14725025237056416,0.2569179521420158\n"
+    "0,mixture,0.1463464093923032,0.1472502523705646,0.2569179521420158\n"
 )
 BASEBALL_TSE_CSV = (
     "group,method,n_train,n_test,n_excluded,tse,normalized_tse\n"

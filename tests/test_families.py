@@ -103,7 +103,7 @@ class TestComponentMarginal:
         for obs, comps in cases:
             mat = log_marginal_matrix(obs, comps)
             for j, c in enumerate(comps):
-                np.testing.assert_allclose(mat[:, j], component_log_marginal(obs, c), rtol=1e-14)
+                np.testing.assert_allclose(mat[:, j] + obs.saturated, component_log_marginal(obs, c), rtol=1e-14)
 
     @pytest.mark.parametrize(
         "shape",

@@ -96,6 +96,23 @@ class TestPosteriorSummary:
         assert s.fdr is None and s.tail_fdr is None
         np.testing.assert_allclose(s.effect_mean[0], 5.0 / 17.0, rtol=1e-12)
 
+    def test_empty_binomial_batch_gives_empty_results(self):
+        from ebmix import BetaComponent
+        from ebmix.baseball import posterior_mean_arcsin
+
+        model = MixtureModel(
+            family=Family.BINOMIAL,
+            pi=np.array([0.5, 0.5]),
+            components=(BetaComponent.from_shapes(2.0, 5.0), BetaComponent(0.3, 0.0)),
+            null_mode=NullMode.NONE,
+            penalty=np.zeros(2),
+        )
+        obs = Observations.binomial([], [])
+        s = posterior_summary(obs, model)
+        assert s.effect_mean.shape == (0,) and s.effect_var.shape == (0,)
+        assert model.log_marginal(obs).shape == (0,)
+        assert posterior_mean_arcsin(model, [], []).shape == (0,)
+
     def test_family_mismatch(self, two_component_model):
         with pytest.raises(ContractError):
             posterior_summary(Observations.binomial([1], [2]), two_component_model)

@@ -20,8 +20,8 @@ import numpy as np
 from . import baseball as bb
 from . import calibration, harness
 from .errors import DataError, EbmixError, UsageError
-from .families import Family, Observations
-from .inference import nearly_null_grouping, posterior_summary
+from .families import OBSERVATIONS, Family
+from .inference import DEFAULT_MEAN_TOL, DEFAULT_VAR_TOL, nearly_null_grouping, posterior_summary
 from .mixture import FitConfig, NullMode, bic, em_fit
 from .model_io import ModelDocument, read_model, serialize_model, write_model
 
@@ -29,8 +29,6 @@ from .model_io import ModelDocument, read_model, serialize_model, write_model
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -55,43 +53,27 @@ def _write_csv(path, header, rows):
 
 def read_cases(path, family: Family):
     """Load `id,z[,s2]` (normal) or `id,H,N` (binomial) case files."""
+    obs_type = OBSERVATIONS[family]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         cols = [c.strip().lower() for c in header]
-        if family is Family.NORMAL:
-            if cols not in (["id", "z"], ["id", "z", "s2"]):
-                raise DataError(f"{path}: expected header id,z[,s2], got {','.join(header)}")
-        else:
-            if cols != ["id", "h", "n"]:
-                raise DataError(f"{path}: expected header id,H,N, got {','.join(header)}")
-        ids, a, b = [], [], []
+        if cols not in obs_type.csv_headers:
+            raise DataError(f"{path}: expected header {obs_type.csv_header}, got {','.join(header)}")
+        ids, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                if family is Family.NORMAL:
-                    if not 2 <= len(row) <= len(cols):
-                        raise ValueError(f"expected {len(cols)} columns, got {len(row)}")
-                    ids.append(row[0].strip())
-                    a.append(float(row[1]))
-                    s2 = row[2].strip() if len(row) == 3 else ""
-                    b.append(float(s2) if s2 else 1.0)
-                else:
-                    if len(row) != 3:
-                        raise ValueError(f"expected 3 columns, got {len(row)}")
-                    ids.append(row[0].strip())
-                    a.append(int(row[1]))
-                    b.append(int(row[2]))
+                rows.append(obs_type.parse_row(row, len(cols)))
             except ValueError as exc:
                 raise DataError(f"{path} line {lineno}: {exc}") from exc
+            ids.append(row[0].strip())
     if not ids:
         return [], None
-    if family is Family.NORMAL:
-        return ids, Observations.normal(np.array(a), np.array(b))
-    return ids, Observations.binomial(np.array(a), np.array(b))
+    return ids, obs_type(*(np.array(col) for col in zip(*rows)))
 
 
 def _ensure_out_dir(path):
@@ -106,13 +88,14 @@ def _ensure_out_dir(path):
 
 
 def _resolve_null(args, family: Family) -> NullMode:
+    has_null = OBSERVATIONS[family].theoretical_null is not None
     if args.null is None:
-        return NullMode.NONE if family is Family.BINOMIAL else NullMode.THEORETICAL
+        return NullMode.THEORETICAL if has_null else NullMode.NONE
     mode = NullMode(args.null)
-    if family is Family.BINOMIAL and mode is NullMode.THEORETICAL:
+    if mode is NullMode.THEORETICAL and not has_null:
         raise UsageError(
-            "--null theoretical is undefined for --family binomial "
-            "(no binomial null rate is supported); use --null none"
+            f"--null theoretical is undefined for --family {family.value} "
+            f"(no {family.value} null rate is supported); use --null none"
         )
     return mode
 
@@ -154,7 +137,7 @@ def cmd_estimate(args) -> int:
         ):
             grouping = nearly_null_grouping(model, args.mean_tol, args.var_tol)
         summary = posterior_summary(obs, model, grouping=grouping)
-        stat = obs.z if model.family is Family.NORMAL else obs.counts
+        stat = obs.statistic
         for i, case_id in enumerate(ids):
             rows.append(
                 [
@@ -383,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a mixture prior to a case file")
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--family", choices=["normal", "binomial"], required=True)
-    p_fit.add_argument("--J", type=int, default=3)
+    p_fit.add_argument("--J", type=int, default=FitConfig.n_components)
     p_fit.add_argument("--penalty", type=float, default=None, help="default N/5")
     p_fit.add_argument("--null", choices=["theoretical", "empirical", "none"], default=None)
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--restarts", type=int, default=3)
+    p_fit.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
     p_fit.add_argument("--output", default=None, help="model JSON path (default stdout)")
     p_fit.add_argument("--timestamp", default=None, help="optional provenance stamp")
     p_fit.set_defaults(func=cmd_fit)
@@ -396,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--model", required=True)
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--nearly-null", choices=["on", "off"], default="on", dest="nearly_null")
-    p_est.add_argument("--mean-tol", type=float, default=0.25, dest="mean_tol")
-    p_est.add_argument("--var-tol", type=float, default=0.25, dest="var_tol")
+    p_est.add_argument("--mean-tol", type=float, default=DEFAULT_MEAN_TOL, dest="mean_tol")
+    p_est.add_argument("--var-tol", type=float, default=DEFAULT_VAR_TOL, dest="var_tol")
     p_est.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_est.set_defaults(func=cmd_estimate)
 
@@ -416,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="bootstrap-calibrate the penalty")
     p_cal.add_argument("--input", required=True)
     p_cal.add_argument("--candidates", default="auto", help="'auto' or comma list")
-    p_cal.add_argument("--J", type=int, default=3)
+    p_cal.add_argument("--J", type=int, default=FitConfig.n_components)
     p_cal.add_argument("--null", choices=["theoretical", "empirical"], default="empirical")
     p_cal.add_argument("--seed", type=int, default=0)
-    p_cal.add_argument("--restarts", type=int, default=3)
+    p_cal.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
     p_cal.add_argument("--bootstrap", type=int, default=calibration.CalibrationPlan.n_bootstrap)
     p_cal.add_argument("--perturbed", type=int, default=calibration.CalibrationPlan.n_perturbed)
-    p_cal.add_argument("--max-iters", type=int, default=1000, dest="max_iters")
-    p_cal.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
+    p_cal.add_argument("--max-iters", type=int, default=FitConfig.max_iters, dest="max_iters")
+    p_cal.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol, dest="rel_tol")
     p_cal.add_argument("--output", default=None, help="score table CSV path")
     p_cal.set_defaults(func=cmd_calibrate)
 
@@ -434,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bic.add_argument("--penalty", type=float, default=None)
     p_bic.add_argument("--null", choices=["theoretical", "empirical", "none"], default=None)
     p_bic.add_argument("--seed", type=int, default=0)
-    p_bic.add_argument("--restarts", type=int, default=3)
+    p_bic.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
     p_bic.set_defaults(func=cmd_bic)
     return parser
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ContractError, EbmixError, FitError
-from .families import Family, NormalComponent, Observations
+from .families import NormalComponent, Observations
 from .inference import (
     NullGrouping,
     fdr_curve,
@@ -396,7 +396,6 @@ def fdr_truth_model(deltas, n_cases: int = 1000) -> MixtureModel:
     pi = np.concatenate(([1.0 - k / n_cases], np.full(k, 1.0 / n_cases)))
     comps = (NormalComponent(0.0, 0.0),) + tuple(NormalComponent(float(d), 0.0) for d in deltas)
     return MixtureModel(
-        family=Family.NORMAL,
         pi=pi,
         components=comps,
         null_mode=NullMode.THEORETICAL,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ContractError, DataError
-from .families import COMPONENT_TYPES, BetaComponent, Family
+from .families import OBSERVATIONS, BetaComponent, Family
 from .mixture import FitDiagnostics, MixtureModel, NullMode
 
 FORMAT_VERSION = 1
@@ -110,7 +110,7 @@ def parse_model(text: str) -> ModelDocument:
         if timestamp is not None and not isinstance(timestamp, str):
             raise DataError(f"timestamp must be a JSON string or null, got {timestamp!r}")
         family = Family(payload["family"])
-        comp_type = COMPONENT_TYPES[family]
+        comp_type = OBSERVATIONS[family].component
         names = [f.name for f in fields(comp_type)]
         comps = tuple(
             BetaComponent.from_shapes(float(c["alpha"]), float(c["beta"]))
@@ -129,7 +129,6 @@ def parse_model(text: str) -> ModelDocument:
                 converged=d["converged"],
             )
         model = MixtureModel(
-            family=family,
             pi=np.array(payload["pi"], dtype=float),
             components=comps,
             null_mode=NullMode(payload["null_mode"]),

@@ -14,7 +14,6 @@ settings.load_profile("ci")
 def two_component_model():
     """Half point-mass null, half N(0, 3) slab; the worked example model."""
     return MixtureModel(
-        family=Family.NORMAL,
         pi=np.array([0.5, 0.5]),
         components=(NormalComponent(0.0, 0.0), NormalComponent(0.0, 3.0)),
         null_mode=NullMode.THEORETICAL,
@@ -39,7 +38,6 @@ def random_normal_model(rng, n_components=None, theoretical=True):
                 )
             )
     return MixtureModel(
-        family=Family.NORMAL,
         pi=pi,
         components=tuple(comps),
         null_mode=NullMode.THEORETICAL if theoretical else NullMode.NONE,

@@ -20,7 +20,6 @@ from ebmix.families import BetaComponent
 def beta_model(comps, pi=None):
     j = len(comps)
     return MixtureModel(
-        family=Family.BINOMIAL,
         pi=np.full(j, 1.0 / j) if pi is None else np.asarray(pi),
         components=tuple(BetaComponent.from_shapes(a, b) for a, b in comps),
         null_mode=NullMode.NONE,
@@ -65,7 +64,6 @@ class TestQuadrature:
         """At kappa = 0 the mean is arcsin sqrt(p) in closed form; near it the quantile rule still holds."""
         comps = [(0.27, kappa), (0.24, 1e-3)]
         model = MixtureModel(
-            family=Family.BINOMIAL,
             pi=np.array([0.6, 0.4]),
             components=tuple(BetaComponent(m, k) for m, k in comps),
             null_mode=NullMode.NONE,

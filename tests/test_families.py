@@ -9,14 +9,17 @@ import oracles
 from ebmix import (
     BetaComponent,
     ContractError,
+    Family,
+    MixtureModel,
     NormalComponent,
+    NullMode,
     Observations,
     UnsupportedError,
     component_log_marginal,
     component_marginal_cdf,
     component_posterior,
 )
-from ebmix.families import RISING_TABLE, component_marginal_sf, log_marginal_matrix, rising_beyond
+from ebmix.families import OBSERVATIONS, RISING_TABLE, component_marginal_sf, log_marginal_matrix, rising_beyond
 
 
 class TestComponentMarginal:
@@ -294,3 +297,79 @@ class TestObservations:
     def test_default_unit_variance(self):
         obs = Observations.normal([1.0, 2.0])
         np.testing.assert_array_equal(obs.s2, [1.0, 1.0])
+
+
+def _normal_batch(rng, n):
+    """Normal cases with s2 from 0.05 to 20, where the moment update often loses to its start."""
+    s2 = np.exp(rng.uniform(np.log(0.05), np.log(20.0), n))
+    return Observations.normal(rng.normal(1.0, 1.0, n) + np.sqrt(s2) * rng.standard_normal(n), s2)
+
+
+def _binomial_batch(rng, n):
+    trials = rng.integers(5, 300, n)
+    return Observations.binomial(rng.binomial(trials, rng.beta(6.0, 14.0, n)), trials)
+
+
+def _normal_component(rng):
+    return NormalComponent(float(rng.uniform(-1.0, 3.0)), float(rng.uniform(0.0, 3.0)))
+
+
+def _beta_component(rng):
+    return BetaComponent(float(rng.uniform(0.05, 0.7)), float(10.0 ** rng.uniform(-4.0, 0.0)))
+
+
+# per family: a random batch of cases and a random prior component
+FAMILY_CASES = {
+    Family.NORMAL: (_normal_batch, _normal_component),
+    Family.BINOMIAL: (_binomial_batch, _beta_component),
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+class TestFamilyContract:
+    """What every family class supplies, checked alike for each family."""
+
+    def test_update_never_lowers_weighted_objective(self, family):
+        """The weighted sum of the component's log marginal does not fall, to rounding.
+
+        With normal s2 this wide, about half of the moment updates would
+        lower it, so the generalized-EM guard that keeps the start is
+        exercised too.
+        """
+        batch, component = FAMILY_CASES[family]
+        rng = np.random.default_rng(11)
+        obs = batch(rng, 60)
+        for _ in range(30):
+            w = rng.uniform(0.0, 1.0, len(obs)) ** 2
+            start = component(rng)
+            fit = obs.update(w, w.sum(), start)
+            assert type(fit) is OBSERVATIONS[family].component
+            before = w @ component_log_marginal(obs, start)
+            after = w @ component_log_marginal(obs, fit)
+            assert after >= before - 1e-12 * abs(before)
+
+    def test_draw_gives_n_cases_of_the_family(self, family):
+        obs_type = OBSERVATIONS[family]
+        rng = np.random.default_rng(12)
+        comps = [FAMILY_CASES[family][1](rng) for _ in range(3)]
+        drawn = obs_type.draw(comps, rng.integers(0, 3, 25), rng, s2=2.0, trials=40)
+        assert type(drawn) is obs_type and len(drawn) == 25
+
+    def test_start_gives_j_components_for_every_accepted_null_mode(self, family):
+        obs_type = OBSERVATIONS[family]
+        obs = FAMILY_CASES[family][0](np.random.default_rng(13), 50)
+        assert type(obs) is obs_type and obs.family is family
+        modes = [m for m in NullMode if m is not NullMode.THEORETICAL or obs_type.theoretical_null is not None]
+        for mode in modes:
+            for rng in (None, np.random.default_rng(14)):
+                comps = obs.start(4, mode, rng)
+                assert len(comps) == 4 and all(type(c) is obs_type.component for c in comps)
+
+
+@pytest.mark.parametrize("components", [
+    (NormalComponent(0.0, 1.0), BetaComponent(0.5, 0.1)),
+    (BetaComponent(0.5, 0.1), NormalComponent(0.0, 1.0)),
+])
+def test_model_mixing_families_rejected(components):
+    with pytest.raises(ContractError):
+        MixtureModel(pi=np.array([0.5, 0.5]), components=components, null_mode=NullMode.NONE, penalty=np.zeros(2))

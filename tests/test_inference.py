@@ -30,7 +30,6 @@ from ebmix.inference import NormalLogpdf, NormalMixtureLogpdf
 
 def pure_null_model():
     return MixtureModel(
-        family=Family.NORMAL,
         pi=np.array([1.0, 0.0]),
         components=(NormalComponent(0.0, 0.0), NormalComponent(2.0, 1.0)),
         null_mode=NullMode.THEORETICAL,
@@ -86,7 +85,6 @@ class TestPosteriorSummary:
         from ebmix import BetaComponent
 
         model = MixtureModel(
-            family=Family.BINOMIAL,
             pi=np.array([1.0]),
             components=(BetaComponent.from_shapes(2.0, 5.0),),
             null_mode=NullMode.NONE,
@@ -101,7 +99,6 @@ class TestPosteriorSummary:
         from ebmix.baseball import posterior_mean_arcsin
 
         model = MixtureModel(
-            family=Family.BINOMIAL,
             pi=np.array([0.5, 0.5]),
             components=(BetaComponent.from_shapes(2.0, 5.0), BetaComponent(0.3, 0.0)),
             null_mode=NullMode.NONE,
@@ -195,7 +192,6 @@ class TestNearlyNullGrouping:
     def make(self, comps, pi=None):
         j = len(comps)
         return MixtureModel(
-            family=Family.NORMAL,
             pi=np.full(j, 1.0 / j) if pi is None else np.asarray(pi),
             components=tuple(NormalComponent(m, v) for m, v in comps),
             null_mode=NullMode.THEORETICAL,
@@ -217,7 +213,6 @@ class TestNearlyNullGrouping:
 
     def test_no_null_model_unsupported(self):
         model = MixtureModel(
-            family=Family.NORMAL,
             pi=np.array([1.0]),
             components=(NormalComponent(0.0, 1.0),),
             null_mode=NullMode.NONE,
@@ -262,7 +257,6 @@ class TestTweedieContinuous:
 
     def test_case_variance_scaling(self):
         model = MixtureModel(
-            family=Family.NORMAL,
             pi=np.array([0.6, 0.4]),
             components=(NormalComponent(0.0, 0.0), NormalComponent(1.0, 2.0)),
             null_mode=NullMode.THEORETICAL,

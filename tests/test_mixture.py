@@ -38,7 +38,6 @@ def fdr_scenario_obs(seed=7, rep=0):
 class TestEStep:
     def test_single_component_gets_all_weight(self):
         model = MixtureModel(
-            family=Family.NORMAL,
             pi=np.array([1.0]),
             components=(NormalComponent(0.3, 1.0),),
             null_mode=NullMode.NONE,
@@ -49,7 +48,6 @@ class TestEStep:
 
     def test_zero_proportion_component_gets_zero_weight(self):
         model = MixtureModel(
-            family=Family.NORMAL,
             pi=np.array([1.0, 0.0]),
             components=(NormalComponent(0.0, 1.0), NormalComponent(2.0, 1.0)),
             null_mode=NullMode.NONE,
@@ -82,7 +80,6 @@ class TestMStep:
         z = rng.normal(1.0, 2.0, size=400)
         obs = Observations.normal(z)
         model = MixtureModel(
-            family=Family.NORMAL,
             pi=np.array([1.0]),
             components=(NormalComponent(0.0, 5.0),),
             null_mode=NullMode.NONE,
@@ -164,7 +161,6 @@ class TestMStep:
             conc = 10.0 ** rng.uniform(-1.0, np.log10(2e8))
             start = BetaComponent.from_shapes(conc * mean, conc * (1.0 - mean))
             model = MixtureModel(
-                family=Family.BINOMIAL,
                 pi=np.array([1.0]),
                 components=(start,),
                 null_mode=NullMode.NONE,
@@ -186,7 +182,7 @@ class TestMStep:
         where both solvers reach the same optimum they agree to rounding.
         """
         from ebmix.baseball import synthetic_season
-        from ebmix.mixture import _fit_beta_newton
+        from ebmix.families import _fit_beta_newton
 
         rng = np.random.default_rng(seed)
         records, _ = synthetic_season(n_players=400, seed=9, season_index=int(rng.integers(0, 6)))
@@ -459,7 +455,6 @@ class TestConfigValidation:
 class TestBic:
     def test_parameter_counts(self):
         binom = MixtureModel(
-            family=Family.BINOMIAL,
             pi=np.array([1.0]),
             components=(BetaComponent.from_shapes(2.0, 2.0),),
             null_mode=NullMode.NONE,
@@ -467,7 +462,6 @@ class TestBic:
         )
         assert n_free_parameters(binom) == 2
         normal3 = MixtureModel(
-            family=Family.NORMAL,
             pi=np.array([0.8, 0.1, 0.1]),
             components=(
                 NormalComponent(0.0, 0.0),
@@ -502,7 +496,6 @@ class TestBic:
 class TestSample:
     def test_binomial_counts_follow_the_prior(self):
         model = MixtureModel(
-            family=Family.BINOMIAL,
             pi=np.array([0.5, 0.5]),
             components=(BetaComponent.from_shapes(30.0, 70.0), BetaComponent.from_shapes(60.0, 40.0)),
             null_mode=NullMode.NONE,
@@ -521,7 +514,6 @@ class TestSample:
     def test_binomial_point_mass_draws_binomial_counts(self):
         """A kappa = 0 component draws delta = mean: counts are binomial, with no overdispersion."""
         model = MixtureModel(
-            family=Family.BINOMIAL,
             pi=np.array([0.5, 0.5]),
             components=(BetaComponent(0.3, 0.0), BetaComponent.from_shapes(90.0, 10.0)),
             null_mode=NullMode.NONE,

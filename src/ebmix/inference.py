@@ -138,11 +138,8 @@ def posterior_summary(
         means[:, j] = post.mean
         varis[:, j] = post.var
     effect_mean = np.sum(w * means, axis=1)
-    second_moment = np.sum(w * (varis + means**2), axis=1)
-    effect_var = second_moment - effect_mean**2
-    if np.any(effect_var < -1e-12):
-        raise NumericError("posterior variance arithmetic went negative")
-    effect_var = np.maximum(effect_var, 0.0)
+    # centered, so a variance far below the squared mean does not cancel
+    effect_var = np.sum(w * (varis + (means - effect_mean[:, None]) ** 2), axis=1)
 
     fdr = None
     tail = None

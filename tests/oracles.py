@@ -114,6 +114,30 @@ def beta_component_log_pmf_mp(h, n, mean, kappa, dps=40):
         return betabinom_log_pmf_mp(h, n, p / k, (1 - p) / k, dps)
 
 
+def beta_mixture_posterior_moments_mp(h, n, pi, components, dps=50):
+    """E(delta | h, n) and Var(delta | h, n) under a mixture of beta components with kappa > 0, in mpmath.
+
+    Component j has weight pi_j BB(h | n) and posterior Be(alpha + h,
+    beta + n - h), whose second moment is a (a + 1)/((a + b)(a + b + 1));
+    the variance is formed from the raw moments at `dps` digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        logw = [mpmath.log(mpmath.mpf(float(p))) + beta_component_log_pmf_mp(h, n, c.mean, c.kappa, dps)
+                for p, c in zip(pi, components)]
+        top = max(logw)
+        w = [mpmath.exp(lw - top) for lw in logw]
+        m1 = m2 = mpmath.mpf(0)
+        for wj, c in zip(w, components):
+            p, k = mpmath.mpf(float(c.mean)), mpmath.mpf(float(c.kappa))
+            a, b = p / k + h, (1 - p) / k + n - h
+            m1 += wj * a / (a + b)
+            m2 += wj * a * (a + 1) / ((a + b) * (a + b + 1))
+        m1, m2 = m1 / mpmath.fsum(w), m2 / mpmath.fsum(w)
+        return m1, m2 - m1 * m1
+
+
 def weighted_component_loglik_mp(h, n, w, comp, dps=40):
     """sum_i w_i log BB(h_i | n_i) of a component with ``mean`` and ``kappa``, in mpmath."""
     import mpmath

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from ebmix import DataError, Family, NullMode, harness, parse_model, serialize_model
+import oracles
+from ebmix import DataError, Family, NullMode, Observations, harness, parse_model, posterior_summary, serialize_model
 from ebmix.cli import main, read_cases
 
 Z = [
@@ -55,19 +56,19 @@ MODEL_JSON = {
 ESTIMATE_CSV = {
     "normal-theoretical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,-3.5,0.00016301716509342862,0.00027792928091393957,0.9993749706724125,0.8757484701138891\n"
-        "b,0.0,0.0243395444003731,0.04365045057219364,0.9845875085192682,0.8548843091333947\n"
-        "c,1.96,1.7721838072054374,1.0115148943680294,0.2016070948438371,0.042086714437051476\n"
-        "d,2.5,0.9639480883291345,1.7032051376705444,0.6196173121585509,0.4408814317784325\n"
-        "e,4.0,3.10124011894637,0.543230288084537,0.005584057935599212,0.0015351229118768627\n"
-        "f,7.25,6.664294231531391,0.23929637699987438,1.122172903972207e-06,4.049289935606466e-07\n"
+        "a,-3.5,0.00016301716509342862,0.0002779292809139395,0.9993749706724125,0.8757484701138891\n"
+        "b,0.0,0.0243395444003731,0.04365045057219365,0.9845875085192682,0.8548843091333947\n"
+        "c,1.96,1.7721838072054374,1.0115148943680292,0.2016070948438371,0.042086714437051476\n"
+        "d,2.5,0.9639480883291345,1.7032051376705448,0.6196173121585509,0.4408814317784325\n"
+        "e,4.0,3.10124011894637,0.5432302880845379,0.005584057935599212,0.0015351229118768627\n"
+        "f,7.25,6.664294231531391,0.239296376999884,1.122172903972207e-06,4.049289935606466e-07\n"
     ),
     "binomial-none": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.23986001229687748,0.0017998021473137477,,\n"
-        "b,9,0.29970756516893154,0.0018857053127627893,,\n"
-        "c,17,0.34129478489488413,0.001853443281783676,,\n"
-        "d,45,0.5299799727291208,0.0018973263353740943,,\n"
+        "a,0,0.23986001229687748,0.0017998021473137203,,\n"
+        "b,9,0.29970756516893154,0.0018857053127628056,,\n"
+        "c,17,0.34129478489488413,0.001853443281783693,,\n"
+        "d,45,0.5299799727291208,0.0018973263353744716,,\n"
     ),
 }
 # a binomial model file in the {"alpha", "beta"} component records written before (mean, kappa)
@@ -76,10 +77,10 @@ ALPHA_BETA_MODEL_JSON = (
 )
 ALPHA_BETA_ESTIMATE_CSV = (
     "id,z,effect_mean,effect_var,fdr,FDR\n"
-    "a,0,0.2784261666034635,2.3834823800861216e-05,,\n"
-    "b,9,0.284383413788583,0.0008995415226514952,,\n"
-    "c,17,0.34922788601602284,0.005840535724317461,,\n"
-    "d,45,0.43153851783902164,2.939656490452691e-09,,\n"
+    "a,0,0.2784261666034635,2.3834823800852078e-05,,\n"
+    "b,9,0.284383413788583,0.0008995415226515067,,\n"
+    "c,17,0.34922788601602284,0.005840535724317481,,\n"
+    "d,45,0.43153851783902164,2.939656313639156e-09,,\n"
 )
 
 
@@ -139,6 +140,13 @@ class TestModelFile:
             assert main(["estimate", "--model", _write(tmp_path, name, text), "--input", cases, "--output", str(out)]) == 0
             outputs.append(out.read_text(encoding="utf-8"))
         assert outputs == [ALPHA_BETA_ESTIMATE_CSV, ALPHA_BETA_ESTIMATE_CSV]
+
+    def test_alpha_beta_effect_var_matches_mpmath(self):
+        """Case d's posterior variance, 2.9e-9 beside a squared mean near 0.19, to 1e-12 of a 50-digit value."""
+        model = parse_model(ALPHA_BETA_MODEL_JSON).model
+        summary = posterior_summary(Observations.binomial([45], [50]), model)
+        _, var = oracles.beta_mixture_posterior_moments_mp(45, 50, model.pi, model.components)
+        np.testing.assert_allclose(summary.effect_var[0], float(var), rtol=1e-12)
 
 
 class TestEstimate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ebmix import Family, MixtureModel, NormalComponent, NullMode
+from ebmix import MixtureModel, NormalComponent, NullMode
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ebmix import DataError, Family, MixtureModel, NullMode, Observations
+from ebmix import DataError, MixtureModel, NullMode, Observations
 from ebmix.baseball import (
     BaseballRecord,
     arcsin_transform,

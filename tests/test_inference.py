@@ -7,7 +7,6 @@ import oracles
 from conftest import random_normal_model
 from ebmix import (
     ContractError,
-    Family,
     MixtureModel,
     NoRejectionRegionError,
     NormalComponent,

@@ -25,6 +25,7 @@ from scipy.special import betaincinv, roots_legendre
 
 from .errors import ContractError, DataError
 from .families import Family, Observations, beta_shapes, component_posterior
+from .harness import james_stein
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
 
@@ -214,8 +215,6 @@ def run_baseball(
     second-half record are excluded and counted.  Each group's prior is
     the best of three EM restarts with no null and zero penalty.
     """
-    from .harness import james_stein  # local import; avoids a module cycle
-
     config = FitConfig(
         n_components=n_components,
         penalty=0.0,

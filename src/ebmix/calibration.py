@@ -22,6 +22,8 @@ from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_BOOT, derive_rng
 
 SCORE_GRID = np.linspace(-5.0, 5.0, 101)
+NULL_MEAN_JITTER = 0.05
+NULL_SD_SCALES = (0.95, 1.0, 1.05, 1.1)
 
 
 @dataclass(frozen=True)
@@ -32,21 +34,18 @@ class CalibrationPlan:
     preliminary_penalty: float
     n_perturbed: int = 4
     n_bootstrap: int = 20
-    null_mean_jitter: float = 0.05
-    null_sd_scales: tuple = (0.95, 1.0, 1.05, 1.1)
     seed: int = 0
 
     def __post_init__(self):
         cand = np.asarray(self.candidates, dtype=float)
         object.__setattr__(self, "candidates", cand)
-        object.__setattr__(self, "null_sd_scales", tuple(float(s) for s in self.null_sd_scales))
         if cand.size < 1:
             raise ContractError("at least one candidate penalty is required")
         if np.any(cand < 0) or self.preliminary_penalty < 0:
             raise ContractError("penalties must be nonnegative")
         if self.n_perturbed < 1 or self.n_bootstrap < 1:
             raise ContractError("need at least one perturbed model and one bootstrap draw")
-        if len(self.null_sd_scales) < self.n_perturbed:
+        if self.n_perturbed > len(NULL_SD_SCALES):
             raise ContractError("need one null sd scale per perturbed model")
 
 
@@ -83,8 +82,8 @@ def perturbed_models(model: MixtureModel, plan: CalibrationPlan) -> list:
     """The L perturbed generators; mean jitter alternates sign across l."""
     out = []
     for l in range(plan.n_perturbed):
-        shift = plan.null_mean_jitter * (1.0 if l % 2 == 0 else -1.0)
-        out.append(perturb_null(model, shift, plan.null_sd_scales[l]))
+        shift = NULL_MEAN_JITTER * (1.0 if l % 2 == 0 else -1.0)
+        out.append(perturb_null(model, shift, NULL_SD_SCALES[l]))
     return out
 
 

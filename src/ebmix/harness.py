@@ -37,7 +37,6 @@ from .seeding import STREAM_DELTA, STREAM_FDR_DELTA, STREAM_NOISE, derive_rng
 class ScenarioKind(str, Enum):
     EFFECT_ONE_SIDED = "one"
     EFFECT_TWO_SIDED = "two"
-    FDR = "fdr"
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,6 @@ def generate_effect_scenario(spec: ScenarioSpec, rep: int):
     them to (-mu - 1/2, -mu + 1/2).  The noise stream depends only on
     (seed, rep), never on the scenario, so it is reused across cells.
     """
-    if spec.kind not in (ScenarioKind.EFFECT_ONE_SIDED, ScenarioKind.EFFECT_TWO_SIDED):
-        raise ContractError("effect generator called with a non-effect scenario")
     n, k = spec.n_cases, spec.n_nonzero
     delta = np.zeros(n)
     if k > 0:

@@ -27,7 +27,6 @@ from .families import (
     component_marginal_cdf,
     component_marginal_sf,
     component_posterior,
-    normal_logpdf,
 )
 from .mixture import MixtureModel, NullMode
 
@@ -226,99 +225,49 @@ def rejection_threshold(
 # ---------------------------------------------------------------------------
 
 
-class NormalLogpdf:
-    """log phi(z; mean, var) with analytic first two derivatives."""
-
-    def __init__(self, mean: float, var: float):
-        if var <= 0:
-            raise ContractError("density variance must be > 0")
-        self.mean = float(mean)
-        self.var = float(var)
-
-    def __call__(self, z):
-        return normal_logpdf(np.asarray(z, dtype=float), self.mean, self.var)
-
-    def d1(self, z):
-        return -(np.asarray(z, dtype=float) - self.mean) / self.var
-
-    def d2(self, z):
-        return np.full_like(np.asarray(z, dtype=float), -1.0 / self.var)
-
-
-class NormalMixtureLogpdf:
-    """Log marginal of a normal mixture model with analytic derivatives.
-
-    The marginal is sum_j pi_j phi(z; mu_j, var_j + s2).  Its value and
-    the posterior component weights, through which the derivatives are
-    computed (stable far into the tails), come from
-    `MixtureModel.posterior_weights`, so z must be finite and of nonzero
-    marginal density.
-    """
-
-    def __init__(self, model: MixtureModel, s2: float = 1.0):
-        if model.family is not Family.NORMAL:
-            raise UnsupportedError("analytic log-density requires a normal model")
-        self.model = model
-        self.s2 = float(s2)
-        self.mu = np.array([c.mean for c in model.components])
-        self.v = np.array([c.var for c in model.components]) + self.s2
-
-    def _posterior(self, z):
-        """z as an array, the weights and log f at its entries, and (z - mu_j)/v_j."""
-        z = np.asarray(z, dtype=float)
-        w, logf = self.model.posterior_weights(Observations.normal(z.ravel(), self.s2))
-        return z, w, logf, (z.reshape(-1, 1) - self.mu) / self.v
-
-    def __call__(self, z):
-        z, _, logf, _ = self._posterior(z)
-        return logf.reshape(z.shape)
-
-    def d1(self, z):
-        z, w, _, r = self._posterior(z)
-        return -np.sum(w * r, axis=1).reshape(z.shape)
-
-    def d2(self, z):
-        z, w, _, r = self._posterior(z)
-        d1 = np.sum(w * r, axis=1)
-        return (np.sum(w * (r**2 - 1.0 / self.v), axis=1) - d1**2).reshape(z.shape)
-
-
-def _derivatives(fn, z):
-    """(d1, d2) of ``fn`` at z: its analytic ``d1``/``d2``, else central differences."""
-    if hasattr(fn, "d1") and hasattr(fn, "d2"):
-        return fn.d1(z), fn.d2(z)
-    h1, h2 = 1e-5, 1e-4
-    d1 = (fn(z + h1) - fn(z - h1)) / (2.0 * h1)
-    return d1, (fn(z + h2) - 2.0 * fn(z) + fn(z - h2)) / (h2 * h2)
-
-
 def tweedie_continuous(log_f, log_f0, z):
     """Posterior mean and variance as derivatives of log f - log f0.
 
-    Callables exposing analytic ``d1``/``d2`` methods (as the package's
-    log-density objects do) are differentiated exactly; bare callables
-    fall back to central differences.
+    The derivatives are central differences, so any pair of callables
+    that take and return arrays will do.
     """
     z = np.asarray(z, dtype=float)
-    d1f, d2f = _derivatives(log_f, z)
-    d1n, d2n = _derivatives(log_f0, z)
-    mean = d1f - d1n
-    var = d2f - d2n
+
+    def ratio(x):
+        return log_f(x) - log_f0(x)
+
+    h1, h2 = 1e-5, 1e-4
+    mean = (ratio(z + h1) - ratio(z - h1)) / (2.0 * h1)
+    var = (ratio(z + h2) - 2.0 * ratio(z) + ratio(z - h2)) / (h2 * h2)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         raise NumericError("non-finite derivative in Tweedie estimate")
     return mean, var
 
 
 def tweedie_from_model(model: MixtureModel, z, s2: float = 1.0):
-    """Analytic Tweedie estimate under a fitted normal mixture.
+    """Closed-form Tweedie estimate under a fitted normal mixture.
 
-    With case variance s2 the sampling family's natural parameter is
-    delta/s2, so the log-ratio derivatives are rescaled by s2 and s2^2
-    to land back on the effect scale.
+    With v_j = var_j + s2 and r_j = (z - mu_j)/v_j, the posterior
+    component weights w_j give d log f = -sum_j w_j r_j and
+    d^2 log f = sum_j w_j (r_j^2 - 1/v_j) - (sum_j w_j r_j)^2; for
+    f0 = phi(z; 0, s2) they are -z/s2 and -1/s2.  The case variance
+    makes the natural parameter delta/s2, so the log-ratio derivatives
+    are rescaled by s2 and s2^2 to land back on the effect scale.
     """
-    log_f = NormalMixtureLogpdf(model, s2=s2)
-    log_f0 = NormalLogpdf(0.0, float(s2))
-    mean, var = tweedie_continuous(log_f, log_f0, z)
+    if model.family is not Family.NORMAL:
+        raise UnsupportedError("the closed-form Tweedie estimate requires a normal model")
+    z = np.asarray(z, dtype=float)
+    s2 = float(s2)
+    mu = np.array([c.mean for c in model.components])
+    v = np.array([c.var for c in model.components]) + s2
+    w, _ = model.posterior_weights(Observations.normal(z.ravel(), s2))
+    r = (z.reshape(-1, 1) - mu) / v
+    d1 = -np.sum(w * r, axis=1)
+    d2 = np.sum(w * (r**2 - 1.0 / v), axis=1) - d1**2
+    mean = (d1 + z.ravel() / s2).reshape(z.shape)
+    var = (d2 + 1.0 / s2).reshape(z.shape)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+        raise NumericError("non-finite derivative in Tweedie estimate")
     return s2 * mean, s2 * s2 * var
 
 

@@ -244,7 +244,6 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
 
 def _run_em(data: Observations, config: FitConfig, restart_index: int) -> MixtureModel:
     model = initialize(data, config, restart_index)
-    skip_check = False
     converged = False
     trace = []
     iterations = 0
@@ -259,12 +258,12 @@ def _run_em(data: Observations, config: FitConfig, restart_index: int) -> Mixtur
             raise NumericError(f"iteration {it}: {exc}") from exc
         trace.append(pll)
         prev = trace[-2]
-        if pll < prev - _MONOTONE_SLACK and not skip_check:
+        # a reinitialized component may lower this iteration's pll (see m_step)
+        if pll < prev - _MONOTONE_SLACK and not reinit:
             raise NumericError(
                 f"iteration {it}: penalized log-likelihood decreased "
                 f"({prev:.12g} -> {pll:.12g})"
             )
-        skip_check = reinit
         if abs(pll - prev) / (abs(pll) + 1.0) < config.rel_tol:
             converged = True
             break

@@ -34,8 +34,6 @@ def small_plan(candidates, seed=0, n_bootstrap=2, n_perturbed=2):
         preliminary_penalty=200.0,
         n_perturbed=n_perturbed,
         n_bootstrap=n_bootstrap,
-        null_mean_jitter=0.05,
-        null_sd_scales=(0.95, 1.0, 1.05, 1.1),
         seed=seed,
     )
 
@@ -59,8 +57,8 @@ class TestDefaultPlan:
     def test_plan_shape(self):
         plan = default_plan(1000)
         assert plan.n_perturbed == 4 and plan.n_bootstrap == 20
-        assert plan.null_mean_jitter == 0.05
-        assert plan.null_sd_scales == (0.95, 1.0, 1.05, 1.1)
+        assert calibration.NULL_MEAN_JITTER == 0.05
+        assert calibration.NULL_SD_SCALES == (0.95, 1.0, 1.05, 1.1)
 
 
 class TestPerturbations:
@@ -160,8 +158,6 @@ class TestCalibratePenalty:
                 preliminary_penalty=100.0,
                 n_perturbed=1,
                 n_bootstrap=1,
-                null_mean_jitter=0.05,
-                null_sd_scales=(1.0,),
             )
         with pytest.raises(ContractError):
             small_plan([100.0], n_perturbed=5)  # more perturbed models than scales

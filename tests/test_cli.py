@@ -36,10 +36,15 @@ FIT_CASES = {
     "normal-empirical": ("normal", NORMAL_CSV, "empirical"),
     "normal-none": ("normal", NORMAL_CSV, "none"),
     "binomial-none": ("binomial", BINOMIAL_CSV, "none"),
+    # component 0 is a free beta carrying the penalty, like the normal empirical null
+    "binomial-empirical": ("binomial", BINOMIAL_CSV, "empirical"),
 }
 
 # captured from the implementation; outputs must stay byte-identical
 MODEL_JSON = {
+    "binomial-empirical": (
+        '{"components":[{"kappa":0.012452678794401756,"mean":0.29959797126493715},{"kappa":0,"mean":0.44251396677558252},{"kappa":0,"mean":0.44251396677558252}],"diagnostics":{"converged":true,"iterations":270,"penalized_loglik":-77.528196684160093},"family":"binomial","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[6,0,0],"pi":[0.9999943747796709,3.9970879336918222e-06,1.6281323954496498e-06],"seed":0,"timestamp":null}\n'
+    ),
     "binomial-none": (
         '{"components":[{"kappa":0.012452668698097049,"mean":0.2995979511683326},{"kappa":0,"mean":0.44251396264389253},{"kappa":0,"mean":0.44251396264389248}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862005},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124505988955e-06,2.1030331282741434e-06],"seed":0,"timestamp":null}\n'
     ),
@@ -62,6 +67,13 @@ ESTIMATE_CSV = {
         "d,2.5,0.9639480883291345,1.7032051376705448,0.6196173121585509,0.4408814317784325\n"
         "e,4.0,3.10124011894637,0.5432302880845379,0.005584057935599212,0.0015351229118768627\n"
         "f,7.25,6.664294231531391,0.239296376999884,1.122172903972207e-06,4.049289935606466e-07\n"
+    ),
+    "binomial-empirical": (
+        "id,z,effect_mean,effect_var,fdr,FDR\n"
+        "a,0,0.23985998951050963,0.0017998031682976497,0.999999974930906,\n"
+        "b,9,0.2997075747546039,0.0018857058064643754,0.9999981690117151,\n"
+        "c,17,0.34129478631389243,0.0018534415051969092,0.9999825278688164,\n"
+        "d,45,0.5299801571709818,0.0018973234730288444,0.9999666976818616,\n"
     ),
     "binomial-none": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"

@@ -260,7 +260,6 @@ class TestFdrStudy:
         tmean, tsd = result.threshold_stats("truth_plugin", "fdr")
         np.testing.assert_allclose(tmean, result.true_thresholds["fdr"], atol=1e-12)
 
-    @pytest.mark.slow
     def test_small_mixture_run_shapes(self):
         methods = [FdrMethod(name="mix_th", null_mode=NullMode.THEORETICAL)]
         result = run_fdr_study(methods, reps=2, seed=4)

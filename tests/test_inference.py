@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import random_normal_model
 from ebmix import (
+    BetaComponent,
     ContractError,
     MixtureModel,
     NoRejectionRegionError,
@@ -24,7 +25,7 @@ from ebmix import (
     tweedie_discrete,
     tweedie_from_model,
 )
-from ebmix.inference import NormalLogpdf, NormalMixtureLogpdf
+from ebmix.families import normal_logpdf
 
 
 def pure_null_model():
@@ -223,7 +224,7 @@ class TestNearlyNullGrouping:
 
 class TestTweedieContinuous:
     def test_no_signal_when_f_equals_f0(self):
-        f = NormalLogpdf(0.0, 1.0)
+        f = lambda z: normal_logpdf(z, 0.0, 1.0)
         mean, var = tweedie_continuous(f, f, np.array([-2.0, 0.0, 3.0]))
         np.testing.assert_allclose(mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(var, 0.0, atol=1e-12)
@@ -269,10 +270,24 @@ class TestTweedieContinuous:
         np.testing.assert_allclose(var, s.effect_var, atol=1e-9)
 
     def test_analytic_derivatives_match_numeric(self, two_component_model):
-        lp = NormalMixtureLogpdf(two_component_model)
-        for z in (-1.5, 0.3, 2.7):
-            num_d1 = (lp(z + 1e-6) - lp(z - 1e-6)) / 2e-6
-            np.testing.assert_allclose(lp.d1(z), num_d1, atol=1e-6)
+        """The closed form agrees with central differences of the model's log marginal."""
+        log_f = lambda x: two_component_model.log_marginal(Observations.normal(x))
+        log_f0 = lambda x: normal_logpdf(x, 0.0, 1.0)
+        z = np.array([-1.5, 0.3, 2.7])
+        mean, var = tweedie_from_model(two_component_model, z)
+        num_mean, num_var = tweedie_continuous(log_f, log_f0, z)
+        np.testing.assert_allclose(mean, num_mean, atol=1e-6)
+        np.testing.assert_allclose(var, num_var, atol=1e-5)
+
+    def test_binomial_model_rejected(self):
+        model = MixtureModel(
+            pi=np.array([1.0]),
+            components=(BetaComponent(0.3, 0.01),),
+            null_mode=NullMode.NONE,
+            penalty=np.zeros(1),
+        )
+        with pytest.raises(UnsupportedError):
+            tweedie_from_model(model, np.array([0.5]))
 
 
 class TestTweedieDiscrete:

@@ -13,9 +13,11 @@ from ebmix import (
     ContractError,
     Family,
     FitConfig,
+    FitError,
     MixtureModel,
     NormalComponent,
     NullMode,
+    NumericError,
     Observations,
     bic,
     e_step,
@@ -263,6 +265,52 @@ class TestMStep:
         assert calls[0] == 0
         assert fitted.components[k].mean != 1000.0
 
+    @staticmethod
+    def _two_fit_plus_empty(monkeypatch):
+        """200 N(0, 1) cases, a config of J = 3, and EM started from a fitted J = 2 model plus a third component at pi = 0."""
+        obs = Observations.normal(derive_rng(5, 0).standard_normal(200))
+        config = FitConfig(n_components=2, penalty=0.0, null_mode=NullMode.NONE, n_restarts=1)
+        two = em_fit(obs, config)
+        start = MixtureModel(
+            pi=np.append(two.pi, 0.0),
+            components=two.components + (NormalComponent(0.0, 1.0),),
+            null_mode=NullMode.NONE,
+            penalty=np.zeros(3),
+        )
+        real_initialize = mixture.initialize
+        calls = []
+
+        def initialize_from_start(data, cfg, restart_index=0):
+            calls.append(restart_index)
+            return start if len(calls) == 1 else real_initialize(data, cfg, restart_index)
+
+        monkeypatch.setattr(mixture, "initialize", initialize_from_start)
+        return obs, dataclasses.replace(config, n_components=3)
+
+    def test_reinit_dip_excused_at_its_own_iteration_only(self, monkeypatch):
+        obs, config = self._two_fit_plus_empty(monkeypatch)
+        fitted = em_fit(obs, config)
+        steps = np.diff(fitted.diagnostics.trace)
+        # the reinit is at iteration 1, and only there may the pll fall
+        assert np.flatnonzero(steps < -1e-9).tolist() == [0]
+
+    def test_fall_after_reinit_iteration_raises(self, monkeypatch):
+        obs, config = self._two_fit_plus_empty(monkeypatch)
+        real_m_step = mixture.m_step
+        calls = []
+
+        def m_step_worse_second_time(data, w, cfg, model):
+            calls.append(1)
+            updated, reinit = real_m_step(data, w, cfg, model)
+            if len(calls) == 2:
+                comps = (NormalComponent(5.0, 0.0),) + updated.components[1:]
+                updated = dataclasses.replace(updated, components=comps)
+            return updated, reinit
+
+        monkeypatch.setattr(mixture, "m_step", m_step_worse_second_time)
+        with pytest.raises(FitError, match=r"^all 1 restarts failed: iteration 2: penalized log-likelihood decreased"):
+            em_fit(obs, config)
+
 
 class TestInitialize:
     def test_deterministic(self):
@@ -424,6 +472,53 @@ class TestEmFit:
             best.diagnostics.penalized_loglik
             >= singles[0].diagnostics.penalized_loglik - 1e-9
         )
+
+    @staticmethod
+    def _null_free_start(monkeypatch, bad_restarts):
+        """Restarts in ``bad_restarts`` start with pi_0 = 0 under a null penalty, which e_step rejects."""
+        real_initialize = mixture.initialize
+
+        def initialize_null_free(data, cfg, restart_index=0):
+            start = real_initialize(data, cfg, restart_index)
+            if restart_index not in bad_restarts:
+                return start
+            j = cfg.n_components
+            return dataclasses.replace(start, pi=np.append(0.0, np.full(j - 1, 1.0 / (j - 1))))
+
+        monkeypatch.setattr(mixture, "initialize", initialize_null_free)
+
+    def test_failed_restart_dropped(self, monkeypatch):
+        obs = fdr_scenario_obs()
+        config = FitConfig(n_components=3, penalty=50.0, n_restarts=3)
+        self._null_free_start(monkeypatch, bad_restarts={1})
+        with pytest.raises(NumericError, match="penalized component has zero proportion"):
+            mixture._run_em(obs, config, 1)
+        others = [mixture._run_em(obs, config, r) for r in (0, 2)]
+        best = max(others, key=lambda m: m.diagnostics.penalized_loglik)
+        assert em_fit(obs, config) == best
+
+    def test_all_restarts_failed(self, monkeypatch):
+        obs = fdr_scenario_obs()
+        config = FitConfig(n_components=3, penalty=50.0, n_restarts=3)
+        self._null_free_start(monkeypatch, bad_restarts={0, 1, 2})
+        with pytest.raises(FitError, match=r"^all 3 restarts failed: penalized component has zero proportion$"):
+            em_fit(obs, config)
+
+    def test_e_step_error_names_iteration(self, monkeypatch):
+        obs = fdr_scenario_obs()
+        config = FitConfig(n_components=3, penalty=50.0, n_restarts=1)
+        real_e_step = mixture.e_step
+        calls = []
+
+        def e_step_fails_third_call(data, model):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericError("injected")
+            return real_e_step(data, model)
+
+        monkeypatch.setattr(mixture, "e_step", e_step_fails_third_call)
+        with pytest.raises(NumericError, match=r"^iteration 2: injected$"):
+            mixture._run_em(obs, config, 0)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ContractError):

@@ -227,10 +227,15 @@ class NormalObservations(Observations):
         return bool(self.s2.min() == self.s2.max())
 
     def log_kernel(self, components) -> np.ndarray:
-        """log phi(z; mean, var + s2) per case (rows) and component (columns), in closed form."""
+        """log phi(z; mean, var + s2) per component (rows) and case (columns), in closed form.
+
+        Built (J, n) so that `log_marginal_matrix`'s transpose has contiguous
+        columns; with a common s2 each component's log(var + s2) is taken once.
+        """
         mu = np.array([c.mean for c in components])
         var = np.array([c.var for c in components])
-        return normal_logpdf(self.z[:, None], mu, var[None, :] + self.s2[:, None])
+        s2 = self.s2[:1] if self.homoscedastic else self.s2
+        return normal_logpdf(self.z, mu[:, None], var[:, None] + s2)
 
     def posterior(self, comp: NormalComponent) -> ComponentPosterior:
         """N((s2*mean + var*z)/(var + s2), var*s2/(var + s2)); a point mass (var = 0) stays one."""
@@ -340,7 +345,7 @@ class BinomialObservations(Observations):
         return out
 
     def log_kernel(self, components) -> np.ndarray:
-        """log BB(H | N, p, kappa) - saturated per case (rows) and component (columns).
+        """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), built (J, n).
 
         The form of the module docstring: the per-case log ratios, plus
         R_{kappa/p}, R_{kappa/q} and R_kappa of each component with kappa > 0
@@ -359,7 +364,7 @@ class BinomialObservations(Observations):
             k = kappa[live]
             cut = min(int(n.max(initial=0)), RISING_TABLE)
             rising = _rising(k / p[live], h, cut) + _rising(k / q[live], f, cut) - _rising(k, n, cut)
-            out[:, live] += rising.T
+            out[live] += rising
         return out
 
     def posterior(self, comp: BetaComponent) -> ComponentPosterior:
@@ -542,9 +547,9 @@ def _log_ratio(a, b):
 
 
 def _xlog_ratio(k, p, rate):
-    """k log(p/rate) per case (rows) and component (columns); 0 where k = 0."""
+    """k log(p/rate) per component (rows) and case (columns); 0 where k = 0."""
     safe = np.where(k > 0, rate, 1.0)
-    return k[:, None] * _log_ratio(p[None, :], safe[:, None])
+    return k * _log_ratio(p[:, None], safe)
 
 
 def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
@@ -552,14 +557,18 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
 
     Each case's data-only term ``obs.saturated`` (0 for normal cases) is
     left out: posterior weights do not depend on it, and sums over cases
-    add it back once.
+    add it back once.  The result is the transpose of the (J, n) kernel,
+    so each column is contiguous: numpy reduces a 100k x 3 array along
+    its short rows many times faster in this order, and every array
+    computed from it (posterior weights, `posterior_summary`'s buffers)
+    keeps the order.
     """
     components = tuple(components)
     check_components(obs.family, components)
     out = obs.log_kernel(components)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite component log marginal")
-    return out
+    return out.T
 
 
 def _beta_mom(p: np.ndarray) -> BetaComponent:

@@ -467,6 +467,8 @@ def run_fdr_study(
     The alternative effects are drawn once from the study seed and held
     fixed; each replication redraws the noise only.
     """
+    if reps < 2:
+        raise ContractError("need reps >= 2 to estimate the spread across replications")
     z_grid = np.asarray(z_grid, dtype=float)
     qs = tuple(float(q) for q in qs)
     deltas = fdr_scenario_deltas(seed, n_nonzero=n_nonzero)

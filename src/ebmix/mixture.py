@@ -100,6 +100,8 @@ class MixtureModel:
     def posterior_weights(self, obs: Observations):
         """(w, log f - obs.saturated): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J).
 
+        w keeps `log_marginal_matrix`'s layout, each column contiguous, so
+        the sums over components and over cases run at full speed.
         Components with pi_j = 0 get weight exp(-inf) = 0.  The log
         marginals leave out each case's data-only term ``obs.saturated``
         (0 for normal cases; see `families`).  Raises NumericError at a
@@ -186,7 +188,8 @@ def initialize(data: Observations, config: FitConfig, restart_index: int = 0) ->
 def e_step(data: Observations, model: MixtureModel):
     """Responsibilities and the penalized log-likelihood at the model.
 
-    Returns (w, pll) with w row-stochastic of shape (n, J).  The per-case
+    Returns (w, pll) with w row-stochastic of shape (n, J), each column
+    contiguous (see `MixtureModel.posterior_weights`).  The per-case
     log marginals are summed without their data-only terms
     (``data.saturated``), whose sum is added once at the end, so the
     pll's rounding does not grow with the binomial trial counts.

@@ -43,44 +43,44 @@ FIT_CASES = {
 # captured from the implementation; outputs must stay byte-identical
 MODEL_JSON = {
     "binomial-empirical": (
-        '{"components":[{"kappa":0.012452678794401756,"mean":0.29959797126493715},{"kappa":0,"mean":0.44251396677558252},{"kappa":0,"mean":0.44251396677558252}],"diagnostics":{"converged":true,"iterations":270,"penalized_loglik":-77.528196684160093},"family":"binomial","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[6,0,0],"pi":[0.9999943747796709,3.9970879336918222e-06,1.6281323954496498e-06],"seed":0,"timestamp":null}\n'
+        '{"components":[{"kappa":0.012452678794622659,"mean":0.29959797126537696},{"kappa":0,"mean":0.44251396677567328},{"kappa":0,"mean":0.44251396677567317}],"diagnostics":{"converged":true,"iterations":270,"penalized_loglik":-77.528196684154864},"family":"binomial","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[6,0,0],"pi":[0.99999437478207653,3.997086224335709e-06,1.6281316991782945e-06],"seed":0,"timestamp":null}\n'
     ),
     "binomial-none": (
-        '{"components":[{"kappa":0.012452668698097049,"mean":0.2995979511683326},{"kappa":0,"mean":0.44251396264389253},{"kappa":0,"mean":0.44251396264389248}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862005},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124505988955e-06,2.1030331282741434e-06],"seed":0,"timestamp":null}\n'
+        '{"components":[{"kappa":0.01245266869809669,"mean":0.2995979511683326},{"kappa":0,"mean":0.44251396264389192},{"kappa":0,"mean":0.44251396264389192}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862019},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124506024081e-06,2.1030331282762288e-06],"seed":0,"timestamp":null}\n'
     ),
     "normal-empirical": (
-        '{"components":[{"mean":0.5406918581651915,"var":0.86449042218822791},{"mean":3.3188049545265517,"var":0},{"mean":6.7702178412082308,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181059,9.129319933476077e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.5406918581651915,"var":0.86449042218822791},{"mean":3.3188049545265521,"var":0},{"mean":6.7702178412082263,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334761066e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
     ),
     "normal-none": (
-        '{"components":[{"mean":0.18987136815237859,"var":0.28146355029076009},{"mean":3.2663260700154129,"var":0},{"mean":6.7527714746788217,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102017,0.06674655874401686,0.020096448064962996],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.18987136815237848,"var":0.28146355029075987},{"mean":3.2663260700154106,"var":0},{"mean":6.7527714746788225,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016901,0.020096448064962989],"seed":0,"timestamp":null}\n'
     ),
     "normal-theoretical": (
-        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608513,"var":0.60432247943450657},{"mean":6.7460398267333668,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339475,0.12530904913497107,0.019806641731634236],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608509,"var":0.60432247943450634},{"mean":6.7460398267333659,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339464,0.12530904913497107,0.019806641731634243],"seed":0,"timestamp":null}\n'
     ),
 }
 ESTIMATE_CSV = {
     "normal-theoretical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,-3.5,0.00016301716509342862,0.0002779292809139395,0.9993749706724125,0.8757484701138891\n"
-        "b,0.0,0.0243395444003731,0.04365045057219365,0.9845875085192682,0.8548843091333947\n"
-        "c,1.96,1.7721838072054374,1.0115148943680292,0.2016070948438371,0.042086714437051476\n"
-        "d,2.5,0.9639480883291345,1.7032051376705448,0.6196173121585509,0.4408814317784325\n"
+        "a,-3.5,0.00016301716509342878,0.0002779292809139395,0.9993749706724125,0.8757484701138891\n"
+        "b,0.0,0.0243395444003731,0.04365045057219365,0.9845875085192682,0.8548843091333946\n"
+        "c,1.96,1.772183807205437,1.0115148943680285,0.20160709484383701,0.04208671443705147\n"
+        "d,2.5,0.9639480883291345,1.7032051376705444,0.6196173121585505,0.4408814317784325\n"
         "e,4.0,3.10124011894637,0.5432302880845379,0.005584057935599212,0.0015351229118768627\n"
-        "f,7.25,6.664294231531391,0.239296376999884,1.122172903972207e-06,4.049289935606466e-07\n"
+        "f,7.25,6.6642942315313904,0.23929637699988304,1.122172903972207e-06,4.0492899356064673e-07\n"
     ),
     "binomial-empirical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.23985998951050963,0.0017998031682976497,0.999999974930906,\n"
-        "b,9,0.2997075747546039,0.0018857058064643754,0.9999981690117151,\n"
-        "c,17,0.34129478631389243,0.0018534415051969092,0.9999825278688164,\n"
-        "d,45,0.5299801571709818,0.0018973234730288444,0.9999666976818616,\n"
+        "a,0,0.23985998951001114,0.0017998031683199881,0.9999999749309166,\n"
+        "b,9,0.29970757475481374,0.0018857058064751756,0.999998169012498,\n"
+        "c,17,0.34129478631392335,0.001853441505158025,0.9999825278762885,\n"
+        "d,45,0.5299801571750188,0.0018973234729662055,0.999966697696111,\n"
     ),
     "binomial-none": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.23986001229687748,0.0017998021473137203,,\n"
-        "b,9,0.29970756516893154,0.0018857053127628056,,\n"
-        "c,17,0.34129478489488413,0.001853443281783693,,\n"
-        "d,45,0.5299799727291208,0.0018973263353744716,,\n"
+        "a,0,0.23986001229687884,0.0017998021473136859,,\n"
+        "b,9,0.29970756516893154,0.0018857053127627663,,\n"
+        "c,17,0.3412947848948833,0.001853443281783655,,\n"
+        "d,45,0.5299799727291168,0.001897326335374441,,\n"
     ),
 }
 # a binomial model file in the {"alpha", "beta"} component records written before (mean, kappa)
@@ -133,7 +133,7 @@ class TestModelFile:
     def test_point_mass_round_trip(self):
         """A beta component at kappa = 0 (which no alpha, beta can write) round-trips byte for byte."""
         text = MODEL_JSON["binomial-none"]
-        assert '{"kappa":0,"mean":0.44251396264389253}' in text
+        assert '{"kappa":0,"mean":0.44251396264389192}' in text
         doc = parse_model(text)
         assert [c.kappa for c in doc.model.components][1:] == [0.0, 0.0]
         assert serialize_model(doc) == text
@@ -244,6 +244,13 @@ class TestErrors:
         assert err == f"ERROR usage: {flags[0]} does not apply to simulate {what}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("reps", ["1", "0", "-1"])
+    def test_simulate_fdr_needs_two_reps(self, tmp_path, capsys, reps):
+        code, err = self._run(capsys, ["simulate", "fdr", "--reps", reps, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert err == "ERROR contract: need reps >= 2 to estimate the spread across replications\n"
+        assert not any(tmp_path.iterdir())
+
     def test_simulate_baseball_input_rejects_seasons(self, tmp_path, capsys):
         argv = ["simulate", "baseball", "--input", "season.csv", "--seasons", "2", "--out-dir", str(tmp_path)]
         code, err = self._run(capsys, argv)
@@ -322,43 +329,43 @@ BASEBALL_CSV = (
 # captured from the implementation; outputs must stay byte-identical
 CALIBRATE_MANUAL_CSV = (
     "candidate_P,perturbed_model_index,bootstrap_index,score\n"
-    "2.0,0,0,0.11044524582347182\n"
-    "2.0,0,1,2.8552568538273105e-05\n"
-    "2.0,1,0,0.018268249508777878\n"
-    "2.0,1,1,0.0004666657805881914\n"
-    "8.0,0,0,0.06417062393620401\n"
-    "8.0,0,1,0.0006370473221281388\n"
-    "8.0,1,0,0.0018102792717906773\n"
-    "8.0,1,1,0.0001311813068652385\n"
-    "20.0,0,0,0.007872468346583405\n"
-    "20.0,0,1,0.0016158304543097567\n"
-    "20.0,1,0,0.0004767806529459889\n"
-    "20.0,1,1,2.897749427705213e-05\n"
+    "2.0,0,0,0.1104452458234718\n"
+    "2.0,0,1,2.855256853826893e-05\n"
+    "2.0,1,0,0.018268249508777916\n"
+    "2.0,1,1,0.0004666657805882279\n"
+    "8.0,0,0,0.06417062393620426\n"
+    "8.0,0,1,0.0006370473221281484\n"
+    "8.0,1,0,0.0018102792717906672\n"
+    "8.0,1,1,0.00013118130686523915\n"
+    "20.0,0,0,0.00787246834658347\n"
+    "20.0,0,1,0.001615830454309782\n"
+    "20.0,1,0,0.0004767806529459991\n"
+    "20.0,1,1,2.897749427705145e-05\n"
 )
 CALIBRATE_AUTO_SCORES = (
-    0.050420779808396224, 0.05043827204914426, 0.05045576665232802, 0.05047326361841431,
-    0.05049076294787057, 0.050508264641164945, 0.050525768698766106, 0.05054327512114371,
-    0.050560783908767656, 0.05057829506210891, 0.050595808581638646, 0.05061332446782914,
-    0.0506308427211533, 0.05064836334208428, 0.050665886331096234, 0.0506834116886641,
-    0.05070093941526308, 0.05071846951136966, 0.05073600197746016, 0.05075353681401237,
+    0.05042077980839608, 0.05043827204914413, 0.05045576665232793, 0.050473263618414116,
+    0.05049076294787048, 0.05050826464116475, 0.05052576869876606, 0.05054327512114361,
+    0.050560783908767545, 0.05057829506210875, 0.05059580858163857, 0.05061332446782905,
+    0.05063084272115312, 0.05064836334208409, 0.050665886331096054, 0.050683411688663915,
+    0.050700939415262915, 0.050718469511369386, 0.05073600197745995, 0.050753536814012214,
 )
 BIC_STDOUT = (
     "J=1 BIC=164.68443201634096\n"
-    "J=2 BIC=165.08169705163758\n"
+    "J=2 BIC=165.08169705163755\n"
     "J=3 BIC=175.2059300495342\n"
     "selected_J=1\n"
 )
 FDR_STUDY_SHA256 = {
-    "fdr_curves.csv": "05c1fdeddbdfd767fe899fbf221ff0e23d744abf42753dd9cbed73477602de61",
-    "FDR_curves.csv": "1f8248c7176622bd255f1bf97c1614f7aff2433f88b83da68d2c57b7f4bbaf7f",
+    "fdr_curves.csv": "d3c1ede1ef775918699fea304e308b037e506a7c1ee978ce4a131afc32aa291f",
+    "FDR_curves.csv": "2f622c6bdbc9420193b9426e1c0aaf438adb4c120cf8cae39c408e3ecafa2ed0",
     "thresholds.csv": "70d5d6664ab7eb324d9a6c5d578cf749862878a1705557406702e6403c63c67a",
 }
-EFFECT_STUDY_SHA256 = "0d6d0cccde30478256407afc8d6c4cdcb1267a36298f49f3ee46a77620478a86"
+EFFECT_STUDY_SHA256 = "d6d9712b2bce580b5d888a4eeb3e8a9a074ad231ac6a3441f0b791fcb1107d71"
 EFFECT_SUMMARY_CSV = (
     "method,mean_rel_error,median_rel_error\n"
     "bayes_oracle,1.0,1.0\n"
     "fdr_threshold_q0.1,1.7055469007568025,1.5795620380052902\n"
-    "mixture_J2_P50,1.2188705706107452,1.1086447577946559\n"
+    "mixture_J2_P50,1.218870570610745,1.108644757794655\n"
     "naive,17.6246651784865,7.314951396638779\n"
     "sure_shrink,1.9002796191028402,1.624536473507486\n"
     "universal_hard,3.0947246561432014,1.5936274317664818\n"
@@ -385,7 +392,7 @@ BASEBALL_TSE_CSV = (
     "overall,naive,12,10,2,0.003936473938692206,1.0\n"
     "overall,grand_mean,12,10,2,0.013383846969193463,3.3999582310558645\n"
     "overall,james_stein,12,10,2,0.013733513465711177,3.488785567896784\n"
-    "overall,mixture,12,10,2,0.013422883028194901,3.4098747349142404\n"
+    "overall,mixture,12,10,2,0.013422883028194986,3.409874734914262\n"
     "pitchers,naive,4,4,0,0.004024426643691107,1.0\n"
     "pitchers,grand_mean,4,4,0,0.006902877409426364,1.7152449331503312\n"
     "pitchers,james_stein,4,4,0,0.004818710095689483,1.1973656180920913\n"
@@ -393,7 +400,7 @@ BASEBALL_TSE_CSV = (
     "nonpitchers,naive,8,6,2,-8.795270499890049e-05,1.0\n"
     "nonpitchers,grand_mean,8,6,2,0.005256534188980982,-59.7654635982679\n"
     "nonpitchers,james_stein,8,6,2,0.0050541322521518404,-57.46420479296257\n"
-    "nonpitchers,mixture,8,6,2,0.0048810757905500615,-55.49659661531821\n"
+    "nonpitchers,mixture,8,6,2,0.004881075790550077,-55.49659661531839\n"
 )
 BASEBALL_TSE_STDOUT = (
     "overall: naive=1.000 grand_mean=3.400 james_stein=3.489 mixture=3.410\n"

@@ -26,6 +26,7 @@ from ebmix import (
     m_step,
 )
 from ebmix import mixture
+from ebmix.families import log_marginal_matrix
 from ebmix.mixture import n_free_parameters, unpenalized_loglik
 from ebmix.seeding import derive_rng
 
@@ -74,6 +75,33 @@ class TestEStep:
         _, pll = e_step(obs, model)
         logf = model.log_marginal(obs).sum()
         np.testing.assert_allclose(pll, logf + 3.0 * np.log(0.5), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "obs, components",
+        [
+            (Observations.normal(np.linspace(-3.0, 3.0, 50)), (NormalComponent(0.0, 0.0), NormalComponent(1.0, 2.0))),
+            (
+                Observations.normal(np.linspace(-3.0, 3.0, 50), np.linspace(0.5, 2.0, 50)),
+                (NormalComponent(0.0, 0.0), NormalComponent(1.0, 2.0), NormalComponent(-2.0, 0.5)),
+            ),
+            (
+                Observations.binomial(np.arange(40), np.full(40, 60)),
+                (BetaComponent(0.3, 0.0), BetaComponent(0.5, 0.02), BetaComponent(0.7, 0.2)),
+            ),
+        ],
+        ids=["normal", "normal-varying-s2", "binomial"],
+    )
+    def test_matrices_are_component_major(self, obs, components):
+        """Every cases x components matrix has contiguous columns, so its short rows reduce fast."""
+        j = len(components)
+        model = MixtureModel(pi=np.full(j, 1.0 / j), components=components, null_mode=NullMode.NONE, penalty=np.zeros(j))
+        for mat in (
+            log_marginal_matrix(obs, components),
+            model.posterior_weights(obs)[0],
+            e_step(obs, model)[0],
+        ):
+            assert mat.shape == (len(obs), j)
+            assert all(mat[:, k].flags.c_contiguous for k in range(j))
 
 
 class TestMStep:

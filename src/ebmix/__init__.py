@@ -39,7 +39,6 @@ from .inference import (
     tail_fdr_curve,
     tweedie_continuous,
     tweedie_discrete,
-    tweedie_from_model,
 )
 from .mixture import (
     FitConfig,

@@ -10,8 +10,10 @@ variance-corrected total squared error
 which is unbiased for sum_i (mu_hat_i - mu_i)^2 under the arcsine
 variance-stabilizing approximation X ~ N(mu, 1/(4N)).
 
-A synthetic-season generator with a known beta prior keeps every code
-path testable when the real season file is not on hand.
+A synthetic-season generator with a known prior keeps every code path
+testable when the real season file is not on hand.  Its design is fixed:
+true averages from Beta(302, 884) (mean 0.255), and in each half
+11 + Poisson(140) at bats per player.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
 
 MIN_AT_BATS = 11
+SEASON_ALPHA, SEASON_BETA = 302.0, 884.0
+SEASON_MEAN_AT_BATS = 140.0
 
 
 @dataclass(frozen=True)
@@ -89,23 +93,16 @@ def load_baseball_csv(path) -> list:
     return records
 
 
-def synthetic_season(
-    n_players: int = 500,
-    alpha: float = 302.0,
-    beta: float = 884.0,
-    mean_at_bats: float = 140.0,
-    seed: int = 0,
-    season_index: int = 0,
-):
-    """One synthetic season from a known Beta(alpha, beta) prior.
+def synthetic_season(n_players: int = 500, seed: int = 0, season_index: int = 0):
+    """One synthetic season from the known Beta(302, 884) prior.
 
     Returns (records, true averages); both halves are binomial draws
     from the same player-level averages.
     """
     rng = derive_rng(seed, STREAM_SEASON, season_index)
-    delta = rng.beta(alpha, beta, n_players)
-    n1 = MIN_AT_BATS + rng.poisson(mean_at_bats, n_players)
-    n2 = MIN_AT_BATS + rng.poisson(mean_at_bats, n_players)
+    delta = rng.beta(SEASON_ALPHA, SEASON_BETA, n_players)
+    n1 = MIN_AT_BATS + rng.poisson(SEASON_MEAN_AT_BATS, n_players)
+    n2 = MIN_AT_BATS + rng.poisson(SEASON_MEAN_AT_BATS, n_players)
     h1 = rng.binomial(n1, delta)
     h2 = rng.binomial(n2, delta)
     records = [

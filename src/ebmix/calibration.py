@@ -1,9 +1,9 @@
 """Parametric-bootstrap calibration of the proportion penalty P.
 
-A preliminary model is fitted with a default penalty, its null component
-is perturbed slightly a handful of ways, bootstrap datasets are drawn
-from each perturbed model, and every candidate penalty is refitted to
-every dataset.  A perturbation jitters the null mean and rescales the
+A preliminary model is fitted with the fit's default penalty, N/5, its
+null component is perturbed slightly a handful of ways, bootstrap
+datasets are drawn from each perturbed model with the fit's seed, and
+every candidate penalty is refitted to every dataset.  A perturbation jitters the null mean and rescales the
 null's prior sd, so a point-mass null is shifted but never widened.
 The candidate whose fits land closest to the generating model (in mean
 squared fdr-curve distance) wins; ties break toward the larger penalty.
@@ -31,17 +31,15 @@ class CalibrationPlan:
     """Candidate penalties and the bootstrap design used to score them."""
 
     candidates: np.ndarray
-    preliminary_penalty: float
     n_perturbed: int = 4
     n_bootstrap: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         cand = np.asarray(self.candidates, dtype=float)
         object.__setattr__(self, "candidates", cand)
         if cand.size < 1:
             raise ContractError("at least one candidate penalty is required")
-        if np.any(cand < 0) or self.preliminary_penalty < 0:
+        if np.any(cand < 0):
             raise ContractError("penalties must be nonnegative")
         if self.n_perturbed < 1 or self.n_bootstrap < 1:
             raise ContractError("need at least one perturbed model and one bootstrap draw")
@@ -49,18 +47,14 @@ class CalibrationPlan:
             raise ContractError("need one null sd scale per perturbed model")
 
 
-def default_plan(n_cases: int, seed: int = 0) -> CalibrationPlan:
-    """20 candidates evenly spaced on [100, N/2]; preliminary P = N/5."""
+def default_plan(n_cases: int) -> CalibrationPlan:
+    """20 candidates evenly spaced on [100, N/2]."""
     if n_cases <= 200:
         raise DegenerateRangeError(
             f"candidate range [100, {n_cases / 2:g}] is degenerate for N={n_cases}; "
             "supply candidates manually"
         )
-    return CalibrationPlan(
-        candidates=np.linspace(100.0, n_cases / 2.0, 20),
-        preliminary_penalty=n_cases / 5.0,
-        seed=seed,
-    )
+    return CalibrationPlan(candidates=np.linspace(100.0, n_cases / 2.0, 20))
 
 
 def perturb_null(model: MixtureModel, mean_shift: float, sd_scale: float) -> MixtureModel:
@@ -115,15 +109,16 @@ def calibrate_penalty(
 ) -> CalibrationResult:
     """Choose the penalty that best recovers slightly perturbed truths.
 
-    Bootstrap fits inherit ``base_config`` except for the penalty and run
-    a single restart; per-cell datasets are seeded from (plan.seed, l, b)
-    so the whole table is reproducible and embarrassingly parallel.
+    The preliminary fit takes ``base_config`` with the default penalty
+    N/5.  Bootstrap fits inherit ``base_config`` except for the penalty
+    and run a single restart; per-cell datasets are seeded from
+    (base_config.seed, l, b) so the whole table is reproducible and
+    embarrassingly parallel.
     """
     if data.family is not Family.NORMAL:
         raise UnsupportedError("penalty calibration scores fdr curves; normal family only")
     n = len(data)
-    prelim_config = replace(base_config, penalty=plan.preliminary_penalty)
-    preliminary = em_fit(data, prelim_config)
+    preliminary = em_fit(data, replace(base_config, penalty=None))
     generators = perturbed_models(preliminary, plan)
 
     k_cand = plan.candidates.size
@@ -131,7 +126,7 @@ def calibrate_penalty(
     failed = np.zeros_like(scores, dtype=bool)
     for l, truth in enumerate(generators):
         for b in range(plan.n_bootstrap):
-            rng = derive_rng(plan.seed, STREAM_BOOT, l, b)
+            rng = derive_rng(base_config.seed, STREAM_BOOT, l, b)
             boot = truth.sample(n, rng, s2=data.s2)
             for k, p in enumerate(plan.candidates):
                 cfg = replace(base_config, penalty=float(p), n_restarts=1)

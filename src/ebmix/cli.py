@@ -294,17 +294,13 @@ def cmd_calibrate(args) -> int:
         rel_tol=args.rel_tol,
     )
     if args.candidates == "auto":
-        plan = calibration.default_plan(len(obs), seed=args.seed)
+        plan = calibration.default_plan(len(obs))
     else:
         try:
             candidates = np.array([float(c) for c in args.candidates.split(",")])
         except ValueError as exc:
             raise UsageError(f"--candidates must be 'auto' or a comma list of numbers, got {args.candidates!r}") from exc
-        plan = calibration.CalibrationPlan(
-            candidates=candidates,
-            preliminary_penalty=len(obs) / 5.0,
-            seed=args.seed,
-        )
+        plan = calibration.CalibrationPlan(candidates=candidates)
     plan = dataclasses.replace(plan, n_bootstrap=args.bootstrap, n_perturbed=args.perturbed)
     result = calibration.calibrate_penalty(obs, base, plan)
     if args.output:

@@ -1,11 +1,19 @@
 """Simulation harness: scenario generators, baselines and studies.
 
-Two normal-data studies are provided.  The effect-size study sweeps a
-grid of sparsity / signal-strength scenarios and scores estimators by
-squared error relative to the Bayes rule under the generating prior.
-The fdr study repeatedly samples one fixed sparse scenario and tracks
-the bias and spread of fdr/FDR curve estimates and of the rejection
-thresholds derived from them.
+Two normal-data studies are provided, each with a fixed design written
+once below as module constants.
+
+* The effect-size study sweeps N = 1000 cases with K in {5, 50, 500}
+  nonzero effects of strength mu in {2, 3, 4, 5}, one-sided and
+  two-sided, and scores estimators by squared error relative to the
+  Bayes rule under the generating prior.
+* The fdr study repeatedly samples one fixed sparse scenario, N = 1000
+  cases of which K = 50 have effects drawn once from U(2, 4), and tracks
+  the bias and spread of fdr/FDR curve estimates on the z grid
+  -4, -3.9, ..., 6 and of the rejection thresholds at q in
+  {0.01, 0.02, 0.05, 0.1, 0.2}.
+
+The fdr-threshold baseline runs Benjamini-Hochberg at q = 0.1.
 
 Replications share their noise vectors across scenarios and methods, so
 comparisons are paired.
@@ -33,6 +41,11 @@ from .inference import (
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_DELTA, STREAM_FDR_DELTA, STREAM_NOISE, derive_rng
 
+EFFECT_N_CASES = 1000
+EFFECT_K_GRID = (5, 50, 500)
+EFFECT_MU_GRID = (2.0, 3.0, 4.0, 5.0)
+BH_Q = 0.1
+
 
 class ScenarioKind(str, Enum):
     EFFECT_ONE_SIDED = "one"
@@ -42,17 +55,13 @@ class ScenarioKind(str, Enum):
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: ScenarioKind
-    n_cases: int
     n_nonzero: int
     mu: float
-    reps: int
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.n_nonzero <= self.n_cases:
+        if not 0 <= self.n_nonzero <= EFFECT_N_CASES:
             raise ContractError("need 0 <= K <= N")
-        if self.reps < 1:
-            raise ContractError("need reps >= 1")
 
 
 def _phi(x):
@@ -77,7 +86,7 @@ def generate_effect_scenario(spec: ScenarioSpec, rep: int):
     them to (-mu - 1/2, -mu + 1/2).  The noise stream depends only on
     (seed, rep), never on the scenario, so it is reused across cells.
     """
-    n, k = spec.n_cases, spec.n_nonzero
+    n, k = EFFECT_N_CASES, spec.n_nonzero
     delta = np.zeros(n)
     if k > 0:
         rng = derive_rng(
@@ -174,7 +183,7 @@ def james_stein(z, center: bool = False, var=1.0):
     return factor * z
 
 
-def baseline_estimate(name: str, z, q: float = 0.1):
+def baseline_estimate(name: str, z):
     """Dispatch the named thresholding/shrinkage baseline."""
     z = np.asarray(z, dtype=float)
     n = z.size
@@ -185,15 +194,9 @@ def baseline_estimate(name: str, z, q: float = 0.1):
     if name == "universal_hard":
         return hard_threshold(z, universal_threshold(n))
     if name == "fdr_threshold":
-        return hard_threshold(z, bh_threshold(z, q))
+        return hard_threshold(z, bh_threshold(z, BH_Q))
     if name == "sure_shrink":
         return soft_threshold(z, sure_threshold(z))
-    if name == "james_stein":
-        return james_stein(z)
-    if name == "james_stein_centered":
-        return james_stein(z, center=True)
-    if name == "grand_mean":
-        return np.full(n, z.mean())
     raise ContractError(f"unknown baseline estimator {name!r}")
 
 
@@ -224,7 +227,7 @@ class SparseUniformPrior:
 
 
 def scenario_prior(spec: ScenarioSpec) -> SparseUniformPrior:
-    k, n, mu = spec.n_nonzero, spec.n_cases, spec.mu
+    k, n, mu = spec.n_nonzero, EFFECT_N_CASES, spec.mu
     if k == 0:
         return SparseUniformPrior(null_weight=1.0, intervals=())
     if spec.kind is ScenarioKind.EFFECT_ONE_SIDED:
@@ -254,9 +257,9 @@ class EffectMethod:
     estimate: Callable  # (z, spec) -> delta_hat
 
 
-def make_baseline_method(name: str, q: float = 0.1) -> EffectMethod:
-    label = f"{name}_q{q:g}" if name == "fdr_threshold" else name
-    return EffectMethod(label, lambda z, spec: baseline_estimate(name, z, q=q))
+def make_baseline_method(name: str) -> EffectMethod:
+    label = f"{name}_q{BH_Q:g}" if name == "fdr_threshold" else name
+    return EffectMethod(label, lambda z, spec: baseline_estimate(name, z))
 
 
 def make_mixture_method(n_components: int = 10, penalty: float = 50.0) -> EffectMethod:
@@ -285,7 +288,7 @@ def default_effect_methods(n_components: int = 10, penalty: float = 50.0):
         make_baseline_method("naive"),
         make_baseline_method("universal_soft"),
         make_baseline_method("universal_hard"),
-        make_baseline_method("fdr_threshold", q=0.1),
+        make_baseline_method("fdr_threshold"),
         make_baseline_method("sure_shrink"),
         make_bayes_oracle_method(),
     )
@@ -297,7 +300,6 @@ class EffectCell:
     mu: float
     sided: str
     method: str
-    mse: float
     rel_error: float
 
 
@@ -323,10 +325,6 @@ def run_effect_study(
     methods: Sequence[EffectMethod],
     reps: int = 25,
     seed: int = 0,
-    n_cases: int = 1000,
-    n_nonzero_grid: Sequence[int] = (5, 50, 500),
-    mu_grid: Sequence[float] = (2.0, 3.0, 4.0, 5.0),
-    sides: Sequence[ScenarioKind] = (ScenarioKind.EFFECT_ONE_SIDED, ScenarioKind.EFFECT_TWO_SIDED),
 ) -> EffectStudyResult:
     """Squared-error study over the sparsity/strength grid.
 
@@ -336,13 +334,13 @@ def run_effect_study(
     """
     if not methods:
         raise ContractError("at least one method is required")
+    if reps < 1:
+        raise ContractError("need reps >= 1")
     cells = []
-    for kind in sides:
-        for k in n_nonzero_grid:
-            for mu in mu_grid:
-                spec = ScenarioSpec(
-                    kind=kind, n_cases=n_cases, n_nonzero=k, mu=mu, reps=reps, seed=seed
-                )
+    for kind in ScenarioKind:
+        for k in EFFECT_K_GRID:
+            for mu in EFFECT_MU_GRID:
+                spec = ScenarioSpec(kind=kind, n_nonzero=k, mu=mu, seed=seed)
                 sse = {m.name: 0.0 for m in methods}
                 sse_bayes = 0.0
                 for rep in range(reps):
@@ -359,15 +357,13 @@ def run_effect_study(
                         sse[m.name] += float(np.sum((est - delta) ** 2))
                 mse_bayes = sse_bayes / reps
                 for m in methods:
-                    mse = sse[m.name] / reps
                     cells.append(
                         EffectCell(
                             n_nonzero=k,
                             mu=mu,
                             sided=kind.value,
                             method=m.name,
-                            mse=mse,
-                            rel_error=mse / mse_bayes,
+                            rel_error=sse[m.name] / reps / mse_bayes,
                         )
                     )
     return EffectStudyResult(cells=tuple(cells))
@@ -377,20 +373,23 @@ def run_effect_study(
 # fdr study
 # ---------------------------------------------------------------------------
 
+FDR_N_CASES = 1000
+FDR_N_NONZERO = 50
+FDR_DELTA_LOW, FDR_DELTA_HIGH = 2.0, 4.0
 FDR_Z_GRID = np.round(np.arange(-4.0, 6.0 + 1e-9, 0.1), 10)
 FDR_QS = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 
-def fdr_scenario_deltas(seed: int, n_nonzero: int = 50, low: float = 2.0, high: float = 4.0):
+def fdr_scenario_deltas(seed: int):
     """The once-and-for-all alternative effects of the fdr scenario."""
-    return derive_rng(seed, STREAM_FDR_DELTA).uniform(low, high, size=n_nonzero)
+    return derive_rng(seed, STREAM_FDR_DELTA).uniform(FDR_DELTA_LOW, FDR_DELTA_HIGH, size=FDR_N_NONZERO)
 
 
-def fdr_truth_model(deltas, n_cases: int = 1000) -> MixtureModel:
+def fdr_truth_model(deltas) -> MixtureModel:
     """Plug-in truth: point-mass mixture matching the generating draws."""
     deltas = np.asarray(deltas, dtype=float)
     k = deltas.size
-    pi = np.concatenate(([1.0 - k / n_cases], np.full(k, 1.0 / n_cases)))
+    pi = np.concatenate(([1.0 - k / FDR_N_CASES], np.full(k, 1.0 / FDR_N_CASES)))
     comps = (NormalComponent(0.0, 0.0),) + tuple(NormalComponent(float(d), 0.0) for d in deltas)
     return MixtureModel(
         pi=pi,
@@ -400,10 +399,10 @@ def fdr_truth_model(deltas, n_cases: int = 1000) -> MixtureModel:
     )
 
 
-def fdr_scenario_sample(deltas, seed: int, rep: int, n_cases: int = 1000) -> np.ndarray:
+def fdr_scenario_sample(deltas, seed: int, rep: int) -> np.ndarray:
     deltas = np.asarray(deltas, dtype=float)
-    delta_vec = np.concatenate((deltas, np.zeros(n_cases - deltas.size)))
-    return delta_vec + scenario_noise(seed, rep, n_cases)
+    delta_vec = np.concatenate((deltas, np.zeros(FDR_N_CASES - deltas.size)))
+    return delta_vec + scenario_noise(seed, rep, FDR_N_CASES)
 
 
 @dataclass(frozen=True)
@@ -457,10 +456,6 @@ def run_fdr_study(
     methods: Sequence[FdrMethod],
     reps: int = 50,
     seed: int = 0,
-    n_cases: int = 1000,
-    n_nonzero: int = 50,
-    z_grid=FDR_Z_GRID,
-    qs: Sequence[float] = FDR_QS,
 ) -> FdrStudyResult:
     """Bias/spread study of fdr, FDR and threshold estimates.
 
@@ -469,10 +464,9 @@ def run_fdr_study(
     """
     if reps < 2:
         raise ContractError("need reps >= 2 to estimate the spread across replications")
-    z_grid = np.asarray(z_grid, dtype=float)
-    qs = tuple(float(q) for q in qs)
-    deltas = fdr_scenario_deltas(seed, n_nonzero=n_nonzero)
-    truth = fdr_truth_model(deltas, n_cases=n_cases)
+    z_grid, qs = FDR_Z_GRID, FDR_QS
+    deltas = fdr_scenario_deltas(seed)
+    truth = fdr_truth_model(deltas)
     truth_grouping = NullGrouping(null_set=frozenset({0}))
     true_fdr = fdr_curve(truth, z_grid, grouping=truth_grouping)
     true_tail = tail_fdr_curve(truth, z_grid, grouping=truth_grouping)
@@ -488,7 +482,7 @@ def run_fdr_study(
     tail_curves = {m.name: np.empty((reps, z_grid.size)) for m in methods}
     thresholds = {(m.name, kind): np.empty((reps, len(qs))) for m in methods for kind in ("fdr", "FDR")}
     for rep in range(reps):
-        z = fdr_scenario_sample(deltas, seed, rep, n_cases=n_cases)
+        z = fdr_scenario_sample(deltas, seed, rep)
         for m in methods:
             try:
                 model, grouping = m.fit(z)

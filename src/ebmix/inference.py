@@ -9,8 +9,10 @@ thresholds t(q).
 
 The posterior mean and variance are also the first and second
 derivatives of log(f(z)/f0(z)) in z, where f0 is the zero-effect
-sampling density; ``tweedie_continuous`` / ``tweedie_discrete`` expose
-that route, which works for any density estimate, not just the mixture.
+sampling density (Tweedie's formula).  ``posterior_summary`` is the
+closed form of those moments under the fitted mixture;
+``tweedie_continuous`` / ``tweedie_discrete`` take the derivatives
+numerically, which works for any density estimate, not just the mixture.
 """
 
 from __future__ import annotations
@@ -102,8 +104,6 @@ def _resolve_grouping(model: MixtureModel, grouping: NullGrouping | None):
 
 def tail_fdr_at(z, model: MixtureModel, grouping: NullGrouping, s2=1.0) -> np.ndarray:
     """FDR(z) = P(null | |z_i| >= z) from the closed-form marginal cdfs."""
-    if model.family is not Family.NORMAL:
-        raise UnsupportedError("tail-area FDR is defined for the normal family only")
     z = np.asarray(z, dtype=float)
     num = np.zeros_like(z)
     den = np.zeros_like(z)
@@ -152,8 +152,8 @@ def posterior_summary(
     )
 
 
-def fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None, s2: float = 1.0) -> np.ndarray:
-    """Local fdr along a z grid (normal family, unit or common s2)."""
+def fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None) -> np.ndarray:
+    """Local fdr along a z grid (normal family, unit s2)."""
     z_grid = np.asarray(z_grid, dtype=float)
     if z_grid.size == 0:
         raise ContractError("z grid must be nonempty")
@@ -162,20 +162,20 @@ def fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None,
     grouping = _resolve_grouping(model, grouping)
     if grouping is None:
         raise UnsupportedError("model has no designated null component")
-    obs = Observations.normal(z_grid, np.full(z_grid.shape, float(s2)))
+    obs = Observations.normal(z_grid)
     w, _ = model.posterior_weights(obs)
     return w[:, sorted(grouping.null_set)].sum(axis=1)
 
 
-def tail_fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None, s2: float = 1.0) -> np.ndarray:
-    """Tail-area FDR along a z grid from the closed-form cdfs."""
+def tail_fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None) -> np.ndarray:
+    """Tail-area FDR along a z grid (unit s2) from the closed-form cdfs."""
     z_grid = np.asarray(z_grid, dtype=float)
     if z_grid.size == 0:
         raise ContractError("z grid must be nonempty")
     grouping = _resolve_grouping(model, grouping)
     if grouping is None:
         raise UnsupportedError("model has no designated null component")
-    return tail_fdr_at(z_grid, model, grouping, s2=s2)
+    return tail_fdr_at(z_grid, model, grouping)
 
 
 GRID_LO = 0.0
@@ -188,7 +188,6 @@ def rejection_threshold(
     q: float,
     kind: str = "fdr",
     grouping: NullGrouping | None = None,
-    s2: float = 1.0,
 ) -> float:
     """Smallest t with curve(z) <= q for every grid point z >= t.
 
@@ -201,7 +200,7 @@ def rejection_threshold(
         raise ContractError(f"unknown curve kind {kind!r}")
     grid = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
     curve_fn = fdr_curve if kind == "fdr" else tail_fdr_curve
-    values = curve_fn(model, grid, grouping=grouping, s2=s2)
+    values = curve_fn(model, grid, grouping=grouping)
     above = values > q
     if above[-1]:
         raise NoRejectionRegionError(
@@ -213,7 +212,7 @@ def rejection_threshold(
     lo, hi = grid[last], grid[last + 1]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if curve_fn(model, np.array([mid]), grouping=grouping, s2=s2)[0] > q:
+        if curve_fn(model, np.array([mid]), grouping=grouping)[0] > q:
             lo = mid
         else:
             hi = mid
@@ -242,33 +241,6 @@ def tweedie_continuous(log_f, log_f0, z):
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         raise NumericError("non-finite derivative in Tweedie estimate")
     return mean, var
-
-
-def tweedie_from_model(model: MixtureModel, z, s2: float = 1.0):
-    """Closed-form Tweedie estimate under a fitted normal mixture.
-
-    With v_j = var_j + s2 and r_j = (z - mu_j)/v_j, the posterior
-    component weights w_j give d log f = -sum_j w_j r_j and
-    d^2 log f = sum_j w_j (r_j^2 - 1/v_j) - (sum_j w_j r_j)^2; for
-    f0 = phi(z; 0, s2) they are -z/s2 and -1/s2.  The case variance
-    makes the natural parameter delta/s2, so the log-ratio derivatives
-    are rescaled by s2 and s2^2 to land back on the effect scale.
-    """
-    if model.family is not Family.NORMAL:
-        raise UnsupportedError("the closed-form Tweedie estimate requires a normal model")
-    z = np.asarray(z, dtype=float)
-    s2 = float(s2)
-    mu = np.array([c.mean for c in model.components])
-    v = np.array([c.var for c in model.components]) + s2
-    w, _ = model.posterior_weights(Observations.normal(z.ravel(), s2))
-    r = (z.reshape(-1, 1) - mu) / v
-    d1 = -np.sum(w * r, axis=1)
-    d2 = np.sum(w * (r**2 - 1.0 / v), axis=1) - d1**2
-    mean = (d1 + z.ravel() / s2).reshape(z.shape)
-    var = (d2 + 1.0 / s2).reshape(z.shape)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
-        raise NumericError("non-finite derivative in Tweedie estimate")
-    return s2 * mean, s2 * s2 * var
 
 
 def tweedie_discrete(support, log_f, log_f0, z):

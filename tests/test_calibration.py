@@ -28,13 +28,11 @@ def scenario_obs(seed=0):
     return Observations.normal(fdr_scenario_sample(deltas, seed, 0))
 
 
-def small_plan(candidates, seed=0, n_bootstrap=2, n_perturbed=2):
+def small_plan(candidates, n_bootstrap=2, n_perturbed=2):
     return CalibrationPlan(
         candidates=np.asarray(candidates, dtype=float),
-        preliminary_penalty=200.0,
         n_perturbed=n_perturbed,
         n_bootstrap=n_bootstrap,
-        seed=seed,
     )
 
 
@@ -45,14 +43,24 @@ class TestDefaultPlan:
         np.testing.assert_allclose(plan.candidates[0], 100.0)
         np.testing.assert_allclose(plan.candidates[-1], 500.0)
         np.testing.assert_allclose(np.diff(plan.candidates), 400.0 / 19.0)
-        assert plan.preliminary_penalty == 200.0
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(DegenerateRangeError):
             default_plan(200)
 
-    def test_large_n_preliminary(self):
-        assert default_plan(10000).preliminary_penalty == 2000.0
+    def test_large_n_preliminary(self, monkeypatch):
+        """The preliminary fit takes the fit's default penalty N/5, whatever the base config sets."""
+        seen = []
+
+        def record_and_stop(data, config):
+            seen.append(config.penalty_vector(len(data))[0])
+            raise FitError("stop after the preliminary fit")
+
+        monkeypatch.setattr(calibration, "em_fit", record_and_stop)
+        obs = Observations.normal(np.linspace(-3.0, 3.0, 10000))
+        with pytest.raises(FitError):
+            calibrate_penalty(obs, FitConfig(n_components=3, penalty=7.0), default_plan(10000))
+        assert seen == [2000.0]
 
     def test_plan_shape(self):
         plan = default_plan(1000)
@@ -115,8 +123,8 @@ class TestCalibratePenalty:
 
     def test_deterministic(self):
         obs = scenario_obs()
-        base = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL, n_restarts=1, rel_tol=1e-6)
-        plan = small_plan([120.0, 400.0], seed=5)
+        base = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL, n_restarts=1, rel_tol=1e-6, seed=5)
+        plan = small_plan([120.0, 400.0])
         a = calibrate_penalty(obs, base, plan)
         b = calibrate_penalty(obs, base, plan)
         assert a.chosen_penalty == b.chosen_penalty
@@ -155,7 +163,6 @@ class TestCalibratePenalty:
         with pytest.raises(ContractError):
             CalibrationPlan(
                 candidates=np.array([]),
-                preliminary_penalty=100.0,
                 n_perturbed=1,
                 n_bootstrap=1,
             )

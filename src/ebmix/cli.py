@@ -171,6 +171,8 @@ def cmd_simulate(args) -> int:
     for name, value in _SIMULATE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
+    if args.seasons < 1:
+        raise UsageError(f"--seasons must be >= 1, got {args.seasons}")
     _ensure_out_dir(args.out_dir)
     n_comp = args.J if args.J is not None else (10 if args.what == "effect" else 3)
     if args.what == "effect":

@@ -18,10 +18,14 @@ STREAM_FDR_DELTA = 4
 STREAM_BOOT = 5
 STREAM_SEASON = 6
 
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_U64 = 0xFFFF_FFFF_FFFF_FFFF
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator seeded by (seed, *key); identical inputs, identical stream."""
-    entropy = [int(np.uint64(seed) & _U64)] + [int(np.uint64(k) & _U64) for k in key]
+    """Generator seeded by (seed, *key); identical inputs, identical stream.
+
+    Every value is taken mod 2^64, so any integer seed is valid and -1
+    draws what 2^64 - 1 draws.
+    """
+    entropy = [int(k) & _U64 for k in (seed, *key)]
     return np.random.default_rng(np.random.SeedSequence(entropy))

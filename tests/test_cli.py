@@ -130,6 +130,11 @@ class TestModelFile:
     def test_same_seed_same_bytes(self, tmp_path, case):
         assert _fit(tmp_path, case, seed=5, name="a.json") == _fit(tmp_path, case, seed=5, name="b.json")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_fits(self, tmp_path, seed):
+        # restarts past the first draw jitter from the seed, taken mod 2^64
+        assert parse_model(_fit(tmp_path, "normal-empirical", seed=seed)).seed == seed
+
     def test_point_mass_round_trip(self):
         """A beta component at kappa = 0 (which no alpha, beta can write) round-trips byte for byte."""
         text = MODEL_JSON["binomial-none"]
@@ -249,6 +254,19 @@ class TestErrors:
         code, err = self._run(capsys, ["simulate", "fdr", "--reps", reps, "--out-dir", str(tmp_path)])
         assert code == 1
         assert err == "ERROR contract: need reps >= 2 to estimate the spread across replications\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_simulate_effect_needs_one_rep(self, tmp_path, capsys):
+        code, err = self._run(capsys, ["simulate", "effect", "--reps", "0", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert err == "ERROR contract: need reps >= 1\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seasons", ["0", "-2"])
+    def test_simulate_baseball_needs_one_season(self, tmp_path, capsys, seasons):
+        code, err = self._run(capsys, ["simulate", "baseball", "--seasons", seasons, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert err == f"ERROR usage: --seasons must be >= 1, got {seasons}\n"
         assert not any(tmp_path.iterdir())
 
     def test_simulate_baseball_input_rejects_seasons(self, tmp_path, capsys):

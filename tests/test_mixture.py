@@ -353,6 +353,12 @@ class TestInitialize:
         config = FitConfig(n_components=3, penalty=50.0, seed=42)
         assert initialize(obs, config, 0) != initialize(obs, config, 1)
 
+    def test_seed_taken_mod_2_64(self):
+        np.testing.assert_array_equal(
+            derive_rng(-1, 1, 2).standard_normal(8), derive_rng(2**64 - 1, 1, 2).standard_normal(8)
+        )
+        np.testing.assert_array_equal(derive_rng(2**64, 3).random(8), derive_rng(0, 3).random(8))
+
     def test_theoretical_null_pinned_at_zero(self):
         obs = fdr_scenario_obs()
         config = FitConfig(n_components=3, penalty=50.0)

@@ -103,8 +103,8 @@ def _resolve_grouping(model: MixtureModel, grouping: NullGrouping | None):
 
 
 def tail_fdr_at(z, model: MixtureModel, grouping: NullGrouping, s2=1.0) -> np.ndarray:
-    """FDR(z) = P(null | |z_i| >= z) from the closed-form marginal cdfs."""
-    z = np.asarray(z, dtype=float)
+    """Two-sided FDR(z) = P(null | |Z| >= |z|) from the closed-form marginal cdfs."""
+    z = np.abs(np.asarray(z, dtype=float))
     num = np.zeros_like(z)
     den = np.zeros_like(z)
     for j, c in enumerate(model.components):

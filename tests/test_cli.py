@@ -61,7 +61,7 @@ MODEL_JSON = {
 ESTIMATE_CSV = {
     "normal-theoretical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,-3.5,0.00016301716509342878,0.0002779292809139395,0.9993749706724125,0.8757484701138891\n"
+        "a,-3.5,0.00016301716509342878,0.0002779292809139395,0.9993749706724125,0.008268559358743733\n"
         "b,0.0,0.0243395444003731,0.04365045057219365,0.9845875085192682,0.8548843091333946\n"
         "c,1.96,1.772183807205437,1.0115148943680285,0.20160709484383701,0.04208671443705147\n"
         "d,2.5,0.9639480883291345,1.7032051376705444,0.6196173121585505,0.4408814317784325\n"
@@ -375,7 +375,7 @@ BIC_STDOUT = (
 )
 FDR_STUDY_SHA256 = {
     "fdr_curves.csv": "d3c1ede1ef775918699fea304e308b037e506a7c1ee978ce4a131afc32aa291f",
-    "FDR_curves.csv": "2f622c6bdbc9420193b9426e1c0aaf438adb4c120cf8cae39c408e3ecafa2ed0",
+    "FDR_curves.csv": "66c568ca2ebd32232ea10e33d4beb8a015e689c7787da54de13687d23175afae",
     "thresholds.csv": "70d5d6664ab7eb324d9a6c5d578cf749862878a1705557406702e6403c63c67a",
 }
 EFFECT_STUDY_SHA256 = "d6d9712b2bce580b5d888a4eeb3e8a9a074ad231ac6a3441f0b791fcb1107d71"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import oracles
 from conftest import random_normal_model
@@ -153,6 +154,28 @@ class TestCurves:
         grid = np.linspace(-4, 6, 101)
         vals = tail_fdr_curve(two_component_model, grid)
         assert np.all((0 <= vals) & (vals <= 1))
+
+    def test_tail_fdr_matches_two_sided_closed_form(self):
+        """FDR(z) = sum_null pi_j P_j(|Z| >= |z|) / sum_j pi_j P_j(|Z| >= |z|), at z and -z."""
+        rng = np.random.default_rng(31)
+        a = np.linspace(0.0, 6.0, 61)
+        for _ in range(10):
+            model = random_normal_model(rng)
+            tails = np.array([
+                norm.sf(a, c.mean, np.sqrt(c.var + 1.0)) + norm.cdf(-a, c.mean, np.sqrt(c.var + 1.0))
+                for c in model.components
+            ])
+            want = model.pi[0] * tails[0] / (model.pi @ tails)
+            np.testing.assert_allclose(tail_fdr_curve(model, a), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tail_fdr_curve(model, -a), want, rtol=0, atol=1e-12)
+
+    def test_tail_fdr_symmetric_in_z(self):
+        rng = np.random.default_rng(32)
+        z = rng.normal(scale=3.0, size=50)
+        model = random_normal_model(rng, n_components=4)
+        np.testing.assert_array_equal(tail_fdr_curve(model, -z), tail_fdr_curve(model, z))
+        s = posterior_summary(Observations.normal(np.concatenate([z, -z])), model)
+        np.testing.assert_array_equal(s.tail_fdr[:50], s.tail_fdr[50:])
 
 
 class TestRejectionThreshold:

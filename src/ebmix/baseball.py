@@ -32,7 +32,8 @@ from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
 
 MIN_AT_BATS = 11
-SEASON_ALPHA, SEASON_BETA = 302.0, 884.0
+SEASON_ALPHA = 302.0
+SEASON_BETA = 884.0
 SEASON_MEAN_AT_BATS = 140.0
 
 

@@ -2,11 +2,12 @@
 
 A preliminary model is fitted with the fit's default penalty, N/5, its
 null component is perturbed slightly a handful of ways, bootstrap
-datasets are drawn from each perturbed model with the fit's seed, and
-every candidate penalty is refitted to every dataset.  A perturbation jitters the null mean and rescales the
-null's prior sd, so a point-mass null is shifted but never widened.
-The candidate whose fits land closest to the generating model (in mean
-squared fdr-curve distance) wins; ties break toward the larger penalty.
+datasets are drawn from each perturbed model from the fit's seed, and
+every candidate penalty is refitted to every dataset.  A perturbation
+jitters the null mean and rescales the null's prior sd, so a point-mass
+null is shifted but never widened.  The candidate whose fits land
+closest to the generating model (in mean squared fdr-curve distance)
+wins; ties break toward the larger penalty.
 """
 
 from __future__ import annotations

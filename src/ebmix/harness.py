@@ -375,7 +375,8 @@ def run_effect_study(
 
 FDR_N_CASES = 1000
 FDR_N_NONZERO = 50
-FDR_DELTA_LOW, FDR_DELTA_HIGH = 2.0, 4.0
+FDR_DELTA_LOW = 2.0
+FDR_DELTA_HIGH = 4.0
 FDR_Z_GRID = np.round(np.arange(-4.0, 6.0 + 1e-9, 0.1), 10)
 FDR_QS = (0.01, 0.02, 0.05, 0.1, 0.2)
 
@@ -464,39 +465,38 @@ def run_fdr_study(
     """
     if reps < 2:
         raise ContractError("need reps >= 2 to estimate the spread across replications")
-    z_grid, qs = FDR_Z_GRID, FDR_QS
     deltas = fdr_scenario_deltas(seed)
     truth = fdr_truth_model(deltas)
     truth_grouping = NullGrouping(null_set=frozenset({0}))
-    true_fdr = fdr_curve(truth, z_grid, grouping=truth_grouping)
-    true_tail = tail_fdr_curve(truth, z_grid, grouping=truth_grouping)
+    true_fdr = fdr_curve(truth, FDR_Z_GRID, grouping=truth_grouping)
+    true_tail = tail_fdr_curve(truth, FDR_Z_GRID, grouping=truth_grouping)
     true_thresholds = {
         kind: np.array(
-            [rejection_threshold(truth, q, kind=kind, grouping=truth_grouping) for q in qs]
+            [rejection_threshold(truth, q, kind=kind, grouping=truth_grouping) for q in FDR_QS]
         )
         for kind in ("fdr", "FDR")
     }
 
     names = tuple(m.name for m in methods)
-    fdr_curves = {m.name: np.empty((reps, z_grid.size)) for m in methods}
-    tail_curves = {m.name: np.empty((reps, z_grid.size)) for m in methods}
-    thresholds = {(m.name, kind): np.empty((reps, len(qs))) for m in methods for kind in ("fdr", "FDR")}
+    fdr_curves = {m.name: np.empty((reps, FDR_Z_GRID.size)) for m in methods}
+    tail_curves = {m.name: np.empty((reps, FDR_Z_GRID.size)) for m in methods}
+    thresholds = {(m.name, kind): np.empty((reps, len(FDR_QS))) for m in methods for kind in ("fdr", "FDR")}
     for rep in range(reps):
         z = fdr_scenario_sample(deltas, seed, rep)
         for m in methods:
             try:
                 model, grouping = m.fit(z)
-                fdr_curves[m.name][rep] = fdr_curve(model, z_grid, grouping=grouping)
-                tail_curves[m.name][rep] = tail_fdr_curve(model, z_grid, grouping=grouping)
+                fdr_curves[m.name][rep] = fdr_curve(model, FDR_Z_GRID, grouping=grouping)
+                tail_curves[m.name][rep] = tail_fdr_curve(model, FDR_Z_GRID, grouping=grouping)
                 for kind in ("fdr", "FDR"):
                     thresholds[(m.name, kind)][rep] = [
-                        rejection_threshold(model, q, kind=kind, grouping=grouping) for q in qs
+                        rejection_threshold(model, q, kind=kind, grouping=grouping) for q in FDR_QS
                     ]
             except EbmixError as exc:
                 raise FitError(f"fdr scenario, rep {rep}, method {m.name}: {exc}") from exc
     return FdrStudyResult(
-        z_grid=z_grid,
-        qs=qs,
+        z_grid=FDR_Z_GRID,
+        qs=FDR_QS,
         method_names=names,
         null_modes={m.name: m.null_mode.value for m in methods},
         fdr_curves=fdr_curves,

@@ -37,8 +37,6 @@ from .inference import (
     posterior_summary,
     rejection_threshold,
     tail_fdr_curve,
-    tweedie_continuous,
-    tweedie_discrete,
 )
 from .mixture import (
     FitConfig,

@@ -23,7 +23,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, roots_legendre
 
 from .errors import ContractError, DataError
 from .families import Family, Observations, beta_shapes, component_posterior
@@ -127,6 +126,8 @@ def _gl_rule(n_points: int):
     The nodes are mapped through u = t^2 (3 - 2t), which flattens the
     power-law behaviour of a quantile function at u = 0 and u = 1.
     """
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n_points)
     t = 0.5 * (x + 1.0)
     return t * t * (3.0 - 2.0 * t), 3.0 * w * t * (1.0 - t)
@@ -143,6 +144,8 @@ def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 2
     Gauss-Legendre nodes in u per player and component.  The component
     means are combined with the posterior weights.
     """
+    from scipy.special import betaincinv
+
     if model.family is not Family.BINOMIAL:
         raise ContractError("arcsin posterior means require a binomial model")
     obs = Observations.binomial(counts, trials)

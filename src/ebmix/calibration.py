@@ -93,7 +93,7 @@ class CalibrationResult:
 
     def rows(self):
         """Yield (candidate_P, perturbed_model_index, bootstrap_index, score)."""
-        for k, p in enumerate(self.candidates):
+        for k, p in enumerate(self.candidates.tolist()):
             for l in range(self.n_perturbed):
                 for b in range(self.n_bootstrap):
                     yield p, l, b, float(self.scores[k, l * self.n_bootstrap + b])

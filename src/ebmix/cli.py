@@ -27,6 +27,7 @@ from .model_io import ModelDocument, read_model, serialize_model, write_model
 
 
 def _fmt(value) -> str:
+    """One cell as `_write_csv` writes it, for a numpy or Python scalar or None."""
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -37,13 +38,17 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows):
-    """Write a CSV file, or to stdout when ``path`` is None."""
+    """Write a CSV file, or to stdout when ``path`` is None.
+
+    Cells must be Python scalars or None (use ``.tolist()`` on arrays):
+    the csv module writes None as an empty cell and a float by its repr,
+    and a numpy float's repr is ``np.float64(...)``.
+    """
     out = open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +131,7 @@ def cmd_estimate(args) -> int:
     doc = read_model(args.model)
     model = doc.model
     ids, obs = read_cases(args.input, model.family)
-    header = ["id", "z", "effect_mean", "effect_var", "fdr", "FDR"]
-    rows = []
+    cols = []
     if obs is not None:
         grouping = None
         if (
@@ -137,19 +141,15 @@ def cmd_estimate(args) -> int:
         ):
             grouping = nearly_null_grouping(model, args.mean_tol, args.var_tol)
         summary = posterior_summary(obs, model, grouping=grouping)
-        stat = obs.statistic
-        for i, case_id in enumerate(ids):
-            rows.append(
-                [
-                    case_id,
-                    stat[i],
-                    summary.effect_mean[i],
-                    summary.effect_var[i],
-                    None if summary.fdr is None else summary.fdr[i],
-                    None if summary.tail_fdr is None else summary.tail_fdr[i],
-                ]
-            )
-    _write_csv(args.output, header, rows)
+        absent = [None] * len(ids)
+        cols = [
+            obs.statistic.tolist(),
+            summary.effect_mean.tolist(),
+            summary.effect_var.tolist(),
+            absent if summary.fdr is None else summary.fdr.tolist(),
+            absent if summary.tail_fdr is None else summary.tail_fdr.tolist(),
+        ]
+    _write_csv(args.output, ["id", "z", "effect_mean", "effect_var", "fdr", "FDR"], zip(ids, *cols))
     return 0
 
 
@@ -173,10 +173,23 @@ def cmd_simulate(args) -> int:
             setattr(args, name, value)
     if args.seasons < 1:
         raise UsageError(f"--seasons must be >= 1, got {args.seasons}")
-    _ensure_out_dir(args.out_dir)
     n_comp = args.J if args.J is not None else (10 if args.what == "effect" else 3)
+    # the studies' fit settings are checked as they are built, before the output directory exists
     if args.what == "effect":
         methods = harness.default_effect_methods(n_comp, args.penalty)
+    elif args.what == "fdr":
+        modes = ("theoretical", "empirical") if args.null == "both" else (args.null,)
+        methods = tuple(
+            harness.FdrMethod(
+                name=f"mixture_{mode}",
+                null_mode=NullMode(mode),
+                n_components=n_comp,
+                penalty=args.penalty,
+            )
+            for mode in modes
+        )
+    _ensure_out_dir(args.out_dir)
+    if args.what == "effect":
         result = harness.run_effect_study(methods, reps=args.reps, seed=args.seed)
         _write_csv(
             os.path.join(args.out_dir, "effect_study.csv"),
@@ -193,26 +206,15 @@ def cmd_simulate(args) -> int:
             print(f"{name}: mean={mean_rel:.4f} median={med_rel:.4f}")
         return 0
     if args.what == "fdr":
-        modes = ("theoretical", "empirical") if args.null == "both" else (args.null,)
-        methods = tuple(
-            harness.FdrMethod(
-                name=f"mixture_{mode}",
-                null_mode=NullMode(mode),
-                n_components=n_comp,
-                penalty=args.penalty,
-            )
-            for mode in modes
-        )
         result = harness.run_fdr_study(methods, reps=args.reps, seed=args.seed)
+        z_grid = result.z_grid.tolist()
         for kind, fname in (("fdr", "fdr_curves.csv"), ("FDR", "FDR_curves.csv")):
-            rows = []
             true_curve = result.true_fdr if kind == "fdr" else result.true_tail
-            for i, z in enumerate(result.z_grid):
-                rows.append((z, "truth", "", true_curve[i], 0.0))
+            rows = [(z, "truth", "", v, 0.0) for z, v in zip(z_grid, true_curve.tolist())]
             for name in result.method_names:
                 mean, sd = result.curve_stats(name, kind)
-                for i, z in enumerate(result.z_grid):
-                    rows.append((z, name, result.null_modes[name], mean[i], sd[i]))
+                mode = result.null_modes[name]
+                rows += [(z, name, mode, m, s) for z, m, s in zip(z_grid, mean.tolist(), sd.tolist())]
             _write_csv(
                 os.path.join(args.out_dir, fname),
                 ["z", "method", "null_mode", "mean", "sd"],
@@ -220,12 +222,12 @@ def cmd_simulate(args) -> int:
             )
         rows = []
         for kind in ("fdr", "FDR"):
-            for i, q in enumerate(result.qs):
-                rows.append((q, kind, "truth", "", result.true_thresholds[kind][i], 0.0))
+            truth = result.true_thresholds[kind].tolist()
+            rows += [(q, kind, "truth", "", t, 0.0) for q, t in zip(result.qs, truth)]
             for name in result.method_names:
                 mean, sd = result.threshold_stats(name, kind)
-                for i, q in enumerate(result.qs):
-                    rows.append((q, kind, name, result.null_modes[name], mean[i], sd[i]))
+                mode = result.null_modes[name]
+                rows += [(q, kind, name, mode, m, s) for q, m, s in zip(result.qs, mean.tolist(), sd.tolist())]
         _write_csv(
             os.path.join(args.out_dir, "thresholds.csv"),
             ["q", "kind", "method", "null_mode", "mean", "sd"],
@@ -373,7 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--timestamp", default=None, help="optional provenance stamp")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_est = sub.add_parser("estimate", help="per-case posterior summaries from a model")
+    p_est = sub.add_parser(
+        "estimate",
+        help="per-case posterior summaries from a model",
+        description=(
+            "Write id,z,effect_mean,effect_var,fdr,FDR per case: the posterior mean and variance "
+            "of the effect, the local fdr, and the two-sided tail-area FDR = P(null | |Z| >= |z|), "
+            "the same for z and -z. The rejection thresholds of simulate fdr scan right tails "
+            "(z >= 0) only. fdr and FDR are empty when the model has no null; FDR also for binomial models."
+        ),
+    )
     p_est.add_argument("--model", required=True)
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--nearly-null", choices=["on", "off"], default="on", dest="nearly_null")

@@ -63,7 +63,6 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, xlogy
 
 from .errors import ContractError, NumericError, UnsupportedError
 
@@ -336,6 +335,8 @@ class BinomialObservations(Observations):
         H log h + (N-H) log(1-h) + log C(N, H).  `log_marginal_matrix`
         leaves it out.
         """
+        from scipy.special import xlogy
+
         h, n = self.counts, self.trials
         f = n - h
         cut = min(int(n.max(initial=0)), RISING_TABLE)
@@ -753,9 +754,13 @@ def _standardized(z, comp: Component, s2) -> np.ndarray:
 
 def component_marginal_cdf(z, comp: Component, s2=1.0) -> np.ndarray:
     """Marginal cdf F^(j)(z) = Phi((z - mean)/sqrt(var + s2)); normal only."""
+    from scipy.special import ndtr
+
     return ndtr(_standardized(z, comp, s2))
 
 
 def component_marginal_sf(z, comp: Component, s2=1.0) -> np.ndarray:
     """Upper tail 1 - F^(j)(z), computed directly for tail accuracy."""
+    from scipy.special import ndtr
+
     return ndtr(-_standardized(z, comp, s2))

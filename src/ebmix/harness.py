@@ -26,7 +26,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ContractError, EbmixError, FitError
 from .families import NormalComponent, Observations
@@ -132,6 +131,8 @@ def bh_threshold(z, q: float) -> float:
 
     Returns the smallest rejected |z|, or +inf when nothing is rejected.
     """
+    from scipy.special import ndtr
+
     z = np.asarray(z, dtype=float)
     n = z.size
     p = 2.0 * ndtr(-np.abs(z))
@@ -213,6 +214,8 @@ class SparseUniformPrior:
     intervals: tuple  # of (lo, hi, weight)
 
     def posterior_mean(self, z) -> np.ndarray:
+        from scipy.special import ndtr
+
         z = np.asarray(z, dtype=float)
         den = self.null_weight * _phi(z)
         num = np.zeros_like(z)
@@ -411,23 +414,28 @@ class FdrMethod:
     """A mixture-model fdr estimator configuration for the study.
 
     Each fit runs one EM restart, and nearly null components join the
-    null set under `nearly_null_grouping`'s default tolerances.
+    null set under `nearly_null_grouping`'s default tolerances.  The fit
+    settings are checked on construction.
     """
 
     name: str
     null_mode: NullMode
     n_components: int = 3
     penalty: float = 50.0
+    config: FitConfig = field(init=False, repr=False, compare=False)
 
-    def fit(self, z):
-        obs = Observations.normal(z)
+    def __post_init__(self):
         config = FitConfig(
             n_components=self.n_components,
             penalty=self.penalty,
             null_mode=self.null_mode,
             n_restarts=1,
         )
-        model = em_fit(obs, config)
+        object.__setattr__(self, "config", config)
+
+    def fit(self, z):
+        obs = Observations.normal(z)
+        model = em_fit(obs, self.config)
         return model, nearly_null_grouping(model)
 
 

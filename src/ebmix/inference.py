@@ -4,15 +4,19 @@ Given the fitted model, the posterior of the effect given a case is a
 mixture over component posteriors with weights p_j(z) = pi_j f^(j)(z)/f(z).
 From that mixture we read off the effect-size estimates E(delta | z) and
 Var(delta | z), the local false discovery rate fdr(z) (the posterior
-weight of the null set), the two-sided tail-area FDR(z), and rejection
-thresholds t(q).
+weight of the null set), the tail-area FDR(z), and rejection thresholds
+t(q).
+
+The tail-area FDR is two-sided: FDR(z) = P(null | |Z| >= |z|), so z and
+-z get the same value.  `rejection_threshold` scans its curve over
+z >= 0 only, so it returns a right-tail threshold t.  For a negative z
+the sign-matched one-sided tail, P(null | Z <= z), is another valid
+Bayes-FDR region; this module does not compute it.
 
 The posterior mean and variance are also the first and second
 derivatives of log(f(z)/f0(z)) in z, where f0 is the zero-effect
 sampling density (Tweedie's formula).  ``posterior_summary`` is the
-closed form of those moments under the fitted mixture;
-``tweedie_continuous`` / ``tweedie_discrete`` take the derivatives
-numerically, which works for any density estimate, not just the mixture.
+closed form of those moments under the fitted mixture.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import ContractError, NoRejectionRegionError, NumericError, UnsupportedError
+from .errors import ContractError, NoRejectionRegionError, UnsupportedError
 from .families import (
     Family,
     Observations,
@@ -217,54 +220,3 @@ def rejection_threshold(
         else:
             hi = mid
     return float(hi)
-
-
-# ---------------------------------------------------------------------------
-# posterior moments via derivatives of log(f/f0)
-# ---------------------------------------------------------------------------
-
-
-def tweedie_continuous(log_f, log_f0, z):
-    """Posterior mean and variance as derivatives of log f - log f0.
-
-    The derivatives are central differences, so any pair of callables
-    that take and return arrays will do.
-    """
-    z = np.asarray(z, dtype=float)
-
-    def ratio(x):
-        return log_f(x) - log_f0(x)
-
-    h1, h2 = 1e-5, 1e-4
-    mean = (ratio(z + h1) - ratio(z - h1)) / (2.0 * h1)
-    var = (ratio(z + h2) - 2.0 * ratio(z) + ratio(z - h2)) / (h2 * h2)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
-        raise NumericError("non-finite derivative in Tweedie estimate")
-    return mean, var
-
-
-def tweedie_discrete(support, log_f, log_f0, z):
-    """Tweedie estimate for integer-valued data via cgf interpolation.
-
-    A natural cubic spline is fitted to log f - log f0 on the integer
-    support; its first two derivatives at z estimate the posterior mean
-    and variance of the natural parameter.
-    """
-    support = np.asarray(support, dtype=float)
-    log_f = np.asarray(log_f, dtype=float)
-    log_f0 = np.asarray(log_f0, dtype=float)
-    if support.ndim != 1 or support.size < 4:
-        raise ContractError("support must be a contiguous integer range of >= 4 points")
-    if np.any(np.diff(support) != 1.0):
-        raise ContractError("support must be contiguous integers")
-    if log_f.shape != support.shape or log_f0.shape != support.shape:
-        raise ContractError("log-density tables must match the support")
-    z = float(z)
-    if not support[0] <= z <= support[-1]:
-        raise ContractError("z must lie inside the tabulated support")
-    spline = CubicSpline(support, log_f - log_f0, bc_type="natural")
-    mean = float(spline(z, 1))
-    var = float(spline(z, 2))
-    if not (np.isfinite(mean) and np.isfinite(var)):
-        raise NumericError("non-finite derivative in discrete Tweedie estimate")
-    return mean, var

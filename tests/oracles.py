@@ -227,6 +227,25 @@ def dense_threshold_scan(curve_fn, q, lo=0.0, hi=10.0, step=1e-4):
     return float(grid[int(np.flatnonzero(above)[-1]) + 1])
 
 
+def tweedie_continuous(log_f, log_f0, z):
+    """Posterior mean and variance as central differences of log f - log f0.
+
+    Tweedie's formula: for z ~ N(delta, 1) the posterior mean and variance
+    of delta are the first and second derivatives of log(f/f0) at z.  Any
+    pair of callables that take and return arrays will do.
+    """
+    z = np.asarray(z, dtype=float)
+
+    def ratio(x):
+        return log_f(x) - log_f0(x)
+
+    h1, h2 = 1e-5, 1e-4
+    mean = (ratio(z + h1) - ratio(z - h1)) / (2.0 * h1)
+    var = (ratio(z + h2) - 2.0 * ratio(z) + ratio(z - h2)) / (h2 * h2)
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var)), "non-finite derivative"
+    return mean, var
+
+
 def poisson_gamma_log_marginal(z_max, shape, rate):
     """log f(z) for z ~ Poisson(lam), lam ~ Gamma(shape, rate), z = 0..z_max."""
     z = np.arange(z_max + 1)

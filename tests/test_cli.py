@@ -262,6 +262,14 @@ class TestErrors:
         assert err == "ERROR contract: need reps >= 1\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [["effect", "--J", "1"], ["fdr", "--J", "1", "--reps", "2"]])
+    def test_simulate_null_needs_two_components_before_any_output(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "out"
+        code, err = self._run(capsys, ["simulate", *argv, "--out-dir", str(out_dir)])
+        assert code == 1
+        assert err == "ERROR contract: a designated null requires J >= 2\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("seasons", ["0", "-2"])
     def test_simulate_baseball_needs_one_season(self, tmp_path, capsys, seasons):
         code, err = self._run(capsys, ["simulate", "baseball", "--seasons", seasons, "--out-dir", str(tmp_path)])

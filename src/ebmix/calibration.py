@@ -40,8 +40,8 @@ class CalibrationPlan:
         object.__setattr__(self, "candidates", cand)
         if cand.size < 1:
             raise ContractError("at least one candidate penalty is required")
-        if np.any(cand < 0):
-            raise ContractError("penalties must be nonnegative")
+        if not np.all((cand >= 0) & np.isfinite(cand)):
+            raise ContractError("penalties must be finite and >= 0")
         if self.n_perturbed < 1 or self.n_bootstrap < 1:
             raise ContractError("need at least one perturbed model and one bootstrap draw")
         if self.n_perturbed > len(NULL_SD_SCALES):

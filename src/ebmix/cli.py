@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: fit, estimate, simulate (effect | fdr | baseball),
-calibrate, bic.  All randomness flows from --seed; repeated runs with
+calibrate, bic.  Each simulate study has its own flags, given after its
+name (``ebmix simulate fdr --help``), and writes into --out-dir only
+once it has run.  All randomness flows from --seed; repeated runs with
 identical inputs produce byte-identical outputs.  Errors print a single
 ``ERROR <category>: message`` line on stderr and exit nonzero.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import baseball as bb
 from . import calibration, harness
-from .errors import DataError, EbmixError, UsageError
+from .errors import ContractError, DataError, EbmixError, UsageError
 from .families import OBSERVATIONS, Family
 from .inference import DEFAULT_MEAN_TOL, DEFAULT_VAR_TOL, nearly_null_grouping, posterior_summary
 from .mixture import FitConfig, NullMode, bic, em_fit
@@ -78,13 +80,19 @@ def read_cases(path, family: Family):
             ids.append(row[0].strip())
     if not ids:
         return [], None
-    return ids, obs_type(*(np.array(col) for col in zip(*rows)))
+    try:
+        return ids, obs_type(*(np.array(col) for col in zip(*rows)))
+    except ContractError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
-def _ensure_out_dir(path):
-    os.makedirs(path, exist_ok=True)
-    if not os.access(path, os.W_OK):
-        raise OSError(f"output directory {path} is not writable")
+def _check_out_dir(path):
+    """Fail before a study runs unless ``path``, or its nearest existing ancestor, is a writable directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
+        raise OSError(f"output directory {path} is not a writable directory")
 
 
 # ---------------------------------------------------------------------------
@@ -153,106 +161,91 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-# flags each study does not use; giving one explicitly is a usage error
-_SIMULATE_UNUSED = {
-    "effect": ("null", "input", "seasons"),
-    "fdr": ("input", "seasons"),
-    "baseball": ("penalty", "reps", "null"),
-}
-_SIMULATE_DEFAULTS = {"reps": 25, "penalty": 50.0, "null": "both", "seasons": 20}
+def cmd_simulate_effect(args) -> int:
+    _check_out_dir(args.out_dir)
+    methods = harness.default_effect_methods(args.J, args.penalty)
+    result = harness.run_effect_study(methods, reps=args.reps, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
+    _write_csv(
+        os.path.join(args.out_dir, "effect_study.csv"),
+        ["K", "mu", "sided", "method", "rel_error"],
+        [(c.n_nonzero, c.mu, c.sided, c.method, c.rel_error) for c in result.cells],
+    )
+    summary = sorted(result.summary().items())
+    _write_csv(
+        os.path.join(args.out_dir, "effect_summary.csv"),
+        ["method", "mean_rel_error", "median_rel_error"],
+        [(name, m, med) for name, (m, med) in summary],
+    )
+    for name, (mean_rel, med_rel) in summary:
+        print(f"{name}: mean={mean_rel:.4f} median={med_rel:.4f}")
+    return 0
 
 
-def cmd_simulate(args) -> int:
-    for name in _SIMULATE_UNUSED[args.what]:
-        if getattr(args, name) is not None:
-            raise UsageError(f"--{name} does not apply to simulate {args.what}")
-    if args.input and args.seasons is not None:
-        raise UsageError("--seasons does not apply to simulate baseball --input")
-    for name, value in _SIMULATE_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
-    if args.seasons < 1:
-        raise UsageError(f"--seasons must be >= 1, got {args.seasons}")
-    n_comp = args.J if args.J is not None else (10 if args.what == "effect" else 3)
-    # the studies' fit settings are checked as they are built, before the output directory exists
-    if args.what == "effect":
-        methods = harness.default_effect_methods(n_comp, args.penalty)
-    elif args.what == "fdr":
-        modes = ("theoretical", "empirical") if args.null == "both" else (args.null,)
-        methods = tuple(
-            harness.FdrMethod(
-                name=f"mixture_{mode}",
-                null_mode=NullMode(mode),
-                n_components=n_comp,
-                penalty=args.penalty,
-            )
-            for mode in modes
+def cmd_simulate_fdr(args) -> int:
+    _check_out_dir(args.out_dir)
+    modes = ("theoretical", "empirical") if args.null == "both" else (args.null,)
+    methods = tuple(
+        harness.FdrMethod(
+            name=f"mixture_{mode}",
+            null_mode=NullMode(mode),
+            n_components=args.J,
+            penalty=args.penalty,
         )
-    _ensure_out_dir(args.out_dir)
-    if args.what == "effect":
-        result = harness.run_effect_study(methods, reps=args.reps, seed=args.seed)
+        for mode in modes
+    )
+    result = harness.run_fdr_study(methods, reps=args.reps, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
+    z_grid = result.z_grid.tolist()
+    for kind, fname in (("fdr", "fdr_curves.csv"), ("FDR", "FDR_curves.csv")):
+        true_curve = result.true_fdr if kind == "fdr" else result.true_tail
+        rows = [(z, "truth", "", v, 0.0) for z, v in zip(z_grid, true_curve.tolist())]
+        for name in result.method_names:
+            mean, sd = result.curve_stats(name, kind)
+            mode = result.null_modes[name]
+            rows += [(z, name, mode, m, s) for z, m, s in zip(z_grid, mean.tolist(), sd.tolist())]
         _write_csv(
-            os.path.join(args.out_dir, "effect_study.csv"),
-            ["K", "mu", "sided", "method", "rel_error"],
-            [(c.n_nonzero, c.mu, c.sided, c.method, c.rel_error) for c in result.cells],
-        )
-        summary = result.summary()
-        _write_csv(
-            os.path.join(args.out_dir, "effect_summary.csv"),
-            ["method", "mean_rel_error", "median_rel_error"],
-            [(name, m, med) for name, (m, med) in sorted(summary.items())],
-        )
-        for name, (mean_rel, med_rel) in sorted(summary.items()):
-            print(f"{name}: mean={mean_rel:.4f} median={med_rel:.4f}")
-        return 0
-    if args.what == "fdr":
-        result = harness.run_fdr_study(methods, reps=args.reps, seed=args.seed)
-        z_grid = result.z_grid.tolist()
-        for kind, fname in (("fdr", "fdr_curves.csv"), ("FDR", "FDR_curves.csv")):
-            true_curve = result.true_fdr if kind == "fdr" else result.true_tail
-            rows = [(z, "truth", "", v, 0.0) for z, v in zip(z_grid, true_curve.tolist())]
-            for name in result.method_names:
-                mean, sd = result.curve_stats(name, kind)
-                mode = result.null_modes[name]
-                rows += [(z, name, mode, m, s) for z, m, s in zip(z_grid, mean.tolist(), sd.tolist())]
-            _write_csv(
-                os.path.join(args.out_dir, fname),
-                ["z", "method", "null_mode", "mean", "sd"],
-                rows,
-            )
-        rows = []
-        for kind in ("fdr", "FDR"):
-            truth = result.true_thresholds[kind].tolist()
-            rows += [(q, kind, "truth", "", t, 0.0) for q, t in zip(result.qs, truth)]
-            for name in result.method_names:
-                mean, sd = result.threshold_stats(name, kind)
-                mode = result.null_modes[name]
-                rows += [(q, kind, name, mode, m, s) for q, m, s in zip(result.qs, mean.tolist(), sd.tolist())]
-        _write_csv(
-            os.path.join(args.out_dir, "thresholds.csv"),
-            ["q", "kind", "method", "null_mode", "mean", "sd"],
+            os.path.join(args.out_dir, fname),
+            ["z", "method", "null_mode", "mean", "sd"],
             rows,
         )
-        print(f"fdr study written to {args.out_dir}")
-        return 0
-    # baseball
+    rows = []
+    for kind in ("fdr", "FDR"):
+        truth = result.true_thresholds[kind].tolist()
+        rows += [(q, kind, "truth", "", t, 0.0) for q, t in zip(result.qs, truth)]
+        for name in result.method_names:
+            mean, sd = result.threshold_stats(name, kind)
+            mode = result.null_modes[name]
+            rows += [(q, kind, name, mode, m, s) for q, m, s in zip(result.qs, mean.tolist(), sd.tolist())]
+    _write_csv(
+        os.path.join(args.out_dir, "thresholds.csv"),
+        ["q", "kind", "method", "null_mode", "mean", "sd"],
+        rows,
+    )
+    print(f"fdr study written to {args.out_dir}")
+    return 0
+
+
+# seasons run when --seasons is not given; the flag defaults to None so that --input can reject any --seasons
+_SYNTHETIC_SEASONS = 20
+
+
+def cmd_simulate_baseball(args) -> int:
+    if args.input and args.seasons is not None:
+        raise UsageError("--seasons does not apply to simulate baseball --input")
+    n_seasons = _SYNTHETIC_SEASONS if args.seasons is None else args.seasons
+    if n_seasons < 1:
+        raise UsageError(f"--seasons must be >= 1, got {n_seasons}")
+    _check_out_dir(args.out_dir)
     if args.input:
         records = bb.load_baseball_csv(args.input)
-        result = bb.run_baseball(records, n_components=n_comp, seed=args.seed)
-        rows = []
-        for group, res in result.groups.items():
-            for method in bb.BASEBALL_METHODS:
-                rows.append(
-                    (
-                        group,
-                        method,
-                        res.n_train,
-                        res.n_test,
-                        res.n_excluded_missing,
-                        res.tse[method],
-                        res.normalized_tse[method],
-                    )
-                )
+        result = bb.run_baseball(records, n_components=args.J, seed=args.seed)
+        os.makedirs(args.out_dir, exist_ok=True)
+        rows = [
+            (group, m, res.n_train, res.n_test, res.n_excluded_missing, res.tse[m], res.normalized_tse[m])
+            for group, res in result.groups.items()
+            for m in bb.BASEBALL_METHODS
+        ]
         _write_csv(
             os.path.join(args.out_dir, "baseball_tse.csv"),
             ["group", "method", "n_train", "n_test", "n_excluded", "tse", "normalized_tse"],
@@ -266,21 +259,19 @@ def cmd_simulate(args) -> int:
         return 0
     rows = []
     wins = 0
-    for season in range(args.seasons):
+    for season in range(n_seasons):
         records, _ = bb.synthetic_season(seed=args.seed, season_index=season)
-        result = bb.run_baseball(records, n_components=n_comp, groups=("overall",), seed=args.seed)
+        result = bb.run_baseball(records, n_components=args.J, groups=("overall",), seed=args.seed)
         res = result.groups["overall"]
         wins += res.normalized_tse["mixture"] < 1.0
-        for method in bb.BASEBALL_METHODS:
-            rows.append(
-                (season, method, res.tse[method], res.normalized_tse[method], res.prior_mean)
-            )
+        rows += [(season, m, res.tse[m], res.normalized_tse[m], res.prior_mean) for m in bb.BASEBALL_METHODS]
+    os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(args.out_dir, "baseball_synthetic.csv"),
         ["season", "method", "tse", "normalized_tse", "fitted_prior_mean"],
         rows,
     )
-    print(f"synthetic seasons: mixture beat naive in {wins}/{args.seasons}")
+    print(f"synthetic seasons: mixture beat naive in {wins}/{n_seasons}")
     return 0
 
 
@@ -393,17 +384,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_est.set_defaults(func=cmd_estimate)
 
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out-dir", required=True, dest="out_dir", help="created once the study has run")
     p_sim = sub.add_parser("simulate", help="run a simulation study")
-    p_sim.add_argument("what", choices=["effect", "fdr", "baseball"])
-    p_sim.add_argument("--reps", type=int, default=None, help="effect and fdr: default 25")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out-dir", required=True, dest="out_dir")
-    p_sim.add_argument("--J", type=int, default=None)
-    p_sim.add_argument("--penalty", type=float, default=None, help="effect and fdr: default 50")
-    p_sim.add_argument("--null", choices=["theoretical", "empirical", "both"], default=None, help="fdr: default both")
-    p_sim.add_argument("--input", default=None, help="baseball: real season CSV")
-    p_sim.add_argument("--seasons", type=int, default=None, help="baseball: synthetic seasons, default 20")
-    p_sim.set_defaults(func=cmd_simulate)
+    studies = p_sim.add_subparsers(dest="study", required=True)
+
+    p_effect = studies.add_parser("effect", parents=[shared], help="effect-size squared-error study")
+    p_effect.add_argument("--reps", type=int, default=25)
+    p_effect.add_argument("--J", type=int, default=10)
+    p_effect.add_argument("--penalty", type=float, default=50.0)
+    p_effect.set_defaults(func=cmd_simulate_effect)
+
+    p_fdr = studies.add_parser("fdr", parents=[shared], help="fdr, FDR and threshold study")
+    p_fdr.add_argument("--reps", type=int, default=25)
+    p_fdr.add_argument("--J", type=int, default=harness.FdrMethod.n_components)
+    p_fdr.add_argument("--penalty", type=float, default=harness.FdrMethod.penalty)
+    p_fdr.add_argument("--null", choices=["theoretical", "empirical", "both"], default="both")
+    p_fdr.set_defaults(func=cmd_simulate_fdr)
+
+    p_bb = studies.add_parser("baseball", parents=[shared], help="batting-average prediction study")
+    p_bb.add_argument("--J", type=int, default=3)
+    p_bb.add_argument("--input", default=None, help="real season CSV")
+    p_bb.add_argument(
+        "--seasons", type=int, default=None, help=f"synthetic seasons, default {_SYNTHETIC_SEASONS}; not with --input"
+    )
+    p_bb.set_defaults(func=cmd_simulate_baseball)
 
     p_cal = sub.add_parser("calibrate", help="bootstrap-calibrate the penalty")
     p_cal.add_argument("--input", required=True)

@@ -162,26 +162,20 @@ def sure_threshold(z) -> float:
     return float(cands[int(np.argmin(risk))])
 
 
-def james_stein(z, center: bool = False, var=1.0):
+def james_stein(z, var=1.0):
     """Positive-part James-Stein with known sampling variances ``var``.
 
-    With ``center`` the estimate shrinks toward the precision-weighted
-    mean, by 1 - (n - 3) / sum((z - zbar)^2 / var), the heteroscedastic
-    form of Brown (2008, Ann. Appl. Stat.); otherwise toward 0, by
-    1 - (n - 2) / sum(z^2 / var).  ``var`` is a scalar or one value per case.
+    The estimate shrinks toward the precision-weighted mean, by
+    1 - (n - 3) / sum((z - zbar)^2 / var), the heteroscedastic form of
+    Brown (2008, Ann. Appl. Stat.).  ``var`` is a scalar or one value per case.
     """
     z = np.asarray(z, dtype=float)
     var = np.broadcast_to(np.asarray(var, dtype=float), z.shape)
-    n = z.size
-    if center:
-        zbar = np.sum(z / var) / np.sum(1.0 / var)
-        resid = z - zbar
-        ss = float(np.sum(resid**2 / var))
-        factor = max(0.0, 1.0 - (n - 3) / ss) if ss > 0 else 0.0
-        return zbar + factor * resid
-    ss = float(np.sum(z**2 / var))
-    factor = max(0.0, 1.0 - (n - 2) / ss) if ss > 0 else 0.0
-    return factor * z
+    zbar = np.sum(z / var) / np.sum(1.0 / var)
+    resid = z - zbar
+    ss = float(np.sum(resid**2 / var))
+    factor = max(0.0, 1.0 - (z.size - 3) / ss) if ss > 0 else 0.0
+    return zbar + factor * resid
 
 
 def baseline_estimate(name: str, z):
@@ -265,7 +259,7 @@ def make_baseline_method(name: str) -> EffectMethod:
     return EffectMethod(label, lambda z, spec: baseline_estimate(name, z))
 
 
-def make_mixture_method(n_components: int = 10, penalty: float = 50.0) -> EffectMethod:
+def make_mixture_method(n_components: int, penalty: float) -> EffectMethod:
     """Posterior means of a one-restart fit with a theoretical null."""
     config = FitConfig(
         n_components=n_components,
@@ -285,7 +279,7 @@ def make_bayes_oracle_method() -> EffectMethod:
     return EffectMethod("bayes_oracle", lambda z, spec: bayes_oracle_estimate(z, spec))
 
 
-def default_effect_methods(n_components: int = 10, penalty: float = 50.0):
+def default_effect_methods(n_components: int, penalty: float):
     return (
         make_mixture_method(n_components, penalty),
         make_baseline_method("naive"),
@@ -326,7 +320,7 @@ class EffectStudyResult:
 
 def run_effect_study(
     methods: Sequence[EffectMethod],
-    reps: int = 25,
+    reps: int,
     seed: int = 0,
 ) -> EffectStudyResult:
     """Squared-error study over the sparsity/strength grid.
@@ -463,7 +457,7 @@ class FdrStudyResult:
 
 def run_fdr_study(
     methods: Sequence[FdrMethod],
-    reps: int = 50,
+    reps: int,
     seed: int = 0,
 ) -> FdrStudyResult:
     """Bias/spread study of fdr, FDR and threshold estimates.

@@ -147,8 +147,8 @@ class FitConfig:
             raise ContractError("n_components must be >= 1")
         if self.null_mode is not NullMode.NONE and self.n_components < 2:
             raise ContractError("a designated null requires J >= 2")
-        if self.penalty is not None and self.penalty < 0:
-            raise ContractError("penalty must be >= 0")
+        if self.penalty is not None and not 0 <= self.penalty < np.inf:
+            raise ContractError("penalty must be finite and >= 0")
         if self.max_iters < 1 or self.rel_tol <= 0 or self.n_restarts < 1:
             raise ContractError("invalid convergence controls")
 

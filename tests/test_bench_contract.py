@@ -2,9 +2,11 @@
 
 bench/tracing.py wraps the (module, attribute) pairs in its TRACED table
 by name, and bench/workloads.py and bench/replay.py call module
-functions such as ``cli._fmt`` and ``baseball.synthetic_season(...)``.
-A rename or a deleted keyword would fail every benchmark run, so these
-tests read bench/ as source and resolve each name on ebmix.
+functions such as ``cli._fmt`` and ``baseball.synthetic_season(...)``;
+bench/workloads.py also runs ``ebmix fit|estimate|calibrate`` argv lists.
+A rename, a deleted keyword or a changed flag would fail every benchmark
+run, so these tests read bench/ as source and resolve each name on ebmix
+and parse each argv list with the CLI's parser.
 """
 
 import ast
@@ -13,6 +15,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from ebmix import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -73,3 +77,35 @@ def test_bench_call_resolves_with_its_keywords(call):
     _, module, attr, keywords = call
     fn = _resolve(module, attr)
     inspect.signature(fn).bind_partial(**dict.fromkeys(keywords))
+
+
+SUBCOMMANDS = ("fit", "estimate", "simulate", "calibrate", "bic")
+
+
+def _cli_argvs():
+    """(file, argv) for each list literal in bench/ that starts with a subcommand name.
+
+    An element that is not a string literal (a path held in a variable)
+    becomes the placeholder "0", which every option type accepts.
+    """
+    argvs = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if not (isinstance(node, ast.List) and node.elts):
+                continue
+            argv = [e.value if isinstance(e, ast.Constant) and isinstance(e.value, str) else "0" for e in node.elts]
+            if argv[0] in SUBCOMMANDS:
+                argvs.append((path.name, argv))
+    return argvs
+
+
+def test_bench_argvs_are_found():
+    assert {argv[0] for _, argv in _cli_argvs()} >= {"fit", "estimate", "calibrate"}
+
+
+@pytest.mark.parametrize("name, argv", _cli_argvs(), ids=lambda v: v if isinstance(v, str) else v[0])
+def test_bench_argv_parses(name, argv):
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"{name}: ebmix {' '.join(argv)} does not parse (exit {exc.code})")

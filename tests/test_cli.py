@@ -2,12 +2,23 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 import oracles
-from ebmix import DataError, Family, NullMode, Observations, harness, parse_model, posterior_summary, serialize_model
+from ebmix import (
+    DataError,
+    Family,
+    NullMode,
+    Observations,
+    baseball,
+    harness,
+    parse_model,
+    posterior_summary,
+    serialize_model,
+)
 from ebmix.cli import main, read_cases
 
 Z = [
@@ -244,9 +255,10 @@ class TestErrors:
         ],
     )
     def test_simulate_flag_that_does_not_apply_is_usage_error(self, tmp_path, capsys, what, flags):
-        code, err = self._run(capsys, ["simulate", what, "--out-dir", str(tmp_path)] + flags)
-        assert code == 2
-        assert err == f"ERROR usage: {flags[0]} does not apply to simulate {what}\n"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", what, "--out-dir", str(tmp_path)] + flags)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"ERROR usage: unrecognized arguments: {flags[0]} {flags[1]}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("reps", ["1", "0", "-1"])
@@ -262,13 +274,47 @@ class TestErrors:
         assert err == "ERROR contract: need reps >= 1\n"
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", [["effect", "--J", "1"], ["fdr", "--J", "1", "--reps", "2"]])
-    def test_simulate_null_needs_two_components_before_any_output(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["effect", "--J", "1"], "ERROR contract: a designated null requires J >= 2"),
+            (["fdr", "--J", "1", "--reps", "2"], "ERROR contract: a designated null requires J >= 2"),
+            (["fdr", "--reps", "1"], "ERROR contract: need reps >= 2 to estimate the spread across replications"),
+            (["effect", "--reps", "0"], "ERROR contract: need reps >= 1"),
+            (["baseball", "--J", "0", "--seasons", "1"], "ERROR contract: n_components must be >= 1"),
+            (
+                ["baseball", "--input", "{tmp}/absent.csv"],
+                "ERROR io: [Errno 2] No such file or directory: '{tmp}/absent.csv'",
+            ),
+        ],
+        ids=[f"argv{i}" for i in range(6)],
+    )
+    def test_simulate_null_needs_two_components_before_any_output(self, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         code, err = self._run(capsys, ["simulate", *argv, "--out-dir", str(out_dir)])
         assert code == 1
-        assert err == "ERROR contract: a designated null requires J >= 2\n"
+        assert err == message.format(tmp=tmp_path) + "\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "study, module, attr",
+        [("effect", harness, "run_effect_study"), ("fdr", harness, "run_fdr_study"), ("baseball", baseball, "run_baseball")],
+        ids=["effect", "fdr", "baseball"],
+    )
+    @pytest.mark.parametrize("below", ["", "/sub"], ids=["file", "below-file"])
+    def test_simulate_out_dir_that_is_a_file_fails_before_the_study(
+        self, tmp_path, capsys, monkeypatch, study, module, attr, below
+    ):
+        def study_ran(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(module, attr, study_ran)
+        out_dir = _write(tmp_path, "out", "kept\n") + below
+        code, err = self._run(capsys, ["simulate", study, "--out-dir", out_dir])
+        assert code == 1
+        assert err == f"ERROR io: output directory {out_dir} is not a writable directory\n"
+        assert (tmp_path / "out").read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("seasons", ["0", "-2"])
     def test_simulate_baseball_needs_one_season(self, tmp_path, capsys, seasons):
@@ -278,11 +324,43 @@ class TestErrors:
         assert not any(tmp_path.iterdir())
 
     def test_simulate_baseball_input_rejects_seasons(self, tmp_path, capsys):
-        argv = ["simulate", "baseball", "--input", "season.csv", "--seasons", "2", "--out-dir", str(tmp_path)]
-        code, err = self._run(capsys, argv)
-        assert code == 2
-        assert err == "ERROR usage: --seasons does not apply to simulate baseball --input\n"
-        assert not any(tmp_path.iterdir())
+        # 20 is also the number of synthetic seasons run when --seasons is not given
+        for seasons in ("2", "20"):
+            argv = ["simulate", "baseball", "--input", "season.csv", "--seasons", seasons, "--out-dir", str(tmp_path)]
+            code, err = self._run(capsys, argv)
+            assert code == 2
+            assert err == "ERROR usage: --seasons does not apply to simulate baseball --input\n"
+            assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "family, text, reason",
+        [
+            ("normal", "id,z\na,1.0\nb,nan\n", "normal statistics must be finite"),
+            ("normal", "id,z,s2\na,1.0,1\nb,2.0,0\n", "per-case variances s2 must be > 0"),
+            ("binomial", "id,H,N\na,1,5\nb,6,5\n", "counts must satisfy 0 <= H <= N"),
+        ],
+        ids=["z-nan", "s2-zero", "H-above-N"],
+    )
+    def test_bad_value_in_case_file_is_data_error(self, tmp_path, capsys, family, text, reason):
+        cases = _write(tmp_path, "cases.csv", text)
+        code, err = self._run(capsys, ["fit", "--input", cases, "--family", family, "--null", "none"])
+        assert code == 1
+        assert err == f"ERROR data: {cases}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--family", "normal", "--penalty", "nan"], "penalty must be finite and >= 0"),
+            (["fit", "--family", "normal", "--penalty", "inf"], "penalty must be finite and >= 0"),
+            (["calibrate", "--candidates", "300,nan"], "penalties must be finite and >= 0"),
+        ],
+        ids=["fit-nan", "fit-inf", "calibrate-nan"],
+    )
+    def test_non_finite_penalty_is_rejected(self, tmp_path, capsys, argv, message):
+        cases = _write(tmp_path, "cases.csv", NORMAL_CSV)
+        code, err = self._run(capsys, [*argv, "--input", cases])
+        assert code == 1
+        assert err == f"ERROR contract: {message}\n"
 
     def test_missing_model_file_is_io_error(self, tmp_path, capsys):
         cases = _write(tmp_path, "cases.csv", NORMAL_ESTIMATE_CSV)
@@ -494,6 +572,20 @@ class TestSimulate:
         methods = info.value.args[0]
         assert [(m.null_mode, m.n_components, m.penalty) for m in methods] == expected
         assert [m.name for m in methods] == [f"mixture_{mode.value}" for mode, _, _ in expected]
+
+    @pytest.mark.parametrize(
+        "study, flags",
+        [
+            ("effect", {"--reps", "--J", "--penalty"}),
+            ("fdr", {"--reps", "--J", "--penalty", "--null"}),
+            ("baseball", {"--J", "--input", "--seasons"}),
+        ],
+    )
+    def test_study_help_lists_its_own_flags(self, capsys, study, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", study, "--help"])
+        assert info.value.code == 0
+        assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {"--help", "--seed", "--out-dir"} | flags
 
     def test_effect_pinned(self, tmp_path, capsys):
         assert main(["simulate", "effect", "--reps", "1", "--J", "2", "--out-dir", str(tmp_path)]) == 0

@@ -25,13 +25,9 @@ from .families import (
     NormalComponent,
     Observations,
     component_log_marginal,
-    component_marginal_cdf,
-    component_posterior,
 )
 from .inference import (
-    NullGrouping,
     PosteriorSummary,
-    explicit_grouping,
     fdr_curve,
     nearly_null_grouping,
     posterior_summary,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DataError
-from .families import Family, Observations, beta_shapes, component_posterior
+from .families import Family, Observations, beta_shapes
 from .harness import james_stein
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_SEASON, derive_rng
@@ -150,14 +150,14 @@ def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 2
         raise ContractError("arcsin posterior means require a binomial model")
     obs = Observations.binomial(counts, trials)
     weights, _ = model.posterior_weights(obs)
+    post = obs.posterior(model.components)
     levels, wts = _gl_rule(n_points)
     out = np.zeros(len(obs))
     for j, comp in enumerate(model.components):
         if comp.kappa == 0.0:
             out += weights[:, j] * np.arcsin(np.sqrt(comp.mean))
             continue
-        post = component_posterior(obs, comp)
-        a, b = beta_shapes(post.mean, post.kappa)
+        a, b = beta_shapes(post.mean[j], post.kappa[j])
         delta = betaincinv(a[:, None], b[:, None], levels[None, :])
         out += weights[:, j] * (np.arcsin(np.sqrt(delta)) @ wts)
     return out

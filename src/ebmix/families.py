@@ -17,16 +17,17 @@ and it holds every choice that depends on the family:
   (``csv_header``) and as accepted (``csv_headers``);
 * ``saturated``, each case's data-only term of the log marginal;
 * ``log_kernel``, the kernel behind `log_marginal_matrix`;
-* ``posterior``, one component's posterior given each case;
+* ``posterior``, every component's posterior given each case, per
+  component (rows) and case (columns) like ``log_kernel``;
 * ``start``, the EM starting components;
 * ``update``, the weighted M-step of one component;
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
 
-Component marginals f^(j), component posteriors g_j(delta | z) and the
-normal marginal cdfs F^(j) are computed here.  Everything is evaluated
-in log space and vectorized over cases.
+Component marginals f^(j) and component posteriors g_j(delta | z) are
+computed here.  Everything is evaluated in log space and vectorized over
+components and cases.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -64,7 +65,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ContractError, NumericError, UnsupportedError
+from .errors import ContractError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -156,7 +157,7 @@ Component = Union[NormalComponent, BetaComponent]
 
 @dataclass(frozen=True)
 class ComponentPosterior:
-    """Per-case posterior mean and variance of one prior component's effect.
+    """Posterior mean and variance of each prior component's effect, shape (J, n).
 
     Binomial posteriors, beta again, also carry their kappa = 1/(alpha + beta).
     """
@@ -236,14 +237,17 @@ class NormalObservations(Observations):
         s2 = self.s2[:1] if self.homoscedastic else self.s2
         return normal_logpdf(self.z, mu[:, None], var[:, None] + s2)
 
-    def posterior(self, comp: NormalComponent) -> ComponentPosterior:
-        """N((s2*mean + var*z)/(var + s2), var*s2/(var + s2)); a point mass (var = 0) stays one."""
-        if comp.var == 0.0:
-            # degenerate branch: data cannot move a point mass
-            return ComponentPosterior(mean=np.full(len(self), comp.mean), var=np.zeros(len(self)))
-        denom = comp.var + self.s2
-        mean = (self.s2 * comp.mean + comp.var * self.z) / denom
-        return ComponentPosterior(mean=mean, var=comp.var * self.s2 / denom)
+    def posterior(self, components) -> ComponentPosterior:
+        """N((s2*mean + var*z)/(var + s2), var*s2/(var + s2)); a point mass (var = 0) stays one.
+
+        The mean of a point mass is copied, not divided: (s2*mean)/s2 need
+        not round back to the mean.
+        """
+        mu = np.array([c.mean for c in components])[:, None]
+        var = np.array([c.var for c in components])[:, None]
+        denom = var + self.s2
+        mean = np.where(var == 0.0, mu, (self.s2 * mu + var * self.z) / denom)
+        return ComponentPosterior(mean=mean, var=var * self.s2 / denom)
 
     def start(self, j: int, null_mode: NullMode, rng) -> list:
         """Any null (point mass at 0 or at the median), then N(c, 1) at evenly spaced quantiles c of z.
@@ -368,15 +372,17 @@ class BinomialObservations(Observations):
             out[live] += rising
         return out
 
-    def posterior(self, comp: BetaComponent) -> ComponentPosterior:
+    def posterior(self, components) -> ComponentPosterior:
         """Be(alpha + H, beta + N - H): mean (p + H kappa)/(1 + N kappa), kappa kappa/(1 + N kappa).
 
         A point mass (kappa = 0) stays the point mass at p, with variance 0.
         """
-        denom = 1.0 + self.trials * comp.kappa
-        mean = (comp.mean + self.counts * comp.kappa) / denom
-        rest = (1.0 - comp.mean + (self.trials - self.counts) * comp.kappa) / denom
-        kappa = comp.kappa / denom
+        p = np.array([c.mean for c in components])[:, None]
+        k = np.array([c.kappa for c in components])[:, None]
+        denom = 1.0 + self.trials * k
+        mean = (p + self.counts * k) / denom
+        rest = (1.0 - p + (self.trials - self.counts) * k) / denom
+        kappa = k / denom
         return ComponentPosterior(mean=mean, var=mean * rest * kappa / (1.0 + kappa), kappa=kappa)
 
     def start(self, j: int, null_mode: NullMode, rng) -> list:
@@ -431,13 +437,6 @@ def family_of(components) -> Family:
     raise ContractError("components must all have one family's component type")
 
 
-def check_components(family: Family, components) -> None:
-    """Raise ContractError unless every component has `family`'s component type."""
-    want = OBSERVATIONS[family].component
-    if not all(isinstance(c, want) for c in components):
-        raise ContractError(f"{family.value} components must be {want.__name__}")
-
-
 def component_log_marginal(obs: Observations, comp: Component) -> np.ndarray:
     """Log of the component marginal density f^(j) at each case.
 
@@ -447,12 +446,6 @@ def component_log_marginal(obs: Observations, comp: Component) -> np.ndarray:
     One column of `log_marginal_matrix` with ``obs.saturated`` added back.
     """
     return log_marginal_matrix(obs, (comp,))[:, 0] + obs.saturated
-
-
-def component_posterior(obs: Observations, comp: Component) -> ComponentPosterior:
-    """Posterior of one component's effect given each case: the family class's ``posterior``."""
-    check_components(obs.family, (comp,))
-    return obs.posterior(comp)
 
 
 # Length of the cumulative tables.  The Stirling series used beyond it are
@@ -565,7 +558,8 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     keeps the order.
     """
     components = tuple(components)
-    check_components(obs.family, components)
+    if not all(isinstance(c, obs.component) for c in components):
+        raise ContractError(f"{obs.family.value} components must be {obs.component.__name__}")
     out = obs.log_kernel(components)
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite component log marginal")
@@ -745,22 +739,3 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
         return start
     return BetaComponent(mean=float(p), kappa=float(kappa))
 
-
-def _standardized(z, comp: Component, s2) -> np.ndarray:
-    if not isinstance(comp, NormalComponent):
-        raise UnsupportedError("marginal cdfs are defined for the normal family only")
-    return (np.asarray(z, dtype=float) - comp.mean) / np.sqrt(comp.var + np.asarray(s2, dtype=float))
-
-
-def component_marginal_cdf(z, comp: Component, s2=1.0) -> np.ndarray:
-    """Marginal cdf F^(j)(z) = Phi((z - mean)/sqrt(var + s2)); normal only."""
-    from scipy.special import ndtr
-
-    return ndtr(_standardized(z, comp, s2))
-
-
-def component_marginal_sf(z, comp: Component, s2=1.0) -> np.ndarray:
-    """Upper tail 1 - F^(j)(z), computed directly for tail accuracy."""
-    from scipy.special import ndtr
-
-    return ndtr(-_standardized(z, comp, s2))

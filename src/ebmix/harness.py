@@ -29,14 +29,7 @@ import numpy as np
 
 from .errors import ContractError, EbmixError, FitError
 from .families import NormalComponent, Observations
-from .inference import (
-    NullGrouping,
-    fdr_curve,
-    nearly_null_grouping,
-    posterior_summary,
-    rejection_threshold,
-    tail_fdr_curve,
-)
+from .inference import fdr_curve, nearly_null_grouping, posterior_summary, rejection_threshold, tail_fdr_curve
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
 from .seeding import STREAM_DELTA, STREAM_FDR_DELTA, STREAM_NOISE, derive_rng
 
@@ -469,14 +462,10 @@ def run_fdr_study(
         raise ContractError("need reps >= 2 to estimate the spread across replications")
     deltas = fdr_scenario_deltas(seed)
     truth = fdr_truth_model(deltas)
-    truth_grouping = NullGrouping(null_set=frozenset({0}))
-    true_fdr = fdr_curve(truth, FDR_Z_GRID, grouping=truth_grouping)
-    true_tail = tail_fdr_curve(truth, FDR_Z_GRID, grouping=truth_grouping)
+    true_fdr = fdr_curve(truth, FDR_Z_GRID)
+    true_tail = tail_fdr_curve(truth, FDR_Z_GRID)
     true_thresholds = {
-        kind: np.array(
-            [rejection_threshold(truth, q, kind=kind, grouping=truth_grouping) for q in FDR_QS]
-        )
-        for kind in ("fdr", "FDR")
+        kind: np.array([rejection_threshold(truth, q, kind=kind) for q in FDR_QS]) for kind in ("fdr", "FDR")
     }
 
     names = tuple(m.name for m in methods)

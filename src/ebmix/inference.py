@@ -7,6 +7,11 @@ Var(delta | z), the local false discovery rate fdr(z) (the posterior
 weight of the null set), the tail-area FDR(z), and rejection thresholds
 t(q).
 
+A null set is a set of component indices in 0..J-1, passed as
+``grouping``.  It must contain component 0 when the model has a
+designated null, and it defaults to {0}; `nearly_null_grouping` adds the
+components that sit close to the null.
+
 The tail-area FDR is two-sided: FDR(z) = P(null | |Z| >= |z|), so z and
 -z get the same value.  `rejection_threshold` scans its curve over
 z >= 0 only, so it returns a right-tail threshold t.  For a negative z
@@ -26,57 +31,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NoRejectionRegionError, UnsupportedError
-from .families import (
-    Family,
-    Observations,
-    component_marginal_cdf,
-    component_marginal_sf,
-    component_posterior,
-)
+from .families import Family, Observations
 from .mixture import MixtureModel, NullMode
 
 DEFAULT_MEAN_TOL = 0.25
 DEFAULT_VAR_TOL = 0.25
 
 
-@dataclass(frozen=True)
-class NullGrouping:
-    """Which mixture components, by index, count as null for fdr/FDR purposes."""
-
-    null_set: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "null_set", frozenset(int(i) for i in self.null_set))
-
-
-def explicit_grouping(model: MixtureModel) -> NullGrouping:
-    """Only the designated null component (index 0) counts as null."""
-    if model.null_mode is NullMode.NONE:
-        raise UnsupportedError("model has no designated null component")
-    return NullGrouping(null_set=frozenset({0}))
-
-
 def nearly_null_grouping(
     model: MixtureModel,
     mean_tol: float = DEFAULT_MEAN_TOL,
     var_tol: float = DEFAULT_VAR_TOL,
-) -> NullGrouping:
+) -> frozenset:
     """Fold components concentrated near the null into the null set.
 
     Component j joins the null when |mu_j - mu_0| <= mean_tol and
     var_j <= var_0 + var_tol.  Such components are artifacts of tuning
     more often than real structure, so they default into the null.
     """
+    if not (0.0 <= mean_tol < np.inf and 0.0 <= var_tol < np.inf):
+        raise ContractError("mean_tol and var_tol must be finite and >= 0")
     if model.family is not Family.NORMAL:
         raise UnsupportedError("nearly-null grouping is defined for the normal family")
     if model.null_mode is NullMode.NONE:
         raise UnsupportedError("model has no designated null component")
     c0 = model.components[0]
-    members = {0}
-    for j, c in enumerate(model.components[1:], start=1):
-        if abs(c.mean - c0.mean) <= mean_tol and c.var <= c0.var + var_tol:
-            members.add(j)
-    return NullGrouping(null_set=frozenset(members))
+    return frozenset(  # component 0 always qualifies
+        j
+        for j, c in enumerate(model.components)
+        if abs(c.mean - c0.mean) <= mean_tol and c.var <= c0.var + var_tol
+    )
 
 
 @dataclass(frozen=True)
@@ -95,26 +79,33 @@ class PosteriorSummary:
     tail_fdr: np.ndarray | None = None
 
 
-def _resolve_grouping(model: MixtureModel, grouping: NullGrouping | None):
-    if grouping is not None:
-        if model.null_mode is not NullMode.NONE and 0 not in grouping.null_set:
-            raise ContractError("null grouping must contain component 0")
-        return grouping
-    if model.null_mode is NullMode.NONE:
-        return None
-    return explicit_grouping(model)
+def _null_set(model: MixtureModel, grouping) -> frozenset | None:
+    """The null set: ``grouping`` checked against the model, else {0} where the model has a null."""
+    if grouping is None:
+        return None if model.null_mode is NullMode.NONE else frozenset({0})
+    null_set = frozenset(grouping)
+    if not null_set <= frozenset(range(model.n_components)):
+        raise ContractError(f"null set indices must be in 0..{model.n_components - 1}")
+    if model.null_mode is not NullMode.NONE and 0 not in null_set:
+        raise ContractError("null grouping must contain component 0")
+    return null_set
 
 
-def tail_fdr_at(z, model: MixtureModel, grouping: NullGrouping, s2=1.0) -> np.ndarray:
+def tail_fdr_at(z, model: MixtureModel, null_set: frozenset, s2=1.0) -> np.ndarray:
     """Two-sided FDR(z) = P(null | |Z| >= |z|) from the closed-form marginal cdfs."""
+    from scipy.special import ndtr
+
     z = np.abs(np.asarray(z, dtype=float))
-    num = np.zeros_like(z)
-    den = np.zeros_like(z)
-    for j, c in enumerate(model.components):
-        two_sided = component_marginal_sf(z, c, s2) + component_marginal_cdf(-z, c, s2)
-        den += model.pi[j] * two_sided
-        if j in grouping.null_set:
-            num += model.pi[j] * two_sided
+    mu = np.array([c.mean for c in model.components])[:, None]
+    sd = np.sqrt(np.array([c.var for c in model.components])[:, None] + s2)
+    # pi_j P_j(|Z| >= |z|) per component (rows) and case (columns); each tail is its own ndtr,
+    # not 1 - cdf, which would round the far right tail to 0
+    tails = model.pi[:, None] * (ndtr(-((z - mu) / sd)) + ndtr((-z - mu) / sd))
+    # the built-in sum adds the rows one by one, in component order; np.sum(axis=0)
+    # pairs them differently for a single z
+    zero = np.zeros_like(z)
+    num = sum(tails[sorted(null_set)], zero)
+    den = sum(tails, zero)
     # where both tails are empty the conditional event has probability
     # zero; FDR is then 1
     out = np.ones_like(z)
@@ -123,62 +114,58 @@ def tail_fdr_at(z, model: MixtureModel, grouping: NullGrouping, s2=1.0) -> np.nd
     return np.clip(out, 0.0, 1.0)
 
 
-def posterior_summary(
-    obs: Observations,
-    model: MixtureModel,
-    grouping: NullGrouping | None = None,
-) -> PosteriorSummary:
-    """Posterior weights, E(delta|z), Var(delta|z), fdr and FDR per case."""
+def posterior_summary(obs: Observations, model: MixtureModel, grouping=None) -> PosteriorSummary:
+    """Posterior weights, E(delta|z), Var(delta|z), fdr and FDR per case.
+
+    ``grouping`` is the null set, an iterable of component indices
+    (default {0} where the model has a null).
+    """
     if obs.family is not model.family:
         raise ContractError("observation family does not match the model")
-    grouping = _resolve_grouping(model, grouping)
+    null_set = _null_set(model, grouping)
     w, _ = model.posterior_weights(obs)
-    means = np.empty_like(w)
-    varis = np.empty_like(w)
-    for j, c in enumerate(model.components):
-        post = component_posterior(obs, c)
-        means[:, j] = post.mean
-        varis[:, j] = post.var
+    post = obs.posterior(model.components)
+    # (n, J) with contiguous columns, laid out like w
+    means, varis = post.mean.T, post.var.T
     effect_mean = np.sum(w * means, axis=1)
     # centered, so a variance far below the squared mean does not cancel
     effect_var = np.sum(w * (varis + (means - effect_mean[:, None]) ** 2), axis=1)
 
     fdr = None
     tail = None
-    if grouping is not None:
-        idx = sorted(grouping.null_set)
-        fdr = w[:, idx].sum(axis=1)
+    if null_set is not None:
+        fdr = w[:, sorted(null_set)].sum(axis=1)
         if model.family is Family.NORMAL:
-            tail = tail_fdr_at(obs.z, model, grouping, s2=obs.s2)
+            tail = tail_fdr_at(obs.z, model, null_set, s2=obs.s2)
     return PosteriorSummary(
         weights=w, effect_mean=effect_mean, effect_var=effect_var, fdr=fdr, tail_fdr=tail
     )
 
 
-def fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None) -> np.ndarray:
-    """Local fdr along a z grid (normal family, unit s2)."""
+def _curve_args(model: MixtureModel, z_grid, grouping):
+    """The grid and null set of a curve: a nonempty grid, a normal model and a null set."""
     z_grid = np.asarray(z_grid, dtype=float)
     if z_grid.size == 0:
         raise ContractError("z grid must be nonempty")
     if model.family is not Family.NORMAL:
-        raise UnsupportedError("fdr curves are defined for the normal family only")
-    grouping = _resolve_grouping(model, grouping)
-    if grouping is None:
+        raise UnsupportedError("fdr and FDR curves are defined for the normal family only")
+    null_set = _null_set(model, grouping)
+    if null_set is None:
         raise UnsupportedError("model has no designated null component")
-    obs = Observations.normal(z_grid)
-    w, _ = model.posterior_weights(obs)
-    return w[:, sorted(grouping.null_set)].sum(axis=1)
+    return z_grid, null_set
 
 
-def tail_fdr_curve(model: MixtureModel, z_grid, grouping: NullGrouping | None = None) -> np.ndarray:
-    """Tail-area FDR along a z grid (unit s2) from the closed-form cdfs."""
-    z_grid = np.asarray(z_grid, dtype=float)
-    if z_grid.size == 0:
-        raise ContractError("z grid must be nonempty")
-    grouping = _resolve_grouping(model, grouping)
-    if grouping is None:
-        raise UnsupportedError("model has no designated null component")
-    return tail_fdr_at(z_grid, model, grouping)
+def fdr_curve(model: MixtureModel, z_grid, grouping=None) -> np.ndarray:
+    """Local fdr along a z grid (normal family, unit s2)."""
+    z_grid, null_set = _curve_args(model, z_grid, grouping)
+    w, _ = model.posterior_weights(Observations.normal(z_grid))
+    return w[:, sorted(null_set)].sum(axis=1)
+
+
+def tail_fdr_curve(model: MixtureModel, z_grid, grouping=None) -> np.ndarray:
+    """Tail-area FDR along a z grid (normal family, unit s2) from the closed-form cdfs."""
+    z_grid, null_set = _curve_args(model, z_grid, grouping)
+    return tail_fdr_at(z_grid, model, null_set)
 
 
 GRID_LO = 0.0
@@ -190,7 +177,7 @@ def rejection_threshold(
     model: MixtureModel,
     q: float,
     kind: str = "fdr",
-    grouping: NullGrouping | None = None,
+    grouping=None,
 ) -> float:
     """Smallest t with curve(z) <= q for every grid point z >= t.
 

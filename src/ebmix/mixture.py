@@ -149,7 +149,7 @@ class FitConfig:
             raise ContractError("a designated null requires J >= 2")
         if self.penalty is not None and not 0 <= self.penalty < np.inf:
             raise ContractError("penalty must be finite and >= 0")
-        if self.max_iters < 1 or self.rel_tol <= 0 or self.n_restarts < 1:
+        if self.max_iters < 1 or not 0 < self.rel_tol < np.inf or self.n_restarts < 1:
             raise ContractError("invalid convergence controls")
 
     def penalty_vector(self, n_cases: int) -> np.ndarray:

@@ -362,6 +362,24 @@ class TestErrors:
         assert code == 1
         assert err == f"ERROR contract: {message}\n"
 
+    @pytest.mark.parametrize("flags", [["--mean-tol", "nan"], ["--mean-tol", "inf"], ["--var-tol", "-1"]])
+    def test_bad_nearly_null_tolerance_is_rejected(self, tmp_path, capsys, flags):
+        model = _write(tmp_path, "model.json", MODEL_JSON["normal-theoretical"])
+        cases = _write(tmp_path, "est.csv", NORMAL_ESTIMATE_CSV)
+        out = tmp_path / "out.csv"
+        code, err = self._run(capsys, ["estimate", "--model", model, "--input", cases, "--output", str(out), *flags])
+        assert code == 1
+        assert err == "ERROR contract: mean_tol and var_tol must be finite and >= 0\n"
+        assert not out.exists()
+
+    def test_non_finite_rel_tol_is_rejected(self, tmp_path, capsys):
+        cases = _write(tmp_path, "cases.csv", NORMAL_CSV)
+        out = tmp_path / "scores.csv"
+        code, err = self._run(capsys, ["calibrate", "--input", cases, "--rel-tol", "nan", "--output", str(out)])
+        assert code == 1
+        assert err == "ERROR contract: invalid convergence controls\n"
+        assert not out.exists()
+
     def test_missing_model_file_is_io_error(self, tmp_path, capsys):
         cases = _write(tmp_path, "cases.csv", NORMAL_ESTIMATE_CSV)
         code, err = self._run(

@@ -1,4 +1,4 @@
-"""Component marginals, posteriors and cdfs against quadrature oracles."""
+"""Component marginals and posteriors against quadrature oracles."""
 
 import numpy as np
 import pytest
@@ -14,12 +14,9 @@ from ebmix import (
     NormalComponent,
     NullMode,
     Observations,
-    UnsupportedError,
     component_log_marginal,
-    component_marginal_cdf,
-    component_posterior,
 )
-from ebmix.families import OBSERVATIONS, RISING_TABLE, component_marginal_sf, log_marginal_matrix, rising_beyond
+from ebmix.families import OBSERVATIONS, RISING_TABLE, log_marginal_matrix, rising_beyond
 
 
 class TestComponentMarginal:
@@ -139,13 +136,13 @@ class TestComponentMarginal:
             got = component_log_marginal(obs, BetaComponent(mean, kappa))
             want = [float(oracles.beta_component_log_pmf_mp(int(hi), int(ni), mean, kappa)) for hi, ni in zip(h, n)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 + 1e-14 * n_trials)
-            post = component_posterior(obs, BetaComponent(mean, kappa))
+            post = obs.posterior((BetaComponent(mean, kappa),))
             if kappa == 0.0:
                 assert np.all(post.mean == mean) and np.all(post.var == 0.0)
             else:
                 a, b = mean / kappa + h, (1.0 - mean) / kappa + n - h
-                np.testing.assert_allclose(post.mean, a / (a + b), rtol=1e-13)
-                np.testing.assert_allclose(post.var, a * b / ((a + b) ** 2 * (a + b + 1)), rtol=1e-9)
+                np.testing.assert_allclose(post.mean[0], a / (a + b), rtol=1e-13)
+                np.testing.assert_allclose(post.var[0], a * b / ((a + b) ** 2 * (a + b + 1)), rtol=1e-9)
 
     @pytest.mark.parametrize("n_trials", [2047, 2048, 2049, 5000, 10**6])
     def test_betabinom_large_trials_matches_mpmath(self, n_trials):
@@ -214,18 +211,19 @@ class TestComponentMarginal:
 
 class TestComponentPosterior:
     def test_point_mass_prior_is_unmoved(self):
-        post = component_posterior(Observations.normal([5.0]), NormalComponent(0.0, 0.0))
+        post = Observations.normal([5.0]).posterior((NormalComponent(0.0, 0.0),))
         assert post.mean[0] == 0.0 and post.var[0] == 0.0
+        # exactly: (s2 * 0.1) / s2 is 0.10000000000000002 at s2 = 3
+        post = Observations.normal([5.0], [3.0]).posterior((NormalComponent(0.1, 0.0),))
+        assert post.mean[0, 0] == 0.1 and post.var[0, 0] == 0.0
 
     def test_shrinkage_factor(self):
-        post = component_posterior(Observations.normal([2.0]), NormalComponent(0.0, 3.0))
+        post = Observations.normal([2.0]).posterior((NormalComponent(0.0, 3.0),))
         np.testing.assert_allclose(post.mean, 1.5, rtol=1e-14)
         np.testing.assert_allclose(post.var, 0.75, rtol=1e-14)
 
     def test_conjugate_beta_update(self):
-        post = component_posterior(
-            Observations.binomial([10], [30]), BetaComponent.from_shapes(302.0, 884.0)
-        )
+        post = Observations.binomial([10], [30]).posterior((BetaComponent.from_shapes(302.0, 884.0),))
         # Be(302 + 10, 884 + 20)
         np.testing.assert_allclose(post.mean, 312.0 / 1216.0, rtol=1e-14)
         np.testing.assert_allclose(post.var, 312.0 * 904.0 / (1216.0**2 * 1217.0), rtol=1e-13)
@@ -233,7 +231,7 @@ class TestComponentPosterior:
     def test_posterior_moments_match_quadrature_normal(self):
         cases = [(1.0, 0.5, 2.0, 1.0), (-2.5, 0.0, 1.0, 0.5), (3.0, 2.0, 4.0, 2.0)]
         for z, m, v, s2 in cases:
-            post = component_posterior(Observations.normal([z], [s2]), NormalComponent(m, v))
+            post = Observations.normal([z], [s2]).posterior((NormalComponent(m, v),))
             em, vm = oracles.normal_posterior_moments_quad(z, m, v, s2)
             np.testing.assert_allclose(post.mean[0], em, atol=1e-6)
             np.testing.assert_allclose(post.var[0], vm, atol=1e-6)
@@ -241,44 +239,10 @@ class TestComponentPosterior:
     def test_posterior_moments_match_quadrature_binomial(self):
         cases = [(3, 10, 2.0, 5.0), (0, 4, 1.0, 1.0), (40, 120, 302.0, 884.0)]
         for h, n, a, b in cases:
-            post = component_posterior(Observations.binomial([h], [n]), BetaComponent.from_shapes(a, b))
+            post = Observations.binomial([h], [n]).posterior((BetaComponent.from_shapes(a, b),))
             em, vm = oracles.betabinom_posterior_moments_quad(h, n, a, b)
             np.testing.assert_allclose(post.mean[0], em, atol=1e-6)
             np.testing.assert_allclose(post.var[0], vm, atol=1e-6)
-
-
-class TestMarginalCdf:
-    def test_median_at_component_mean(self):
-        np.testing.assert_allclose(
-            component_marginal_cdf(1.7, NormalComponent(1.7, 2.3), 1.0), 0.5, atol=1e-14
-        )
-
-    def test_upper_limit(self):
-        assert component_marginal_cdf(60.0, NormalComponent(0.0, 1.0), 1.0) == 1.0
-
-    def test_published_normal_table_value(self):
-        val = component_marginal_cdf(1.96, NormalComponent(0.0, 0.0), 1.0)
-        np.testing.assert_allclose(val, 0.975, atol=1e-4)
-
-    def test_binomial_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            component_marginal_cdf(1.0, BetaComponent.from_shapes(1.0, 1.0))
-
-    @given(
-        zs=st.lists(st.floats(-30, 30), min_size=2, max_size=20),
-        mean=st.floats(-5, 5),
-        var=st.floats(0, 9),
-    )
-    def test_monotone_in_z(self, zs, mean, var):
-        z = np.sort(np.asarray(zs))
-        vals = component_marginal_cdf(z, NormalComponent(mean, var), 1.0)
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_sf_complements_cdf(self):
-        comp = NormalComponent(0.5, 1.5)
-        z = np.linspace(-6, 6, 25)
-        total = component_marginal_cdf(z, comp, 1.0) + component_marginal_sf(z, comp, 1.0)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
 class TestObservations:

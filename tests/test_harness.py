@@ -27,7 +27,6 @@ from ebmix.harness import (
     sure_threshold,
     universal_threshold,
 )
-from ebmix.inference import NullGrouping
 
 
 def spec_for(kind=ScenarioKind.EFFECT_ONE_SIDED, k=50, mu=3.0, seed=0):
@@ -234,7 +233,7 @@ class TestFdrStudy:
 
             def __init__(self, model):
                 self.model = model
-                self.grouping = NullGrouping(null_set=frozenset({0}))
+                self.grouping = frozenset({0})
 
             def fit(self, z):
                 return self.model, self.grouping

@@ -12,11 +12,9 @@ from ebmix import (
     MixtureModel,
     NoRejectionRegionError,
     NormalComponent,
-    NullGrouping,
     NullMode,
     Observations,
     UnsupportedError,
-    explicit_grouping,
     fdr_curve,
     nearly_null_grouping,
     posterior_summary,
@@ -54,7 +52,7 @@ class TestPosteriorSummary:
             np.testing.assert_allclose(s.fdr[0], wts[0], atol=1e-7)
 
     def test_all_null_grouping_degenerates(self, two_component_model):
-        grouping = NullGrouping(null_set=frozenset({0, 1}))
+        grouping = frozenset({0, 1})
         s = posterior_summary(Observations.normal([1.3]), two_component_model, grouping)
         np.testing.assert_allclose(s.fdr, 1.0, atol=1e-15)
         # effect mean still the full-prior posterior mean
@@ -116,9 +114,20 @@ class TestPosteriorSummary:
         rng = np.random.default_rng(6)
         model = random_normal_model(rng, n_components=4)
         obs = Observations.normal(np.linspace(-5, 5, 41))
-        small = posterior_summary(obs, model, NullGrouping(null_set=frozenset({0})))
-        big = posterior_summary(obs, model, NullGrouping(null_set=frozenset({0, 1})))
+        small = posterior_summary(obs, model, frozenset({0}))
+        big = posterior_summary(obs, model, frozenset({0, 1}))
         assert np.all(big.fdr >= small.fdr - 1e-15)
+
+    @pytest.mark.parametrize("grouping", [{0, -1}, {0, 3}, {0, 5}])
+    def test_null_set_index_out_of_range(self, grouping):
+        """A null set names components 0..J-1; -1 is not an alias of the last one."""
+        model = random_normal_model(np.random.default_rng(7), n_components=3)
+        z = np.array([0.5, 2.0, 4.0])
+        with pytest.raises(ContractError, match=r"null set indices must be in 0\.\.2"):
+            posterior_summary(Observations.normal(z), model, grouping)
+        for curve in (fdr_curve, tail_fdr_curve):
+            with pytest.raises(ContractError, match=r"null set indices must be in 0\.\.2"):
+                curve(model, z, grouping=grouping)
 
 
 class TestCurves:
@@ -138,7 +147,7 @@ class TestCurves:
         deltas = fdr_scenario_deltas(3)
         model = fdr_truth_model(deltas)
         grid = np.array([2.0, 3.0, 4.0])
-        got = fdr_curve(model, grid, grouping=explicit_grouping(model))
+        got = fdr_curve(model, grid, grouping=frozenset({0}))
         phi = lambda x: np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
         f_true = 0.95 * phi(grid) + np.array(
             [np.sum(phi(g - deltas)) / 1000.0 for g in grid]
@@ -157,7 +166,8 @@ class TestCurves:
     def test_tail_fdr_matches_two_sided_closed_form(self):
         """FDR(z) = sum_null pi_j P_j(|Z| >= |z|) / sum_j pi_j P_j(|Z| >= |z|), at z and -z."""
         rng = np.random.default_rng(31)
-        a = np.linspace(0.0, 6.0, 61)
+        # far tails too, where FDR is tiny: there 1 - cdf would lose the null's right tail
+        a = np.concatenate([np.linspace(0.0, 6.0, 61), [8.0, 10.0, 12.0]])
         for _ in range(10):
             model = random_normal_model(rng)
             tails = np.array([
@@ -167,6 +177,19 @@ class TestCurves:
             want = model.pi[0] * tails[0] / (model.pi @ tails)
             np.testing.assert_allclose(tail_fdr_curve(model, a), want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(tail_fdr_curve(model, -a), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tail_fdr_curve(model, a[-3:]), want[-3:], rtol=1e-9)
+
+    def test_tail_fdr_curve_binomial_unsupported(self):
+        from ebmix import BetaComponent
+
+        model = MixtureModel(
+            pi=np.array([0.6, 0.4]),
+            components=(BetaComponent(0.3, 0.01), BetaComponent(0.5, 0.0)),
+            null_mode=NullMode.EMPIRICAL,
+            penalty=np.array([5.0, 0.0]),
+        )
+        with pytest.raises(UnsupportedError):
+            tail_fdr_curve(model, np.array([1.0, 2.0]))
 
     def test_tail_fdr_symmetric_in_z(self):
         rng = np.random.default_rng(32)
@@ -191,7 +214,7 @@ class TestRejectionThreshold:
 
         deltas = fdr_scenario_deltas(3)
         model = fdr_truth_model(deltas)
-        grouping = explicit_grouping(model)
+        grouping = frozenset({0})
         t = rejection_threshold(model, q=0.1, kind="fdr", grouping=grouping)
         t_scan = oracles.dense_threshold_scan(
             lambda grid: fdr_curve(model, grid, grouping=grouping), q=0.1
@@ -220,16 +243,16 @@ class TestNearlyNullGrouping:
 
     def test_far_components_stay_out(self):
         model = self.make([(0.0, 0.0), (2.0, 1.0), (-3.0, 0.5)])
-        assert nearly_null_grouping(model).null_set == {0}
+        assert nearly_null_grouping(model) == {0}
 
     def test_near_component_included(self):
         model = self.make([(0.0, 0.0), (0.1, 0.05), (2.5, 1.0)])
-        assert nearly_null_grouping(model).null_set == {0, 1}
+        assert nearly_null_grouping(model) == {0, 1}
 
     def test_tolerance_edges(self):
         model = self.make([(0.0, 0.0), (0.25, 0.25), (0.26, 0.1)])
         grouping = nearly_null_grouping(model)
-        assert 1 in grouping.null_set and 2 not in grouping.null_set
+        assert 1 in grouping and 2 not in grouping
 
     def test_no_null_model_unsupported(self):
         model = MixtureModel(
@@ -240,6 +263,12 @@ class TestNearlyNullGrouping:
         )
         with pytest.raises(UnsupportedError):
             nearly_null_grouping(model)
+
+    @pytest.mark.parametrize("mean_tol, var_tol", [(np.nan, 0.25), (np.inf, 0.25), (0.25, -1.0), (0.25, np.nan)])
+    def test_tolerances_must_be_finite_and_nonnegative(self, mean_tol, var_tol):
+        model = self.make([(0.0, 0.0), (0.1, 0.05), (2.5, 1.0)])
+        with pytest.raises(ContractError, match="mean_tol and var_tol must be finite and >= 0"):
+            nearly_null_grouping(model, mean_tol, var_tol)
 
 
 class TestTweedieContinuous:

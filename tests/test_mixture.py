@@ -580,6 +580,11 @@ class TestConfigValidation:
         config = FitConfig(n_components=3, penalty=None)
         np.testing.assert_array_equal(config.penalty_vector(1000), [200.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        with pytest.raises(ContractError, match="invalid convergence controls"):
+            FitConfig(rel_tol=rel_tol)
+
 
 class TestBic:
     def test_parameter_counts(self):

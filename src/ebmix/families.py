@@ -15,12 +15,14 @@ and it holds every choice that depends on the family:
 * ``family``, ``component`` (the prior component type), ``theoretical_null``
   (None where the family has none) and the case-file header, as shown
   (``csv_header``) and as accepted (``csv_headers``);
-* ``saturated``, each case's data-only term of the log marginal;
+* ``saturated``, each case's data-only term of the log marginal, and
+  ``saturated_sum``, its sum over cases;
 * ``log_kernel``, the kernel behind `log_marginal_matrix`;
 * ``posterior``, every component's posterior given each case, per
   component (rows) and case (columns) like ``log_kernel``;
 * ``start``, the EM starting components;
-* ``update``, the weighted M-step of one component;
+* ``update``, the weighted M-step of every component flagged in ``fit``,
+  in one call; the other components come back as they are;
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
@@ -28,6 +30,22 @@ and it holds every choice that depends on the family:
 Component marginals f^(j) and component posteriors g_j(delta | z) are
 computed here.  Everything is evaluated in log space and vectorized over
 components and cases.
+
+A batch owns its arrays: they are copied in and read-only.  So every term
+that depends on the data alone is computed once per batch, not once per
+EM map, and kept as a read-only cached property:
+
+* both families: ``saturated`` and ``saturated_sum``;
+* binomial, shared by ``log_kernel`` and the M-step: the counts
+  (H, N-H, N) as rows (``stacked``), the table length ``cut``, each
+  count's place in the tables (``_table_keys``, also the M-step's
+  bincount keys) and the counts above them (``_beyond``);
+* binomial ``log_kernel``: the safe rates of its log ratios
+  (``_safe_rates``);
+* binomial M-step (``_newton_terms``): k(k-1), ``arange(cut)`` and the
+  distinct counts above the table of each row.
+
+They take O(n + RISING_TABLE) memory.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -75,7 +93,7 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
     A row with a nan, or with no finite entry, comes back non-finite.
     """
-    m = np.max(a, axis=1)
+    m = a.max(axis=1)
     return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
@@ -172,11 +190,22 @@ def normal_logpdf(x, mean, var):
     return -0.5 * (LOG_2PI + np.log(var)) - 0.5 * (x - mean) ** 2 / var
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a batch's arrays and cached terms are shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 class Observations:
     """A batch of cases from one sampling family, of that family's class (see the module docstring)."""
 
     def __len__(self) -> int:
         return int(self.statistic.shape[0])
+
+    @functools.cached_property
+    def saturated_sum(self) -> float:
+        """The sum of ``saturated`` over cases, which `mixture.e_step` adds to the pll once."""
+        return self.saturated.sum()
 
     @staticmethod
     def normal(z, s2=None) -> "NormalObservations":
@@ -203,14 +232,16 @@ class NormalObservations(Observations):
     csv_headers = (["id", "z"], ["id", "z", "s2"])
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
+        z = np.array(self.z, dtype=float, ndmin=1)  # a copy: the caller's array stays the caller's
         s2 = np.broadcast_to(np.asarray(self.s2, dtype=float), z.shape).copy()
         if not np.all(np.isfinite(z)):
             raise ContractError("normal statistics must be finite")
+        if not np.all(np.isfinite(s2)):
+            raise ContractError("per-case variances s2 must be finite")
         if not np.all(s2 > 0):
             raise ContractError("per-case variances s2 must be > 0")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "s2", s2)
+        object.__setattr__(self, "z", _read_only(z))
+        object.__setattr__(self, "s2", _read_only(s2))
 
     @property
     def statistic(self) -> np.ndarray:
@@ -265,20 +296,34 @@ class NormalObservations(Observations):
             comps.append(NormalComponent(float(c) + jitter[len(comps)], 1.0))
         return comps
 
-    def update(self, w: np.ndarray, n_w, comp: NormalComponent) -> NormalComponent:
-        """Weighted moment update of ``comp`` (weights ``w`` summing to ``n_w``), exact for constant s2.
+    def update(self, w: np.ndarray, nj, components, fit) -> list:
+        """Weighted moment update of each component k with ``fit[k]``, by column k of ``w`` (sum ``nj[k]``).
 
-        With varying s2 it is kept only if it does not lower the weighted
-        log marginal (a generalized EM step).
+        The update is exact for constant s2.  With varying s2 each one is
+        kept only if it does not lower the component's weighted log
+        marginal (a generalized EM step); the (new, old) pairs of all
+        fitted components are scored in one `normal_logpdf` call.
+        Components not in ``fit`` come back as they are.
         """
-        mu = float(np.sum(w * self.z) / n_w)
-        s2bar = float(np.sum(w * self.s2) / n_w)
-        var = max(0.0, float(np.sum(w * (self.z - mu) ** 2) / n_w) - s2bar)
-        if self.homoscedastic or np.sum(w * normal_logpdf(self.z, mu, var + self.s2)) >= np.sum(
-            w * normal_logpdf(self.z, comp.mean, comp.var + self.s2)
-        ):
-            return NormalComponent(mu, var)
-        return comp
+        out = list(components)
+        fitted = [k for k in range(len(out)) if fit[k]]
+        for k in fitted:
+            w_k = w[:, k]
+            mu = float((w_k * self.z).sum() / nj[k])
+            s2bar = float((w_k * self.s2).sum() / nj[k])
+            var = max(0.0, float((w_k * (self.z - mu) ** 2).sum() / nj[k]) - s2bar)
+            out[k] = NormalComponent(mu, var)
+        if self.homoscedastic or not fitted:
+            return out
+        pairs = [out[k] for k in fitted] + [components[k] for k in fitted]  # rows: new, then old
+        mean = np.array([c.mean for c in pairs])[:, None]
+        var = np.array([c.var for c in pairs])[:, None]
+        logpdf = normal_logpdf(self.z, mean, var + self.s2).reshape(2, len(fitted), -1)
+        new, old = (logpdf * w.T[fitted]).sum(axis=2)
+        for k, keep in zip(fitted, new >= old):
+            if not keep:
+                out[k] = components[k]
+        return out
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "NormalObservations":
@@ -324,12 +369,78 @@ class BinomialObservations(Observations):
             raise ContractError("trial counts must be >= 1")
         if np.any(counts < 0) or np.any(counts > trials):
             raise ContractError("counts must satisfy 0 <= H <= N")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "counts", _read_only(counts))
+        object.__setattr__(self, "trials", _read_only(trials))
 
     @property
     def statistic(self) -> np.ndarray:
         return self.counts
+
+    @functools.cached_property
+    def stacked(self) -> np.ndarray:
+        """The counts of the three rising sums, (H, N-H, N), as the float rows of a (3, n) array."""
+        h, n = self.counts, self.trials
+        return _read_only(np.stack([h, n - h, n]).astype(float))
+
+    @functools.cached_property
+    def cut(self) -> int:
+        """Length of the cumulative rising tables: the largest trial count, at most RISING_TABLE."""
+        return min(int(self.trials.max(initial=0)), RISING_TABLE)
+
+    @functools.cached_property
+    def _table_keys(self) -> np.ndarray:
+        """min(k, cut) + s (cut + 1) per count k of row s of ``stacked``: its place in 3 stacked tables."""
+        offsets = (self.cut + 1) * np.arange(3)[:, None]
+        return _read_only(np.minimum(self.stacked, self.cut).astype(np.intp) + offsets)
+
+    @functools.cached_property
+    def _beyond(self):
+        """(row, case, count - cut) of each count in ``stacked`` above ``cut``, row by row."""
+        rows, cases = np.nonzero(self.stacked > self.cut)
+        return tuple(_read_only(a) for a in (rows, cases, self.stacked[rows, cases] - self.cut))
+
+    @functools.cached_property
+    def _safe_rates(self) -> np.ndarray:
+        """H/N and (N-H)/N, each 1 where its count is 0: the rates of ``log_kernel``'s terms k log(p/rate)."""
+        h, f, n = self.stacked
+        return _read_only(np.stack([np.where(h > 0, h / n, 1.0), np.where(f > 0, f / n, 1.0)]))
+
+    @functools.cached_property
+    def _newton_terms(self) -> dict:
+        """The data-only terms of `_fit_beta_newton`, each read-only.
+
+        ``pairs``, k(k-1) per row of ``stacked``; ``steps``, arange(cut);
+        and the distinct counts above ``cut`` of each row: ``rows``, their
+        row, ``ms``, the count less cut, and ``inv``, the index into them
+        of each count of ``_beyond``.
+        """
+        counts = self.stacked
+        rows, _, m = self._beyond
+        # sorted by row, then by count: the order in which `_fit_beta_newton` adds their terms
+        distinct, inv = np.unique(np.stack([rows, m]), axis=1, return_inverse=True)
+        terms = dict(
+            pairs=counts * (counts - 1.0),
+            steps=np.arange(self.cut, dtype=float),
+            rows=distinct[0].astype(np.intp),
+            ms=distinct[1],
+            inv=inv.ravel(),
+        )
+        return {name: _read_only(a) for name, a in terms.items()}
+
+    def _rising_sums(self, rates) -> np.ndarray:
+        """R_r(k) for each rate r = rates[l, s] at each count k of ``stacked[s]``: shape (L, 3, n).
+
+        One cumulative table per rate, up to ``cut``; counts above it add
+        `rising_beyond`.
+        """
+        cut = self.cut
+        table = np.zeros(rates.shape + (cut + 1,))
+        np.cumsum(log_rising_steps(rates, cut), axis=2, out=table[..., 1:])
+        out = table.take(self._table_keys + table[0].size * np.arange(len(rates))[:, None, None])
+        rows, cases, m = self._beyond
+        if m.size:
+            out[:, rows, cases] += rising_beyond(rates[:, rows], m, cut)
+        return out
 
     @functools.cached_property
     def saturated(self) -> np.ndarray:
@@ -341,13 +452,9 @@ class BinomialObservations(Observations):
         """
         from scipy.special import xlogy
 
-        h, n = self.counts, self.trials
-        f = n - h
-        cut = min(int(n.max(initial=0)), RISING_TABLE)
-        log_fact = _rising(np.ones(1), np.stack([n, h, f]).ravel(), cut).reshape(3, -1)  # R_1(k) = log k!
-        out = xlogy(h, h / n) + xlogy(f, f / n) + log_fact[0] - log_fact[1] - log_fact[2]
-        out.flags.writeable = False  # shared by every caller
-        return out
+        h, f, n = self.stacked
+        log_fact = self._rising_sums(np.ones((1, 3)))[0]  # R_1(k) = log k!
+        return _read_only(xlogy(h, h / n) + xlogy(f, f / n) + log_fact[2] - log_fact[0] - log_fact[1])
 
     def log_kernel(self, components) -> np.ndarray:
         """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), built (J, n).
@@ -358,18 +465,17 @@ class BinomialObservations(Observations):
         and `rising_beyond` for larger counts, at O(n + RISING_TABLE) cost
         per component and with no special function.
         """
-        h, n = self.counts, self.trials
-        f = n - h
+        h, f, _ = self.stacked
+        rate_h, rate_f = self._safe_rates
         p = np.array([c.mean for c in components])
         kappa = np.array([c.kappa for c in components])
         q = 1.0 - p
-        out = _xlog_ratio(h, p, h / n) + _xlog_ratio(f, q, f / n)
+        out = h * _log_ratio(p[:, None], rate_h) + f * _log_ratio(q[:, None], rate_f)
         live = kappa > 0  # the rising sums of a point mass are 0
         if np.any(live):
             k = kappa[live]
-            cut = min(int(n.max(initial=0)), RISING_TABLE)
-            rising = _rising(k / p[live], h, cut) + _rising(k / q[live], f, cut) - _rising(k, n, cut)
-            out[live] += rising
+            rising = self._rising_sums(np.stack([k / p[live], k / q[live], k], axis=1))
+            out[live] += rising[:, 0] + rising[:, 1] - rising[:, 2]
         return out
 
     def posterior(self, components) -> ComponentPosterior:
@@ -379,9 +485,10 @@ class BinomialObservations(Observations):
         """
         p = np.array([c.mean for c in components])[:, None]
         k = np.array([c.kappa for c in components])[:, None]
-        denom = 1.0 + self.trials * k
-        mean = (p + self.counts * k) / denom
-        rest = (1.0 - p + (self.trials - self.counts) * k) / denom
+        h, f, n = self.stacked
+        denom = 1.0 + n * k
+        mean = (p + h * k) / denom
+        rest = (1.0 - p + f * k) / denom
         kappa = k / denom
         return ComponentPosterior(mean=mean, var=mean * rest * kappa / (1.0 + kappa), kappa=kappa)
 
@@ -404,8 +511,9 @@ class BinomialObservations(Observations):
             comps.append(base)
         return comps
 
-    def update(self, w: np.ndarray, n_w, comp: BetaComponent) -> BetaComponent:
-        return _fit_beta_newton(self.counts, self.trials, w, comp)
+    def update(self, w: np.ndarray, nj, components, fit) -> list:
+        """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given."""
+        return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)]
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "BinomialObservations":
@@ -523,27 +631,10 @@ def rising_beyond(r, m, cut: int, derivs: bool = False):
     return value, d1, -d2
 
 
-def _rising(rates, counts, cut: int) -> np.ndarray:
-    """R_r(k) for every rate r (rows) at every count k (columns); tables up to ``cut``."""
-    table = np.zeros((rates.size, cut + 1))
-    np.cumsum(log_rising_steps(rates, cut), axis=1, out=table[:, 1:])
-    out = np.take(table, counts, axis=1, mode="clip")  # R at min(k, cut)
-    big = counts > cut
-    if np.any(big):
-        out[:, big] += rising_beyond(rates[:, None], counts[big] - cut, cut)
-    return out
-
-
 def _log_ratio(a, b):
     """log(a/b) for a, b > 0, to full relative precision also where a is close to b."""
     t = (a - b) / b
     return np.where(np.abs(t) < 0.5, np.log1p(t), np.log(a / b))
-
-
-def _xlog_ratio(k, p, rate):
-    """k log(p/rate) per component (rows) and case (columns); 0 where k = 0."""
-    safe = np.where(k > 0, rate, 1.0)
-    return k * _log_ratio(p[:, None], safe)
 
 
 def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
@@ -586,8 +677,8 @@ _BETA_KAPPA_MAX = 5e7
 _ROUNDING = 1e-15
 
 
-def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
-    """Weighted beta-binomial MLE in (p, kappa), closed form at kappa = 0.
+def _fit_beta_newton(obs: "BinomialObservations", w_j, start: BetaComponent) -> BetaComponent:
+    """Weighted beta-binomial MLE in (p, kappa) of cases ``obs``, weights ``w_j``; closed form at kappa = 0.
 
     With q = 1 - p, rates r = (kappa/p, kappa/q, kappa) and tail weights
     W_H(i) = sum of w over cases with H > i (likewise W_F for N-H and W_N
@@ -603,7 +694,8 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
     needed.  The sums run over i < RISING_TABLE; the rest of each case's
     sum comes from `rising_beyond`, evaluated once per distinct
     count, so a call costs O(RISING_TABLE + distinct N) at any trial
-    count.
+    count.  What depends on the data alone is read from ``obs``
+    (``_newton_terms``), so a call builds only what depends on the weights.
 
     At kappa = 0 (the point mass) the rising sums vanish and p* is the
     maximizer over p.  The one-sided score there,
@@ -628,26 +720,18 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
     below F(start), the start is returned, so the update never lowers
     the EM objective.
     """
-    counts = np.stack([h, n - h, n])  # rows H, N-H, N
-    k_max = int(n.max())
-    cut = min(k_max, RISING_TABLE)
+    counts, cut, t = obs.stacked, obs.cut, obs._newton_terms
     # W(i) = sum of w over cases with count > i, for i < cut: one bincount of (row, min(count, cut))
-    keys = np.minimum(counts, cut) + (cut + 1) * np.arange(3)[:, None]
-    bins = np.bincount(keys.ravel(), weights=np.tile(w_j, 3), minlength=3 * (cut + 1)).reshape(3, cut + 1)
+    w3 = np.concatenate((w_j, w_j, w_j))
+    bins = np.bincount(obs._table_keys.ravel(), weights=w3, minlength=3 * (cut + 1)).reshape(3, cut + 1)
     tails = np.cumsum(bins[:, ::-1], axis=1)[:, -2::-1]
     # distinct counts above the table: shape row, count less cut, summed weight
-    rows, ms, us = (np.zeros(0, dtype=np.int64),) * 3
-    if k_max > cut:
-        parts = []
-        for row_idx, k in enumerate(counts):
-            big = k > cut
-            vals, inv = np.unique(k[big] - cut, return_inverse=True)
-            parts.append((np.full(vals.size, row_idx), vals, np.bincount(inv, weights=w_j[big])))
-        rows, ms, us = (np.concatenate(col) for col in zip(*parts))
+    rows, ms = t["rows"], t["ms"]
+    us = np.bincount(t["inv"], weights=w_j[obs._beyond[1]], minlength=ms.size)
     s_h, s_f = counts[:2] @ w_j
     s_n = s_h + s_f
     signs = np.array([1.0, 1.0, -1.0])
-    i = np.arange(cut)
+    i = t["steps"]
     p_star = float(min(max(s_h / s_n, _BETA_MEAN_MIN), 1.0 - _BETA_MEAN_MIN))
     q_star = 1.0 - p_star
 
@@ -659,7 +743,7 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
         obj, size = log_h + log_f, abs(log_h) + abs(log_f)
         if kappa > 0.0:
             r = np.array([kappa / p, kappa / (1.0 - p), kappa])
-            sums = np.sum(tails * log_rising_steps(r, cut), axis=1)
+            sums = np.sum(tails * np.log1p(i * r[:, None]), axis=1)  # the steps of `log_rising_steps`
             if ms.size:
                 sums += np.bincount(rows, weights=us * rising_beyond(r[rows], ms, cut), minlength=3)
             obj += sums @ signs
@@ -681,7 +765,7 @@ def _fit_beta_newton(h, n, w_j, start: BetaComponent) -> BetaComponent:
 
     start_obj, _ = objective(start.mean, start.kappa)
     zero_obj, _ = objective(p_star, 0.0)
-    pa, pb, pc = (counts * (counts - 1.0)) @ w_j / 2.0  # sum w k(k-1)/2 for k = H, N-H, N
+    pa, pb, pc = t["pairs"] @ w_j / 2.0  # sum w k(k-1)/2 for k = H, N-H, N
     if pa / p_star + pb / q_star - pc <= 0.0 and zero_obj >= start_obj:
         return BetaComponent(mean=p_star, kappa=0.0)
 

@@ -17,6 +17,7 @@ its components' type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,11 +66,13 @@ class MixtureModel:
         j = len(self.components)
         if j < 1 or pi.shape != (j,) or penalty.shape != (j,):
             raise ContractError("pi, penalty and components must share length J >= 1")
-        if not (np.all(np.isfinite(pi)) and np.all(np.isfinite(penalty))):
+        # J is small: the checks run on Python floats, not numpy reductions
+        pis, betas = pi.tolist(), penalty.tolist()
+        if not all(math.isfinite(v) for v in pis + betas):
             raise ContractError("mixture proportions and penalty must be finite")
-        if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
+        if min(pis) < 0 or abs(math.fsum(pis) - 1.0) > 1e-12:
             raise ContractError("mixture proportions must be a simplex point")
-        if np.any(penalty < 0):
+        if min(betas) < 0:
             raise ContractError("penalty entries must be nonnegative")
         object.__setattr__(self, "family", families.family_of(self.components))
         if self.null_mode is NullMode.THEORETICAL:
@@ -79,7 +82,7 @@ class MixtureModel:
             if self.components[0] != null:
                 raise ContractError(f"theoretical null must be {null}")
         if self.null_mode is NullMode.EMPIRICAL and j > 1:
-            if np.any(penalty[0] < penalty[1:]):
+            if betas[0] < max(betas[1:]):
                 raise ContractError("empirical null requires beta_0 >= beta_j")
 
     def __eq__(self, other):
@@ -200,7 +203,7 @@ def e_step(data: Observations, model: MixtureModel):
     if np.any(active & (model.pi == 0.0)):
         raise NumericError("penalized component has zero proportion")
     # the data-only terms are added back once, as one sum
-    pll = float(logf.sum() + np.sum(beta[active] * np.log(model.pi[active])) + data.saturated.sum())
+    pll = float(logf.sum() + np.sum(beta[active] * np.log(model.pi[active])) + data.saturated_sum)
     if not np.isfinite(pll):
         raise NumericError("non-finite penalized log-likelihood")
     return w, pll
@@ -223,21 +226,20 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     reinitialized = False
 
     comps = list(model.components)
+    fit = [False] * j
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     for k in range(start_free, j):
         if nj[k] + beta[k] == 0.0:
             comps[k] = initialize(data, config, 0).components[k]
             pi[k] = 1.0 / (n + beta.sum())
             reinitialized = True
-            continue
-        if nj[k] <= 0.0:
-            continue  # penalty mass only; nothing to fit a component to
-        comps[k] = data.update(w[:, k], nj[k], comps[k])
+        else:
+            fit[k] = nj[k] > 0.0  # with penalty mass only there is nothing to fit a component to
 
     pi = pi / pi.sum()
     updated = MixtureModel(
         pi=pi,
-        components=tuple(comps),
+        components=tuple(data.update(w, nj, comps, fit)),
         null_mode=model.null_mode,
         penalty=beta,
         diagnostics=model.diagnostics,

@@ -14,9 +14,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ebmix import cli
+from ebmix import Observations, cli, mixture
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -109,3 +110,25 @@ def test_bench_argv_parses(name, argv):
         cli.build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"{name}: ebmix {' '.join(argv)} does not parse (exit {exc.code})")
+
+
+@pytest.mark.parametrize("max_iters, converged", [(5, False), (1000, True)], ids=["capped", "converged"])
+def test_em_fit_maps_through_module_globals(monkeypatch, max_iters, converged):
+    """A fit of I maps calls ``mixture.m_step`` I times and ``mixture.e_step`` I + 1 times.
+
+    bench/tracing.FitLog counts maps by wrapping these two module
+    globals, so ``_run_em`` must reach them by name, once per map.
+    """
+    calls = {"m_step": 0, "e_step": 0}
+    for name in calls:
+        real = getattr(mixture, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mixture, name, counted)
+    data = Observations.normal(np.random.default_rng(3).normal(size=200))
+    diag = mixture.em_fit(data, mixture.FitConfig(n_restarts=1, max_iters=max_iters)).diagnostics
+    assert diag.converged is converged and diag.iterations > 1
+    assert calls == {"m_step": diag.iterations, "e_step": diag.iterations + 1}

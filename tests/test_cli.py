@@ -347,6 +347,18 @@ class TestErrors:
         assert code == 1
         assert err == f"ERROR data: {cases}: {reason}\n"
 
+    @pytest.mark.parametrize("subcommand", ["fit", "estimate"])
+    def test_infinite_s2_in_case_file_is_data_error(self, tmp_path, capsys, subcommand):
+        cases = _write(tmp_path, "cases.csv", "id,z,s2\na,1.0,1\nb,2.5,inf\nc,0.3,1\n")
+        argv = ["fit", "--input", cases, "--family", "normal"]
+        if subcommand == "estimate":
+            model = _write(tmp_path, "model.json", MODEL_JSON["normal-theoretical"])
+            argv = ["estimate", "--model", model, "--input", cases, "--output", str(tmp_path / "out.csv")]
+        code, err = self._run(capsys, argv)
+        assert code == 1
+        assert err == f"ERROR data: {cases}: per-case variances s2 must be finite\n"
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -258,9 +258,33 @@ class TestObservations:
         with pytest.raises(ContractError):
             Observations.normal([1.0], [0.0])
 
+    @pytest.mark.parametrize("s2", [np.inf, -np.inf, np.nan])
+    def test_normal_s2_finite(self, s2):
+        with pytest.raises(ContractError, match="s2 must be finite"):
+            Observations.normal([1.0, 2.0], [1.0, s2])
+
     def test_default_unit_variance(self):
         obs = Observations.normal([1.0, 2.0])
         np.testing.assert_array_equal(obs.s2, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "make, fields, dtype",
+        [
+            (Observations.normal, ("z", "s2"), float),
+            (Observations.binomial, ("counts", "trials"), np.int64),
+        ],
+        ids=["normal", "binomial"],
+    )
+    def test_batch_owns_read_only_arrays(self, make, fields, dtype):
+        """A batch copies its arrays and cannot be written through, so its cached terms stay true."""
+        given = (np.array([1, 2, 3], dtype=dtype), np.array([4, 5, 6], dtype=dtype))
+        obs = make(*given)
+        for name, array in zip(fields, given):
+            held = getattr(obs, name)
+            with pytest.raises(ValueError):
+                held[0] = 0
+            array[0] = 3  # the caller's array stays writable, and the batch does not see the write
+            assert held[0] != 3
 
 
 def _normal_batch(rng, n):
@@ -306,11 +330,21 @@ class TestFamilyContract:
         for _ in range(30):
             w = rng.uniform(0.0, 1.0, len(obs)) ** 2
             start = component(rng)
-            fit = obs.update(w, w.sum(), start)
+            fit = obs.update(w[:, None], np.array([w.sum()]), (start,), [True])[0]
             assert type(fit) is OBSERVATIONS[family].component
             before = w @ component_log_marginal(obs, start)
             after = w @ component_log_marginal(obs, fit)
             assert after >= before - 1e-12 * abs(before)
+
+    def test_update_leaves_components_outside_fit(self, family):
+        batch, component = FAMILY_CASES[family]
+        rng = np.random.default_rng(15)
+        obs = batch(rng, 40)
+        comps = [component(rng) for _ in range(3)]
+        w = rng.uniform(0.0, 1.0, (3, len(obs))).T
+        out = obs.update(w, w.sum(axis=0), comps, [False, True, False])
+        assert len(out) == 3 and out[0] is comps[0] and out[2] is comps[2]
+        assert type(out[1]) is OBSERVATIONS[family].component
 
     def test_draw_gives_n_cases_of_the_family(self, family):
         obs_type = OBSERVATIONS[family]
@@ -328,6 +362,37 @@ class TestFamilyContract:
             for rng in (None, np.random.default_rng(14)):
                 comps = obs.start(4, mode, rng)
                 assert len(comps) == 4 and all(type(c) is obs_type.component for c in comps)
+
+
+@pytest.mark.parametrize("seed, kept", [(1, [True, False]), (6, [False, True])])
+def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
+    """One update call scores every fitted component's (new, old) pair in one stacked array.
+
+    Components 1 and 2 are fitted, and the guard keeps the moment update
+    of one and rejects the other's; rows that slid against each other
+    would swap the two decisions.  Each decision is checked against the
+    component's own weighted sum w_k @ log f_k, and components 0 and 3,
+    outside ``fit``, come back as the same objects.
+    """
+    rng = np.random.default_rng(seed)
+    obs = _normal_batch(rng, 60)
+    comps = [_normal_component(rng) for _ in range(4)]
+    w = rng.uniform(0.0, 1.0, (4, 60)).T ** 2  # column-major, as e_step lays it out
+    nj = w.sum(axis=0)
+    out = obs.update(w, nj, comps, [False, True, True, False])
+    assert out[0] is comps[0] and out[3] is comps[3]
+    decisions = []
+    for k in (1, 2):
+        w_k = w[:, k]
+        mu = w_k @ obs.z / nj[k]
+        moment = NormalComponent(mu, max(0.0, (w_k @ (obs.z - mu) ** 2 - w_k @ obs.s2) / nj[k]))
+        gain = w_k @ component_log_marginal(obs, moment) - w_k @ component_log_marginal(obs, comps[k])
+        decisions.append(bool(gain >= 0))
+        if gain >= 0:
+            np.testing.assert_allclose([out[k].mean, out[k].var], [moment.mean, moment.var], rtol=1e-10)
+        else:
+            assert out[k] is comps[k]
+    assert decisions == kept
 
 
 @pytest.mark.parametrize("components", [

@@ -223,7 +223,7 @@ class TestMStep:
         mean = 1.0 / (1.0 + np.exp(-(np.log(1 / 3) + rng.standard_normal())))
         conc = 10.0 ** rng.uniform(-1.0, np.log10(2e8))
         start = BetaComponent.from_shapes(conc * mean, conc * (1.0 - mean))
-        fit = _fit_beta_newton(h, n, w, start)
+        fit = _fit_beta_newton(Observations.binomial(h, n), w, start)
         f_fit = oracles.weighted_component_loglik_mp(h, n, w, fit)
         assert f_fit >= oracles.weighted_component_loglik_mp(h, n, w, start)
         f_box = oracles.weighted_betabinom_loglik_mp(h, n, w, *oracles.box_newton_beta_fit(h, n, w, start.alpha, start.beta))

@@ -99,10 +99,8 @@ class CalibrationResult:
                     yield p, l, b, float(self.scores[k, l * self.n_bootstrap + b])
 
 
-def _fdr_discrepancy(fitted: MixtureModel, truth: MixtureModel) -> float:
-    est = fdr_curve(fitted, SCORE_GRID, grouping=nearly_null_grouping(fitted))
-    ref = fdr_curve(truth, SCORE_GRID, grouping=nearly_null_grouping(truth))
-    return float(np.mean((est - ref) ** 2))
+def _fdr_on_grid(model: MixtureModel) -> np.ndarray:
+    return fdr_curve(model, SCORE_GRID, grouping=nearly_null_grouping(model))
 
 
 def calibrate_penalty(
@@ -126,6 +124,7 @@ def calibrate_penalty(
     scores = np.zeros((k_cand, plan.n_perturbed * plan.n_bootstrap))
     failed = np.zeros_like(scores, dtype=bool)
     for l, truth in enumerate(generators):
+        ref = _fdr_on_grid(truth)  # once per generator, not once per cell
         for b in range(plan.n_bootstrap):
             rng = derive_rng(base_config.seed, STREAM_BOOT, l, b)
             boot = truth.sample(n, rng, s2=data.s2)
@@ -134,7 +133,7 @@ def calibrate_penalty(
                 cell = l * plan.n_bootstrap + b
                 try:
                     fitted = em_fit(boot, cfg)
-                    scores[k, cell] = _fdr_discrepancy(fitted, truth)
+                    scores[k, cell] = float(np.mean((_fdr_on_grid(fitted) - ref) ** 2))
                 except (FitError, NumericError):
                     # fdr curves live in [0, 1], so 1 is the worst possible
                     # mean squared distance

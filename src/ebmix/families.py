@@ -22,7 +22,10 @@ and it holds every choice that depends on the family:
   component (rows) and case (columns) like ``log_kernel``;
 * ``start``, the EM starting components;
 * ``update``, the weighted M-step of every component flagged in ``fit``,
-  in one call; the other components come back as they are;
+  in one call; it returns (components, kernel), the other components
+  as they are and, where the update has scored every returned component
+  on every case anyway, their ``log_kernel`` rows (else None), which
+  `mixture.m_step` hands to the E-step that follows;
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
@@ -120,7 +123,7 @@ class NormalComponent:
     var: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.var)):
+        if not (math.isfinite(self.mean) and math.isfinite(self.var)):
             raise ContractError("normal component parameters must be finite")
         if self.var < 0:
             raise ContractError(f"component variance must be >= 0, got {self.var}")
@@ -139,7 +142,7 @@ class BetaComponent:
     kappa: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.kappa)):
+        if not (math.isfinite(self.mean) and math.isfinite(self.kappa)):
             raise ContractError("beta component parameters must be finite")
         if not 0.0 < self.mean < 1.0 or self.kappa < 0:
             raise ContractError(
@@ -197,7 +200,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class Observations:
-    """A batch of cases from one sampling family, of that family's class (see the module docstring)."""
+    """A batch of cases from one sampling family, of that family's class (see the module docstring).
+
+    A batch compares and hashes by identity (``eq=False``): two batches
+    with equal values are still two batches, and a kernel bound to a
+    model (`mixture.m_step`) belongs to one of them.
+    """
 
     def __len__(self) -> int:
         return int(self.statistic.shape[0])
@@ -218,7 +226,7 @@ class Observations:
         return BinomialObservations(counts, trials)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalObservations(Observations):
     """Normal cases: statistics ``z`` with known sampling variances ``s2``, broadcast to z's shape."""
 
@@ -296,7 +304,7 @@ class NormalObservations(Observations):
             comps.append(NormalComponent(float(c) + jitter[len(comps)], 1.0))
         return comps
 
-    def update(self, w: np.ndarray, nj, components, fit) -> list:
+    def update(self, w: np.ndarray, nj, components, fit):
         """Weighted moment update of each component k with ``fit[k]``, by column k of ``w`` (sum ``nj[k]``).
 
         The update is exact for constant s2.  With varying s2 each one is
@@ -304,6 +312,12 @@ class NormalObservations(Observations):
         marginal (a generalized EM step); the (new, old) pairs of all
         fitted components are scored in one `normal_logpdf` call.
         Components not in ``fit`` come back as they are.
+
+        Returns (components, kernel).  Where the guard has scored every
+        component, kernel is ``log_kernel`` of the returned components,
+        read-only and equal to it bit for bit: each component's new row
+        where its update was kept, its old row where it was not.  Else
+        kernel is None.
         """
         out = list(components)
         fitted = [k for k in range(len(out)) if fit[k]]
@@ -314,16 +328,21 @@ class NormalObservations(Observations):
             var = max(0.0, float((w_k * (self.z - mu) ** 2).sum() / nj[k]) - s2bar)
             out[k] = NormalComponent(mu, var)
         if self.homoscedastic or not fitted:
-            return out
+            return out, None
         pairs = [out[k] for k in fitted] + [components[k] for k in fitted]  # rows: new, then old
         mean = np.array([c.mean for c in pairs])[:, None]
         var = np.array([c.var for c in pairs])[:, None]
         logpdf = normal_logpdf(self.z, mean, var + self.s2).reshape(2, len(fitted), -1)
         new, old = (logpdf * w.T[fitted]).sum(axis=2)
-        for k, keep in zip(fitted, new >= old):
-            if not keep:
+        rejected = ~(new >= old)
+        for k, reject in zip(fitted, rejected.tolist()):
+            if reject:
                 out[k] = components[k]
-        return out
+        if len(fitted) < len(out):
+            return out, None
+        kernel, old_rows = logpdf
+        kernel[rejected] = old_rows[rejected]  # the returned components' rows, in the buffer the guard scored
+        return out, _read_only(kernel)
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "NormalObservations":
@@ -341,7 +360,7 @@ class NormalObservations(Observations):
         return float(row[1]), float(s2) if s2 else 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinomialObservations(Observations):
     """Binomial cases: integer success counts ``counts`` out of ``trials``, broadcast to their shape."""
 
@@ -359,8 +378,13 @@ class BinomialObservations(Observations):
         trials = np.broadcast_to(np.atleast_1d(np.asarray(self.trials)), counts.shape).copy()
         if not (np.issubdtype(counts.dtype, np.integer) and np.issubdtype(trials.dtype, np.integer)):
             counts_f, trials_f = np.asarray(counts, dtype=float), np.asarray(trials, dtype=float)
+            # checked on the floats: a cast of inf, nan or |x| >= 2**63 to int64 has no defined value
+            if not (np.all(np.isfinite(counts_f)) and np.all(np.isfinite(trials_f))):
+                raise ContractError("binomial counts and trials must be finite")
             if np.any(counts_f != np.round(counts_f)) or np.any(trials_f != np.round(trials_f)):
                 raise ContractError("binomial counts and trials must be integers")
+            if np.any(np.abs(counts_f) >= 2.0**63) or np.any(np.abs(trials_f) >= 2.0**63):
+                raise ContractError("binomial counts and trials must be below 2**63 in magnitude")
             counts = counts_f.astype(np.int64)
             trials = trials_f.astype(np.int64)
         counts = counts.astype(np.int64)
@@ -511,9 +535,12 @@ class BinomialObservations(Observations):
             comps.append(base)
         return comps
 
-    def update(self, w: np.ndarray, nj, components, fit) -> list:
-        """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given."""
-        return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)]
+    def update(self, w: np.ndarray, nj, components, fit):
+        """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given.
+
+        Returns (components, None): the Newton solves score no kernel rows.
+        """
+        return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)], None
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "BinomialObservations":
@@ -633,6 +660,7 @@ def rising_beyond(r, m, cut: int, derivs: bool = False):
 
 def _log_ratio(a, b):
     """log(a/b) for a, b > 0, to full relative precision also where a is close to b."""
+    # both logs on every cell: a where=-masked form gives the same bits but ran 1.5-1.9x slower on 3 x 500 arrays
     t = (a - b) / b
     return np.where(np.abs(t) < 0.5, np.log1p(t), np.log(a / b))
 
@@ -651,10 +679,14 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):
         raise ContractError(f"{obs.family.value} components must be {obs.component.__name__}")
-    out = obs.log_kernel(components)
-    if not np.all(np.isfinite(out)):
+    return checked_matrix(obs.log_kernel(components))
+
+
+def checked_matrix(kernel: np.ndarray) -> np.ndarray:
+    """The (n, J) transpose of a (J, n) ``log_kernel``; NumericError if any entry is not finite."""
+    if not np.all(np.isfinite(kernel)):
         raise NumericError("non-finite component log marginal")
-    return out.T
+    return kernel.T
 
 
 def _beta_mom(p: np.ndarray) -> BetaComponent:

@@ -56,6 +56,10 @@ class MixtureModel:
     penalty: np.ndarray
     diagnostics: FitDiagnostics | None = None
     family: Family = field(init=False)
+    # (batch, kernel) that `m_step` binds after its update scored the model's
+    # components on the batch; not a field, so equality, repr, model files
+    # and `dataclasses.replace` never see it
+    _kernel = None
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -107,11 +111,20 @@ class MixtureModel:
         the sums over components and over cases run at full speed.
         Components with pi_j = 0 get weight exp(-inf) = 0.  The log
         marginals leave out each case's data-only term ``obs.saturated``
-        (0 for normal cases; see `families`).  Raises NumericError at a
-        case of zero (or infinite) mixture density f.
+        (0 for normal cases; see `families`).  Where `m_step` bound the
+        kernel its update scored to this model and ``obs`` is that very
+        batch (by identity), those rows are used, checked as
+        `log_marginal_matrix` checks its own; otherwise it is called.
+        Raises NumericError at a non-finite component log marginal and
+        at a case of zero (or infinite) mixture density f.
         """
+        bound = self._kernel
+        if bound is not None and bound[0] is obs:
+            marginals = families.checked_matrix(bound[1])
+        else:
+            marginals = families.log_marginal_matrix(obs, self.components)
         with np.errstate(divide="ignore"):
-            logw = families.log_marginal_matrix(obs, self.components) + np.log(self.pi)
+            logw = marginals + np.log(self.pi)
         logf = logsumexp_rows(logw)
         bad = ~np.isfinite(logf)
         if np.any(bad):
@@ -204,7 +217,7 @@ def e_step(data: Observations, model: MixtureModel):
         raise NumericError("penalized component has zero proportion")
     # the data-only terms are added back once, as one sum
     pll = float(logf.sum() + np.sum(beta[active] * np.log(model.pi[active])) + data.saturated_sum)
-    if not np.isfinite(pll):
+    if not math.isfinite(pll):
         raise NumericError("non-finite penalized log-likelihood")
     return w, pll
 
@@ -216,6 +229,9 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     with no weight and no penalty restarts as the same component of the
     unjittered start, ``initialize(data, config, 0)``; the flag is then
     True, and the EM objective may legitimately dip for one iteration.
+    Where the family's ``update`` returns the kernel rows of the updated
+    components (normal, varying s2, every component fitted), they are
+    bound to the updated model, read-only, for the E-step on ``data``.
     """
     n, j = w.shape
     if j != model.n_components or n != len(data):
@@ -237,13 +253,16 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
             fit[k] = nj[k] > 0.0  # with penalty mass only there is nothing to fit a component to
 
     pi = pi / pi.sum()
+    comps, kernel = data.update(w, nj, comps, fit)
     updated = MixtureModel(
         pi=pi,
-        components=tuple(data.update(w, nj, comps, fit)),
+        components=tuple(comps),
         null_mode=model.null_mode,
         penalty=beta,
         diagnostics=model.diagnostics,
     )
+    if kernel is not None:  # the E-step on ``data`` reads it instead of recomputing it
+        object.__setattr__(updated, "_kernel", (data, kernel))
     return updated, reinitialized
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebmix import Observations, cli, mixture
+from ebmix import FitConfig, NullMode, Observations, cli, families, mixture
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -132,3 +132,37 @@ def test_em_fit_maps_through_module_globals(monkeypatch, max_iters, converged):
     diag = mixture.em_fit(data, mixture.FitConfig(n_restarts=1, max_iters=max_iters)).diagnostics
     assert diag.converged is converged and diag.iterations > 1
     assert calls == {"m_step": diag.iterations, "e_step": diag.iterations + 1}
+
+
+@pytest.mark.parametrize("s2", ["unit", "varying"])
+def test_replayed_map_repeats_its_work(monkeypatch, s2):
+    """bench/replay.py prices a map by repeating ``m_step`` then ``e_step`` on one captured state.
+
+    Each repeat must call the kernel functions as often as the first, so
+    no cache keyed on the state can make a replayed map cheaper than a
+    map inside EM.  With varying s2 the E-step reads the rows the M-step's
+    guard scored, and computes no kernel of its own.
+    """
+    rng = np.random.default_rng(4)
+    scale = np.ones(300) if s2 == "unit" else rng.uniform(0.5, 2.0, 300)
+    data = Observations.normal(rng.normal(size=300) * np.sqrt(scale), scale)
+    config = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL)
+    model = mixture.initialize(data, config)
+    w, _ = mixture.e_step(data, model)
+    counts = {"normal_logpdf": 0, "log_marginal_matrix": 0}
+    for name in counts:
+        real = getattr(families, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(families, name, counted)
+    work = []
+    for _ in range(3):
+        before = dict(counts)
+        updated, _ = mixture.m_step(data, w, config, model)
+        mixture.e_step(data, updated)
+        work.append({name: counts[name] - before[name] for name in counts})
+    expected = {"normal_logpdf": 1, "log_marginal_matrix": 1 if s2 == "unit" else 0}
+    assert work == [expected] * 3

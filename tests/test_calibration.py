@@ -20,6 +20,7 @@ from ebmix import (
 from ebmix import calibration
 from ebmix.calibration import perturb_null, perturbed_models
 from ebmix.harness import fdr_scenario_deltas, fdr_scenario_sample
+from ebmix.inference import fdr_curve
 from ebmix.mixture import em_fit
 
 
@@ -129,6 +130,22 @@ class TestCalibratePenalty:
         b = calibrate_penalty(obs, base, plan)
         assert a.chosen_penalty == b.chosen_penalty
         np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_each_generator_curve_computed_once(self, monkeypatch):
+        """K L B + L fdr curves: one per fitted cell and one per generator, not two per cell."""
+        calls = []
+
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return fdr_curve(model, *args, **kwargs)
+
+        monkeypatch.setattr(calibration, "fdr_curve", counted)
+        obs = scenario_obs()
+        base = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL, n_restarts=1, rel_tol=1e-6)
+        plan = small_plan([120.0, 400.0], n_bootstrap=2, n_perturbed=2)
+        result = calibrate_penalty(obs, base, plan)
+        assert not result.failed.any()
+        assert len(calls) == 2 * 2 * 2 + 2
 
     def test_ties_break_to_larger_penalty(self):
         # duplicate candidates produce identical columns, so an exact tie

@@ -1,5 +1,7 @@
 """Component marginals and posteriors against quadrature oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,13 +12,17 @@ from ebmix import (
     BetaComponent,
     ContractError,
     Family,
+    FitConfig,
     MixtureModel,
     NormalComponent,
     NullMode,
+    NumericError,
     Observations,
     component_log_marginal,
 )
+from ebmix import families, mixture
 from ebmix.families import OBSERVATIONS, RISING_TABLE, log_marginal_matrix, rising_beyond
+from ebmix.model_io import ModelDocument, serialize_model
 
 
 class TestComponentMarginal:
@@ -254,6 +260,34 @@ class TestObservations:
         with pytest.raises(ContractError):
             Observations.binomial([0], [0])
 
+    @pytest.mark.parametrize(
+        "counts, trials, message",
+        [
+            ([np.inf], [3], "must be finite"),
+            ([-np.inf], [3], "must be finite"),
+            ([1.0], [np.inf], "must be finite"),
+            ([1.0], [-np.inf], "must be finite"),
+            ([np.nan], [3.0], "must be finite"),
+            ([1.0], [1e30], r"below 2\*\*63"),
+            ([1e30], [3.0], r"below 2\*\*63"),
+            ([-1e30], [3.0], r"below 2\*\*63"),
+        ],
+    )
+    def test_binomial_float_values_checked_before_the_cast(self, counts, trials, message):
+        """Non-finite or out-of-range float counts are named, with no cast warning on the way."""
+        with pytest.raises(ContractError, match=message):
+            Observations.binomial(counts, trials)
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [(Observations.normal, ([1.0, 2.0],)), (Observations.binomial, ([1, 2], [3, 3]))],
+        ids=["normal", "binomial"],
+    )
+    def test_batches_compare_and_hash_by_identity(self, make, args):
+        a, b = make(*args), make(*args)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_normal_s2_positive(self):
         with pytest.raises(ContractError):
             Observations.normal([1.0], [0.0])
@@ -330,8 +364,10 @@ class TestFamilyContract:
         for _ in range(30):
             w = rng.uniform(0.0, 1.0, len(obs)) ** 2
             start = component(rng)
-            fit = obs.update(w[:, None], np.array([w.sum()]), (start,), [True])[0]
+            (fit,), kernel = obs.update(w[:, None], np.array([w.sum()]), (start,), [True])
             assert type(fit) is OBSERVATIONS[family].component
+            if kernel is not None:  # the rows the update scored are the returned component's kernel
+                assert kernel.tobytes() == obs.log_kernel((fit,)).tobytes()
             before = w @ component_log_marginal(obs, start)
             after = w @ component_log_marginal(obs, fit)
             assert after >= before - 1e-12 * abs(before)
@@ -342,7 +378,7 @@ class TestFamilyContract:
         obs = batch(rng, 40)
         comps = [component(rng) for _ in range(3)]
         w = rng.uniform(0.0, 1.0, (3, len(obs))).T
-        out = obs.update(w, w.sum(axis=0), comps, [False, True, False])
+        out, _ = obs.update(w, w.sum(axis=0), comps, [False, True, False])
         assert len(out) == 3 and out[0] is comps[0] and out[2] is comps[2]
         assert type(out[1]) is OBSERVATIONS[family].component
 
@@ -379,8 +415,9 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
     comps = [_normal_component(rng) for _ in range(4)]
     w = rng.uniform(0.0, 1.0, (4, 60)).T ** 2  # column-major, as e_step lays it out
     nj = w.sum(axis=0)
-    out = obs.update(w, nj, comps, [False, True, True, False])
+    out, kernel = obs.update(w, nj, comps, [False, True, True, False])
     assert out[0] is comps[0] and out[3] is comps[3]
+    assert kernel is None  # components 0 and 3 were not scored
     decisions = []
     for k in (1, 2):
         w_k = w[:, k]
@@ -393,6 +430,83 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
         else:
             assert out[k] is comps[k]
     assert decisions == kept
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The batches `log_marginal_matrix` is called on, in order."""
+    calls = []
+
+    def counted(obs, components, _real=families.log_marginal_matrix):
+        calls.append(obs)
+        return _real(obs, components)
+
+    monkeypatch.setattr(families, "log_marginal_matrix", counted)
+    return calls
+
+
+def _guard_map(seed):
+    """(batch, start model, updated model) of one m_step on the guard test's state, every component fitted."""
+    rng = np.random.default_rng(seed)
+    obs = _normal_batch(rng, 60)
+    comps = tuple(_normal_component(rng) for _ in range(4))
+    w = rng.uniform(0.0, 1.0, (4, 60)).T ** 2
+    model = MixtureModel(pi=np.full(4, 0.25), components=comps, null_mode=NullMode.NONE, penalty=np.zeros(4))
+    updated, reinit = mixture.m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
+    assert not reinit
+    return obs, model, updated
+
+
+class TestBoundKernel:
+    """With varying s2, the rows the M-step's guard scored serve the E-step that follows."""
+
+    @pytest.mark.parametrize("seed, kept", [(1, [True, False]), (6, [False, True])])
+    def test_e_step_bits_equal_a_fresh_model(self, kernel_calls, seed, kept):
+        obs, model, updated = _guard_map(seed)
+        # component 1's moment update is kept and component 2's rejected, or the reverse
+        assert [updated.components[k] is not model.components[k] for k in (1, 2)] == kept
+        w_bound, pll_bound = mixture.e_step(obs, updated)
+        assert kernel_calls == []
+        w_fresh, pll_fresh = mixture.e_step(obs, replace(updated))
+        assert kernel_calls == [obs]
+        assert pll_bound == pll_fresh
+        assert w_bound.flags.f_contiguous and w_fresh.flags.f_contiguous
+        assert w_bound.tobytes(order="F") == w_fresh.tobytes(order="F")
+
+    def test_equal_batch_computes_its_own(self, kernel_calls):
+        obs, _, updated = _guard_map(1)
+        twin = Observations.normal(obs.z, obs.s2)
+        mixture.e_step(twin, updated)
+        assert kernel_calls == [twin]
+
+    def test_non_finite_bound_row_raises(self, monkeypatch):
+        def poisoned(x, mean, var, _real=families.normal_logpdf):
+            out = _real(x, mean, var)
+            out[[1, 5], 0] = -np.inf  # component 1's new and old rows: the guard keeps the new one
+            return out
+
+        monkeypatch.setattr(families, "normal_logpdf", poisoned)
+        obs, _, updated = _guard_map(1)
+        with pytest.raises(NumericError, match="non-finite component log marginal"):
+            mixture.e_step(obs, updated)
+
+    def test_model_identity_ignores_the_bound_kernel(self, kernel_calls):
+        obs, _, updated = _guard_map(6)
+        fresh = replace(updated)
+        assert fresh == updated and repr(fresh) == repr(updated)
+        assert serialize_model(ModelDocument(fresh)) == serialize_model(ModelDocument(updated))
+        mixture.e_step(obs, fresh)
+        assert kernel_calls == [obs]
+
+    def test_em_fit_uses_and_drops_the_bound_kernels(self, kernel_calls):
+        """Each restart computes a kernel only at its start; the returned model carries none."""
+        obs = _normal_batch(np.random.default_rng(2), 200)
+        config = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL, max_iters=50)
+        fitted = mixture.em_fit(obs, config)
+        assert fitted.diagnostics.iterations > 1
+        assert kernel_calls == [obs] * config.n_restarts
+        mixture.e_step(obs, fitted)
+        assert len(kernel_calls) == config.n_restarts + 1
 
 
 @pytest.mark.parametrize("components", [

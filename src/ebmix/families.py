@@ -24,8 +24,8 @@ and it holds every choice that depends on the family:
 * ``update``, the weighted M-step of every component flagged in ``fit``,
   in one call; it returns (components, kernel), the other components
   as they are and, where the update has scored every returned component
-  on every case anyway, their ``log_kernel`` rows (else None), which
-  `mixture.m_step` hands to the E-step that follows;
+  on every case anyway (normal, varying s2), their ``log_kernel`` rows
+  (else None), which `mixture.m_step` hands to the E-step that follows;
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
@@ -49,6 +49,15 @@ EM map, and kept as a read-only cached property:
   distinct counts above the table of each row.
 
 They take O(n + RISING_TABLE) memory.
+
+A batch also keeps ``scratch``, two writable rows of length n, made on
+first use.  They hold no cached term: their contents mean nothing between
+calls.  The normal M-step forms its weighted products in one of them, and
+`mixture.MixtureModel.posterior_weights` keeps each case's largest log
+term and its sum of exponentials in the two.  So an EM map with a common
+s2 makes no new array of length n but the weights and log marginals it
+returns, and the memory of one map is reused by the next.  A batch is
+therefore not for use from several threads at once.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -89,15 +98,6 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-D array whose every row has a finite maximum.
-
-    A row with a nan, or with no finite entry, comes back non-finite.
-    """
-    m = a.max(axis=1)
-    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
 class Family(str, Enum):
@@ -188,9 +188,26 @@ class ComponentPosterior:
     kappa: np.ndarray | None = None
 
 
-def normal_logpdf(x, mean, var):
-    """log phi(x; mean, var); the arguments broadcast."""
-    return -0.5 * (LOG_2PI + np.log(var)) - 0.5 * (x - mean) ** 2 / var
+def normal_logpdf(x, mean, var, out=None):
+    """log phi(x; mean, var); the arguments broadcast.
+
+    The result is built in one array of the broadcast shape: ``out``, a
+    float array of that shape that shares no memory with the arguments,
+    or else a new one.  No other array of that shape is made unless
+    ``var`` has it.  The steps are those of
+    -0.5 (log 2pi + log var) - 0.5 (x - mean)^2 / var, in that order,
+    so the result has the same bits either way.
+    """
+    if out is None:
+        out = np.empty(np.broadcast(x, mean, var).shape)
+    scale = np.log(var)
+    scale += LOG_2PI
+    scale *= -0.5
+    np.subtract(x, mean, out=out)
+    np.square(out, out=out)
+    out *= 0.5
+    out /= var
+    return np.subtract(scale, out, out=out)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -209,6 +226,11 @@ class Observations:
 
     def __len__(self) -> int:
         return int(self.statistic.shape[0])
+
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        """Two writable rows of length n that an EM map works in (see the module docstring)."""
+        return np.empty((2, len(self)))
 
     @functools.cached_property
     def saturated_sum(self) -> float:
@@ -309,39 +331,44 @@ class NormalObservations(Observations):
 
         The update is exact for constant s2.  With varying s2 each one is
         kept only if it does not lower the component's weighted log
-        marginal (a generalized EM step); the (new, old) pairs of all
-        fitted components are scored in one `normal_logpdf` call.
-        Components not in ``fit`` come back as they are.
+        marginal (a generalized EM step); the rows of every returned
+        component and the old rows of the fitted ones are scored in one
+        `normal_logpdf` call.  Components not in ``fit`` come back as
+        they are.  The weighted products are formed in a scratch row.
 
-        Returns (components, kernel).  Where the guard has scored every
-        component, kernel is ``log_kernel`` of the returned components,
-        read-only and equal to it bit for bit: each component's new row
-        where its update was kept, its old row where it was not.  Else
-        kernel is None.
+        Returns (components, kernel).  With varying s2, kernel is
+        ``log_kernel`` of the returned components, read-only and equal to
+        it bit for bit: each fitted component's new row where its update
+        was kept, its old row where it was not.  With a common s2 kernel
+        is None.
         """
         out = list(components)
         fitted = [k for k in range(len(out)) if fit[k]]
+        row = self.scratch[0]
         for k in fitted:
             w_k = w[:, k]
-            mu = float((w_k * self.z).sum() / nj[k])
-            s2bar = float((w_k * self.s2).sum() / nj[k])
-            var = max(0.0, float((w_k * (self.z - mu) ** 2).sum() / nj[k]) - s2bar)
+            mu = float(np.multiply(w_k, self.z, out=row).sum() / nj[k])
+            if self.homoscedastic:
+                s2bar = float(self.s2[0])  # a common s2 is its own weighted mean
+            else:
+                s2bar = float(np.multiply(w_k, self.s2, out=row).sum() / nj[k])
+            np.square(np.subtract(self.z, mu, out=row), out=row)
+            var = max(0.0, float(np.multiply(w_k, row, out=row).sum() / nj[k]) - s2bar)
             out[k] = NormalComponent(mu, var)
-        if self.homoscedastic or not fitted:
+        if self.homoscedastic:
             return out, None
-        pairs = [out[k] for k in fitted] + [components[k] for k in fitted]  # rows: new, then old
-        mean = np.array([c.mean for c in pairs])[:, None]
-        var = np.array([c.var for c in pairs])[:, None]
-        logpdf = normal_logpdf(self.z, mean, var + self.s2).reshape(2, len(fitted), -1)
-        new, old = (logpdf * w.T[fitted]).sum(axis=2)
-        rejected = ~(new >= old)
-        for k, reject in zip(fitted, rejected.tolist()):
-            if reject:
+        scored = out + [components[k] for k in fitted]  # rows: every component as updated, then the fitted ones' old
+        mean = np.array([c.mean for c in scored])[:, None]
+        var = np.array([c.var for c in scored])[:, None]
+        logpdf = normal_logpdf(self.z, mean, var + self.s2)
+        j = len(out)
+        sums = (logpdf * w.T[list(range(j)) + fitted]).sum(axis=1)  # each row weighted by its component's column
+        kept = (sums[fitted] >= sums[j:]).tolist()
+        kernel = logpdf[:j]
+        for i, k in enumerate(fitted):
+            if not kept[i]:
                 out[k] = components[k]
-        if len(fitted) < len(out):
-            return out, None
-        kernel, old_rows = logpdf
-        kernel[rejected] = old_rows[rejected]  # the returned components' rows, in the buffer the guard scored
+                kernel[k] = logpdf[j + i]  # its old row
         return out, _read_only(kernel)
 
     @staticmethod
@@ -674,7 +701,9 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     so each column is contiguous: numpy reduces a 100k x 3 array along
     its short rows many times faster in this order, and every array
     computed from it (posterior weights, `posterior_summary`'s buffers)
-    keeps the order.
+    keeps the order.  The result is a new array that the caller owns:
+    `mixture.MixtureModel.posterior_weights` turns it into the weights
+    in place.
     """
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):

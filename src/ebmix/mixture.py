@@ -24,7 +24,7 @@ import numpy as np
 
 from . import families
 from .errors import ContractError, FitError, NumericError
-from .families import OBSERVATIONS, Family, NullMode, Observations, logsumexp_rows
+from .families import OBSERVATIONS, Family, NullMode, Observations
 from .seeding import STREAM_INIT, derive_rng
 
 _MONOTONE_SLACK = 1e-9
@@ -109,28 +109,38 @@ class MixtureModel:
 
         w keeps `log_marginal_matrix`'s layout, each column contiguous, so
         the sums over components and over cases run at full speed.
-        Components with pi_j = 0 get weight exp(-inf) = 0.  The log
+        Components with pi_j = 0 get weight exactly 0.  The log
         marginals leave out each case's data-only term ``obs.saturated``
         (0 for normal cases; see `families`).  Where `m_step` bound the
         kernel its update scored to this model and ``obs`` is that very
         batch (by identity), those rows are used, checked as
         `log_marginal_matrix` checks its own; otherwise it is called.
-        Raises NumericError at a non-finite component log marginal and
-        at a case of zero (or infinite) mixture density f.
+
+        The (J, n) kernel becomes w in one buffer, a new one that the
+        caller owns: add log pi, take each case's largest term m,
+        subtract it, exponentiate, sum the case's terms into s, divide
+        by s, and log f = m + log s.  m and s are kept in the batch's
+        ``scratch`` rows.  Raises NumericError at a non-finite component
+        log marginal and at a case of zero mixture density f.
         """
         bound = self._kernel
         if bound is not None and bound[0] is obs:
-            marginals = families.checked_matrix(bound[1])
+            kernel = families.checked_matrix(bound[1]).T  # read-only: the add below reads it into w
+            w = np.empty_like(kernel)
         else:
-            marginals = families.log_marginal_matrix(obs, self.components)
+            kernel = w = families.log_marginal_matrix(obs, self.components).T
         with np.errstate(divide="ignore"):
-            logw = marginals + np.log(self.pi)
-        logf = logsumexp_rows(logw)
-        bad = ~np.isfinite(logf)
-        if np.any(bad):
-            raise NumericError(f"zero marginal density at case {int(np.flatnonzero(bad)[0])}")
-        w = np.exp(logw - logf[:, None])
-        return w, logf
+            log_pi = np.log(self.pi)
+        np.add(kernel, log_pi[:, None], out=w)
+        m, s = obs.scratch
+        np.max(w, axis=0, out=m)
+        if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
+            raise NumericError(f"zero marginal density at case {int(np.flatnonzero(~np.isfinite(m))[0])}")
+        w -= m
+        np.exp(w, out=w)
+        np.sum(w, axis=0, out=s)
+        w /= s
+        return w.T, m + np.log(s, out=s)
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
         """Log of the mixture marginal f(z) = sum_j pi_j f^(j)(z)."""
@@ -230,8 +240,8 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     unjittered start, ``initialize(data, config, 0)``; the flag is then
     True, and the EM objective may legitimately dip for one iteration.
     Where the family's ``update`` returns the kernel rows of the updated
-    components (normal, varying s2, every component fitted), they are
-    bound to the updated model, read-only, for the E-step on ``data``.
+    components (normal, varying s2), they are bound to the updated model,
+    read-only, for the E-step on ``data``.
     """
     n, j = w.shape
     if j != model.n_components or n != len(data):

@@ -134,19 +134,27 @@ def test_em_fit_maps_through_module_globals(monkeypatch, max_iters, converged):
     assert calls == {"m_step": diag.iterations, "e_step": diag.iterations + 1}
 
 
-@pytest.mark.parametrize("s2", ["unit", "varying"])
-def test_replayed_map_repeats_its_work(monkeypatch, s2):
+@pytest.mark.parametrize(
+    "s2, null_mode",
+    [
+        pytest.param("unit", NullMode.EMPIRICAL, id="unit"),
+        pytest.param("varying", NullMode.EMPIRICAL, id="varying"),
+        pytest.param("varying", NullMode.THEORETICAL, id="varying-theoretical"),
+    ],
+)
+def test_replayed_map_repeats_its_work(monkeypatch, s2, null_mode):
     """bench/replay.py prices a map by repeating ``m_step`` then ``e_step`` on one captured state.
 
     Each repeat must call the kernel functions as often as the first, so
     no cache keyed on the state can make a replayed map cheaper than a
     map inside EM.  With varying s2 the E-step reads the rows the M-step's
-    guard scored, and computes no kernel of its own.
+    guard scored, and computes no kernel of its own, also where the
+    theoretical null is not fitted.
     """
     rng = np.random.default_rng(4)
     scale = np.ones(300) if s2 == "unit" else rng.uniform(0.5, 2.0, 300)
     data = Observations.normal(rng.normal(size=300) * np.sqrt(scale), scale)
-    config = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL)
+    config = FitConfig(n_components=3, null_mode=null_mode)
     model = mixture.initialize(data, config)
     w, _ = mixture.e_step(data, model)
     counts = {"normal_logpdf": 0, "log_marginal_matrix": 0}

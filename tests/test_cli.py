@@ -54,44 +54,44 @@ FIT_CASES = {
 # captured from the implementation; outputs must stay byte-identical
 MODEL_JSON = {
     "binomial-empirical": (
-        '{"components":[{"kappa":0.012452678794622659,"mean":0.29959797126537696},{"kappa":0,"mean":0.44251396677567328},{"kappa":0,"mean":0.44251396677567317}],"diagnostics":{"converged":true,"iterations":270,"penalized_loglik":-77.528196684154864},"family":"binomial","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[6,0,0],"pi":[0.99999437478207653,3.997086224335709e-06,1.6281316991782945e-06],"seed":0,"timestamp":null}\n'
+        '{"components":[{"kappa":0.012452678794622696,"mean":0.29959797126537696},{"kappa":0,"mean":0.44251396677567284},{"kappa":0,"mean":0.4425139667756729}],"diagnostics":{"converged":true,"iterations":270,"penalized_loglik":-77.528196684154892},"family":"binomial","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[6,0,0],"pi":[0.99999437478207653,3.9970862243333831e-06,1.6281316991773274e-06],"seed":0,"timestamp":null}\n'
     ),
     "binomial-none": (
-        '{"components":[{"kappa":0.01245266869809669,"mean":0.2995979511683326},{"kappa":0,"mean":0.44251396264389192},{"kappa":0,"mean":0.44251396264389192}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862019},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124506024081e-06,2.1030331282762288e-06],"seed":0,"timestamp":null}\n'
+        '{"components":[{"kappa":0.012452668698096988,"mean":0.2995979511683326},{"kappa":0,"mean":0.4425139626438922},{"kappa":0,"mean":0.44251396264389214}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862061},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124506019812e-06,2.1030331282759209e-06],"seed":0,"timestamp":null}\n'
     ),
     "normal-empirical": (
-        '{"components":[{"mean":0.5406918581651915,"var":0.86449042218822791},{"mean":3.3188049545265521,"var":0},{"mean":6.7702178412082263,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334761066e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.54069185816519139,"var":0.86449042218822814},{"mean":3.3188049545265512,"var":0},{"mean":6.7702178412082272,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334763099e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
     ),
     "normal-none": (
-        '{"components":[{"mean":0.18987136815237848,"var":0.28146355029075987},{"mean":3.2663260700154106,"var":0},{"mean":6.7527714746788225,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016901,0.020096448064962989],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.18987136815237848,"var":0.28146355029075965},{"mean":3.2663260700154111,"var":0},{"mean":6.7527714746788225,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016915,0.020096448064962986],"seed":0,"timestamp":null}\n'
     ),
     "normal-theoretical": (
-        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608509,"var":0.60432247943450634},{"mean":6.7460398267333659,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339464,0.12530904913497107,0.019806641731634243],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608513,"var":0.60432247943450768},{"mean":6.7460398267333659,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339475,0.12530904913497107,0.019806641731634243],"seed":0,"timestamp":null}\n'
     ),
 }
 ESTIMATE_CSV = {
     "normal-theoretical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,-3.5,0.00016301716509342878,0.0002779292809139395,0.9993749706724125,0.008268559358743733\n"
-        "b,0.0,0.0243395444003731,0.04365045057219365,0.9845875085192682,0.8548843091333946\n"
-        "c,1.96,1.772183807205437,1.0115148943680285,0.20160709484383701,0.04208671443705147\n"
-        "d,2.5,0.9639480883291345,1.7032051376705444,0.6196173121585505,0.4408814317784325\n"
-        "e,4.0,3.10124011894637,0.5432302880845379,0.005584057935599212,0.0015351229118768627\n"
-        "f,7.25,6.6642942315313904,0.23929637699988304,1.122172903972207e-06,4.0492899356064673e-07\n"
+        "a,-3.5,0.0001630171650934283,0.0002779292809139411,0.9993749706724129,0.00826855935874373\n"
+        "b,0.0,0.024339544400373104,0.04365045057219364,0.9845875085192681,0.8548843091333947\n"
+        "c,1.96,1.7721838072054368,1.0115148943680292,0.20160709484383715,0.042086714437051476\n"
+        "d,2.5,0.9639480883291345,1.7032051376705448,0.6196173121585508,0.4408814317784326\n"
+        "e,4.0,3.1012401189463703,0.5432302880845381,0.005584057935599205,0.0015351229118768623\n"
+        "f,7.25,6.664294231531388,0.2392963769998843,1.1221729039722057e-06,4.0492899356064673e-07\n"
     ),
     "binomial-empirical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.23985998951001114,0.0017998031683199881,0.9999999749309166,\n"
-        "b,9,0.29970757475481374,0.0018857058064751756,0.999998169012498,\n"
-        "c,17,0.34129478631392335,0.001853441505158025,0.9999825278762885,\n"
-        "d,45,0.5299801571750188,0.0018973234729662055,0.999966697696111,\n"
+        "a,0,0.239859989510011,0.0017998031683199916,0.9999999749309165,\n"
+        "b,9,0.2997075747548137,0.0018857058064751782,0.999998169012498,\n"
+        "c,17,0.34129478631392346,0.0018534415051580293,0.9999825278762886,\n"
+        "d,45,0.5299801571750187,0.001897323472966207,0.9999666976961101,\n"
     ),
     "binomial-none": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.23986001229687884,0.0017998021473136859,,\n"
-        "b,9,0.29970756516893154,0.0018857053127627663,,\n"
-        "c,17,0.3412947848948833,0.001853443281783655,,\n"
-        "d,45,0.5299799727291168,0.001897326335374441,,\n"
+        "a,0,0.23986001229687776,0.0017998021473137145,,\n"
+        "b,9,0.2997075651689316,0.001885705312762799,,\n"
+        "c,17,0.341294784894884,0.0018534432817836862,,\n"
+        "d,45,0.5299799727291193,0.0018973263353744636,,\n"
     ),
 }
 # a binomial model file in the {"alpha", "beta"} component records written before (mean, kappa)
@@ -100,10 +100,10 @@ ALPHA_BETA_MODEL_JSON = (
 )
 ALPHA_BETA_ESTIMATE_CSV = (
     "id,z,effect_mean,effect_var,fdr,FDR\n"
-    "a,0,0.2784261666034635,2.3834823800852078e-05,,\n"
-    "b,9,0.284383413788583,0.0008995415226515067,,\n"
-    "c,17,0.34922788601602284,0.005840535724317481,,\n"
-    "d,45,0.43153851783902164,2.939656313639156e-09,,\n"
+    "a,0,0.2784261666034635,2.3834823800852074e-05,,\n"
+    "b,9,0.284383413788583,0.0008995415226515065,,\n"
+    "c,17,0.3492278860160228,0.00584053572431748,,\n"
+    "d,45,0.43153851783902203,2.939656313639158e-09,,\n"
 )
 
 
@@ -149,7 +149,7 @@ class TestModelFile:
     def test_point_mass_round_trip(self):
         """A beta component at kappa = 0 (which no alpha, beta can write) round-trips byte for byte."""
         text = MODEL_JSON["binomial-none"]
-        assert '{"kappa":0,"mean":0.44251396264389192}' in text
+        assert '{"kappa":0,"mean":0.4425139626438922}' in text
         doc = parse_model(text)
         assert [c.kappa for c in doc.model.components][1:] == [0.0, 0.0]
         assert serialize_model(doc) == text
@@ -463,25 +463,25 @@ BASEBALL_CSV = (
 # captured from the implementation; outputs must stay byte-identical
 CALIBRATE_MANUAL_CSV = (
     "candidate_P,perturbed_model_index,bootstrap_index,score\n"
-    "2.0,0,0,0.1104452458234718\n"
-    "2.0,0,1,2.855256853826893e-05\n"
-    "2.0,1,0,0.018268249508777916\n"
-    "2.0,1,1,0.0004666657805882279\n"
-    "8.0,0,0,0.06417062393620426\n"
-    "8.0,0,1,0.0006370473221281484\n"
-    "8.0,1,0,0.0018102792717906672\n"
-    "8.0,1,1,0.00013118130686523915\n"
-    "20.0,0,0,0.00787246834658347\n"
-    "20.0,0,1,0.001615830454309782\n"
-    "20.0,1,0,0.0004767806529459991\n"
-    "20.0,1,1,2.897749427705145e-05\n"
+    "2.0,0,0,0.11044524582347189\n"
+    "2.0,0,1,2.8552568538269283e-05\n"
+    "2.0,1,0,0.01826824950877793\n"
+    "2.0,1,1,0.00046666578058821256\n"
+    "8.0,0,0,0.06417062393620421\n"
+    "8.0,0,1,0.0006370473221281385\n"
+    "8.0,1,0,0.0018102792717906734\n"
+    "8.0,1,1,0.0001311813068652381\n"
+    "20.0,0,0,0.007872468346583434\n"
+    "20.0,0,1,0.001615830454309778\n"
+    "20.0,1,0,0.00047678065294599436\n"
+    "20.0,1,1,2.8977494277050096e-05\n"
 )
 CALIBRATE_AUTO_SCORES = (
-    0.05042077980839608, 0.05043827204914413, 0.05045576665232793, 0.050473263618414116,
-    0.05049076294787048, 0.05050826464116475, 0.05052576869876606, 0.05054327512114361,
-    0.050560783908767545, 0.05057829506210875, 0.05059580858163857, 0.05061332446782905,
-    0.05063084272115312, 0.05064836334208409, 0.050665886331096054, 0.050683411688663915,
-    0.050700939415262915, 0.050718469511369386, 0.05073600197745995, 0.050753536814012214,
+    0.05042077980839616, 0.05043827204914418, 0.0504557666523279, 0.050473263618414164,
+    0.050490762947870506, 0.05050826464116478, 0.050525768698766085, 0.05054327512114364,
+    0.05056078390876767, 0.050578295062108834, 0.05059580858163852, 0.0506133244678291,
+    0.05063084272115319, 0.050648363342084196, 0.05066588633109611, 0.050683411688663964,
+    0.05070093941526299, 0.050718469511369456, 0.05073600197746007, 0.05075353681401229,
 )
 BIC_STDOUT = (
     "J=1 BIC=164.68443201634096\n"
@@ -490,11 +490,11 @@ BIC_STDOUT = (
     "selected_J=1\n"
 )
 FDR_STUDY_SHA256 = {
-    "fdr_curves.csv": "d3c1ede1ef775918699fea304e308b037e506a7c1ee978ce4a131afc32aa291f",
-    "FDR_curves.csv": "66c568ca2ebd32232ea10e33d4beb8a015e689c7787da54de13687d23175afae",
+    "fdr_curves.csv": "527e6636af7c05f98a5da3eba10e07df6d72b0a60f40f3fd0564beadcad4a89d",
+    "FDR_curves.csv": "3ba818ee90f22499fa1595bcc9a6b4e08be425e1a0316269c14fe1f4480b56a2",
     "thresholds.csv": "70d5d6664ab7eb324d9a6c5d578cf749862878a1705557406702e6403c63c67a",
 }
-EFFECT_STUDY_SHA256 = "d6d9712b2bce580b5d888a4eeb3e8a9a074ad231ac6a3441f0b791fcb1107d71"
+EFFECT_STUDY_SHA256 = "6a2567d93a280b2c741e4538afeee834ea29577b52236e86d3c0ff5a0dccd9b4"
 EFFECT_SUMMARY_CSV = (
     "method,mean_rel_error,median_rel_error\n"
     "bayes_oracle,1.0,1.0\n"
@@ -526,15 +526,15 @@ BASEBALL_TSE_CSV = (
     "overall,naive,12,10,2,0.003936473938692206,1.0\n"
     "overall,grand_mean,12,10,2,0.013383846969193463,3.3999582310558645\n"
     "overall,james_stein,12,10,2,0.013733513465711177,3.488785567896784\n"
-    "overall,mixture,12,10,2,0.013422883028194986,3.409874734914262\n"
+    "overall,mixture,12,10,2,0.013422883028194943,3.409874734914251\n"
     "pitchers,naive,4,4,0,0.004024426643691107,1.0\n"
     "pitchers,grand_mean,4,4,0,0.006902877409426364,1.7152449331503312\n"
     "pitchers,james_stein,4,4,0,0.004818710095689483,1.1973656180920913\n"
-    "pitchers,mixture,4,4,0,0.007589604662630993,1.8858847072113585\n"
+    "pitchers,mixture,4,4,0,0.007589604662631007,1.885884707211362\n"
     "nonpitchers,naive,8,6,2,-8.795270499890049e-05,1.0\n"
     "nonpitchers,grand_mean,8,6,2,0.005256534188980982,-59.7654635982679\n"
     "nonpitchers,james_stein,8,6,2,0.0050541322521518404,-57.46420479296257\n"
-    "nonpitchers,mixture,8,6,2,0.004881075790550077,-55.49659661531839\n"
+    "nonpitchers,mixture,8,6,2,0.004881075790550063,-55.496596615318225\n"
 )
 BASEBALL_TSE_STDOUT = (
     "overall: naive=1.000 grand_mean=3.400 james_stein=3.489 mixture=3.410\n"

@@ -215,6 +215,19 @@ class TestComponentMarginal:
                     np.testing.assert_allclose(got, float(w), rtol=1e-13)
 
 
+@pytest.mark.parametrize("var_shape", ["column", "cases"])
+def test_normal_logpdf_builds_in_its_output_buffer(var_shape):
+    """Given ``out`` or not, the result has the bits of the closed form, -0.5 (log 2pi + log var) - 0.5 (x - mean)^2 / var."""
+    rng = np.random.default_rng(9)
+    x, mean = rng.normal(0.0, 3.0, 500), rng.normal(0.0, 3.0, (4, 1))
+    var = rng.uniform(0.0, 2.0, (4, 1)) + (rng.uniform(0.5, 2.0, 500) if var_shape == "cases" else 1.0)
+    closed = -0.5 * (families.LOG_2PI + np.log(var)) - 0.5 * (x - mean) ** 2 / var
+    out = np.full((4, 500), np.nan)
+    assert families.normal_logpdf(x, mean, var, out) is out
+    assert out.tobytes() == closed.tobytes()
+    assert families.normal_logpdf(x, mean, var).tobytes() == closed.tobytes()
+
+
 class TestComponentPosterior:
     def test_point_mass_prior_is_unmoved(self):
         post = Observations.normal([5.0]).posterior((NormalComponent(0.0, 0.0),))
@@ -408,7 +421,9 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
     of one and rejects the other's; rows that slid against each other
     would swap the two decisions.  Each decision is checked against the
     component's own weighted sum w_k @ log f_k, and components 0 and 3,
-    outside ``fit``, come back as the same objects.
+    outside ``fit``, come back as the same objects.  Their rows are
+    scored in the same call, so the returned kernel is that of every
+    returned component.
     """
     rng = np.random.default_rng(seed)
     obs = _normal_batch(rng, 60)
@@ -417,7 +432,8 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
     nj = w.sum(axis=0)
     out, kernel = obs.update(w, nj, comps, [False, True, True, False])
     assert out[0] is comps[0] and out[3] is comps[3]
-    assert kernel is None  # components 0 and 3 were not scored
+    assert not kernel.flags.writeable
+    assert kernel.tobytes() == obs.log_kernel(tuple(out)).tobytes()
     decisions = []
     for k in (1, 2):
         w_k = w[:, k]

@@ -1,7 +1,10 @@
 """EM fitting contracts: E/M steps, penalties, pinning, determinism, BIC."""
 
 import dataclasses
+import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +105,139 @@ class TestEStep:
         ):
             assert mat.shape == (len(obs), j)
             assert all(mat[:, k].flags.c_contiguous for k in range(j))
+
+
+def _weights_case(kind):
+    """(batch, components, pi) of 300 cases; one component has pi_j = 0."""
+    rng = np.random.default_rng(12)
+    n = 300
+    if kind == "binomial":
+        trials = rng.integers(1, 400, n)
+        obs = Observations.binomial(rng.binomial(trials, rng.uniform(0.1, 0.9, n)), trials)
+        comps = (BetaComponent(0.2, 0.0), BetaComponent(0.5, 0.02), BetaComponent(0.8, 0.1), BetaComponent(0.4, 0.3))
+    else:
+        s2 = 1.0 if kind == "normal" else rng.uniform(0.5, 2.0, n)
+        obs = Observations.normal(rng.normal(0.0, 3.0, n), s2)
+        comps = (NormalComponent(0.0, 0.0), NormalComponent(2.0, 1.0), NormalComponent(-1.0, 4.0), NormalComponent(6.0, 0.0))
+    return obs, comps, np.array([0.5, 0.0, 0.3, 0.2])
+
+
+def _model(comps, pi):
+    return MixtureModel(pi=pi, components=comps, null_mode=NullMode.NONE, penalty=np.zeros(len(comps)))
+
+
+@pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
+class TestPosteriorWeights:
+    """The kernel turns into the weights in place, with one exp per cell."""
+
+    def test_weights_exact_to_rounding(self, kind):
+        """Each w_ij is within 4 ulps of exp(logw_ij - log f_i), the exact value at the float log terms.
+
+        The one rounding every float evaluation shares, that of the
+        shifted log term logw_ij - max_j logw_ij, is allowed on top.  Rows
+        sum to 1 within J ulps, and a component with pi_j = 0 gets exactly 0.
+        """
+        obs, comps, pi = _weights_case(kind)
+        w, _ = _model(comps, pi).posterior_weights(obs)
+        live = pi > 0
+        assert np.all(w[:, ~live] == 0.0)
+        logw = log_marginal_matrix(obs, comps)[:, live] + np.log(pi[live])
+        shift = logw - logw.max(axis=1, keepdims=True)
+        with mpmath.workdps(30):
+            exact = np.array([
+                [float(mpmath.exp(x - mpmath.log(mpmath.fsum(mpmath.exp(y) for y in row)))) for x in row]
+                for row in logw.tolist()
+            ])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(w[:, live] - exact) <= 4 * np.spacing(exact) - shift * (eps / 2) * exact)
+        row_error = np.array([math.fsum(row) for row in w.tolist()]) - 1.0
+        assert np.all(np.abs(row_error) <= len(comps) * eps)
+
+    def test_log_marginal_keeps_its_bits(self, kind):
+        """log f = m + log sum exp(logw - m), the log-sum-exp the weights were once formed from."""
+        obs, comps, pi = _weights_case(kind)
+        _, logf = _model(comps, pi).posterior_weights(obs)
+        with np.errstate(divide="ignore"):
+            logw = log_marginal_matrix(obs, comps) + np.log(pi)
+        m = logw.max(axis=1)
+        assert logf.tobytes() == (m + np.log(np.exp(logw - m[:, None]).sum(axis=1))).tobytes()
+
+    def test_zero_marginal_density_names_the_first_bad_case(self, monkeypatch, kind):
+        """A kernel with no finite entry at a case (which `log_marginal_matrix` itself would refuse)."""
+        obs, comps, pi = _weights_case(kind)
+
+        def vanishing(data, components, _real=mixture.families.log_marginal_matrix):
+            out = _real(data, components)
+            out[[7, 3, 200]] = -np.inf
+            return out
+
+        monkeypatch.setattr(mixture.families, "log_marginal_matrix", vanishing)
+        with pytest.raises(NumericError, match=r"^zero marginal density at case 3$"):
+            _model(comps, pi).posterior_weights(obs)
+
+    def test_returned_arrays_belong_to_the_caller(self, kind):
+        """Later calls on the same batch leave earlier results alone; nothing returned is the batch's scratch."""
+        obs, comps, pi = _weights_case(kind)
+        first, other = _model(comps, pi), _model(comps, np.array([0.1, 0.2, 0.3, 0.4]))
+        w, logf = first.posterior_weights(obs)
+        log_marginal = first.log_marginal(obs)
+        kept = [a.copy() for a in (w, logf, log_marginal)]
+        e_step(obs, other)
+        other.posterior_weights(obs)
+        other.log_marginal(obs)
+        for a, copy in zip((w, logf, log_marginal), kept):
+            assert a.tobytes() == copy.tobytes()
+            assert a.flags.writeable and not np.shares_memory(a, obs.scratch)
+        assert not np.shares_memory(w, logf)
+
+    def test_m_step_leaves_its_weights_alone(self, kind):
+        """bench/replay.py runs ``m_step`` on one captured w again and again."""
+        obs, comps, pi = _weights_case(kind)
+        config = FitConfig(n_components=4, null_mode=NullMode.NONE)
+        w, _ = e_step(obs, _model(comps, np.full(4, 0.25)))
+        kept = w.copy()
+        updated, _ = m_step(obs, w, config, _model(comps, np.full(4, 0.25)))
+        e_step(obs, updated)
+        m_step(obs, w, config, updated)
+        assert w.tobytes() == kept.tobytes()
+
+
+def test_bound_kernel_outlives_the_e_step():
+    """With varying s2 the E-step reads the M-step's bound rows into a new buffer, never over them."""
+    obs, comps, _ = _weights_case("normal-varying-s2")
+    config = FitConfig(n_components=4, null_mode=NullMode.NONE)
+    w, _ = e_step(obs, _model(comps, np.full(4, 0.25)))
+    updated, _ = m_step(obs, w, config, _model(comps, np.full(4, 0.25)))
+    w1, pll1 = e_step(obs, updated)
+    w2, pll2 = e_step(obs, updated)
+    assert pll1 == pll2 and w1.tobytes() == w2.tobytes()
+    assert w1.flags.writeable and not np.shares_memory(w1, w2)
+
+
+def test_steady_map_allocates_only_its_results():
+    """A map's new memory is its w and log f and little more: the kernel becomes w in place.
+
+    tracemalloc sees numpy's buffers.  The bound is (J + 2) n doubles; w
+    alone is J n and log f n.
+    """
+    n, j = 20_000, 3
+    rng = np.random.default_rng(8)
+    data = Observations.normal(rng.normal(size=n) + np.where(rng.uniform(size=n) < 0.1, 3.0, 0.0))
+    config = FitConfig(n_components=j)
+    model = initialize(data, config)
+    w, _ = e_step(data, model)
+    for _ in range(2):
+        model, _ = m_step(data, w, config, model)
+        w, _ = e_step(data, model)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        model, _ = m_step(data, w, config, model)
+        e_step(data, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= (j + 2) * n * 8
 
 
 class TestMStep:

@@ -188,18 +188,15 @@ class ComponentPosterior:
     kappa: np.ndarray | None = None
 
 
-def normal_logpdf(x, mean, var, out=None):
+def normal_logpdf(x, mean, var):
     """log phi(x; mean, var); the arguments broadcast.
 
-    The result is built in one array of the broadcast shape: ``out``, a
-    float array of that shape that shares no memory with the arguments,
-    or else a new one.  No other array of that shape is made unless
-    ``var`` has it.  The steps are those of
-    -0.5 (log 2pi + log var) - 0.5 (x - mean)^2 / var, in that order,
-    so the result has the same bits either way.
+    The result is built in one new array of the broadcast shape; no other
+    array of that shape is made unless ``var`` has it.  The steps are
+    those of -0.5 (log 2pi + log var) - 0.5 (x - mean)^2 / var, in that
+    order, so the result has the bits of that closed form.
     """
-    if out is None:
-        out = np.empty(np.broadcast(x, mean, var).shape)
+    out = np.empty(np.broadcast(x, mean, var).shape)
     scale = np.log(var)
     scale += LOG_2PI
     scale *= -0.5
@@ -362,8 +359,10 @@ class NormalObservations(Observations):
         var = np.array([c.var for c in scored])[:, None]
         logpdf = normal_logpdf(self.z, mean, var + self.s2)
         j = len(out)
-        sums = (logpdf * w.T[list(range(j)) + fitted]).sum(axis=1)  # each row weighted by its component's column
-        kept = (sums[fitted] >= sums[j:]).tolist()
+        w_fit = w.T[fitted]
+        new = ((logpdf[:j] if len(fitted) == j else logpdf[fitted]) * w_fit).sum(axis=1)  # a view when all are fitted
+        old = (logpdf[j:] * w_fit).sum(axis=1)
+        kept = (new >= old).tolist()
         kernel = logpdf[:j]
         for i, k in enumerate(fitted):
             if not kept[i]:

@@ -133,12 +133,12 @@ class MixtureModel:
             log_pi = np.log(self.pi)
         np.add(kernel, log_pi[:, None], out=w)
         m, s = obs.scratch
-        np.max(w, axis=0, out=m)
+        w.max(axis=0, out=m)
         if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
             raise NumericError(f"zero marginal density at case {int(np.flatnonzero(~np.isfinite(m))[0])}")
         w -= m
         np.exp(w, out=w)
-        np.sum(w, axis=0, out=s)
+        w.sum(axis=0, out=s)
         w /= s
         return w.T, m + np.log(s, out=s)
 

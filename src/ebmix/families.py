@@ -23,9 +23,17 @@ and it holds every choice that depends on the family:
 * ``start``, the EM starting components;
 * ``update``, the weighted M-step of every component flagged in ``fit``,
   in one call; it returns (components, kernel), the other components
-  as they are and, where the update has scored every returned component
-  on every case anyway (normal, varying s2), their ``log_kernel`` rows
-  (else None), which `mixture.m_step` hands to the E-step that follows;
+  as they are and, where the update holds every returned component's
+  row on every case anyway (normal, varying s2: the rows it scored and
+  those it read), their ``log_kernel`` rows (else None), which
+  `mixture.m_step` hands to the E-step that follows;
+* ``guarded``, whether ``update`` keeps a moment update only if it does
+  not lower the component's weighted log marginal (normal, varying s2).
+  That guard needs the old components' rows.  Inside EM it reads them
+  from the kernel bound to the model (by `mixture.e_step` before a
+  restart's first map, by `mixture.m_step` after), so a map scores only
+  the F fitted components' new rows, plus one row per reinitialized
+  component, and never a row twice;
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
@@ -52,12 +60,13 @@ They take O(n + RISING_TABLE) memory.
 
 A batch also keeps ``scratch``, two writable rows of length n, made on
 first use.  They hold no cached term: their contents mean nothing between
-calls.  The normal M-step forms its weighted products in one of them, and
-`mixture.MixtureModel.posterior_weights` keeps each case's largest log
-term and its sum of exponentials in the two.  So an EM map with a common
-s2 makes no new array of length n but the weights and log marginals it
-returns, and the memory of one map is reused by the next.  A batch is
-therefore not for use from several threads at once.
+calls.  `mixture.MixtureModel.posterior_weights` keeps each case's largest
+log term and its sum of exponentials in the two, and the normal M-step
+frees its one (F, n) block of squared deviations before the E-step.  So
+an EM map with a common s2 holds no new array of length n at its peak
+but the weights and log marginals it returns, and the memory of one map
+is reused by the next.  A batch is therefore not for use from several
+threads at once.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -232,7 +241,7 @@ class Observations:
     @functools.cached_property
     def saturated_sum(self) -> float:
         """The sum of ``saturated`` over cases, which `mixture.e_step` adds to the pll once."""
-        return self.saturated.sum()
+        return float(self.saturated.sum())
 
     @staticmethod
     def normal(z, s2=None) -> "NormalObservations":
@@ -284,6 +293,11 @@ class NormalObservations(Observations):
         """Whether every case has the same s2, where the moment update is exact."""
         return bool(self.s2.min() == self.s2.max())
 
+    @functools.cached_property
+    def guarded(self) -> bool:
+        """Whether ``update`` guards its moment updates with the old components' rows: with varying s2."""
+        return not self.homoscedastic
+
     def log_kernel(self, components) -> np.ndarray:
         """log phi(z; mean, var + s2) per component (rows) and case (columns), in closed form.
 
@@ -323,15 +337,27 @@ class NormalObservations(Observations):
             comps.append(NormalComponent(float(c) + jitter[len(comps)], 1.0))
         return comps
 
-    def update(self, w: np.ndarray, nj, components, fit):
+    def update(self, w: np.ndarray, nj, components, fit, old=None):
         """Weighted moment update of each component k with ``fit[k]``, by column k of ``w`` (sum ``nj[k]``).
 
-        The update is exact for constant s2.  With varying s2 each one is
-        kept only if it does not lower the component's weighted log
-        marginal (a generalized EM step); the rows of every returned
-        component and the old rows of the fitted ones are scored in one
-        `normal_logpdf` call.  Components not in ``fit`` come back as
-        they are.  The weighted products are formed in a scratch row.
+        ``nj`` is an array.  The fitted columns of ``w`` are taken as one
+        (F, n) block, so the weighted means, the weighted s2 means and the
+        centered weighted variances of all F fitted components are one
+        product each.  The update is exact for constant s2.  With varying
+        s2 each one is kept only if it does not lower the component's
+        weighted log marginal (a generalized EM step), and the guard's
+        weighted sums are row-wise dots over the same block.  Components
+        not in ``fit`` come back as they are.
+
+        ``old``, optional, is (components, kernel): components scored
+        before, such as those of the model whose E-step gave ``w``, and
+        their (J, n) ``log_kernel``.  The guard reads the old row of each
+        component that is that very object in ``old`` (by identity), and
+        scores, in one `normal_logpdf` call, the fitted components' new
+        rows and then the row of each component it cannot read there: F
+        rows per map inside EM, one more per reinitialized component.
+        Without ``old`` that call scores the new rows and then the rows of
+        all J components as given, (F + J) rows.
 
         Returns (components, kernel).  With varying s2, kernel is
         ``log_kernel`` of the returned components, read-only and equal to
@@ -340,34 +366,45 @@ class NormalObservations(Observations):
         is None.
         """
         out = list(components)
-        fitted = [k for k in range(len(out)) if fit[k]]
-        row = self.scratch[0]
-        for k in fitted:
-            w_k = w[:, k]
-            mu = float(np.multiply(w_k, self.z, out=row).sum() / nj[k])
-            if self.homoscedastic:
-                s2bar = float(self.s2[0])  # a common s2 is its own weighted mean
-            else:
-                s2bar = float(np.multiply(w_k, self.s2, out=row).sum() / nj[k])
-            np.square(np.subtract(self.z, mu, out=row), out=row)
-            var = max(0.0, float(np.multiply(w_k, row, out=row).sum() / nj[k]) - s2bar)
-            out[k] = NormalComponent(mu, var)
+        j = len(out)
+        fitted = [k for k in range(j) if fit[k]]
+        f = len(fitted)
+        # the fitted columns of w as rows of its (J, n) transpose: a view where they are adjacent
+        block = slice(fitted[0], fitted[-1] + 1) if f and fitted[-1] - fitted[0] == f - 1 else fitted
+        w_fit = w.T[block]
+        nf = nj[block]
+        # einsum, not a BLAS dot: OpenBLAS splits long dots over its threads, so their bits follow the thread count
+        mu = np.einsum("ij,j->i", w_fit, self.z) / nf
+        s2bar = float(self.s2[0]) if self.homoscedastic else np.einsum("ij,j->i", w_fit, self.s2) / nf
+        dev = np.subtract(self.z, mu[:, None])
+        np.square(dev, out=dev)
+        var = np.einsum("ij,ij->i", w_fit, dev) / nf - s2bar
+        del dev  # freed before the guard scores its rows
+        for k, m, v in zip(fitted, mu.tolist(), var.tolist()):
+            out[k] = NormalComponent(m, max(0.0, v))
         if self.homoscedastic:
             return out, None
-        scored = out + [components[k] for k in fitted]  # rows: every component as updated, then the fitted ones' old
+        if old is None:
+            unknown = range(j)
+        else:
+            prev, bound = old
+            unknown = [k for k in range(j) if components[k] is not prev[k]]
+        scored = [out[k] for k in fitted] + [components[k] for k in unknown]  # new rows, then old rows not given
         mean = np.array([c.mean for c in scored])[:, None]
         var = np.array([c.var for c in scored])[:, None]
         logpdf = normal_logpdf(self.z, mean, var + self.s2)
-        j = len(out)
-        w_fit = w.T[fitted]
-        new = ((logpdf[:j] if len(fitted) == j else logpdf[fitted]) * w_fit).sum(axis=1)  # a view when all are fitted
-        old = (logpdf[j:] * w_fit).sum(axis=1)
-        kept = (new >= old).tolist()
-        kernel = logpdf[:j]
-        for i, k in enumerate(fitted):
-            if not kept[i]:
+        new = logpdf[:f]
+        if old is None:
+            kernel = logpdf[f:]
+        else:
+            kernel = bound.copy()  # the bound rows stay the old model's
+            kernel[unknown] = logpdf[f:]
+        gain = np.einsum("ij,ij->i", w_fit, new) >= np.einsum("ij,ij->i", w_fit, kernel[block])
+        for i, (k, kept) in enumerate(zip(fitted, gain.tolist())):
+            if kept:
+                kernel[k] = new[i]
+            else:
                 out[k] = components[k]
-                kernel[k] = logpdf[j + i]  # its old row
         return out, _read_only(kernel)
 
     @staticmethod
@@ -396,6 +433,7 @@ class BinomialObservations(Observations):
     family = Family.BINOMIAL
     component = BetaComponent
     theoretical_null = None  # no binomial null rate is supported
+    guarded = False  # the Newton M-step reads no kernel rows
     csv_header = "id,H,N"
     csv_headers = (["id", "h", "n"],)
 
@@ -561,10 +599,12 @@ class BinomialObservations(Observations):
             comps.append(base)
         return comps
 
-    def update(self, w: np.ndarray, nj, components, fit):
+    def update(self, w: np.ndarray, nj, components, fit, old=None):
         """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given.
 
-        Returns (components, None): the Newton solves score no kernel rows.
+        Returns (components, None): the Newton solves score no kernel rows
+        and read none (``old`` is never given, since no binomial E-step
+        keeps its kernel).
         """
         return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)], None
 

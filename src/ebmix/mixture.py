@@ -56,9 +56,10 @@ class MixtureModel:
     penalty: np.ndarray
     diagnostics: FitDiagnostics | None = None
     family: Family = field(init=False)
-    # (batch, kernel) that `m_step` binds after its update scored the model's
-    # components on the batch; not a field, so equality, repr, model files
-    # and `dataclasses.replace` never see it
+    # (batch, kernel): the model's (J, n) kernel on one batch, read-only, bound
+    # by `m_step` (the rows its update scored) or by `e_step` (a fresh kernel
+    # on a batch whose update guards with the old rows); not a field, so
+    # equality, repr, model files and `dataclasses.replace` never see it
     _kernel = None
 
     def __post_init__(self):
@@ -104,31 +105,36 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.components)
 
-    def posterior_weights(self, obs: Observations):
+    def posterior_weights(self, obs: Observations, keep: bool = False):
         """(w, log f - obs.saturated): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J).
 
         w keeps `log_marginal_matrix`'s layout, each column contiguous, so
         the sums over components and over cases run at full speed.
         Components with pi_j = 0 get weight exactly 0.  The log
         marginals leave out each case's data-only term ``obs.saturated``
-        (0 for normal cases; see `families`).  Where `m_step` bound the
-        kernel its update scored to this model and ``obs`` is that very
-        batch (by identity), those rows are used, checked as
-        `log_marginal_matrix` checks its own; otherwise it is called.
+        (0 for normal cases; see `families`).  Where a kernel is bound to
+        this model and ``obs`` is that very batch (by identity), its rows
+        are used, checked as `log_marginal_matrix` checks its own;
+        otherwise it is called, and with ``keep`` its kernel is bound to
+        the model, read-only (`e_step` keeps it for the guard of the
+        `m_step` that follows).
 
-        The (J, n) kernel becomes w in one buffer, a new one that the
-        caller owns: add log pi, take each case's largest term m,
-        subtract it, exponentiate, sum the case's terms into s, divide
-        by s, and log f = m + log s.  m and s are kept in the batch's
+        The (J, n) kernel becomes w in one buffer: add log pi, take each
+        case's largest term m, subtract it, exponentiate, sum the case's
+        terms into s, divide by s, and log f = m + log s.  That buffer is
+        the fresh kernel itself, or a new one where the kernel is bound;
+        either way the caller owns it.  m and s are kept in the batch's
         ``scratch`` rows.  Raises NumericError at a non-finite component
         log marginal and at a case of zero mixture density f.
         """
         bound = self._kernel
         if bound is not None and bound[0] is obs:
-            kernel = families.checked_matrix(bound[1]).T  # read-only: the add below reads it into w
-            w = np.empty_like(kernel)
+            kernel = families.checked_matrix(bound[1]).T
         else:
-            kernel = w = families.log_marginal_matrix(obs, self.components).T
+            kernel = families.log_marginal_matrix(obs, self.components).T
+            if keep:
+                _bind(self, obs, kernel)
+        w = kernel if kernel.flags.writeable else np.empty_like(kernel)  # a bound kernel is read into w
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)
         np.add(kernel, log_pi[:, None], out=w)
@@ -169,6 +175,10 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_components", "max_iters", "n_restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
         if self.n_components < 1:
             raise ContractError("n_components must be >= 1")
         if self.null_mode is not NullMode.NONE and self.n_components < 2:
@@ -211,6 +221,20 @@ def initialize(data: Observations, config: FitConfig, restart_index: int = 0) ->
     )
 
 
+def _sum(values) -> float:
+    """The sum of J Python floats from left to right: numpy's order for fewer than 8, so pi keeps its bits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _bind(model: MixtureModel, obs: Observations, kernel: np.ndarray) -> None:
+    """Bind ``kernel``, the (J, n) kernel of ``model`` on ``obs``, to the model, read-only."""
+    kernel.flags.writeable = False
+    object.__setattr__(model, "_kernel", (obs, kernel))
+
+
 def e_step(data: Observations, model: MixtureModel):
     """Responsibilities and the penalized log-likelihood at the model.
 
@@ -219,14 +243,23 @@ def e_step(data: Observations, model: MixtureModel):
     log marginals are summed without their data-only terms
     (``data.saturated``), whose sum is added once at the end, so the
     pll's rounding does not grow with the binomial trial counts.
+
+    The kernel comes from the model where one is bound to ``data`` (by
+    `m_step`).  Otherwise it is computed, and where ``data.guarded``
+    (normal, varying s2) it is bound to the model, so the guard of the
+    `m_step` that follows reads the old components' rows instead of
+    scoring them again.  The penalty term and the checks on pi run on J
+    Python floats.
     """
-    w, logf = model.posterior_weights(data)
-    beta = model.penalty
-    active = beta > 0
-    if np.any(active & (model.pi == 0.0)):
-        raise NumericError("penalized component has zero proportion")
+    w, logf = model.posterior_weights(data, keep=data.guarded)
+    penalty = 0.0
+    for p, b in zip(model.pi.tolist(), model.penalty.tolist()):
+        if b > 0.0:
+            if p == 0.0:
+                raise NumericError("penalized component has zero proportion")
+            penalty += b * float(np.log(p))  # np.log: math.log differs from it in the last bit for some p
     # the data-only terms are added back once, as one sum
-    pll = float(logf.sum() + np.sum(beta[active] * np.log(model.pi[active])) + data.saturated_sum)
+    pll = float(logf.sum()) + penalty + data.saturated_sum
     if not math.isfinite(pll):
         raise NumericError("non-finite penalized log-likelihood")
     return w, pll
@@ -239,40 +272,48 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     with no weight and no penalty restarts as the same component of the
     unjittered start, ``initialize(data, config, 0)``; the flag is then
     True, and the EM objective may legitimately dip for one iteration.
-    Where the family's ``update`` returns the kernel rows of the updated
-    components (normal, varying s2), they are bound to the updated model,
-    read-only, for the E-step on ``data``.
+    The pi update runs on J Python floats.
+
+    Where a kernel is bound to ``model`` on ``data`` (by the `e_step`
+    that gave ``w``, or by the `m_step` before it), the family's
+    ``update`` reads the old components' rows from it.  Where ``update``
+    returns the kernel rows of the updated components (normal, varying
+    s2), they are bound to the updated model, read-only, for the E-step
+    on ``data``.
     """
     n, j = w.shape
     if j != model.n_components or n != len(data):
         raise ContractError("responsibility matrix shape does not match data/model")
-    beta = model.penalty
     nj = w.sum(axis=0)
-    pi = (nj + beta) / (n + beta.sum())
+    njs, betas = nj.tolist(), model.penalty.tolist()
+    scale = n + _sum(betas)
+    pis = [(a + b) / scale for a, b in zip(njs, betas)]
     reinitialized = False
 
     comps = list(model.components)
     fit = [False] * j
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     for k in range(start_free, j):
-        if nj[k] + beta[k] == 0.0:
+        if njs[k] + betas[k] == 0.0:
             comps[k] = initialize(data, config, 0).components[k]
-            pi[k] = 1.0 / (n + beta.sum())
+            pis[k] = 1.0 / scale
             reinitialized = True
         else:
-            fit[k] = nj[k] > 0.0  # with penalty mass only there is nothing to fit a component to
+            fit[k] = njs[k] > 0.0  # with penalty mass only there is nothing to fit a component to
 
-    pi = pi / pi.sum()
-    comps, kernel = data.update(w, nj, comps, fit)
+    total = _sum(pis)
+    bound = model._kernel
+    old = (model.components, bound[1]) if bound is not None and bound[0] is data else None
+    comps, kernel = data.update(w, nj, comps, fit, old)
     updated = MixtureModel(
-        pi=pi,
+        pi=np.array([p / total for p in pis]),
         components=tuple(comps),
         null_mode=model.null_mode,
-        penalty=beta,
+        penalty=model.penalty,
         diagnostics=model.diagnostics,
     )
     if kernel is not None:  # the E-step on ``data`` reads it instead of recomputing it
-        object.__setattr__(updated, "_kernel", (data, kernel))
+        _bind(updated, data, kernel)
     return updated, reinitialized
 
 

@@ -71,6 +71,19 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    # a JSON string or boolean is no number, though float() would read "2.0" and true
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, name: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise DataError(f"{name} must be a JSON array of numbers, got {values!r}")
+    return np.array([_json_number(v, name) for v in values], dtype=float)
+
+
 def serialize_model(doc: ModelDocument) -> str:
     m = doc.model
     diag = None
@@ -113,9 +126,9 @@ def parse_model(text: str) -> ModelDocument:
         comp_type = OBSERVATIONS[family].component
         names = [f.name for f in fields(comp_type)]
         comps = tuple(
-            BetaComponent.from_shapes(float(c["alpha"]), float(c["beta"]))
+            BetaComponent.from_shapes(_json_number(c["alpha"], "alpha"), _json_number(c["beta"], "beta"))
             if comp_type is BetaComponent and "alpha" in c  # the record written before (mean, kappa)
-            else comp_type(*(float(c[name]) for name in names))
+            else comp_type(*(_json_number(c[name], name) for name in names))
             for c in payload["components"]
         )
         diag = None
@@ -124,18 +137,18 @@ def parse_model(text: str) -> ModelDocument:
             if not isinstance(d["converged"], bool):
                 raise DataError(f"converged must be a JSON boolean, got {d['converged']!r}")
             diag = FitDiagnostics(
-                penalized_loglik=float(d["penalized_loglik"]),
+                penalized_loglik=_json_number(d["penalized_loglik"], "penalized_loglik"),
                 iterations=_json_int(d["iterations"], "iterations"),
                 converged=d["converged"],
             )
         model = MixtureModel(
-            pi=np.array(payload["pi"], dtype=float),
+            pi=_json_numbers(payload["pi"], "pi"),
             components=comps,
             null_mode=NullMode(payload["null_mode"]),
-            penalty=np.array(payload["penalty"], dtype=float),
+            penalty=_json_numbers(payload["penalty"], "penalty"),
             diagnostics=diag,
         )
-        if payload["n_components"] != model.n_components:
+        if _json_int(payload["n_components"], "n_components") != model.n_components:
             raise DataError("n_components disagrees with the component list")
         return ModelDocument(
             model=model,

@@ -60,24 +60,24 @@ MODEL_JSON = {
         '{"components":[{"kappa":0.012452668698096988,"mean":0.2995979511683326},{"kappa":0,"mean":0.4425139626438922},{"kappa":0,"mean":0.44251396264389214}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862061},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124506019812e-06,2.1030331282759209e-06],"seed":0,"timestamp":null}\n'
     ),
     "normal-empirical": (
-        '{"components":[{"mean":0.54069185816519139,"var":0.86449042218822814},{"mean":3.3188049545265512,"var":0},{"mean":6.7702178412082272,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334763099e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.54069185816519116,"var":0.86449042218822791},{"mean":3.3188049545265521,"var":0},{"mean":6.7702178412082272,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334764708e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
     ),
     "normal-none": (
-        '{"components":[{"mean":0.18987136815237848,"var":0.28146355029075965},{"mean":3.2663260700154111,"var":0},{"mean":6.7527714746788225,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016915,0.020096448064962986],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.18987136815237846,"var":0.28146355029075965},{"mean":3.2663260700154102,"var":0},{"mean":6.7527714746788243,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016929,0.020096448064962989],"seed":0,"timestamp":null}\n'
     ),
     "normal-theoretical": (
-        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608513,"var":0.60432247943450768},{"mean":6.7460398267333659,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339475,0.12530904913497107,0.019806641731634243],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608495,"var":0.60432247943451389},{"mean":6.7460398267333641,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339464,0.12530904913497118,0.019806641731634236],"seed":0,"timestamp":null}\n'
     ),
 }
 ESTIMATE_CSV = {
     "normal-theoretical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,-3.5,0.0001630171650934283,0.0002779292809139411,0.9993749706724129,0.00826855935874373\n"
-        "b,0.0,0.024339544400373104,0.04365045057219364,0.9845875085192681,0.8548843091333947\n"
-        "c,1.96,1.7721838072054368,1.0115148943680292,0.20160709484383715,0.042086714437051476\n"
-        "d,2.5,0.9639480883291345,1.7032051376705448,0.6196173121585508,0.4408814317784326\n"
-        "e,4.0,3.1012401189463703,0.5432302880845381,0.005584057935599205,0.0015351229118768623\n"
-        "f,7.25,6.664294231531388,0.2392963769998843,1.1221729039722057e-06,4.0492899356064673e-07\n"
+        "a,-3.5,0.00016301716509342662,0.00027792928091395123,0.9993749706724127,0.008268559358743726\n"
+        "b,0.0,0.024339544400373232,0.043650450572193744,0.9845875085192681,0.8548843091333946\n"
+        "c,1.96,1.772183807205435,1.0115148943680285,0.20160709484383715,0.04208671443705149\n"
+        "d,2.5,0.9639480883291335,1.7032051376705442,0.6196173121585509,0.4408814317784325\n"
+        "e,4.0,3.101240118946373,0.5432302880845411,0.005584057935599208,0.001535122911876861\n"
+        "f,7.25,6.664294231531387,0.2392963769998854,1.1221729039722074e-06,4.049289935606473e-07\n"
     ),
     "binomial-empirical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
@@ -434,6 +434,12 @@ class TestParseModel:
             (("seed",), False),
             (("format_version",), True),
             (("timestamp",), 5),
+            (("pi",), ["0.85", "0.13", "0.02"]),
+            (("penalty",), [True, False, False]),
+            (("components", 1, "mean"), "2.0"),
+            (("components", 1, "var"), True),
+            (("n_components",), 3.0),
+            (("diagnostics", "penalized_loglik"), "-77.8"),
         ],
     )
     def test_mistyped_diagnostics_rejected(self, keys, value):
@@ -444,6 +450,30 @@ class TestParseModel:
         target[keys[-1]] = value
         with pytest.raises(DataError, match=keys[-1]):
             parse_model(json.dumps(payload))
+
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_mistyped_beta_shape_rejected(self, field):
+        """The older {"alpha", "beta"} records need JSON numbers too."""
+        payload = json.loads(ALPHA_BETA_MODEL_JSON)
+        payload["components"][0][field] = str(payload["components"][0][field])
+        with pytest.raises(DataError, match=f"{field} must be a JSON number"):
+            parse_model(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("pi", ["0.9", "0.05", "0.05"], "pi must be a JSON number, got '0.9'"),
+            ("n_components", 3.0, "n_components must be a JSON integer, got 3.0"),
+        ],
+    )
+    def test_mistyped_model_file_is_data_error(self, tmp_path, capsys, field, value, reason):
+        payload = json.loads(MODEL_JSON["normal-theoretical"])
+        payload[field] = value
+        model = _write(tmp_path, "model.json", json.dumps(payload))
+        cases = _write(tmp_path, "cases.csv", NORMAL_ESTIMATE_CSV)
+        assert main(["estimate", "--model", model, "--input", cases]) == 1
+        assert capsys.readouterr().err == f"ERROR data: malformed model document: {reason}\n"
 
 
 # 201 cases: the smallest N for which the automatic candidate range is nondegenerate
@@ -463,25 +493,25 @@ BASEBALL_CSV = (
 # captured from the implementation; outputs must stay byte-identical
 CALIBRATE_MANUAL_CSV = (
     "candidate_P,perturbed_model_index,bootstrap_index,score\n"
-    "2.0,0,0,0.11044524582347189\n"
-    "2.0,0,1,2.8552568538269283e-05\n"
-    "2.0,1,0,0.01826824950877793\n"
-    "2.0,1,1,0.00046666578058821256\n"
-    "8.0,0,0,0.06417062393620421\n"
-    "8.0,0,1,0.0006370473221281385\n"
-    "8.0,1,0,0.0018102792717906734\n"
-    "8.0,1,1,0.0001311813068652381\n"
-    "20.0,0,0,0.007872468346583434\n"
-    "20.0,0,1,0.001615830454309778\n"
-    "20.0,1,0,0.00047678065294599436\n"
-    "20.0,1,1,2.8977494277050096e-05\n"
+    "2.0,0,0,0.11044524582347194\n"
+    "2.0,0,1,2.8552568538269232e-05\n"
+    "2.0,1,0,0.018268249508778013\n"
+    "2.0,1,1,0.0004666657805882268\n"
+    "8.0,0,0,0.06417062393620429\n"
+    "8.0,0,1,0.0006370473221281311\n"
+    "8.0,1,0,0.0018102792717907053\n"
+    "8.0,1,1,0.00013118130686523452\n"
+    "20.0,0,0,0.007872468346583436\n"
+    "20.0,0,1,0.0016158304543097673\n"
+    "20.0,1,0,0.00047678065294599626\n"
+    "20.0,1,1,2.8977494277050733e-05\n"
 )
 CALIBRATE_AUTO_SCORES = (
-    0.05042077980839616, 0.05043827204914418, 0.0504557666523279, 0.050473263618414164,
-    0.050490762947870506, 0.05050826464116478, 0.050525768698766085, 0.05054327512114364,
-    0.05056078390876767, 0.050578295062108834, 0.05059580858163852, 0.0506133244678291,
-    0.05063084272115319, 0.050648363342084196, 0.05066588633109611, 0.050683411688663964,
-    0.05070093941526299, 0.050718469511369456, 0.05073600197746007, 0.05075353681401229,
+    0.05042077980839669, 0.050438272049144625, 0.05045576665232842, 0.05047326361841472,
+    0.050490762947871005, 0.050508264641165285, 0.050525768698766516, 0.05054327512114409,
+    0.05056078390876796, 0.05057829506210925, 0.0505958085816391, 0.05061332446782963,
+    0.05063084272115366, 0.050648363342084744, 0.05066588633109656, 0.050683411688664394,
+    0.050700939415263546, 0.050718469511369955, 0.05073600197746055, 0.0507535368140128,
 )
 BIC_STDOUT = (
     "J=1 BIC=164.68443201634096\n"
@@ -490,16 +520,16 @@ BIC_STDOUT = (
     "selected_J=1\n"
 )
 FDR_STUDY_SHA256 = {
-    "fdr_curves.csv": "527e6636af7c05f98a5da3eba10e07df6d72b0a60f40f3fd0564beadcad4a89d",
-    "FDR_curves.csv": "3ba818ee90f22499fa1595bcc9a6b4e08be425e1a0316269c14fe1f4480b56a2",
+    "fdr_curves.csv": "710908817127dafcef0013833b5ff050e799c322702c645eb993bfbd0ab37194",
+    "FDR_curves.csv": "98fa1460c3b6c67fd34c6085a32b3587a3695adcf59f1147e10aeceac62e43d6",
     "thresholds.csv": "70d5d6664ab7eb324d9a6c5d578cf749862878a1705557406702e6403c63c67a",
 }
-EFFECT_STUDY_SHA256 = "6a2567d93a280b2c741e4538afeee834ea29577b52236e86d3c0ff5a0dccd9b4"
+EFFECT_STUDY_SHA256 = "8629688eba191c3753e89a5f1673850b8e58d87babcb015e01cfc981903ebd37"
 EFFECT_SUMMARY_CSV = (
     "method,mean_rel_error,median_rel_error\n"
     "bayes_oracle,1.0,1.0\n"
     "fdr_threshold_q0.1,1.7055469007568025,1.5795620380052902\n"
-    "mixture_J2_P50,1.218870570610745,1.108644757794655\n"
+    "mixture_J2_P50,1.218870570610745,1.1086447577946545\n"
     "naive,17.6246651784865,7.314951396638779\n"
     "sure_shrink,1.9002796191028402,1.624536473507486\n"
     "universal_hard,3.0947246561432014,1.5936274317664818\n"

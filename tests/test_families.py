@@ -1,5 +1,6 @@
 """Component marginals and posteriors against quadrature oracles."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -445,6 +446,33 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
     assert decisions == kept
 
 
+@pytest.mark.parametrize("s2", ["common", "varying"])
+def test_normal_update_gives_closed_form_moments(s2):
+    """Each fitted component's mean and variance, taken for all of them at once, equal their fsum closed forms.
+
+    ``fit`` has gaps, so the fitted columns of w are not adjacent.  The
+    data spread far beyond s2, so the varying-s2 guard keeps both moment
+    updates, and no variance is clipped at 0.
+    """
+    rng = np.random.default_rng(5)
+    n = 80
+    s2_values = np.full(n, 1.5) if s2 == "common" else rng.uniform(0.5, 2.0, n)
+    obs = Observations.normal(rng.normal(1.0, 2.0, n) + np.sqrt(s2_values) * rng.standard_normal(n), s2_values)
+    comps = [_normal_component(rng) for _ in range(4)]
+    w = np.asfortranarray(rng.uniform(0.0, 1.0, (n, 4)) ** 2)
+    nj = w.sum(axis=0)
+    out, _ = obs.update(w, nj, comps, [False, True, False, True])
+    assert out[0] is comps[0] and out[2] is comps[2]
+    z, v = obs.z.tolist(), obs.s2.tolist()
+    for k in (1, 3):
+        w_k = w[:, k].tolist()
+        total = math.fsum(w_k)
+        mean = math.fsum(a * b for a, b in zip(w_k, z)) / total
+        var = (math.fsum(a * (b - mean) ** 2 for a, b in zip(w_k, z)) - math.fsum(a * b for a, b in zip(w_k, v))) / total
+        assert var > 0.5
+        np.testing.assert_allclose([out[k].mean, out[k].var], [mean, var], rtol=1e-12)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The batches `log_marginal_matrix` is called on, in order."""
@@ -511,6 +539,22 @@ class TestBoundKernel:
         mixture.e_step(obs, fresh)
         assert kernel_calls == [obs]
 
+    @pytest.mark.parametrize("null_mode", [NullMode.EMPIRICAL, NullMode.NONE, NullMode.THEORETICAL])
+    def test_guard_on_bound_rows_gives_the_same_bits(self, null_mode):
+        """An M-step that reads the E-step's bound rows returns what one that scores them itself returns."""
+        obs = _normal_batch(np.random.default_rng(4), 120)
+        config = FitConfig(n_components=4, null_mode=null_mode)
+        model = mixture.initialize(obs, config, 1)
+        w, _ = mixture.e_step(obs, model)
+        assert model._kernel[0] is obs
+        for _ in range(3):
+            bound, _ = mixture.m_step(obs, w, config, model)
+            fresh, _ = mixture.m_step(obs, w, config, replace(model))
+            assert bound == fresh
+            assert bound._kernel[1].tobytes() == fresh._kernel[1].tobytes()
+            model = bound
+            w, _ = mixture.e_step(obs, model)
+
     def test_em_fit_uses_and_drops_the_bound_kernels(self, kernel_calls):
         """Each restart computes a kernel only at its start; the returned model carries none."""
         obs = _normal_batch(np.random.default_rng(2), 200)
@@ -520,6 +564,79 @@ class TestBoundKernel:
         assert kernel_calls == [obs] * config.n_restarts
         mixture.e_step(obs, fitted)
         assert len(kernel_calls) == config.n_restarts + 1
+
+
+@pytest.fixture
+def map_cells(monkeypatch):
+    """Per `mixture.m_step` call: (cells `normal_logpdf` scored in it, its fitted and reinitialized counts, n)."""
+    scored, maps = [0], []
+
+    def counted(x, mean, var, _real=families.normal_logpdf):
+        out = _real(x, mean, var)
+        scored[0] += out.size
+        return out
+
+    def m_step(data, w, config, model, _real=mixture.m_step):
+        before = scored[0]
+        updated, reinit = _real(data, w, config, model)
+        nj = w.sum(axis=0)
+        free = range(1 if model.null_mode is NullMode.THEORETICAL else 0, model.n_components)
+        fitted = sum(bool(nj[k] > 0.0) for k in free)
+        emptied = sum(bool(nj[k] + model.penalty[k] == 0.0) for k in free)
+        maps.append((scored[0] - before, fitted, emptied, len(data)))
+        return updated, reinit
+
+    monkeypatch.setattr(families, "normal_logpdf", counted)
+    monkeypatch.setattr(mixture, "m_step", m_step)
+    return maps
+
+
+class TestCellsPerMap:
+    """Inside EM a varying-s2 map scores F x n cells, F its fitted components, plus n per reinitialized one."""
+
+    @pytest.mark.parametrize("null_mode, fitted", [(NullMode.EMPIRICAL, 3), (NullMode.THEORETICAL, 2)])
+    def test_each_map_scores_its_fitted_rows(self, map_cells, kernel_calls, null_mode, fitted):
+        obs = _normal_batch(np.random.default_rng(2), 200)
+        config = FitConfig(n_components=3, null_mode=null_mode, max_iters=40)
+        mixture.em_fit(obs, config)
+        assert kernel_calls == [obs] * config.n_restarts  # one kernel per restart, in its first E-step
+        assert len(map_cells) > config.n_restarts  # the first map of each restart and later ones
+        assert map_cells == [(fitted * 200, fitted, 0, 200)] * len(map_cells)
+
+    def test_reinitialized_component_adds_its_row(self, map_cells, monkeypatch):
+        obs = _normal_batch(np.random.default_rng(2), 200)
+        config = FitConfig(n_components=3, penalty=0.0, null_mode=NullMode.EMPIRICAL, n_restarts=1, max_iters=20)
+        start = mixture.initialize(obs, config)
+        emptied = replace(start, components=start.components[:2] + (NormalComponent(1000.0, 0.0),))
+        real_initialize = mixture.initialize
+        calls = []
+
+        def initialize_emptied_first(data, cfg, restart_index=0):
+            calls.append(restart_index)
+            return emptied if len(calls) == 1 else real_initialize(data, cfg, restart_index)
+
+        monkeypatch.setattr(mixture, "initialize", initialize_emptied_first)
+        mixture.em_fit(obs, config)
+        assert map_cells[0] == (3 * 200, 2, 1, 200)  # components 0 and 1 fitted, component 2 restarted
+        assert map_cells[1:] == [(3 * 200, 3, 0, 200)] * (len(map_cells) - 1)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_only_a_guarded_batch_binds_its_kernel(self, family):
+        """A common-s2 or binomial E-step binds no kernel, nor does its M-step; a varying-s2 one binds both."""
+        rng = np.random.default_rng(9)
+        batches = [FAMILY_CASES[family][0](rng, 50)]
+        if family is Family.NORMAL:
+            batches.append(Observations.normal(batches[0].z))  # s2 = 1 for every case
+        for obs in batches:
+            config = FitConfig(n_components=3, null_mode=NullMode.NONE)
+            model = mixture.initialize(obs, config)
+            w, _ = mixture.e_step(obs, model)
+            updated, _ = mixture.m_step(obs, w, config, model)
+            assert obs.guarded == (family is Family.NORMAL and not obs.homoscedastic)
+            if obs.guarded:
+                assert model._kernel[0] is obs and updated._kernel[0] is obs
+            else:
+                assert model._kernel is None and updated._kernel is None
 
 
 @pytest.mark.parametrize("components", [

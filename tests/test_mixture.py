@@ -721,6 +721,29 @@ class TestConfigValidation:
         with pytest.raises(ContractError, match="invalid convergence controls"):
             FitConfig(rel_tol=rel_tol)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_components", 3.0),
+            ("n_components", True),
+            ("max_iters", 2.5),
+            ("max_iters", 100.0),
+            ("n_restarts", True),
+            ("n_restarts", 2.0),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_integer_controls_must_be_integers(self, field, value):
+        """A float or a bool is refused, not truncated by ``range`` or the seed stream, nor read as 1 or 0."""
+        with pytest.raises(ContractError, match=f"^{field} must be an integer, got {value!r}$"):
+            FitConfig(**{field: value})
+
+    def test_numpy_integer_controls_accepted(self):
+        config = FitConfig(n_components=np.int64(2), max_iters=np.int32(5), n_restarts=np.int64(1), seed=np.uint64(7))
+        obs = Observations.normal(derive_rng(5, 0).standard_normal(50))
+        assert em_fit(obs, config).n_components == 2
+
 
 class TestBic:
     def test_parameter_counts(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, DegenerateRangeError, FitError, NumericError, UnsupportedError
+from .errors import ContractError, DegenerateRangeError, FitError, NumericError, UnsupportedError, check_number
 from .families import Family, NormalComponent, Observations
 from .inference import fdr_curve, nearly_null_grouping
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
@@ -42,6 +42,8 @@ class CalibrationPlan:
             raise ContractError("at least one candidate penalty is required")
         if not np.all((cand >= 0) & np.isfinite(cand)):
             raise ContractError("penalties must be finite and >= 0")
+        check_number("n_perturbed", self.n_perturbed)
+        check_number("n_bootstrap", self.n_bootstrap)
         if self.n_perturbed < 1 or self.n_bootstrap < 1:
             raise ContractError("need at least one perturbed model and one bootstrap draw")
         if self.n_perturbed > len(NULL_SD_SCALES):

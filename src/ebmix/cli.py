@@ -164,20 +164,16 @@ def cmd_estimate(args) -> int:
 def cmd_simulate_effect(args) -> int:
     _check_out_dir(args.out_dir)
     methods = harness.default_effect_methods(args.J, args.penalty)
-    result = harness.run_effect_study(methods, reps=args.reps, seed=args.seed)
+    rows = harness.run_effect_study(methods, reps=args.reps, seed=args.seed)
+    summary = harness.effect_summary(rows)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out_dir, "effect_study.csv"),
-        ["K", "mu", "sided", "method", "rel_error"],
-        [(c.n_nonzero, c.mu, c.sided, c.method, c.rel_error) for c in result.cells],
-    )
-    summary = sorted(result.summary().items())
+    _write_csv(os.path.join(args.out_dir, "effect_study.csv"), ["K", "mu", "sided", "method", "rel_error"], rows)
     _write_csv(
         os.path.join(args.out_dir, "effect_summary.csv"),
         ["method", "mean_rel_error", "median_rel_error"],
-        [(name, m, med) for name, (m, med) in summary],
+        summary,
     )
-    for name, (mean_rel, med_rel) in summary:
+    for name, mean_rel, med_rel in summary:
         print(f"{name}: mean={mean_rel:.4f} median={med_rel:.4f}")
     return 0
 
@@ -194,34 +190,13 @@ def cmd_simulate_fdr(args) -> int:
         )
         for mode in modes
     )
-    result = harness.run_fdr_study(methods, reps=args.reps, seed=args.seed)
+    tables = harness.run_fdr_study(methods, reps=args.reps, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    z_grid = result.z_grid.tolist()
-    for kind, fname in (("fdr", "fdr_curves.csv"), ("FDR", "FDR_curves.csv")):
-        true_curve = result.true_fdr if kind == "fdr" else result.true_tail
-        rows = [(z, "truth", "", v, 0.0) for z, v in zip(z_grid, true_curve.tolist())]
-        for name in result.method_names:
-            mean, sd = result.curve_stats(name, kind)
-            mode = result.null_modes[name]
-            rows += [(z, name, mode, m, s) for z, m, s in zip(z_grid, mean.tolist(), sd.tolist())]
-        _write_csv(
-            os.path.join(args.out_dir, fname),
-            ["z", "method", "null_mode", "mean", "sd"],
-            rows,
-        )
-    rows = []
-    for kind in ("fdr", "FDR"):
-        truth = result.true_thresholds[kind].tolist()
-        rows += [(q, kind, "truth", "", t, 0.0) for q, t in zip(result.qs, truth)]
-        for name in result.method_names:
-            mean, sd = result.threshold_stats(name, kind)
-            mode = result.null_modes[name]
-            rows += [(q, kind, name, mode, m, s) for q, m, s in zip(result.qs, mean.tolist(), sd.tolist())]
-    _write_csv(
-        os.path.join(args.out_dir, "thresholds.csv"),
-        ["q", "kind", "method", "null_mode", "mean", "sd"],
-        rows,
-    )
+    curve_header = ["z", "method", "null_mode", "mean", "sd"]
+    threshold_header = ["q", "kind", "method", "null_mode", "mean", "sd"]
+    files = ("fdr_curves.csv", "FDR_curves.csv", "thresholds.csv")
+    for fname, header, rows in zip(files, (curve_header, curve_header, threshold_header), tables):
+        _write_csv(os.path.join(args.out_dir, fname), header, rows)
     print(f"fdr study written to {args.out_dir}")
     return 0
 

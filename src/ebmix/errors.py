@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one type check of numbers.
 
 Every error carries a short machine-readable ``category`` used by the CLI
 to emit ``ERROR <category>: message`` lines with a stable prefix.
 """
+
+import numbers
 
 
 class EbmixError(Exception):
@@ -57,3 +59,12 @@ class UsageError(EbmixError):
     """Invalid command-line flags or flag combinations."""
 
     category = "usage"
+
+
+def check_number(name: str, value, integer: bool = True) -> None:
+    """Raise ContractError unless ``value`` is an integer, or with ``integer=False`` a real number.
+
+    Numpy scalars pass; a bool is neither.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ContractError(f"{name} must be {'an integer' if integer else 'a real number'}, got {value!r}")

@@ -290,8 +290,8 @@ class NormalObservations(Observations):
 
     @functools.cached_property
     def homoscedastic(self) -> bool:
-        """Whether every case has the same s2, where the moment update is exact."""
-        return bool(self.s2.min() == self.s2.max())
+        """Whether every case has the same s2, where the moment update is exact; true of an empty batch."""
+        return bool(self.s2.min(initial=np.inf) >= self.s2.max(initial=-np.inf))
 
     @functools.cached_property
     def guarded(self) -> bool:

@@ -6,14 +6,23 @@ once below as module constants.
 * The effect-size study sweeps N = 1000 cases with K in {5, 50, 500}
   nonzero effects of strength mu in {2, 3, 4, 5}, one-sided and
   two-sided, and scores estimators by squared error relative to the
-  Bayes rule under the generating prior.
+  Bayes rule under the generating prior.  Its estimators are plain
+  ``(z, spec) -> estimate`` functions keyed by name, and
+  `run_effect_study` returns one (K, mu, sided, method, rel_error) row
+  per scenario and method; `effect_summary` reduces those rows to one
+  (method, mean, median) row per method.
 * The fdr study repeatedly samples one fixed sparse scenario, N = 1000
   cases of which K = 50 have effects drawn once from U(2, 4), and tracks
   the bias and spread of fdr/FDR curve estimates on the z grid
   -4, -3.9, ..., 6 and of the rejection thresholds at q in
-  {0.01, 0.02, 0.05, 0.1, 0.2}.
+  {0.01, 0.02, 0.05, 0.1, 0.2}.  `run_fdr_study` returns the rows of
+  three tables, each led by the plug-in truth: the fdr curves and the
+  tail-FDR curves, (z, method, null_mode, mean, sd), and the thresholds,
+  (q, kind, method, null_mode, mean, sd).
 
-The fdr-threshold baseline runs Benjamini-Hochberg at q = 0.1.
+Both return Python scalars only, ready for the csv module.  The five
+baselines are one table, `BASELINES`; the fdr-threshold baseline runs
+Benjamini-Hochberg at q = 0.1.
 
 Replications share their noise vectors across scenarios and methods, so
 comparisons are paired.
@@ -23,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, EbmixError, FitError
+from .errors import ContractError, EbmixError, FitError, check_number
 from .families import NormalComponent, Observations
 from .inference import fdr_curve, nearly_null_grouping, posterior_summary, rejection_threshold, tail_fdr_curve
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
@@ -160,32 +169,33 @@ def james_stein(z, var=1.0):
 
     The estimate shrinks toward the precision-weighted mean, by
     1 - (n - 3) / sum((z - zbar)^2 / var), the heteroscedastic form of
-    Brown (2008, Ann. Appl. Stat.).  ``var`` is a scalar or one value per case.
+    Brown (2008, Ann. Appl. Stat.), clamped to [0, 1]: shrinkage needs
+    n >= 4, and below that the estimate is the data.  ``var`` is a
+    scalar or one value per case.
     """
     z = np.asarray(z, dtype=float)
     var = np.broadcast_to(np.asarray(var, dtype=float), z.shape)
     zbar = np.sum(z / var) / np.sum(1.0 / var)
     resid = z - zbar
     ss = float(np.sum(resid**2 / var))
-    factor = max(0.0, 1.0 - (z.size - 3) / ss) if ss > 0 else 0.0
+    factor = min(1.0, max(0.0, 1.0 - (z.size - 3) / ss)) if ss > 0 else 0.0
     return zbar + factor * resid
 
 
+BASELINES = {
+    "naive": lambda z: z.copy(),
+    "universal_soft": lambda z: soft_threshold(z, universal_threshold(z.size)),
+    "universal_hard": lambda z: hard_threshold(z, universal_threshold(z.size)),
+    "fdr_threshold": lambda z: hard_threshold(z, bh_threshold(z, BH_Q)),
+    "sure_shrink": lambda z: soft_threshold(z, sure_threshold(z)),
+}
+
+
 def baseline_estimate(name: str, z):
-    """Dispatch the named thresholding/shrinkage baseline."""
-    z = np.asarray(z, dtype=float)
-    n = z.size
-    if name == "naive":
-        return z.copy()
-    if name == "universal_soft":
-        return soft_threshold(z, universal_threshold(n))
-    if name == "universal_hard":
-        return hard_threshold(z, universal_threshold(n))
-    if name == "fdr_threshold":
-        return hard_threshold(z, bh_threshold(z, BH_Q))
-    if name == "sure_shrink":
-        return soft_threshold(z, sure_threshold(z))
-    raise ContractError(f"unknown baseline estimator {name!r}")
+    """The named thresholding/shrinkage baseline of `BASELINES`."""
+    if name not in BASELINES:
+        raise ContractError(f"unknown baseline estimator {name!r}")
+    return BASELINES[name](np.asarray(z, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -241,122 +251,69 @@ def bayes_oracle_estimate(z, spec: ScenarioSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EffectMethod:
-    name: str
-    estimate: Callable  # (z, spec) -> delta_hat
+def default_effect_methods(n_components: int, penalty: float) -> dict:
+    """The effect study's estimators, by name, in the order of its rows.
 
+    The posterior means of a one-restart fit with a theoretical null,
+    the five `BASELINES` and the Bayes rule.
+    """
+    config = FitConfig(n_components=n_components, penalty=penalty, n_restarts=1)
 
-def make_baseline_method(name: str) -> EffectMethod:
-    label = f"{name}_q{BH_Q:g}" if name == "fdr_threshold" else name
-    return EffectMethod(label, lambda z, spec: baseline_estimate(name, z))
-
-
-def make_mixture_method(n_components: int, penalty: float) -> EffectMethod:
-    """Posterior means of a one-restart fit with a theoretical null."""
-    config = FitConfig(
-        n_components=n_components,
-        penalty=penalty,
-        n_restarts=1,
-    )
-
-    def estimate(z, spec):
+    def mixture(z, spec):
         obs = Observations.normal(z)
-        model = em_fit(obs, config)
-        return posterior_summary(obs, model).effect_mean
+        return posterior_summary(obs, em_fit(obs, config)).effect_mean
 
-    return EffectMethod(f"mixture_J{n_components}_P{penalty:g}", estimate)
-
-
-def make_bayes_oracle_method() -> EffectMethod:
-    return EffectMethod("bayes_oracle", lambda z, spec: bayes_oracle_estimate(z, spec))
-
-
-def default_effect_methods(n_components: int, penalty: float):
-    return (
-        make_mixture_method(n_components, penalty),
-        make_baseline_method("naive"),
-        make_baseline_method("universal_soft"),
-        make_baseline_method("universal_hard"),
-        make_baseline_method("fdr_threshold"),
-        make_baseline_method("sure_shrink"),
-        make_bayes_oracle_method(),
-    )
+    methods = {f"mixture_J{n_components}_P{penalty:g}": mixture}
+    for name in BASELINES:
+        label = f"{name}_q{BH_Q:g}" if name == "fdr_threshold" else name
+        methods[label] = lambda z, spec, name=name: baseline_estimate(name, z)
+    methods["bayes_oracle"] = bayes_oracle_estimate
+    return methods
 
 
-@dataclass(frozen=True)
-class EffectCell:
-    n_nonzero: int
-    mu: float
-    sided: str
-    method: str
-    rel_error: float
-
-
-@dataclass(frozen=True)
-class EffectStudyResult:
-    cells: tuple
-
-    def rel_errors(self, method: str) -> np.ndarray:
-        return np.array([c.rel_error for c in self.cells if c.method == method])
-
-    def summary(self):
-        """Per-method (mean, median) relative error over the scenario grid."""
-        out = {}
-        for c in self.cells:
-            out.setdefault(c.method, [])
-        for name in out:
-            rel = self.rel_errors(name)
-            out[name] = (float(np.mean(rel)), float(np.median(rel)))
-        return out
-
-
-def run_effect_study(
-    methods: Sequence[EffectMethod],
-    reps: int,
-    seed: int = 0,
-) -> EffectStudyResult:
+def run_effect_study(methods: Mapping[str, Callable], reps: int, seed: int = 0) -> list:
     """Squared-error study over the sparsity/strength grid.
 
-    Every (scenario, method) cell reports its mean squared error over
-    the replications divided by the Bayes rule's, which is computed for
-    every cell whether or not it is listed as a method.
+    ``methods`` maps each name to a ``(z, spec) -> estimate`` function.
+    Returns one (K, mu, sided, method, rel_error) row per scenario and
+    method: the method's mean squared error over the replications divided
+    by the Bayes rule's, which is computed for every cell whether or not
+    it is listed as a method.
     """
     if not methods:
         raise ContractError("at least one method is required")
+    check_number("reps", reps)
     if reps < 1:
         raise ContractError("need reps >= 1")
-    cells = []
+    rows = []
     for kind in ScenarioKind:
         for k in EFFECT_K_GRID:
             for mu in EFFECT_MU_GRID:
                 spec = ScenarioSpec(kind=kind, n_nonzero=k, mu=mu, seed=seed)
-                sse = {m.name: 0.0 for m in methods}
+                sse = dict.fromkeys(methods, 0.0)
                 sse_bayes = 0.0
                 for rep in range(reps):
                     delta, z = generate_effect_scenario(spec, rep)
                     sse_bayes += float(np.sum((bayes_oracle_estimate(z, spec) - delta) ** 2))
-                    for m in methods:
+                    for name, estimate in methods.items():
                         try:
-                            est = m.estimate(z, spec)
+                            est = estimate(z, spec)
                         except EbmixError as exc:
                             raise FitError(
-                                f"scenario (K={k}, mu={mu}, sided={kind.value}), "
-                                f"rep {rep}, method {m.name}: {exc}"
+                                f"scenario (K={k}, mu={mu}, sided={kind.value}), rep {rep}, method {name}: {exc}"
                             ) from exc
-                        sse[m.name] += float(np.sum((est - delta) ** 2))
+                        sse[name] += float(np.sum((est - delta) ** 2))
                 mse_bayes = sse_bayes / reps
-                for m in methods:
-                    cells.append(
-                        EffectCell(
-                            n_nonzero=k,
-                            mu=mu,
-                            sided=kind.value,
-                            method=m.name,
-                            rel_error=sse[m.name] / reps / mse_bayes,
-                        )
-                    )
-    return EffectStudyResult(cells=tuple(cells))
+                rows += [(k, mu, kind.value, name, total / reps / mse_bayes) for name, total in sse.items()]
+    return rows
+
+
+def effect_summary(rows) -> list:
+    """One (method, mean, median) row of relative error per method of `run_effect_study`'s rows, by name."""
+    by_method = {}
+    for *_, name, rel_error in rows:
+        by_method.setdefault(name, []).append(rel_error)
+    return [(name, float(np.mean(rel)), float(np.median(rel))) for name, rel in sorted(by_method.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +326,7 @@ FDR_DELTA_LOW = 2.0
 FDR_DELTA_HIGH = 4.0
 FDR_Z_GRID = np.round(np.arange(-4.0, 6.0 + 1e-9, 0.1), 10)
 FDR_QS = (0.01, 0.02, 0.05, 0.1, 0.2)
+FDR_KINDS = ("fdr", "FDR")
 
 
 def fdr_scenario_deltas(seed: int):
@@ -426,74 +384,53 @@ class FdrMethod:
         return model, nearly_null_grouping(model)
 
 
-@dataclass(frozen=True)
-class FdrStudyResult:
-    z_grid: np.ndarray
-    qs: tuple
-    method_names: tuple
-    null_modes: dict
-    fdr_curves: dict  # name -> (reps, len(grid))
-    tail_curves: dict
-    thresholds: dict  # (name, kind) -> (reps, len(qs))
-    true_fdr: np.ndarray
-    true_tail: np.ndarray
-    true_thresholds: dict  # kind -> (len(qs),)
-
-    def curve_stats(self, name: str, kind: str = "fdr"):
-        arr = self.fdr_curves[name] if kind == "fdr" else self.tail_curves[name]
-        return arr.mean(axis=0), arr.std(axis=0, ddof=1)
-
-    def threshold_stats(self, name: str, kind: str = "fdr"):
-        arr = self.thresholds[(name, kind)]
-        return arr.mean(axis=0), arr.std(axis=0, ddof=1)
+def _fdr_outputs(model: MixtureModel, grouping=None) -> np.ndarray:
+    """A model's fdr and tail-FDR curves on `FDR_Z_GRID`, then its fdr and FDR thresholds at `FDR_QS`."""
+    curves = (fdr_curve(model, FDR_Z_GRID, grouping), tail_fdr_curve(model, FDR_Z_GRID, grouping))
+    thresholds = [rejection_threshold(model, q, kind=kind, grouping=grouping) for kind in FDR_KINDS for q in FDR_QS]
+    return np.concatenate((*curves, thresholds))
 
 
-def run_fdr_study(
-    methods: Sequence[FdrMethod],
-    reps: int,
-    seed: int = 0,
-) -> FdrStudyResult:
+def run_fdr_study(methods: Sequence[FdrMethod], reps: int, seed: int = 0):
     """Bias/spread study of fdr, FDR and threshold estimates.
 
     The alternative effects are drawn once from the study seed and held
-    fixed; each replication redraws the noise only.
+    fixed; each replication redraws the noise only.  Returns the rows of
+    the fdr curve, tail-FDR curve and threshold tables: (z, method,
+    null_mode, mean, sd) on `FDR_Z_GRID` for each curve, and (q, kind,
+    method, null_mode, mean, sd) at `FDR_QS` for kind fdr, then FDR.
+    Each table (each kind) starts with the plug-in truth, method
+    "truth" with null_mode "" and sd 0; the methods follow in order,
+    with the mean and sd (ddof 1) over the replications.
     """
+    check_number("reps", reps)
     if reps < 2:
         raise ContractError("need reps >= 2 to estimate the spread across replications")
     deltas = fdr_scenario_deltas(seed)
-    truth = fdr_truth_model(deltas)
-    true_fdr = fdr_curve(truth, FDR_Z_GRID)
-    true_tail = tail_fdr_curve(truth, FDR_Z_GRID)
-    true_thresholds = {
-        kind: np.array([rejection_threshold(truth, q, kind=kind) for q in FDR_QS]) for kind in ("fdr", "FDR")
-    }
-
-    names = tuple(m.name for m in methods)
-    fdr_curves = {m.name: np.empty((reps, FDR_Z_GRID.size)) for m in methods}
-    tail_curves = {m.name: np.empty((reps, FDR_Z_GRID.size)) for m in methods}
-    thresholds = {(m.name, kind): np.empty((reps, len(FDR_QS))) for m in methods for kind in ("fdr", "FDR")}
+    truth = _fdr_outputs(fdr_truth_model(deltas))
+    runs = {m.name: np.empty((reps, truth.size)) for m in methods}
     for rep in range(reps):
         z = fdr_scenario_sample(deltas, seed, rep)
         for m in methods:
             try:
-                model, grouping = m.fit(z)
-                fdr_curves[m.name][rep] = fdr_curve(model, FDR_Z_GRID, grouping=grouping)
-                tail_curves[m.name][rep] = tail_fdr_curve(model, FDR_Z_GRID, grouping=grouping)
-                for kind in ("fdr", "FDR"):
-                    thresholds[(m.name, kind)][rep] = [
-                        rejection_threshold(model, q, kind=kind, grouping=grouping) for q in FDR_QS
-                    ]
+                runs[m.name][rep] = _fdr_outputs(*m.fit(z))
             except EbmixError as exc:
                 raise FitError(f"fdr scenario, rep {rep}, method {m.name}: {exc}") from exc
-    return FdrStudyResult(
-        z_grid=FDR_Z_GRID,
-        qs=FDR_QS,
-        method_names=names,
-        null_modes={m.name: m.null_mode.value for m in methods},
-        fdr_curves=fdr_curves,
-        tail_curves=tail_curves,
-        thresholds=thresholds,
-        true_fdr=true_fdr,
-        true_tail=true_tail,
-        true_thresholds=true_thresholds,
-    )
+    stats = [("truth", "", truth.tolist(), [0.0] * truth.size)]
+    for m in methods:
+        run = runs[m.name]
+        stats.append((m.name, m.null_mode.value, run.mean(axis=0).tolist(), run.std(axis=0, ddof=1).tolist()))
+
+    def table(keys, lo, *labels):
+        hi = lo + len(keys)
+        return [
+            (key, *labels, name, mode, mean_k, sd_k)
+            for name, mode, mean, sd in stats
+            for key, mean_k, sd_k in zip(keys, mean[lo:hi], sd[lo:hi])
+        ]
+
+    grid = FDR_Z_GRID.tolist()
+    thresholds = []
+    for i, kind in enumerate(FDR_KINDS):
+        thresholds += table(FDR_QS, 2 * len(grid) + i * len(FDR_QS), kind)
+    return table(grid, 0), table(grid, len(grid)), thresholds

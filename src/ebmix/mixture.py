@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import families
-from .errors import ContractError, FitError, NumericError
+from .errors import ContractError, FitError, NumericError, check_number
 from .families import OBSERVATIONS, Family, NullMode, Observations
 from .seeding import STREAM_INIT, derive_rng
 
@@ -176,9 +176,10 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("n_components", "max_iters", "n_restarts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractError(f"{name} must be an integer, got {value!r}")
+            check_number(name, getattr(self, name))
+        check_number("rel_tol", self.rel_tol, integer=False)
+        if self.penalty is not None:
+            check_number("penalty", self.penalty, integer=False)
         if self.n_components < 1:
             raise ContractError("n_components must be >= 1")
         if self.null_mode is not NullMode.NONE and self.n_components < 2:

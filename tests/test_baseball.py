@@ -1,5 +1,7 @@
 """Baseball analysis: transform, quadrature, TSE and synthetic seasons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,14 @@ class TestRunBaseball:
         assert res.n_test == 22  # minus "c" and "d"
         assert res.n_excluded_missing == 1
         assert result.groups["pitchers"].n_train == 1
+
+    def test_james_stein_of_two_pitchers_is_the_data(self):
+        """Below n = 4 James-Stein does not shrink; with n = 2 its raw factor, 1 + 1/ss, would expand."""
+        records, _ = synthetic_season(n_players=60, seed=1)
+        records = [dataclasses.replace(r, is_pitcher=i < 2) for i, r in enumerate(records)]
+        res = run_baseball(records, n_components=1, groups=("pitchers",)).groups["pitchers"]
+        assert res.n_train == res.n_test == 2
+        assert res.normalized_tse["james_stein"] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_group_skipped(self):
         records, _ = synthetic_season(n_players=60, seed=1)

@@ -185,3 +185,16 @@ class TestCalibratePenalty:
             )
         with pytest.raises(ContractError):
             small_plan([100.0], n_perturbed=5)  # more perturbed models than scales
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_bootstrap", 1.5), ("n_bootstrap", 2.0), ("n_bootstrap", True), ("n_perturbed", 1.0), ("n_perturbed", False)],
+    )
+    def test_plan_counts_must_be_integers(self, field, value):
+        """Refused when the plan is made, not after calibrate_penalty's preliminary fit; a bool is not 1 or 0."""
+        with pytest.raises(ContractError, match=f"^{field} must be an integer, got {value!r}$"):
+            small_plan([100.0], **{field: value})
+
+    def test_numpy_integer_plan_counts_accepted(self):
+        plan = small_plan([100.0], n_bootstrap=np.int64(2), n_perturbed=np.int32(1))
+        assert (plan.n_bootstrap, plan.n_perturbed) == (2, 1)

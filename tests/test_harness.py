@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 import oracles
-from ebmix import ContractError, NullMode
+from ebmix import ContractError, NullMode, fdr_curve, rejection_threshold, tail_fdr_curve
 from ebmix.harness import (
+    FDR_QS,
+    FDR_Z_GRID,
     FdrMethod,
     ScenarioKind,
     ScenarioSpec,
     baseline_estimate,
     bayes_oracle_estimate,
     bh_threshold,
+    default_effect_methods,
+    effect_summary,
     fdr_scenario_deltas,
     fdr_scenario_sample,
     fdr_truth_model,
     generate_effect_scenario,
     james_stein,
-    make_baseline_method,
-    make_bayes_oracle_method,
-    make_mixture_method,
     negative_count,
     run_effect_study,
     run_fdr_study,
@@ -130,6 +131,11 @@ class TestBaselines:
         cfactor = max(0.0, 1 - (5 - 3) / np.sum(resid**2))
         np.testing.assert_allclose(cent, z.mean() + cfactor * resid, rtol=1e-12)
 
+    @pytest.mark.parametrize("z", [[0.2], [0.2, 0.3], [0.2, 0.3, -0.1]], ids=["n1", "n2", "n3"])
+    def test_james_stein_never_expands(self, z):
+        """Below n = 4 the factor 1 - (n - 3)/ss is at least 1; clamped to 1, the estimate is the data."""
+        np.testing.assert_allclose(james_stein(z, var=0.01), z, rtol=1e-14, atol=1e-15)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ContractError):
             baseline_estimate("wavelets", np.zeros(3))
@@ -178,30 +184,73 @@ class TestBayesOracle:
         np.testing.assert_allclose(weights, [2 / 1000, 3 / 1000])
 
 
+def rel_errors(rows, method):
+    return np.array([rel for *_, name, rel in rows if name == method])
+
+
+def baseline(name):
+    return lambda z, spec: baseline_estimate(name, z)
+
+
 class TestEffectStudy:
     def test_bayes_oracle_normalizes_to_one(self):
-        result = run_effect_study([make_bayes_oracle_method()], reps=2, seed=1)
-        rel = result.rel_errors("bayes_oracle")
-        np.testing.assert_allclose(rel, 1.0, rtol=1e-12)
+        rows = run_effect_study({"bayes_oracle": bayes_oracle_estimate}, reps=2, seed=1)
+        np.testing.assert_allclose(rel_errors(rows, "bayes_oracle"), 1.0, rtol=1e-12)
 
     def test_naive_never_beats_bayes(self):
-        result = run_effect_study([make_baseline_method("naive")], reps=3, seed=2)
-        assert np.all(result.rel_errors("naive") >= 1.0)
+        rows = run_effect_study({"naive": baseline("naive")}, reps=3, seed=2)
+        assert np.all(rel_errors(rows, "naive") >= 1.0)
 
     def test_cell_count(self):
-        methods = [make_baseline_method("naive"), make_bayes_oracle_method()]
-        result = run_effect_study(methods, reps=1, seed=0)
-        assert len(result.cells) == 24 * 2
-        summary = result.summary()
-        assert set(summary) == {"naive", "bayes_oracle"}
+        rows = run_effect_study({"naive": baseline("naive"), "bayes_oracle": bayes_oracle_estimate}, reps=1, seed=0)
+        assert len(rows) == 24 * 2
+        assert {name for name, _, _ in effect_summary(rows)} == {"naive", "bayes_oracle"}
+
+    def test_rows_run_over_the_grid_then_the_methods(self):
+        rows = run_effect_study({"naive": baseline("naive"), "bayes_oracle": bayes_oracle_estimate}, reps=1, seed=0)
+        assert [row[:4] for row in rows[:3]] == [
+            (5, 2.0, "one", "naive"),
+            (5, 2.0, "one", "bayes_oracle"),
+            (5, 3.0, "one", "naive"),
+        ]
+        assert rows[-1][:4] == (500, 5.0, "two", "bayes_oracle")
+        # Python scalars only, so that the CLI's csv writer gives each float its repr
+        assert all(type(cell) in (int, float, str) for row in rows for cell in row)
+
+    def test_summary_is_mean_and_median_by_name(self):
+        rows = [
+            (5, 2.0, "one", "b", 1.0),
+            (5, 2.0, "one", "a", 4.0),
+            (5, 3.0, "one", "b", 2.0),
+            (5, 3.0, "one", "a", 1.0),
+            (50, 2.0, "one", "b", 6.0),
+            (50, 2.0, "one", "a", 1.0),
+        ]
+        assert effect_summary(rows) == [("a", 2.0, 1.0), ("b", 3.0, 2.0)]
+
+    def test_default_methods_names_and_order(self):
+        methods = default_effect_methods(3, 50.0)
+        assert list(methods) == [
+            "mixture_J3_P50", "naive", "universal_soft", "universal_hard", "fdr_threshold_q0.1", "sure_shrink",
+            "bayes_oracle",
+        ]
+        z = np.array([0.5, -4.0, 6.0])
+        spec = spec_for()
+        np.testing.assert_array_equal(methods["fdr_threshold_q0.1"](z, spec), baseline_estimate("fdr_threshold", z))
+        np.testing.assert_array_equal(methods["bayes_oracle"](z, spec), bayes_oracle_estimate(z, spec))
+
+    @pytest.mark.parametrize("reps", [1.5, 2.0, True, "2"])
+    def test_reps_must_be_an_integer(self, reps):
+        with pytest.raises(ContractError, match="reps must be an integer"):
+            run_effect_study({"naive": baseline("naive")}, reps=reps)
 
     def test_mixture_method_shrinks(self):
         """Fitted posterior means never exceed the data in magnitude when
         all fitted component means sit between 0 and z."""
-        method = make_mixture_method(n_components=3, penalty=50.0)
+        mixture = default_effect_methods(n_components=3, penalty=50.0)["mixture_J3_P50"]
         spec = spec_for(k=50, mu=3.0)
         _, z = generate_effect_scenario(spec, rep=0)
-        est = method.estimate(z, spec)
+        est = mixture(z, spec)
 
         from ebmix import FitConfig, Observations, em_fit
 
@@ -238,18 +287,39 @@ class TestFdrStudy:
             def fit(self, z):
                 return self.model, self.grouping
 
-        deltas = fdr_scenario_deltas(0)
-        truth = fdr_truth_model(deltas)
-        result = run_fdr_study([TruthMethod(truth)], reps=2, seed=0)
-        mean, sd = result.curve_stats("truth_plugin", "fdr")
-        np.testing.assert_allclose(mean, result.true_fdr, atol=1e-12)
-        np.testing.assert_allclose(sd, 0.0, atol=1e-12)
-        tmean, tsd = result.threshold_stats("truth_plugin", "fdr")
-        np.testing.assert_allclose(tmean, result.true_thresholds["fdr"], atol=1e-12)
+        truth = fdr_truth_model(fdr_scenario_deltas(0))
+        fdr_rows, tail_rows, threshold_rows = run_fdr_study([TruthMethod(truth)], reps=2, seed=0)
+        n_grid, n_qs = FDR_Z_GRID.size, len(FDR_QS)
+        for rows, curve in ((fdr_rows, fdr_curve), (tail_rows, tail_fdr_curve)):
+            true, plugin = rows[:n_grid], rows[n_grid:]
+            assert [row[:3] for row in true] == [(z, "truth", "") for z in FDR_Z_GRID.tolist()]
+            assert [row[:3] for row in plugin] == [(z, "truth_plugin", "theoretical") for z in FDR_Z_GRID.tolist()]
+            np.testing.assert_array_equal([row[3] for row in true], curve(truth, FDR_Z_GRID))
+            assert [row[4] for row in true] == [0.0] * n_grid
+            np.testing.assert_allclose([row[3] for row in plugin], [row[3] for row in true], atol=1e-12)
+            np.testing.assert_allclose([row[4] for row in plugin], 0.0, atol=1e-12)
+        assert len(threshold_rows) == 4 * n_qs
+        for i, kind in enumerate(("fdr", "FDR")):
+            true = threshold_rows[2 * i * n_qs:][:n_qs]
+            plugin = threshold_rows[(2 * i + 1) * n_qs:][:n_qs]
+            assert [row[:4] for row in true] == [(q, kind, "truth", "") for q in FDR_QS]
+            assert [row[:4] for row in plugin] == [(q, kind, "truth_plugin", "theoretical") for q in FDR_QS]
+            want = [rejection_threshold(truth, q, kind=kind) for q in FDR_QS]
+            np.testing.assert_array_equal([row[4] for row in true], want)
+            assert [row[5] for row in true] == [0.0] * n_qs
+            np.testing.assert_allclose([row[4] for row in plugin], want, atol=1e-12)
 
     def test_small_mixture_run_shapes(self):
         methods = [FdrMethod(name="mix_th", null_mode=NullMode.THEORETICAL)]
-        result = run_fdr_study(methods, reps=2, seed=4)
-        assert result.fdr_curves["mix_th"].shape == (2, result.z_grid.size)
-        assert result.thresholds[("mix_th", "FDR")].shape == (2, 5)
-        assert np.all(np.isfinite(result.thresholds[("mix_th", "fdr")]))
+        fdr_rows, tail_rows, threshold_rows = run_fdr_study(methods, reps=2, seed=4)
+        assert len(fdr_rows) == len(tail_rows) == 2 * FDR_Z_GRID.size
+        assert [row[0] for row in fdr_rows] == FDR_Z_GRID.tolist() * 2
+        assert len(threshold_rows) == 2 * 2 * len(FDR_QS)
+        fitted = [row for row in threshold_rows if row[2] == "mix_th"]
+        assert [row[1] for row in fitted] == ["fdr"] * 5 + ["FDR"] * 5
+        assert np.all(np.isfinite([row[4:] for row in fitted]))
+
+    @pytest.mark.parametrize("reps", [2.5, 3.0, True])
+    def test_reps_must_be_an_integer(self, reps):
+        with pytest.raises(ContractError, match="reps must be an integer"):
+            run_fdr_study([], reps=reps)

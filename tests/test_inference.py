@@ -90,21 +90,29 @@ class TestPosteriorSummary:
         assert s.fdr is None and s.tail_fdr is None
         np.testing.assert_allclose(s.effect_mean[0], 5.0 / 17.0, rtol=1e-12)
 
-    def test_empty_binomial_batch_gives_empty_results(self):
+    @pytest.mark.parametrize("family", ["normal", "normal-s2", "binomial"])
+    def test_empty_batch_gives_empty_results(self, family):
         from ebmix import BetaComponent
         from ebmix.baseball import posterior_mean_arcsin
 
-        model = MixtureModel(
-            pi=np.array([0.5, 0.5]),
-            components=(BetaComponent.from_shapes(2.0, 5.0), BetaComponent(0.3, 0.0)),
-            null_mode=NullMode.NONE,
-            penalty=np.zeros(2),
-        )
-        obs = Observations.binomial([], [])
+        if family == "binomial":
+            comps, null_mode, obs = (
+                (BetaComponent.from_shapes(2.0, 5.0), BetaComponent(0.3, 0.0)),
+                NullMode.NONE,
+                Observations.binomial([], []),
+            )
+        else:
+            comps, null_mode = (NormalComponent(0.0, 0.0), NormalComponent(2.0, 1.0)), NullMode.THEORETICAL
+            obs = Observations.normal([], s2=[] if family == "normal-s2" else 1.0)
+        model = MixtureModel(pi=np.array([0.5, 0.5]), components=comps, null_mode=null_mode, penalty=np.zeros(2))
         s = posterior_summary(obs, model)
         assert s.effect_mean.shape == (0,) and s.effect_var.shape == (0,)
         assert model.log_marginal(obs).shape == (0,)
-        assert posterior_mean_arcsin(model, [], []).shape == (0,)
+        if family == "binomial":
+            assert posterior_mean_arcsin(model, [], []).shape == (0,)
+        else:
+            assert s.fdr.shape == (0,) and s.tail_fdr.shape == (0,)
+            assert posterior_summary(obs, model, frozenset({0, 1})).fdr.shape == (0,)
 
     def test_family_mismatch(self, two_component_model):
         with pytest.raises(ContractError):

@@ -739,6 +739,17 @@ class TestConfigValidation:
         with pytest.raises(ContractError, match=f"^{field} must be an integer, got {value!r}$"):
             FitConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("penalty", True), ("penalty", "5"), ("rel_tol", True), ("rel_tol", "1e-6")])
+    def test_real_controls_must_be_real_numbers(self, field, value):
+        """A bool is not read as 1 or 0, and a string is refused before any comparison."""
+        with pytest.raises(ContractError, match=f"^{field} must be a real number, got {value!r}$"):
+            FitConfig(**{field: value})
+
+    def test_numpy_real_controls_accepted(self):
+        config = FitConfig(penalty=np.float64(5.0), rel_tol=np.float32(1e-6))
+        assert config.penalty_vector(10)[0] == 5.0
+        assert FitConfig(penalty=4).penalty_vector(10)[0] == 4.0
+
     def test_numpy_integer_controls_accepted(self):
         config = FitConfig(n_components=np.int64(2), max_iters=np.int32(5), n_restarts=np.int64(1), seed=np.uint64(7))
         obs = Observations.normal(derive_rng(5, 0).standard_normal(50))

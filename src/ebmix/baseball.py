@@ -65,7 +65,7 @@ def load_baseball_csv(path) -> list:
     """Read records from `player_id,is_pitcher,H1,N1,H2,N2` (H2/N2 may be blank)."""
     expected = ["player_id", "is_pitcher", "h1", "n1", "h2", "n2"]
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != expected:

@@ -61,7 +61,7 @@ def _write_csv(path, header, rows):
 def read_cases(path, family: Family):
     """Load `id,z[,s2]` (normal) or `id,H,N` (binomial) case files."""
     obs_type = OBSERVATIONS[family]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -22,18 +22,11 @@ and it holds every choice that depends on the family:
   component (rows) and case (columns) like ``log_kernel``;
 * ``start``, the EM starting components;
 * ``update``, the weighted M-step of every component flagged in ``fit``,
-  in one call; it returns (components, kernel), the other components
-  as they are and, where the update holds every returned component's
-  row on every case anyway (normal, varying s2: the rows it scored and
-  those it read), their ``log_kernel`` rows (else None), which
-  `mixture.m_step` hands to the E-step that follows;
-* ``guarded``, whether ``update`` keeps a moment update only if it does
-  not lower the component's weighted log marginal (normal, varying s2).
-  That guard needs the old components' rows.  Inside EM it reads them
-  from the kernel bound to the model (by `mixture.e_step` before a
-  restart's first map, by `mixture.m_step` after), so a map scores only
-  the F fitted components' new rows, plus one row per reinitialized
-  component, and never a row twice;
+  in one call, which returns the components, the others as they are;
+* ``guarded``, whether ``update`` is not exact on this batch (normal,
+  varying s2, where the moment update is only a generalized-EM step), so
+  that `mixture.m_step` keeps an update only if it does not lower the
+  component's weighted log marginal;
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
@@ -216,6 +209,16 @@ def normal_logpdf(x, mean, var):
     return np.subtract(scale, out, out=out)
 
 
+def _per_case(name: str, values: np.ndarray, shape) -> np.ndarray:
+    """A copy of ``values`` broadcast to the cases' ``shape``; ContractError unless a scalar or one value per case."""
+    try:
+        return np.broadcast_to(values, shape).copy()
+    except ValueError:
+        raise ContractError(
+            f"{name} must be a scalar or one value per case, got {np.size(values)} values for {math.prod(shape)} cases"
+        ) from None
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: a batch's arrays and cached terms are shared by every caller."""
     a.flags.writeable = False
@@ -226,8 +229,7 @@ class Observations:
     """A batch of cases from one sampling family, of that family's class (see the module docstring).
 
     A batch compares and hashes by identity (``eq=False``): two batches
-    with equal values are still two batches, and a kernel bound to a
-    model (`mixture.m_step`) belongs to one of them.
+    with equal values are still two batches.
     """
 
     def __len__(self) -> int:
@@ -269,7 +271,7 @@ class NormalObservations(Observations):
 
     def __post_init__(self):
         z = np.array(self.z, dtype=float, ndmin=1)  # a copy: the caller's array stays the caller's
-        s2 = np.broadcast_to(np.asarray(self.s2, dtype=float), z.shape).copy()
+        s2 = _per_case("s2", np.asarray(self.s2, dtype=float), z.shape)
         if not np.all(np.isfinite(z)):
             raise ContractError("normal statistics must be finite")
         if not np.all(np.isfinite(s2)):
@@ -295,7 +297,7 @@ class NormalObservations(Observations):
 
     @functools.cached_property
     def guarded(self) -> bool:
-        """Whether ``update`` guards its moment updates with the old components' rows: with varying s2."""
+        """Whether ``update`` is not exact here, only a generalized-EM step: with varying s2."""
         return not self.homoscedastic
 
     def log_kernel(self, components) -> np.ndarray:
@@ -337,40 +339,19 @@ class NormalObservations(Observations):
             comps.append(NormalComponent(float(c) + jitter[len(comps)], 1.0))
         return comps
 
-    def update(self, w: np.ndarray, nj, components, fit, old=None):
+    def update(self, w: np.ndarray, nj, components, fit) -> list:
         """Weighted moment update of each component k with ``fit[k]``, by column k of ``w`` (sum ``nj[k]``).
 
         ``nj`` is an array.  The fitted columns of ``w`` are taken as one
-        (F, n) block, so the weighted means, the weighted s2 means and the
-        centered weighted variances of all F fitted components are one
-        product each.  The update is exact for constant s2.  With varying
-        s2 each one is kept only if it does not lower the component's
-        weighted log marginal (a generalized EM step), and the guard's
-        weighted sums are row-wise dots over the same block.  Components
-        not in ``fit`` come back as they are.
-
-        ``old``, optional, is (components, kernel): components scored
-        before, such as those of the model whose E-step gave ``w``, and
-        their (J, n) ``log_kernel``.  The guard reads the old row of each
-        component that is that very object in ``old`` (by identity), and
-        scores, in one `normal_logpdf` call, the fitted components' new
-        rows and then the row of each component it cannot read there: F
-        rows per map inside EM, one more per reinitialized component.
-        Without ``old`` that call scores the new rows and then the rows of
-        all J components as given, (F + J) rows.
-
-        Returns (components, kernel).  With varying s2, kernel is
-        ``log_kernel`` of the returned components, read-only and equal to
-        it bit for bit: each fitted component's new row where its update
-        was kept, its old row where it was not.  With a common s2 kernel
-        is None.
+        (F, n) block (`fitted_block`), so the weighted means, the weighted
+        s2 means and the centered weighted variances of all F fitted
+        components are one product each.  The update is exact for a
+        common s2; with varying s2 it is the one that `mixture.m_step`
+        guards (``guarded``).  Components not in ``fit`` come back as
+        they are.
         """
         out = list(components)
-        j = len(out)
-        fitted = [k for k in range(j) if fit[k]]
-        f = len(fitted)
-        # the fitted columns of w as rows of its (J, n) transpose: a view where they are adjacent
-        block = slice(fitted[0], fitted[-1] + 1) if f and fitted[-1] - fitted[0] == f - 1 else fitted
+        fitted, block = fitted_block(fit)
         w_fit = w.T[block]
         nf = nj[block]
         # einsum, not a BLAS dot: OpenBLAS splits long dots over its threads, so their bits follow the thread count
@@ -379,33 +360,9 @@ class NormalObservations(Observations):
         dev = np.subtract(self.z, mu[:, None])
         np.square(dev, out=dev)
         var = np.einsum("ij,ij->i", w_fit, dev) / nf - s2bar
-        del dev  # freed before the guard scores its rows
         for k, m, v in zip(fitted, mu.tolist(), var.tolist()):
             out[k] = NormalComponent(m, max(0.0, v))
-        if self.homoscedastic:
-            return out, None
-        if old is None:
-            unknown = range(j)
-        else:
-            prev, bound = old
-            unknown = [k for k in range(j) if components[k] is not prev[k]]
-        scored = [out[k] for k in fitted] + [components[k] for k in unknown]  # new rows, then old rows not given
-        mean = np.array([c.mean for c in scored])[:, None]
-        var = np.array([c.var for c in scored])[:, None]
-        logpdf = normal_logpdf(self.z, mean, var + self.s2)
-        new = logpdf[:f]
-        if old is None:
-            kernel = logpdf[f:]
-        else:
-            kernel = bound.copy()  # the bound rows stay the old model's
-            kernel[unknown] = logpdf[f:]
-        gain = np.einsum("ij,ij->i", w_fit, new) >= np.einsum("ij,ij->i", w_fit, kernel[block])
-        for i, (k, kept) in enumerate(zip(fitted, gain.tolist())):
-            if kept:
-                kernel[k] = new[i]
-            else:
-                out[k] = components[k]
-        return out, _read_only(kernel)
+        return out
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "NormalObservations":
@@ -433,13 +390,13 @@ class BinomialObservations(Observations):
     family = Family.BINOMIAL
     component = BetaComponent
     theoretical_null = None  # no binomial null rate is supported
-    guarded = False  # the Newton M-step reads no kernel rows
+    guarded = False  # the Newton M-step never lowers its objective
     csv_header = "id,H,N"
     csv_headers = (["id", "h", "n"],)
 
     def __post_init__(self):
         counts = np.atleast_1d(np.asarray(self.counts))
-        trials = np.broadcast_to(np.atleast_1d(np.asarray(self.trials)), counts.shape).copy()
+        trials = _per_case("trials", np.atleast_1d(np.asarray(self.trials)), counts.shape)
         if not (np.issubdtype(counts.dtype, np.integer) and np.issubdtype(trials.dtype, np.integer)):
             counts_f, trials_f = np.asarray(counts, dtype=float), np.asarray(trials, dtype=float)
             # checked on the floats: a cast of inf, nan or |x| >= 2**63 to int64 has no defined value
@@ -449,8 +406,7 @@ class BinomialObservations(Observations):
                 raise ContractError("binomial counts and trials must be integers")
             if np.any(np.abs(counts_f) >= 2.0**63) or np.any(np.abs(trials_f) >= 2.0**63):
                 raise ContractError("binomial counts and trials must be below 2**63 in magnitude")
-            counts = counts_f.astype(np.int64)
-            trials = trials_f.astype(np.int64)
+            counts, trials = counts_f, trials_f
         counts = counts.astype(np.int64)
         trials = trials.astype(np.int64)
         if np.any(trials < 1):
@@ -599,14 +555,9 @@ class BinomialObservations(Observations):
             comps.append(base)
         return comps
 
-    def update(self, w: np.ndarray, nj, components, fit, old=None):
-        """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given.
-
-        Returns (components, None): the Newton solves score no kernel rows
-        and read none (``old`` is never given, since no binomial E-step
-        keeps its kernel).
-        """
-        return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)], None
+    def update(self, w: np.ndarray, nj, components, fit) -> list:
+        """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given."""
+        return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)]
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "BinomialObservations":
@@ -729,6 +680,17 @@ def _log_ratio(a, b):
     # both logs on every cell: a where=-masked form gives the same bits but ran 1.5-1.9x slower on 3 x 500 arrays
     t = (a - b) / b
     return np.where(np.abs(t) < 0.5, np.log1p(t), np.log(a / b))
+
+
+def fitted_block(fit):
+    """(fitted, block): the indices k with ``fit[k]``, and an index of them that is a slice where they are adjacent.
+
+    ``w.T[block]`` is then the fitted columns of a (n, J) ``w`` as the rows
+    of one (F, n) block, a view of ``w`` where it can be.
+    """
+    fitted = [k for k, f in enumerate(fit) if f]
+    f = len(fitted)
+    return fitted, slice(fitted[0], fitted[-1] + 1) if f and fitted[-1] - fitted[0] == f - 1 else fitted
 
 
 def log_marginal_matrix(obs: Observations, components) -> np.ndarray:

@@ -13,6 +13,29 @@ EM here is family-free: the starting components, each component's
 weighted M-step, the kernel behind the E-step and sampling all come from
 the data's family class in `families`, and a model's family is read off
 its components' type.
+
+Where the family's update is not exact (``data.guarded``: normal with
+case-specific s2, whose moment update is only a generalized-EM step;
+Dempster, Laird & Rubin 1977), `m_step` keeps each fitted component's
+update only if it does not lower the component's weighted log marginal.
+That guard needs the old components' kernel rows, and this module alone
+keeps them, bound with their batch to the model (``_kernel``, read-only):
+
+* `_kernel_on` returns a model's kernel on a batch: the bound one, or
+  else one computed by `log_marginal_matrix`, which it then binds;
+* `e_step` calls it where ``data.guarded``, so a restart's first map
+  finds the old rows bound;
+* the guard (`_guard`) reads the old rows through it and scores, in one
+  ``log_kernel`` call, the F fitted components' new rows plus the row of
+  each component that `m_step` reinitialized; `m_step` binds the kernel
+  of the updated model, row by row the new or the old, to that model;
+* `MixtureModel.posterior_weights` reads a kernel bound to its very
+  batch (checked finite) instead of computing one.
+
+So a map inside EM scores F x n cells, plus n per reinitialized
+component, and never a row twice.  A direct `m_step` on a model with no
+kernel bound scores its J old rows once, through `_kernel_on`, and
+leaves them bound to that model.
 """
 
 from __future__ import annotations
@@ -56,10 +79,11 @@ class MixtureModel:
     penalty: np.ndarray
     diagnostics: FitDiagnostics | None = None
     family: Family = field(init=False)
-    # (batch, kernel): the model's (J, n) kernel on one batch, read-only, bound
-    # by `m_step` (the rows its update scored) or by `e_step` (a fresh kernel
-    # on a batch whose update guards with the old rows); not a field, so
-    # equality, repr, model files and `dataclasses.replace` never see it
+    # (batch, kernel): the model's (J, n) kernel on one batch, read-only; bound
+    # by `_kernel_on` (for `e_step` or the guard of `m_step`) or by `m_step`
+    # (the updated model's rows), read by the guard and `posterior_weights`
+    # (see the module docstring); not a field, so equality, repr, model
+    # files and `dataclasses.replace` never see it
     _kernel = None
 
     def __post_init__(self):
@@ -105,7 +129,7 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.components)
 
-    def posterior_weights(self, obs: Observations, keep: bool = False):
+    def posterior_weights(self, obs: Observations):
         """(w, log f - obs.saturated): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J).
 
         w keeps `log_marginal_matrix`'s layout, each column contiguous, so
@@ -115,9 +139,7 @@ class MixtureModel:
         (0 for normal cases; see `families`).  Where a kernel is bound to
         this model and ``obs`` is that very batch (by identity), its rows
         are used, checked as `log_marginal_matrix` checks its own;
-        otherwise it is called, and with ``keep`` its kernel is bound to
-        the model, read-only (`e_step` keeps it for the guard of the
-        `m_step` that follows).
+        otherwise it is called.
 
         The (J, n) kernel becomes w in one buffer: add log pi, take each
         case's largest term m, subtract it, exponentiate, sum the case's
@@ -132,8 +154,6 @@ class MixtureModel:
             kernel = families.checked_matrix(bound[1]).T
         else:
             kernel = families.log_marginal_matrix(obs, self.components).T
-            if keep:
-                _bind(self, obs, kernel)
         w = kernel if kernel.flags.writeable else np.empty_like(kernel)  # a bound kernel is read into w
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)
@@ -236,6 +256,16 @@ def _bind(model: MixtureModel, obs: Observations, kernel: np.ndarray) -> None:
     object.__setattr__(model, "_kernel", (obs, kernel))
 
 
+def _kernel_on(model: MixtureModel, data: Observations) -> np.ndarray:
+    """The (J, n) kernel of ``model`` on ``data``: the one bound to the model, or else a new one, then bound."""
+    bound = model._kernel
+    if bound is not None and bound[0] is data:
+        return bound[1]
+    kernel = families.log_marginal_matrix(data, model.components).T
+    _bind(model, data, kernel)
+    return kernel
+
+
 def e_step(data: Observations, model: MixtureModel):
     """Responsibilities and the penalized log-likelihood at the model.
 
@@ -245,14 +275,14 @@ def e_step(data: Observations, model: MixtureModel):
     (``data.saturated``), whose sum is added once at the end, so the
     pll's rounding does not grow with the binomial trial counts.
 
-    The kernel comes from the model where one is bound to ``data`` (by
-    `m_step`).  Otherwise it is computed, and where ``data.guarded``
-    (normal, varying s2) it is bound to the model, so the guard of the
-    `m_step` that follows reads the old components' rows instead of
-    scoring them again.  The penalty term and the checks on pi run on J
-    Python floats.
+    Where ``data.guarded`` the kernel comes from `_kernel_on`, so it is
+    bound to the model for the guard of the `m_step` that follows (see
+    the module docstring).  The penalty term and the checks on pi run on
+    J Python floats.
     """
-    w, logf = model.posterior_weights(data, keep=data.guarded)
+    if data.guarded:
+        _kernel_on(model, data)
+    w, logf = model.posterior_weights(data)
     penalty = 0.0
     for p, b in zip(model.pi.tolist(), model.penalty.tolist()):
         if b > 0.0:
@@ -266,6 +296,34 @@ def e_step(data: Observations, model: MixtureModel):
     return w, pll
 
 
+def _guard(data: Observations, w: np.ndarray, model: MixtureModel, start: list, moved: list, fit, reinitialized: list):
+    """Undo in ``moved`` each fitted component's update that lowers w_k . log f_k; the (J, n) kernel of ``moved``.
+
+    ``start`` holds the components before the update, ``moved`` those
+    after it.  ``start`` has the model's components but at the indices
+    ``reinitialized``.  The old rows are the model's kernel
+    (`_kernel_on`); one ``log_kernel`` call scores the F fitted
+    components' new rows and then the reinitialized components' rows.
+    The kernel returned has each fitted component's new row where its
+    update was kept and its old row where it was not.
+    """
+    fitted, block = families.fitted_block(fit)
+    f = len(fitted)
+    kernel = _kernel_on(model, data).copy()  # the bound rows stay the old model's
+    rows = data.log_kernel([moved[k] for k in fitted] + [start[k] for k in reinitialized])
+    if reinitialized:  # an empty fancy-index assignment costs more than the test
+        kernel[reinitialized] = rows[f:]
+    w_fit = w.T[block]
+    # einsum, as in the update: a BLAS dot's bits follow its thread count
+    gain = np.einsum("ij,ij->i", w_fit, rows[:f]) >= np.einsum("ij,ij->i", w_fit, kernel[block])
+    for i, (k, kept) in enumerate(zip(fitted, gain.tolist())):
+        if kept:
+            kernel[k] = rows[i]
+        else:
+            moved[k] = start[k]
+    return kernel
+
+
 def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureModel):
     """One penalized M-step.
 
@@ -275,12 +333,11 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     True, and the EM objective may legitimately dip for one iteration.
     The pi update runs on J Python floats.
 
-    Where a kernel is bound to ``model`` on ``data`` (by the `e_step`
-    that gave ``w``, or by the `m_step` before it), the family's
-    ``update`` reads the old components' rows from it.  Where ``update``
-    returns the kernel rows of the updated components (normal, varying
-    s2), they are bound to the updated model, read-only, for the E-step
-    on ``data``.
+    Where ``data.guarded`` the family's update is kept per component only
+    where it does not lower the component's weighted log marginal
+    (`_guard`, on the old rows from `_kernel_on`), and the kernel of the
+    updated model is bound to it, read-only, for the E-step on ``data``
+    (see the module docstring).
     """
     n, j = w.shape
     if j != model.n_components or n != len(data):
@@ -289,33 +346,32 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     njs, betas = nj.tolist(), model.penalty.tolist()
     scale = n + _sum(betas)
     pis = [(a + b) / scale for a, b in zip(njs, betas)]
-    reinitialized = False
 
     comps = list(model.components)
     fit = [False] * j
+    reinitialized = []
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     for k in range(start_free, j):
         if njs[k] + betas[k] == 0.0:
             comps[k] = initialize(data, config, 0).components[k]
             pis[k] = 1.0 / scale
-            reinitialized = True
+            reinitialized.append(k)
         else:
             fit[k] = njs[k] > 0.0  # with penalty mass only there is nothing to fit a component to
 
     total = _sum(pis)
-    bound = model._kernel
-    old = (model.components, bound[1]) if bound is not None and bound[0] is data else None
-    comps, kernel = data.update(w, nj, comps, fit, old)
+    moved = data.update(w, nj, comps, fit)
+    kernel = _guard(data, w, model, comps, moved, fit, reinitialized) if data.guarded else None
     updated = MixtureModel(
         pi=np.array([p / total for p in pis]),
-        components=tuple(comps),
+        components=tuple(moved),
         null_mode=model.null_mode,
         penalty=model.penalty,
         diagnostics=model.diagnostics,
     )
     if kernel is not None:  # the E-step on ``data`` reads it instead of recomputing it
         _bind(updated, data, kernel)
-    return updated, reinitialized
+    return updated, bool(reinitialized)
 
 
 def _run_em(data: Observations, config: FitConfig, restart_index: int) -> MixtureModel:

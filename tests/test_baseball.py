@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ebmix import DataError, MixtureModel, NullMode, Observations
+from ebmix import ContractError, DataError, MixtureModel, NullMode, Observations
 from ebmix.baseball import (
     BaseballRecord,
     arcsin_transform,
@@ -127,6 +127,11 @@ class TestSyntheticSeason:
         assert a == b
         np.testing.assert_array_equal(da, db)
 
+    @pytest.mark.parametrize("seed", [True, 0.0])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            synthetic_season(n_players=5, seed=seed)
+
     def test_record_validity(self):
         records, delta = synthetic_season(n_players=100, seed=0)
         assert len(records) == 100 and delta.shape == (100,)
@@ -202,6 +207,13 @@ class TestLoader:
         records = load_baseball_csv(path)
         assert records[0] == BaseballRecord("p1", False, 30, 100, 25, 90)
         assert records[1] == BaseballRecord("p2", True, 5, 60, None, None)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "player_id,is_pitcher,H1,N1,H2,N2\np1,0,30,100,25,90\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_baseball_csv(bom) == load_baseball_csv(plain) == [BaseballRecord("p1", False, 30, 100, 25, 90)]
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

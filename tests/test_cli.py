@@ -141,6 +141,16 @@ class TestModelFile:
     def test_same_seed_same_bytes(self, tmp_path, case):
         assert _fit(tmp_path, case, seed=5, name="a.json") == _fit(tmp_path, case, seed=5, name="b.json")
 
+    @pytest.mark.parametrize("case", ["normal-empirical", "binomial-none"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, case):
+        """A case file that starts with a UTF-8 BOM, as Excel's "CSV UTF-8" writes it, fits to the same bytes."""
+        family, data, null = FIT_CASES[case]
+        out = tmp_path / "bom.json"
+        argv = ["fit", "--input", _write(tmp_path, "bom.csv", "\ufeff" + data), "--family", family,
+                "--null", null, "--seed", "0", "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_text(encoding="utf-8") == _fit(tmp_path, case) == MODEL_JSON[case]
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_fits(self, tmp_path, seed):
         # restarts past the first draw jitter from the seed, taken mod 2^64

@@ -308,6 +308,23 @@ class TestObservations:
         with pytest.raises(ContractError, match="s2 must be finite"):
             Observations.normal([1.0, 2.0], [1.0, s2])
 
+    @pytest.mark.parametrize(
+        "make, values, per_case, name",
+        [
+            (Observations.normal, [1.0, 2.0, 3.0], [1.0, 2.0], "s2"),
+            (Observations.normal, [1.0, 2.0], [[1.0], [2.0]], "s2"),
+            (Observations.binomial, [1, 2], [3, 4, 5], "trials"),
+            (Observations.binomial, [1.0, 2.0, 3.0], [4.0, 5.0], "trials"),
+        ],
+    )
+    def test_per_case_length_must_match(self, make, values, per_case, name):
+        with pytest.raises(ContractError, match=f"{name} must be a scalar or one value per case"):
+            make(values, per_case)
+
+    def test_scalar_or_single_value_broadcasts(self):
+        assert Observations.normal([1.0, 2.0], [3.0]).s2.tolist() == [3.0, 3.0]
+        assert Observations.binomial([1, 2], 3).trials.tolist() == [3, 3]
+
     def test_default_unit_variance(self):
         obs = Observations.normal([1.0, 2.0])
         np.testing.assert_array_equal(obs.s2, [1.0, 1.0])
@@ -363,25 +380,35 @@ class TestFamilyContract:
     """What every family class supplies, checked alike for each family."""
 
     def test_update_never_lowers_weighted_objective(self, family):
-        """The weighted sum of the component's log marginal does not fall, to rounding.
+        """The update that `mixture.m_step` applies does not lower the component's weighted log marginal, to rounding.
 
-        With normal s2 this wide, about half of the moment updates would
-        lower it, so the generalized-EM guard that keeps the start is
-        exercised too.
+        The binomial ``update`` is applied as it is.  With normal s2 this
+        wide about half of the moment updates that ``update`` returns
+        would lower it, and the generalized-EM guard of `m_step` keeps the
+        start instead; both outcomes are seen.
         """
         batch, component = FAMILY_CASES[family]
         rng = np.random.default_rng(11)
         obs = batch(rng, 60)
+        config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
+        kept = []
         for _ in range(30):
             w = rng.uniform(0.0, 1.0, len(obs)) ** 2
             start = component(rng)
-            (fit,), kernel = obs.update(w[:, None], np.array([w.sum()]), (start,), [True])
+            (moved,) = obs.update(w[:, None], np.array([w.sum()]), [start], [True])
+            model = MixtureModel(pi=np.ones(1), components=(start,), null_mode=NullMode.NONE, penalty=np.zeros(1))
+            updated, _ = mixture.m_step(obs, w[:, None], config, model)
+            (fit,) = updated.components
             assert type(fit) is OBSERVATIONS[family].component
-            if kernel is not None:  # the rows the update scored are the returned component's kernel
-                assert kernel.tobytes() == obs.log_kernel((fit,)).tobytes()
+            kept.append(fit == moved)
+            if not kept[-1]:
+                assert obs.guarded and fit is start
+            if obs.guarded:  # the kernel bound to the updated model is the returned component's
+                assert updated._kernel[1].tobytes() == obs.log_kernel((fit,)).tobytes()
             before = w @ component_log_marginal(obs, start)
             after = w @ component_log_marginal(obs, fit)
             assert after >= before - 1e-12 * abs(before)
+        assert 0 < sum(kept) < len(kept) if obs.guarded else all(kept)
 
     def test_update_leaves_components_outside_fit(self, family):
         batch, component = FAMILY_CASES[family]
@@ -389,8 +416,8 @@ class TestFamilyContract:
         obs = batch(rng, 40)
         comps = [component(rng) for _ in range(3)]
         w = rng.uniform(0.0, 1.0, (3, len(obs))).T
-        out, _ = obs.update(w, w.sum(axis=0), comps, [False, True, False])
-        assert len(out) == 3 and out[0] is comps[0] and out[2] is comps[2]
+        out = obs.update(w, w.sum(axis=0), comps, [False, True, False])
+        assert type(out) is list and len(out) == 3 and out[0] is comps[0] and out[2] is comps[2]
         assert type(out[1]) is OBSERVATIONS[family].component
 
     def test_draw_gives_n_cases_of_the_family(self, family):
@@ -411,38 +438,44 @@ class TestFamilyContract:
                 assert len(comps) == 4 and all(type(c) is obs_type.component for c in comps)
 
 
-@pytest.mark.parametrize("seed, kept", [(1, [True, False]), (6, [False, True])])
+@pytest.mark.parametrize("seed, kept", [(1, [True, False]), (6, [False, True]), (10, [False, True]), (23, [True, False])])
 def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
-    """One update call scores every fitted component's (new, old) pair in one stacked array.
+    """`mixture.m_step` keeps or undoes each fitted component's moment update on that component's own rows.
 
     Components 1 and 2 are fitted, and the guard keeps the moment update
-    of one and rejects the other's; rows that slid against each other
-    would swap the two decisions.  Each decision is checked against the
-    component's own weighted sum w_k @ log f_k, and components 0 and 3,
-    outside ``fit``, come back as the same objects.  Their rows are
-    scored in the same call, so the returned kernel is that of every
-    returned component.
+    of one and rejects the other's.  At seeds 10 and 23, comparing each
+    new row with the other component's old row would flip a decision.
+    ``update`` returns both moment updates, the rejected one too.  Each
+    decision is checked against the component's own weighted sum
+    w_k @ log f_k, which never falls.
+    Components 0 and 3, with penalty mass but no weight, are not fitted
+    and come back as the same objects.  The kernel bound to the updated
+    model is that of every returned component, bit for bit.
     """
     rng = np.random.default_rng(seed)
     obs = _normal_batch(rng, 60)
     comps = [_normal_component(rng) for _ in range(4)]
     w = rng.uniform(0.0, 1.0, (4, 60)).T ** 2  # column-major, as e_step lays it out
+    w[:, [0, 3]] = 0.0
     nj = w.sum(axis=0)
-    out, kernel = obs.update(w, nj, comps, [False, True, True, False])
+    moments = obs.update(w, nj, comps, [False, True, True, False])
+    model = MixtureModel(pi=np.full(4, 0.25), components=comps, null_mode=NullMode.NONE, penalty=np.array([1.0, 0, 0, 1]))
+    updated, _ = mixture.m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
+    out = updated.components
     assert out[0] is comps[0] and out[3] is comps[3]
-    assert not kernel.flags.writeable
-    assert kernel.tobytes() == obs.log_kernel(tuple(out)).tobytes()
+    bound, kernel = updated._kernel
+    assert bound is obs and not kernel.flags.writeable
+    assert kernel.tobytes() == obs.log_kernel(out).tobytes()
     decisions = []
     for k in (1, 2):
         w_k = w[:, k]
         mu = w_k @ obs.z / nj[k]
         moment = NormalComponent(mu, max(0.0, (w_k @ (obs.z - mu) ** 2 - w_k @ obs.s2) / nj[k]))
+        np.testing.assert_allclose([moments[k].mean, moments[k].var], [moment.mean, moment.var], rtol=1e-10)
         gain = w_k @ component_log_marginal(obs, moment) - w_k @ component_log_marginal(obs, comps[k])
         decisions.append(bool(gain >= 0))
-        if gain >= 0:
-            np.testing.assert_allclose([out[k].mean, out[k].var], [moment.mean, moment.var], rtol=1e-10)
-        else:
-            assert out[k] is comps[k]
+        assert out[k] == moments[k] if gain >= 0 else out[k] is comps[k]
+        assert w_k @ component_log_marginal(obs, out[k]) >= w_k @ component_log_marginal(obs, comps[k])
     assert decisions == kept
 
 
@@ -451,8 +484,7 @@ def test_normal_update_gives_closed_form_moments(s2):
     """Each fitted component's mean and variance, taken for all of them at once, equal their fsum closed forms.
 
     ``fit`` has gaps, so the fitted columns of w are not adjacent.  The
-    data spread far beyond s2, so the varying-s2 guard keeps both moment
-    updates, and no variance is clipped at 0.
+    data spread far beyond s2, so no variance is clipped at 0.
     """
     rng = np.random.default_rng(5)
     n = 80
@@ -461,7 +493,7 @@ def test_normal_update_gives_closed_form_moments(s2):
     comps = [_normal_component(rng) for _ in range(4)]
     w = np.asfortranarray(rng.uniform(0.0, 1.0, (n, 4)) ** 2)
     nj = w.sum(axis=0)
-    out, _ = obs.update(w, nj, comps, [False, True, False, True])
+    out = obs.update(w, nj, comps, [False, True, False, True])
     assert out[0] is comps[0] and out[2] is comps[2]
     z, v = obs.z.tolist(), obs.s2.tolist()
     for k in (1, 3):
@@ -487,7 +519,11 @@ def kernel_calls(monkeypatch):
 
 
 def _guard_map(seed):
-    """(batch, start model, updated model) of one m_step on the guard test's state, every component fitted."""
+    """(batch, start model, updated model) of one m_step on the guard test's state, every component fitted.
+
+    The start model has no kernel bound, so the M-step computes its old
+    rows with one `log_marginal_matrix` call and binds them to it.
+    """
     rng = np.random.default_rng(seed)
     obs = _normal_batch(rng, 60)
     comps = tuple(_normal_component(rng) for _ in range(4))
@@ -506,10 +542,11 @@ class TestBoundKernel:
         obs, model, updated = _guard_map(seed)
         # component 1's moment update is kept and component 2's rejected, or the reverse
         assert [updated.components[k] is not model.components[k] for k in (1, 2)] == kept
+        assert kernel_calls == [obs] and model._kernel[0] is obs  # the start model's rows, for the guard
         w_bound, pll_bound = mixture.e_step(obs, updated)
-        assert kernel_calls == []
-        w_fresh, pll_fresh = mixture.e_step(obs, replace(updated))
         assert kernel_calls == [obs]
+        w_fresh, pll_fresh = mixture.e_step(obs, replace(updated))
+        assert kernel_calls == [obs, obs]
         assert pll_bound == pll_fresh
         assert w_bound.flags.f_contiguous and w_fresh.flags.f_contiguous
         assert w_bound.tobytes(order="F") == w_fresh.tobytes(order="F")
@@ -518,12 +555,16 @@ class TestBoundKernel:
         obs, _, updated = _guard_map(1)
         twin = Observations.normal(obs.z, obs.s2)
         mixture.e_step(twin, updated)
-        assert kernel_calls == [twin]
+        assert kernel_calls == [obs, twin]
 
     def test_non_finite_bound_row_raises(self, monkeypatch):
+        calls = []
+
         def poisoned(x, mean, var, _real=families.normal_logpdf):
             out = _real(x, mean, var)
-            out[[1, 5], 0] = -np.inf  # component 1's new and old rows: the guard keeps the new one
+            calls.append(out.shape)
+            if len(calls) == 2:  # the guard's call, after the start model's checked kernel
+                out[1, 0] = np.inf  # component 1's new row: the guard keeps it, unchecked
             return out
 
         monkeypatch.setattr(families, "normal_logpdf", poisoned)
@@ -537,19 +578,43 @@ class TestBoundKernel:
         assert fresh == updated and repr(fresh) == repr(updated)
         assert serialize_model(ModelDocument(fresh)) == serialize_model(ModelDocument(updated))
         mixture.e_step(obs, fresh)
-        assert kernel_calls == [obs]
+        assert kernel_calls == [obs, obs]
 
     @pytest.mark.parametrize("null_mode", [NullMode.EMPIRICAL, NullMode.NONE, NullMode.THEORETICAL])
-    def test_guard_on_bound_rows_gives_the_same_bits(self, null_mode):
-        """An M-step that reads the E-step's bound rows returns what one that scores them itself returns."""
-        obs = _normal_batch(np.random.default_rng(4), 120)
-        config = FitConfig(n_components=4, null_mode=null_mode)
+    def test_guard_on_bound_rows_gives_the_same_bits(self, kernel_calls, monkeypatch, null_mode):
+        """An M-step on a model with no kernel bound returns the bits of one whose E-step bound its kernel.
+
+        Reading the bound rows, an M-step scores its F fitted components'
+        new rows, F x n cells.  Without them it scores F + J rows: the J
+        old ones through `log_marginal_matrix`, which it binds to its
+        input model, and the F new ones in the guard's one call.
+        """
+        cells = [0]
+
+        def counted(x, mean, var, _real=families.normal_logpdf):
+            out = _real(x, mean, var)
+            cells[0] += out.size
+            return out
+
+        monkeypatch.setattr(families, "normal_logpdf", counted)
+        n, j = 120, 4
+        fitted = j - 1 if null_mode is NullMode.THEORETICAL else j
+        obs = _normal_batch(np.random.default_rng(4), n)
+        config = FitConfig(n_components=j, null_mode=null_mode)
         model = mixture.initialize(obs, config, 1)
         w, _ = mixture.e_step(obs, model)
         assert model._kernel[0] is obs
         for _ in range(3):
+            kernel_calls.clear()
+            cells[0] = 0
             bound, _ = mixture.m_step(obs, w, config, model)
-            fresh, _ = mixture.m_step(obs, w, config, replace(model))
+            assert kernel_calls == [] and cells[0] == fitted * n
+            cells[0] = 0
+            unbound = replace(model)
+            fresh, _ = mixture.m_step(obs, w, config, unbound)
+            assert kernel_calls == [obs] and cells[0] == (fitted + j) * n
+            assert unbound._kernel[0] is obs
+            assert unbound._kernel[1].tobytes() == model._kernel[1].tobytes()
             assert bound == fresh
             assert bound._kernel[1].tobytes() == fresh._kernel[1].tobytes()
             model = bound

@@ -244,6 +244,12 @@ class TestEffectStudy:
         with pytest.raises(ContractError, match="reps must be an integer"):
             run_effect_study({"naive": baseline("naive")}, reps=reps)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        """A float or bool seed is refused, not truncated to the seed 1 it would draw as."""
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            run_effect_study({"naive": baseline("naive")}, reps=1, seed=seed)
+
     def test_mixture_method_shrinks(self):
         """Fitted posterior means never exceed the data in magnitude when
         all fitted component means sit between 0 and z."""

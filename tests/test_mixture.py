@@ -495,6 +495,14 @@ class TestInitialize:
         )
         np.testing.assert_array_equal(derive_rng(2**64, 3).random(8), derive_rng(0, 3).random(8))
 
+    @pytest.mark.parametrize("seed, key", [(1.5, ()), (True, ()), (1.0, ()), (1, (2.0,)), (1, (False,)), ("1", ())])
+    def test_seed_must_be_an_integer(self, seed, key):
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            derive_rng(seed, *key)
+
+    def test_numpy_integer_seed_accepted(self):
+        np.testing.assert_array_equal(derive_rng(np.int64(7), np.uint8(2)).random(4), derive_rng(7, 2).random(4))
+
     def test_theoretical_null_pinned_at_zero(self):
         obs = fdr_scenario_obs()
         config = FitConfig(n_components=3, penalty=50.0)

@@ -18,6 +18,10 @@ and it holds every choice that depends on the family:
 * ``saturated``, each case's data-only term of the log marginal, and
   ``saturated_sum``, its sum over cases;
 * ``log_kernel``, the kernel behind `log_marginal_matrix`;
+* ``proves_finite``, whether a fresh ``log_kernel`` is shown finite from
+  a few numbers, so that `log_marginal_matrix` need not scan it (normal:
+  from the batch's extent, where no entry can overflow; binomial: never,
+  so it is always scanned);
 * ``posterior``, every component's posterior given each case, per
   component (rows) and case (columns) like ``log_kernel``;
 * ``start``, the EM starting components;
@@ -40,6 +44,7 @@ that depends on the data alone is computed once per batch, not once per
 EM map, and kept as a read-only cached property:
 
 * both families: ``saturated`` and ``saturated_sum``;
+* normal ``proves_finite``: max |z|, min s2 and max s2 (``_extent``);
 * binomial, shared by ``log_kernel`` and the M-step: the counts
   (H, N-H, N) as rows (``stacked``), the table length ``cut``, each
   count's place in the tables (``_table_keys``, also the M-step's
@@ -50,6 +55,13 @@ EM map, and kept as a read-only cached property:
   distinct counts above the table of each row.
 
 They take O(n + RISING_TABLE) memory.
+
+The normal kernel is log phi(z; mean, var + s2), formed by
+`normal_logpdf` as -0.5 (log 2pi + log v) - (z - mean)^2 (0.5 / v) with
+v = var + s2: one new (J, n) array of deviations, squared and scaled in
+place by the reciprocal 0.5 / v, which is J numbers with a common s2.
+So a common-s2 kernel costs no (J, n) division, and, shown finite by
+``proves_finite``, no (J, n) scan either.
 
 A batch also keeps ``scratch``, two writable rows of length n, made on
 first use.  They hold no cached term: their contents mean nothing between
@@ -100,6 +112,8 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Below it, `NormalObservations.proves_finite`'s two bounds leave every kernel entry far from overflow.
+_FINITE_BOUND = 1e300
 
 
 class Family(str, Enum):
@@ -191,22 +205,29 @@ class ComponentPosterior:
 
 
 def normal_logpdf(x, mean, var):
-    """log phi(x; mean, var); the arguments broadcast.
+    """log phi(x; mean, var); ``var`` broadcasts to the shape of ``x - mean``, which is the result's.
 
-    The result is built in one new array of the broadcast shape; no other
-    array of that shape is made unless ``var`` has it.  The steps are
-    those of -0.5 (log 2pi + log var) - 0.5 (x - mean)^2 / var, in that
+    The result is built in the one new array ``x - mean``; no other array
+    of that shape is made unless ``var`` has it.  The squared deviations
+    are scaled by one reciprocal, 0.5 / var, which is J numbers for a
+    (J, 1) column ``var``, not divided cell by cell.  The steps are those
+    of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var), in that
     order, so the result has the bits of that closed form.
     """
-    out = np.empty(np.broadcast(x, mean, var).shape)
     scale = np.log(var)
     scale += LOG_2PI
     scale *= -0.5
-    np.subtract(x, mean, out=out)
+    out = np.subtract(x, mean)
     np.square(out, out=out)
-    out *= 0.5
-    out /= var
+    out *= 0.5 / var
     return np.subtract(scale, out, out=out)
+
+
+def _cases(name: str, values: np.ndarray) -> np.ndarray:
+    """``values``, one per case; ContractError unless they are one-dimensional (a scalar is made one case)."""
+    if values.ndim != 1:
+        raise ContractError(f"{name} must be one-dimensional, one value per case; got shape {values.shape}")
+    return values
 
 
 def _per_case(name: str, values: np.ndarray, shape) -> np.ndarray:
@@ -270,7 +291,8 @@ class NormalObservations(Observations):
     csv_headers = (["id", "z"], ["id", "z", "s2"])
 
     def __post_init__(self):
-        z = np.array(self.z, dtype=float, ndmin=1)  # a copy: the caller's array stays the caller's
+        # a copy: the caller's array stays the caller's
+        z = _cases("normal statistics", np.array(self.z, dtype=float, ndmin=1))
         s2 = _per_case("s2", np.asarray(self.s2, dtype=float), z.shape)
         if not np.all(np.isfinite(z)):
             raise ContractError("normal statistics must be finite")
@@ -299,6 +321,35 @@ class NormalObservations(Observations):
     def guarded(self) -> bool:
         """Whether ``update`` is not exact here, only a generalized-EM step: with varying s2."""
         return not self.homoscedastic
+
+    @functools.cached_property
+    def _extent(self) -> tuple:
+        """(max |z|, min s2, max s2) as Python floats: all that `proves_finite` reads of the batch."""
+        return (
+            float(np.abs(self.z).max(initial=0.0)),
+            float(self.s2.min(initial=np.inf)),
+            float(self.s2.max(initial=0.0)),
+        )
+
+    def proves_finite(self, components) -> bool:
+        """Whether every entry of ``log_kernel(components)`` is shown finite from J numbers, without a scan.
+
+        Per component, with d = max |z| + |mean|: IEEE rounding is
+        monotone, so each cell's (z - mean)^2 (0.5 / (var + s2)) rounds to
+        at most d d (0.5 / (var + min s2)), and its var + s2 to at most
+        var + max s2.  Where both are below _FINITE_BOUND, the log of
+        var + s2 (> 0) and every entry are finite.  Otherwise nothing is
+        shown, and `log_marginal_matrix` scans the kernel.  Python floats
+        throughout: an overflow gives inf and no warning (``d * d``, not
+        ``d ** 2``, which raises).
+        """
+        reach, low, high = self._extent
+        for c in components:
+            var = float(c.var)
+            d = reach + abs(float(c.mean))
+            if not (d * d * (0.5 / (var + low)) < _FINITE_BOUND and var + high < _FINITE_BOUND):
+                return False
+        return True
 
     def log_kernel(self, components) -> np.ndarray:
         """log phi(z; mean, var + s2) per component (rows) and case (columns), in closed form.
@@ -395,7 +446,7 @@ class BinomialObservations(Observations):
     csv_headers = (["id", "h", "n"],)
 
     def __post_init__(self):
-        counts = np.atleast_1d(np.asarray(self.counts))
+        counts = _cases("binomial counts", np.atleast_1d(np.asarray(self.counts)))
         trials = _per_case("trials", np.atleast_1d(np.asarray(self.trials)), counts.shape)
         if not (np.issubdtype(counts.dtype, np.integer) and np.issubdtype(trials.dtype, np.integer)):
             counts_f, trials_f = np.asarray(counts, dtype=float), np.asarray(trials, dtype=float)
@@ -555,6 +606,10 @@ class BinomialObservations(Observations):
             comps.append(base)
         return comps
 
+    def proves_finite(self, components) -> bool:
+        """False: the binomial kernel is always scanned."""
+        return False
+
     def update(self, w: np.ndarray, nj, components, fit) -> list:
         """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given."""
         return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)]
@@ -704,12 +759,15 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     computed from it (posterior weights, `posterior_summary`'s buffers)
     keeps the order.  The result is a new array that the caller owns:
     `mixture.MixtureModel.posterior_weights` turns it into the weights
-    in place.
+    in place.  NumericError if an entry is not finite: the kernel is
+    scanned (`checked_matrix`) unless ``obs.proves_finite`` shows it
+    finite.
     """
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):
         raise ContractError(f"{obs.family.value} components must be {obs.component.__name__}")
-    return checked_matrix(obs.log_kernel(components))
+    kernel = obs.log_kernel(components)
+    return kernel.T if obs.proves_finite(components) else checked_matrix(kernel)
 
 
 def checked_matrix(kernel: np.ndarray) -> np.ndarray:

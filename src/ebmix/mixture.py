@@ -142,12 +142,16 @@ class MixtureModel:
         otherwise it is called.
 
         The (J, n) kernel becomes w in one buffer: add log pi, take each
-        case's largest term m, subtract it, exponentiate, sum the case's
-        terms into s, divide by s, and log f = m + log s.  That buffer is
-        the fresh kernel itself, or a new one where the kernel is bound;
-        either way the caller owns it.  m and s are kept in the batch's
-        ``scratch`` rows.  Raises NumericError at a non-finite component
-        log marginal and at a case of zero mixture density f.
+        case's largest term m, subtract it, exponentiate and sum the
+        case's terms into s.  Then log f = m + log s, with the bits of a
+        plain log-sum-exp, and w is normalized by one reciprocal per
+        case: s becomes 1/s in place and w is multiplied by it, so no
+        (J, n) division is made.  That buffer is the fresh kernel itself,
+        or a new one where the kernel is bound; either way the caller
+        owns it.  m and s are kept in the batch's ``scratch`` rows.
+        Raises NumericError at a non-finite component log marginal (a
+        bound kernel is scanned; a fresh one is checked by
+        `log_marginal_matrix`) and at a case of zero mixture density f.
         """
         bound = self._kernel
         if bound is not None and bound[0] is obs:
@@ -165,8 +169,10 @@ class MixtureModel:
         w -= m
         np.exp(w, out=w)
         w.sum(axis=0, out=s)
-        w /= s
-        return w.T, m + np.log(s, out=s)
+        logf = np.log(s)
+        logf += m
+        w *= np.reciprocal(s, out=s)
+        return w.T, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
         """Log of the mixture marginal f(z) = sum_j pi_j f^(j)(z)."""

@@ -54,44 +54,44 @@ FIT_CASES = {
 # captured from the implementation; outputs must stay byte-identical
 MODEL_JSON = {
     "binomial-empirical": (
-        '{"components":[{"kappa":0.012452678794622696,"mean":0.29959797126537696},{"kappa":0,"mean":0.44251396677567284},{"kappa":0,"mean":0.4425139667756729}],"diagnostics":{"converged":true,"iterations":270,"penalized_loglik":-77.528196684154892},"family":"binomial","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[6,0,0],"pi":[0.99999437478207653,3.9970862243333831e-06,1.6281316991773274e-06],"seed":0,"timestamp":null}\n'
+        '{"components":[{"kappa":0.012452678794622616,"mean":0.29959797126537696},{"kappa":0,"mean":0.44251396677567351},{"kappa":0,"mean":0.44251396677567356}],"diagnostics":{"converged":true,"iterations":270,"penalized_loglik":-77.528196684154878},"family":"binomial","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[6,0,0],"pi":[0.99999437478207653,3.9970862243320228e-06,1.6281316991767917e-06],"seed":0,"timestamp":null}\n'
     ),
     "binomial-none": (
-        '{"components":[{"kappa":0.012452668698096988,"mean":0.2995979511683326},{"kappa":0,"mean":0.4425139626438922},{"kappa":0,"mean":0.44251396264389214}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917862061},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.99999426485442111,3.6321124506019812e-06,2.1030331282759209e-06],"seed":0,"timestamp":null}\n'
+        '{"components":[{"kappa":0.012452668697888962,"mean":0.29959795116791937},{"kappa":0,"mean":0.44251396264380732},{"kappa":0,"mean":0.44251396264380743}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917866765},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.9999942648521607,3.6321138821426155e-06,2.1030339571537939e-06],"seed":0,"timestamp":null}\n'
     ),
     "normal-empirical": (
-        '{"components":[{"mean":0.54069185816519116,"var":0.86449042218822791},{"mean":3.3188049545265521,"var":0},{"mean":6.7702178412082272,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334764708e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.54069185816519139,"var":0.86449042218822791},{"mean":3.3188049545265526,"var":0},{"mean":6.7702178412082272,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334762739e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
     ),
     "normal-none": (
-        '{"components":[{"mean":0.18987136815237846,"var":0.28146355029075965},{"mean":3.2663260700154102,"var":0},{"mean":6.7527714746788243,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016929,0.020096448064962989],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.18987136815237851,"var":0.28146355029076031},{"mean":3.2663260700154102,"var":0},{"mean":6.7527714746788243,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016887,0.020096448064962982],"seed":0,"timestamp":null}\n'
     ),
     "normal-theoretical": (
-        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608495,"var":0.60432247943451389},{"mean":6.7460398267333641,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339464,0.12530904913497118,0.019806641731634236],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608495,"var":0.60432247943450812},{"mean":6.7460398267333641,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339464,0.12530904913497112,0.019806641731634253],"seed":0,"timestamp":null}\n'
     ),
 }
 ESTIMATE_CSV = {
     "normal-theoretical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,-3.5,0.00016301716509342662,0.00027792928091395123,0.9993749706724127,0.008268559358743726\n"
-        "b,0.0,0.024339544400373232,0.043650450572193744,0.9845875085192681,0.8548843091333946\n"
-        "c,1.96,1.772183807205435,1.0115148943680285,0.20160709484383715,0.04208671443705149\n"
-        "d,2.5,0.9639480883291335,1.7032051376705442,0.6196173121585509,0.4408814317784325\n"
-        "e,4.0,3.101240118946373,0.5432302880845411,0.005584057935599208,0.001535122911876861\n"
-        "f,7.25,6.664294231531387,0.2392963769998854,1.1221729039722074e-06,4.049289935606473e-07\n"
+        "a,-3.5,0.00016301716509342832,0.0002779292809139429,0.9993749706724129,0.008268559358743733\n"
+        "b,0.0,0.024339544400373173,0.04365045057219373,0.9845875085192681,0.8548843091333946\n"
+        "c,1.96,1.7721838072054363,1.0115148943680279,0.20160709484383693,0.042086714437051476\n"
+        "d,2.5,0.963948088329134,1.7032051376705437,0.6196173121585506,0.4408814317784324\n"
+        "e,4.0,3.10124011894637,0.5432302880845391,0.0055840579355992135,0.0015351229118768625\n"
+        "f,7.25,6.664294231531388,0.23929637699988332,1.1221729039722059e-06,4.04928993560647e-07\n"
     ),
     "binomial-empirical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.239859989510011,0.0017998031683199916,0.9999999749309165,\n"
-        "b,9,0.2997075747548137,0.0018857058064751782,0.999998169012498,\n"
-        "c,17,0.34129478631392346,0.0018534415051580293,0.9999825278762886,\n"
-        "d,45,0.5299801571750187,0.001897323472966207,0.9999666976961101,\n"
+        "a,0,0.2398599895100113,0.0017998031683199838,0.9999999749309165,\n"
+        "b,9,0.2997075747548137,0.0018857058064751697,0.999998169012498,\n"
+        "c,17,0.3412947863139233,0.0018534415051580206,0.9999825278762886,\n"
+        "d,45,0.5299801571750178,0.0018973234729662,0.9999666976961101,\n"
     ),
     "binomial-none": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,0,0.23986001229687776,0.0017998021473137145,,\n"
-        "b,9,0.2997075651689316,0.001885705312762799,,\n"
-        "c,17,0.341294784894884,0.0018534432817836862,,\n"
-        "d,45,0.5299799727291193,0.0018973263353744636,,\n"
+        "a,0,0.23986001229734805,0.0017998021472926818,,\n"
+        "b,9,0.29970756516873437,0.0018857053127526017,,\n"
+        "c,17,0.3412947848948539,0.0018534432818201752,,\n"
+        "d,45,0.529979972725322,0.0018973263354332874,,\n"
     ),
 }
 # a binomial model file in the {"alpha", "beta"} component records written before (mean, kappa)
@@ -102,7 +102,7 @@ ALPHA_BETA_ESTIMATE_CSV = (
     "id,z,effect_mean,effect_var,fdr,FDR\n"
     "a,0,0.2784261666034635,2.3834823800852074e-05,,\n"
     "b,9,0.284383413788583,0.0008995415226515065,,\n"
-    "c,17,0.3492278860160228,0.00584053572431748,,\n"
+    "c,17,0.34922788601602284,0.005840535724317481,,\n"
     "d,45,0.43153851783902203,2.939656313639158e-09,,\n"
 )
 
@@ -159,7 +159,7 @@ class TestModelFile:
     def test_point_mass_round_trip(self):
         """A beta component at kappa = 0 (which no alpha, beta can write) round-trips byte for byte."""
         text = MODEL_JSON["binomial-none"]
-        assert '{"kappa":0,"mean":0.4425139626438922}' in text
+        assert '{"kappa":0,"mean":0.44251396264380732}' in text
         doc = parse_model(text)
         assert [c.kappa for c in doc.model.components][1:] == [0.0, 0.0]
         assert serialize_model(doc) == text
@@ -503,25 +503,25 @@ BASEBALL_CSV = (
 # captured from the implementation; outputs must stay byte-identical
 CALIBRATE_MANUAL_CSV = (
     "candidate_P,perturbed_model_index,bootstrap_index,score\n"
-    "2.0,0,0,0.11044524582347194\n"
-    "2.0,0,1,2.8552568538269232e-05\n"
-    "2.0,1,0,0.018268249508778013\n"
-    "2.0,1,1,0.0004666657805882268\n"
-    "8.0,0,0,0.06417062393620429\n"
-    "8.0,0,1,0.0006370473221281311\n"
-    "8.0,1,0,0.0018102792717907053\n"
-    "8.0,1,1,0.00013118130686523452\n"
+    "2.0,0,0,0.11044524582347193\n"
+    "2.0,0,1,2.8552568538268903e-05\n"
+    "2.0,1,0,0.018268249508777982\n"
+    "2.0,1,1,0.0004666657805882261\n"
+    "8.0,0,0,0.06417062393620424\n"
+    "8.0,0,1,0.0006370473221281323\n"
+    "8.0,1,0,0.0018102792717906828\n"
+    "8.0,1,1,0.00013118130686523428\n"
     "20.0,0,0,0.007872468346583436\n"
-    "20.0,0,1,0.0016158304543097673\n"
-    "20.0,1,0,0.00047678065294599626\n"
-    "20.0,1,1,2.8977494277050733e-05\n"
+    "20.0,0,1,0.0016158304543097614\n"
+    "20.0,1,0,0.0004767806529459986\n"
+    "20.0,1,1,2.897749427705004e-05\n"
 )
 CALIBRATE_AUTO_SCORES = (
-    0.05042077980839669, 0.050438272049144625, 0.05045576665232842, 0.05047326361841472,
-    0.050490762947871005, 0.050508264641165285, 0.050525768698766516, 0.05054327512114409,
-    0.05056078390876796, 0.05057829506210925, 0.0505958085816391, 0.05061332446782963,
-    0.05063084272115366, 0.050648363342084744, 0.05066588633109656, 0.050683411688664394,
-    0.050700939415263546, 0.050718469511369955, 0.05073600197746055, 0.0507535368140128,
+    0.05042077980839669, 0.0504382720491446, 0.05045576665232842, 0.050473263618414727,
+    0.05049076294787099, 0.05050826464116525, 0.05052576869876657, 0.05054327512114409,
+    0.05056078390876796, 0.050578295062109216, 0.05059580858163911, 0.05061332446782961,
+    0.05063084272115365, 0.050648363342084717, 0.05066588633109656, 0.05068341168866438,
+    0.050700939415263546, 0.050718469511370004, 0.05073600197746059, 0.05075353681401276,
 )
 BIC_STDOUT = (
     "J=1 BIC=164.68443201634096\n"
@@ -530,16 +530,16 @@ BIC_STDOUT = (
     "selected_J=1\n"
 )
 FDR_STUDY_SHA256 = {
-    "fdr_curves.csv": "710908817127dafcef0013833b5ff050e799c322702c645eb993bfbd0ab37194",
-    "FDR_curves.csv": "98fa1460c3b6c67fd34c6085a32b3587a3695adcf59f1147e10aeceac62e43d6",
+    "fdr_curves.csv": "3502368f0740d155a912c4c70824938e46aca7b55833890f73a930e1a8ee2c05",
+    "FDR_curves.csv": "da676355e778f3f98cd1bb8b82bf810600f5b76525def622ae586ba3d1c78f76",
     "thresholds.csv": "70d5d6664ab7eb324d9a6c5d578cf749862878a1705557406702e6403c63c67a",
 }
-EFFECT_STUDY_SHA256 = "8629688eba191c3753e89a5f1673850b8e58d87babcb015e01cfc981903ebd37"
+EFFECT_STUDY_SHA256 = "ffd3d2f42f89f3b5906523d9f0e6fa0d96767aaced84755f3b9931284c79b397"
 EFFECT_SUMMARY_CSV = (
     "method,mean_rel_error,median_rel_error\n"
     "bayes_oracle,1.0,1.0\n"
     "fdr_threshold_q0.1,1.7055469007568025,1.5795620380052902\n"
-    "mixture_J2_P50,1.218870570610745,1.1086447577946545\n"
+    "mixture_J2_P50,1.2188705706107448,1.1086447577946543\n"
     "naive,17.6246651784865,7.314951396638779\n"
     "sure_shrink,1.9002796191028402,1.624536473507486\n"
     "universal_hard,3.0947246561432014,1.5936274317664818\n"
@@ -566,7 +566,7 @@ BASEBALL_TSE_CSV = (
     "overall,naive,12,10,2,0.003936473938692206,1.0\n"
     "overall,grand_mean,12,10,2,0.013383846969193463,3.3999582310558645\n"
     "overall,james_stein,12,10,2,0.013733513465711177,3.488785567896784\n"
-    "overall,mixture,12,10,2,0.013422883028194943,3.409874734914251\n"
+    "overall,mixture,12,10,2,0.013422883028194962,3.409874734914256\n"
     "pitchers,naive,4,4,0,0.004024426643691107,1.0\n"
     "pitchers,grand_mean,4,4,0,0.006902877409426364,1.7152449331503312\n"
     "pitchers,james_stein,4,4,0,0.004818710095689483,1.1973656180920913\n"
@@ -574,7 +574,7 @@ BASEBALL_TSE_CSV = (
     "nonpitchers,naive,8,6,2,-8.795270499890049e-05,1.0\n"
     "nonpitchers,grand_mean,8,6,2,0.005256534188980982,-59.7654635982679\n"
     "nonpitchers,james_stein,8,6,2,0.0050541322521518404,-57.46420479296257\n"
-    "nonpitchers,mixture,8,6,2,0.004881075790550063,-55.496596615318225\n"
+    "nonpitchers,mixture,8,6,2,0.004881075790550107,-55.49659661531872\n"
 )
 BASEBALL_TSE_STDOUT = (
     "overall: naive=1.000 grand_mean=3.400 james_stein=3.489 mixture=3.410\n"

@@ -218,12 +218,68 @@ class TestComponentMarginal:
 
 @pytest.mark.parametrize("var_shape", ["column", "cases"])
 def test_normal_logpdf_has_the_bits_of_its_closed_form(var_shape):
-    """The in-place steps give the bits of -0.5 (log 2pi + log var) - 0.5 (x - mean)^2 / var."""
+    """The in-place steps give the bits of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var)."""
     rng = np.random.default_rng(9)
     x, mean = rng.normal(0.0, 3.0, 500), rng.normal(0.0, 3.0, (4, 1))
     var = rng.uniform(0.0, 2.0, (4, 1)) + (rng.uniform(0.5, 2.0, 500) if var_shape == "cases" else 1.0)
-    closed = -0.5 * (families.LOG_2PI + np.log(var)) - 0.5 * (x - mean) ** 2 / var
+    closed = -0.5 * (families.LOG_2PI + np.log(var)) - (x - mean) ** 2 * (0.5 / var)
     assert families.normal_logpdf(x, mean, var).tobytes() == closed.tobytes()
+
+
+@pytest.mark.parametrize("var_shape", ["column", "cases"])
+def test_normal_logpdf_is_within_ulps_of_the_exact_density(var_shape):
+    """Each entry is within 4 ulps of the exact log-density at its float arguments, against the size of its terms.
+
+    The size is 0.5 (log 2pi + |log var|) + (x - mean)^2 / (2 var): a
+    rounding of each term, not of their difference, is all a float
+    evaluation can promise.
+    """
+    import mpmath
+
+    rng = np.random.default_rng(3)
+    x, mean = rng.normal(0.0, 5.0, 120), rng.normal(0.0, 3.0, (4, 1))
+    var = np.exp(rng.uniform(-4.0, 6.0, (4, 1))) + (np.exp(rng.uniform(-3.0, 3.0, 120)) if var_shape == "cases" else 0.0)
+    got = families.normal_logpdf(x, mean, var)
+    var = np.broadcast_to(var, got.shape)
+    with mpmath.workdps(40):
+        log_2pi = mpmath.log(2 * mpmath.pi)
+        for (j, i), value in np.ndenumerate(got):
+            v, d = mpmath.mpf(var[j, i]), mpmath.mpf(x[i]) - mpmath.mpf(mean[j, 0])
+            log_v, quad = mpmath.log(v), d * d / (2 * v)
+            exact = -(log_2pi + log_v) / 2 - quad
+            size = (log_2pi + abs(log_v)) / 2 + quad
+            assert abs(value - exact) <= 4 * np.finfo(float).eps * size
+
+
+class TestKernelFiniteness:
+    """A normal kernel is shown finite from the batch's extent where it can be, and scanned where it cannot."""
+
+    @pytest.mark.parametrize("s2", [1.0, [1.0, 2.0, 0.5]], ids=["common", "per-case"])
+    def test_overflowing_kernel_raises(self, s2):
+        obs = Observations.normal([0.0, 1e200, -3.0], s2)
+        model = mixture.initialize(obs, FitConfig(n_components=2))
+        assert not obs.proves_finite(model.components)
+        with np.errstate(over="ignore"):  # (z - mean)^2 overflows to inf
+            with pytest.raises(NumericError, match="non-finite component log marginal"):
+                log_marginal_matrix(obs, model.components)
+            with pytest.raises(NumericError, match="non-finite component log marginal"):
+                mixture.e_step(obs, model)
+
+    def test_finite_batch_past_the_bound_fits(self):
+        """(1.2e152)^2 is past the proof's bound, so the kernel is scanned, and every entry is finite."""
+        z = np.append(np.random.default_rng(0).standard_normal(50), 1.2e152)
+        obs = Observations.normal(z)
+        fitted = mixture.em_fit(obs, FitConfig(n_components=3))
+        assert not obs.proves_finite(fitted.components)
+        assert math.isfinite(fitted.diagnostics.penalized_loglik)
+        assert fitted.components[2] == NormalComponent(1.2e152, 0.0)
+
+    def test_proof_holds_on_ordinary_batches(self):
+        rng = np.random.default_rng(1)
+        obs = _normal_batch(rng, 40)
+        comps = [_normal_component(rng) for _ in range(3)]
+        assert obs.proves_finite(comps)
+        assert not FAMILY_CASES[Family.BINOMIAL][0](rng, 40).proves_finite([_beta_component(rng)])
 
 
 class TestComponentPosterior:
@@ -299,6 +355,15 @@ class TestObservations:
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b}) == 2
 
+    @pytest.mark.parametrize(
+        "make, args",
+        [(Observations.normal, ([[1.0, 2.0, 0.5], [3.0, 4.0, 0.1]],)), (Observations.binomial, ([[1, 2], [3, 4]], 5))],
+        ids=["normal", "binomial"],
+    )
+    def test_two_dimensional_cases_are_refused(self, make, args):
+        with pytest.raises(ContractError, match="must be one-dimensional, one value per case"):
+            make(*args)
+
     def test_normal_s2_positive(self):
         with pytest.raises(ContractError):
             Observations.normal([1.0], [0.0])
@@ -324,6 +389,7 @@ class TestObservations:
     def test_scalar_or_single_value_broadcasts(self):
         assert Observations.normal([1.0, 2.0], [3.0]).s2.tolist() == [3.0, 3.0]
         assert Observations.binomial([1, 2], 3).trials.tolist() == [3, 3]
+        assert len(Observations.normal(2.0)) == len(Observations.binomial(1, 3)) == 1  # a scalar is one case
 
     def test_default_unit_variance(self):
         obs = Observations.normal([1.0, 2.0])

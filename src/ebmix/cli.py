@@ -416,7 +416,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflowing kernel is reported by the NumericError it raises, not by numpy's warning on stderr
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"ERROR {exc.category}: {exc}", file=sys.stderr)
         return 2

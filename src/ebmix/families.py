@@ -27,10 +27,9 @@ and it holds every choice that depends on the family:
 * ``start``, the EM starting components;
 * ``update``, the weighted M-step of every component flagged in ``fit``,
   in one call, which returns the components, the others as they are;
-* ``guarded``, whether ``update`` is not exact on this batch (normal,
-  varying s2, where the moment update is only a generalized-EM step), so
-  that `mixture.m_step` keeps an update only if it does not lower the
-  component's weighted log marginal;
+  it never lowers a component's weighted log marginal, so EM needs no
+  guard (normal: exact with a common s2, else one ascent step, below;
+  binomial: the Newton solve, which keeps its start if it cannot gain);
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
@@ -62,6 +61,28 @@ v = var + s2: one new (J, n) array of deviations, squared and scaled in
 place by the reciprocal 0.5 / v, which is J numbers with a common s2.
 So a common-s2 kernel costs no (J, n) division, and, shown finite by
 ``proves_finite``, no (J, n) scan either.
+
+The normal M-step of a component with weights w maximizes its weighted
+log marginal Q(mu, t) = -1/2 sum w [log(t + s2) + (z - mu)^2/(t + s2)]:
+in closed form with a common s2 (the weighted moments), else by one step
+that cannot lower Q (generalized EM; Dempster, Laird & Rubin 1977).
+With r = z - mu and v = tau + s2 at the current (mu, tau), log(t + s2)
+replaced by its tangent at tau gives the concave minorizer
+G(t) = -1/2 sum w [(t - tau)/v + r^2/(t + s2)] of Q(mu, t), up to a
+constant, equal at tau.  With A = sum w/v, b = sum w r^2/v^2 and
+c = sum w r^2/v^3, the step is one Newton step on G',
+t = max(0, tau + (b - A)/(2c)) (t = 0 where b = 0):
+
+* upward (b > A) it stops short of G's maximum, since G' is convex and
+  falling, so Q rises;
+* downward it is kept where G(t) >= G(tau), that is where
+  A >= sum w r^2/(v (t + s2)); else t = tau sqrt(b/A), the maximum of the
+  looser minorizer with 1/(t + s2) <= (tau/v)^2/t + s2/v^2, which always
+  ascends (minorize-maximize; Zhou, Hu, Zhou & Lange 2019).
+
+Then mu = sum (w/(t + s2)) z / sum w/(t + s2), the maximizer at t.  A
+fixed point has b = A, or tau = 0 with b <= A, where t is exactly 0 (a
+point mass stays one): a stationary point of Q.
 
 A batch also keeps ``scratch``, two writable rows of length n, made on
 first use.  They hold no cached term: their contents mean nothing between
@@ -314,13 +335,8 @@ class NormalObservations(Observations):
 
     @functools.cached_property
     def homoscedastic(self) -> bool:
-        """Whether every case has the same s2, where the moment update is exact; true of an empty batch."""
+        """Whether every case has the same s2, where the M-step has a closed form; true of an empty batch."""
         return bool(self.s2.min(initial=np.inf) >= self.s2.max(initial=-np.inf))
-
-    @functools.cached_property
-    def guarded(self) -> bool:
-        """Whether ``update`` is not exact here, only a generalized-EM step: with varying s2."""
-        return not self.homoscedastic
 
     @functools.cached_property
     def _extent(self) -> tuple:
@@ -391,29 +407,60 @@ class NormalObservations(Observations):
         return comps
 
     def update(self, w: np.ndarray, nj, components, fit) -> list:
-        """Weighted moment update of each component k with ``fit[k]``, by column k of ``w`` (sum ``nj[k]``).
+        """The weighted M-step of each component k with ``fit[k]``, by column k of ``w`` (sum ``nj[k]``).
 
         ``nj`` is an array.  The fitted columns of ``w`` are taken as one
-        (F, n) block (`fitted_block`), so the weighted means, the weighted
-        s2 means and the centered weighted variances of all F fitted
-        components are one product each.  The update is exact for a
-        common s2; with varying s2 it is the one that `mixture.m_step`
-        guards (``guarded``).  Components not in ``fit`` come back as
-        they are.
+        (F, n) block (`fitted_block`), so each sum over cases is one
+        product for all F fitted components: the weighted moments with a
+        common s2, else `_ascend`.  Components not in ``fit`` come back
+        as they are.
         """
         out = list(components)
         fitted, block = fitted_block(fit)
         w_fit = w.T[block]
-        nf = nj[block]
-        # einsum, not a BLAS dot: OpenBLAS splits long dots over its threads, so their bits follow the thread count
-        mu = np.einsum("ij,j->i", w_fit, self.z) / nf
-        s2bar = float(self.s2[0]) if self.homoscedastic else np.einsum("ij,j->i", w_fit, self.s2) / nf
-        dev = np.subtract(self.z, mu[:, None])
-        np.square(dev, out=dev)
-        var = np.einsum("ij,ij->i", w_fit, dev) / nf - s2bar
-        for k, m, v in zip(fitted, mu.tolist(), var.tolist()):
+        if self.homoscedastic:
+            nf = nj[block]
+            # einsum, not a BLAS dot: OpenBLAS splits long dots over its threads, so their bits follow the thread count
+            mu = np.einsum("ij,j->i", w_fit, self.z) / nf
+            dev = np.subtract(self.z, mu[:, None])
+            np.square(dev, out=dev)
+            var = np.einsum("ij,ij->i", w_fit, dev) / nf - float(self.s2[0])
+            moved = zip(mu.tolist(), var.tolist())
+        else:
+            moved = self._ascend(w_fit, [components[k] for k in fitted])
+        for k, (m, v) in zip(fitted, moved):
             out[k] = NormalComponent(m, max(0.0, v))
         return out
+
+    def _ascend(self, w: np.ndarray, components) -> list:
+        """(mean, var) of each component after the ascent step of the module docstring, on its row of ``w``.
+
+        The (F, n) sums are `np.einsum`s, and the step runs on F Python
+        floats.  Row k of 1/v becomes 1/(t + s2) in place, and only where
+        the component's var moved.
+        """
+        tau = [c.var for c in components]
+        iv = np.add(np.array(tau)[:, None], self.s2)
+        np.reciprocal(iv, out=iv)  # 1/v
+        p = np.subtract(self.z, np.array([c.mean for c in components])[:, None])
+        np.square(p, out=p)
+        p *= w
+        p *= iv  # w r^2/v
+        a = np.einsum("ij,ij->i", w, iv).tolist()
+        b = np.einsum("ij,ij->i", p, iv).tolist()
+        c = np.einsum("ij,ij,ij->i", p, iv, iv).tolist()
+        t = []
+        for k, (t0, ak, bk, ck) in enumerate(zip(tau, a, b, c)):
+            tk = max(0.0, t0 + (bk - ak) / (2.0 * ck)) if ck > 0.0 else 0.0
+            if tk != t0:
+                row = np.reciprocal(np.add(self.s2, tk, out=iv[k]), out=iv[k])
+                if tk < t0 and np.einsum("j,j->", p[k], row) > ak:  # a downward step that lowers G: the MM step
+                    tk = t0 * math.sqrt(bk / ak)
+                    np.reciprocal(np.add(self.s2, tk, out=row), out=row)
+            t.append(tk)
+        iv *= w  # w/(t + s2)
+        mu = np.einsum("ij,j->i", iv, self.z) / np.einsum("ij->i", iv)
+        return list(zip(mu.tolist(), t))
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "NormalObservations":
@@ -441,7 +488,6 @@ class BinomialObservations(Observations):
     family = Family.BINOMIAL
     component = BetaComponent
     theoretical_null = None  # no binomial null rate is supported
-    guarded = False  # the Newton M-step never lowers its objective
     csv_header = "id,H,N"
     csv_headers = (["id", "h", "n"],)
 
@@ -760,19 +806,13 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     keeps the order.  The result is a new array that the caller owns:
     `mixture.MixtureModel.posterior_weights` turns it into the weights
     in place.  NumericError if an entry is not finite: the kernel is
-    scanned (`checked_matrix`) unless ``obs.proves_finite`` shows it
-    finite.
+    scanned unless ``obs.proves_finite`` shows it finite.
     """
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):
         raise ContractError(f"{obs.family.value} components must be {obs.component.__name__}")
     kernel = obs.log_kernel(components)
-    return kernel.T if obs.proves_finite(components) else checked_matrix(kernel)
-
-
-def checked_matrix(kernel: np.ndarray) -> np.ndarray:
-    """The (n, J) transpose of a (J, n) ``log_kernel``; NumericError if any entry is not finite."""
-    if not np.all(np.isfinite(kernel)):
+    if not (obs.proves_finite(components) or np.all(np.isfinite(kernel))):
         raise NumericError("non-finite component log marginal")
     return kernel.T
 

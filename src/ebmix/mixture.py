@@ -14,28 +14,10 @@ weighted M-step, the kernel behind the E-step and sampling all come from
 the data's family class in `families`, and a model's family is read off
 its components' type.
 
-Where the family's update is not exact (``data.guarded``: normal with
-case-specific s2, whose moment update is only a generalized-EM step;
-Dempster, Laird & Rubin 1977), `m_step` keeps each fitted component's
-update only if it does not lower the component's weighted log marginal.
-That guard needs the old components' kernel rows, and this module alone
-keeps them, bound with their batch to the model (``_kernel``, read-only):
-
-* `_kernel_on` returns a model's kernel on a batch: the bound one, or
-  else one computed by `log_marginal_matrix`, which it then binds;
-* `e_step` calls it where ``data.guarded``, so a restart's first map
-  finds the old rows bound;
-* the guard (`_guard`) reads the old rows through it and scores, in one
-  ``log_kernel`` call, the F fitted components' new rows plus the row of
-  each component that `m_step` reinitialized; `m_step` binds the kernel
-  of the updated model, row by row the new or the old, to that model;
-* `MixtureModel.posterior_weights` reads a kernel bound to its very
-  batch (checked finite) instead of computing one.
-
-So a map inside EM scores F x n cells, plus n per reinitialized
-component, and never a row twice.  A direct `m_step` on a model with no
-kernel bound scores its J old rows once, through `_kernel_on`, and
-leaves them bound to that model.
+Every family's ``update`` raises or keeps each fitted component's
+weighted log marginal by itself (exact, or an ascent step; see
+`families`), so the M-step needs no guard, and every E-step computes its
+kernel afresh: EM has one code path for every family.
 """
 
 from __future__ import annotations
@@ -79,12 +61,6 @@ class MixtureModel:
     penalty: np.ndarray
     diagnostics: FitDiagnostics | None = None
     family: Family = field(init=False)
-    # (batch, kernel): the model's (J, n) kernel on one batch, read-only; bound
-    # by `_kernel_on` (for `e_step` or the guard of `m_step`) or by `m_step`
-    # (the updated model's rows), read by the guard and `posterior_weights`
-    # (see the module docstring); not a field, so equality, repr, model
-    # files and `dataclasses.replace` never see it
-    _kernel = None
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -136,32 +112,23 @@ class MixtureModel:
         the sums over components and over cases run at full speed.
         Components with pi_j = 0 get weight exactly 0.  The log
         marginals leave out each case's data-only term ``obs.saturated``
-        (0 for normal cases; see `families`).  Where a kernel is bound to
-        this model and ``obs`` is that very batch (by identity), its rows
-        are used, checked as `log_marginal_matrix` checks its own;
-        otherwise it is called.
+        (0 for normal cases; see `families`).
 
-        The (J, n) kernel becomes w in one buffer: add log pi, take each
-        case's largest term m, subtract it, exponentiate and sum the
-        case's terms into s.  Then log f = m + log s, with the bits of a
-        plain log-sum-exp, and w is normalized by one reciprocal per
-        case: s becomes 1/s in place and w is multiplied by it, so no
-        (J, n) division is made.  That buffer is the fresh kernel itself,
-        or a new one where the kernel is bound; either way the caller
-        owns it.  m and s are kept in the batch's ``scratch`` rows.
-        Raises NumericError at a non-finite component log marginal (a
-        bound kernel is scanned; a fresh one is checked by
-        `log_marginal_matrix`) and at a case of zero mixture density f.
+        The (J, n) kernel of `log_marginal_matrix` becomes w in its own
+        buffer, which the caller then owns: add log pi, take each case's
+        largest term m, subtract it, exponentiate and sum the case's terms
+        into s.  Then log f = m + log s, with the bits of a plain
+        log-sum-exp, and w is normalized by one reciprocal per case: s
+        becomes 1/s in place and w is multiplied by it, so no (J, n)
+        division is made.  m and s are kept in the batch's ``scratch``
+        rows.  Raises NumericError at a non-finite component log marginal
+        (from `log_marginal_matrix`) and at a case of zero mixture
+        density f.
         """
-        bound = self._kernel
-        if bound is not None and bound[0] is obs:
-            kernel = families.checked_matrix(bound[1]).T
-        else:
-            kernel = families.log_marginal_matrix(obs, self.components).T
-        w = kernel if kernel.flags.writeable else np.empty_like(kernel)  # a bound kernel is read into w
+        w = families.log_marginal_matrix(obs, self.components).T
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)
-        np.add(kernel, log_pi[:, None], out=w)
+        w += log_pi[:, None]
         m, s = obs.scratch
         w.max(axis=0, out=m)
         if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
@@ -256,22 +223,6 @@ def _sum(values) -> float:
     return total
 
 
-def _bind(model: MixtureModel, obs: Observations, kernel: np.ndarray) -> None:
-    """Bind ``kernel``, the (J, n) kernel of ``model`` on ``obs``, to the model, read-only."""
-    kernel.flags.writeable = False
-    object.__setattr__(model, "_kernel", (obs, kernel))
-
-
-def _kernel_on(model: MixtureModel, data: Observations) -> np.ndarray:
-    """The (J, n) kernel of ``model`` on ``data``: the one bound to the model, or else a new one, then bound."""
-    bound = model._kernel
-    if bound is not None and bound[0] is data:
-        return bound[1]
-    kernel = families.log_marginal_matrix(data, model.components).T
-    _bind(model, data, kernel)
-    return kernel
-
-
 def e_step(data: Observations, model: MixtureModel):
     """Responsibilities and the penalized log-likelihood at the model.
 
@@ -279,15 +230,9 @@ def e_step(data: Observations, model: MixtureModel):
     contiguous (see `MixtureModel.posterior_weights`).  The per-case
     log marginals are summed without their data-only terms
     (``data.saturated``), whose sum is added once at the end, so the
-    pll's rounding does not grow with the binomial trial counts.
-
-    Where ``data.guarded`` the kernel comes from `_kernel_on`, so it is
-    bound to the model for the guard of the `m_step` that follows (see
-    the module docstring).  The penalty term and the checks on pi run on
-    J Python floats.
+    pll's rounding does not grow with the binomial trial counts.  The
+    penalty term and the checks on pi run on J Python floats.
     """
-    if data.guarded:
-        _kernel_on(model, data)
     w, logf = model.posterior_weights(data)
     penalty = 0.0
     for p, b in zip(model.pi.tolist(), model.penalty.tolist()):
@@ -302,34 +247,6 @@ def e_step(data: Observations, model: MixtureModel):
     return w, pll
 
 
-def _guard(data: Observations, w: np.ndarray, model: MixtureModel, start: list, moved: list, fit, reinitialized: list):
-    """Undo in ``moved`` each fitted component's update that lowers w_k . log f_k; the (J, n) kernel of ``moved``.
-
-    ``start`` holds the components before the update, ``moved`` those
-    after it.  ``start`` has the model's components but at the indices
-    ``reinitialized``.  The old rows are the model's kernel
-    (`_kernel_on`); one ``log_kernel`` call scores the F fitted
-    components' new rows and then the reinitialized components' rows.
-    The kernel returned has each fitted component's new row where its
-    update was kept and its old row where it was not.
-    """
-    fitted, block = families.fitted_block(fit)
-    f = len(fitted)
-    kernel = _kernel_on(model, data).copy()  # the bound rows stay the old model's
-    rows = data.log_kernel([moved[k] for k in fitted] + [start[k] for k in reinitialized])
-    if reinitialized:  # an empty fancy-index assignment costs more than the test
-        kernel[reinitialized] = rows[f:]
-    w_fit = w.T[block]
-    # einsum, as in the update: a BLAS dot's bits follow its thread count
-    gain = np.einsum("ij,ij->i", w_fit, rows[:f]) >= np.einsum("ij,ij->i", w_fit, kernel[block])
-    for i, (k, kept) in enumerate(zip(fitted, gain.tolist())):
-        if kept:
-            kernel[k] = rows[i]
-        else:
-            moved[k] = start[k]
-    return kernel
-
-
 def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureModel):
     """One penalized M-step.
 
@@ -337,13 +254,8 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     with no weight and no penalty restarts as the same component of the
     unjittered start, ``initialize(data, config, 0)``; the flag is then
     True, and the EM objective may legitimately dip for one iteration.
-    The pi update runs on J Python floats.
-
-    Where ``data.guarded`` the family's update is kept per component only
-    where it does not lower the component's weighted log marginal
-    (`_guard`, on the old rows from `_kernel_on`), and the kernel of the
-    updated model is bound to it, read-only, for the E-step on ``data``
-    (see the module docstring).
+    The pi update runs on J Python floats, and the components come from
+    one ``data.update`` call.
     """
     n, j = w.shape
     if j != model.n_components or n != len(data):
@@ -355,29 +267,25 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
 
     comps = list(model.components)
     fit = [False] * j
-    reinitialized = []
+    reinitialized = False
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     for k in range(start_free, j):
         if njs[k] + betas[k] == 0.0:
             comps[k] = initialize(data, config, 0).components[k]
             pis[k] = 1.0 / scale
-            reinitialized.append(k)
+            reinitialized = True
         else:
             fit[k] = njs[k] > 0.0  # with penalty mass only there is nothing to fit a component to
 
     total = _sum(pis)
-    moved = data.update(w, nj, comps, fit)
-    kernel = _guard(data, w, model, comps, moved, fit, reinitialized) if data.guarded else None
     updated = MixtureModel(
         pi=np.array([p / total for p in pis]),
-        components=tuple(moved),
+        components=tuple(data.update(w, nj, comps, fit)),
         null_mode=model.null_mode,
         penalty=model.penalty,
         diagnostics=model.diagnostics,
     )
-    if kernel is not None:  # the E-step on ``data`` reads it instead of recomputing it
-        _bind(updated, data, kernel)
-    return updated, bool(reinitialized)
+    return updated, reinitialized
 
 
 def _run_em(data: Observations, config: FitConfig, restart_index: int) -> MixtureModel:

@@ -5,6 +5,8 @@ quadrature, dense grids and exhaustive scans only, so the main code and
 these checks can only agree by both being right.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate
 from scipy.special import betaln, gammaln
@@ -42,6 +44,57 @@ def normal_posterior_moments_quad(z, prior_mean, prior_var, s2=1.0):
     m2, _ = integrate.quad(lambda d: d * d * joint(d), lo, hi, limit=200)
     mean = m1 / mass
     return mean, m2 / mass - mean**2
+
+
+def weighted_normal_loglik(z, s2, w, mean, var):
+    """sum w log phi(z; mean, var + s2), summed with math.fsum."""
+    z, s2, w = (np.asarray(a, dtype=float) for a in (z, s2, w))
+    v = var + s2
+    return math.fsum((w * -0.5 * (np.log(2.0 * np.pi * v) + (z - mean) ** 2 / v)).tolist())
+
+
+def weighted_normal_fit(z, s2, w, n_grid=2001):
+    """Brute-force maximizer (mean, var) of ``weighted_normal_loglik`` over the mean and var >= 0.
+
+    The mean is profiled out: at a given var it is the mean of z weighted
+    by w/(var + s2).  The profile is scanned over var on a grid from 0 to
+    (max z - min z)^2, past which every v exceeds every squared residual
+    and the profile only falls, linear and geometric so that a narrow
+    peak near 0 is seen.  The best grid point's two neighbours bracket
+    the maximum, and golden-section search narrows the bracket to width
+    1e-12 (relative to 1 + var).  The best of its last point and the
+    bracket's ends is returned.
+    """
+    z, s2, w = (np.asarray(a, dtype=float) for a in (z, s2, w))
+
+    def profile(var):
+        u = w / (var + s2)
+        mean = math.fsum((u * z).tolist()) / math.fsum(u.tolist())
+        return weighted_normal_loglik(z, s2, w, mean, var), mean
+
+    top = float(np.ptp(z)) ** 2
+    if top == 0.0:
+        return profile(0.0)[1], 0.0
+    grid = np.unique(np.concatenate([[0.0], np.linspace(0.0, top, n_grid), top * np.geomspace(1e-12, 1.0, n_grid)]))
+    v = grid[:, None] + s2
+    mean = np.sum(w * z / v, axis=1) / np.sum(w / v, axis=1)
+    k = int(np.argmax(np.sum(w * -0.5 * (np.log(v) + (z - mean[:, None]) ** 2 / v), axis=1)))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    ends = [lo, hi]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fa, fb = profile(a)[0], profile(b)[0]
+    while hi - lo > 1e-12 * (1.0 + hi):
+        if fa >= fb:
+            hi, b, fb = b, a, fa
+            a = hi - ratio * (hi - lo)
+            fa = profile(a)[0]
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + ratio * (hi - lo)
+            fb = profile(b)[0]
+    best = max([0.5 * (lo + hi)] + ends, key=lambda v: profile(v)[0])
+    return profile(best)[1], float(best)
 
 
 def betabinom_pmf_grid(h, n, alpha, beta, n_grid=200001):

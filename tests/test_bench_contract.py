@@ -147,9 +147,8 @@ def test_replayed_map_repeats_its_work(monkeypatch, s2, null_mode):
 
     Each repeat must call the kernel functions as often as the first, so
     no cache keyed on the state can make a replayed map cheaper than a
-    map inside EM.  With varying s2 the E-step reads the rows the M-step's
-    guard scored, and computes no kernel of its own, also where the
-    theoretical null is not fitted.
+    map inside EM.  Every map computes one kernel, in its E-step, whatever
+    the s2 and the null; the M-step computes none.
     """
     rng = np.random.default_rng(4)
     scale = np.ones(300) if s2 == "unit" else rng.uniform(0.5, 2.0, 300)
@@ -170,7 +169,8 @@ def test_replayed_map_repeats_its_work(monkeypatch, s2, null_mode):
     for _ in range(3):
         before = dict(counts)
         updated, _ = mixture.m_step(data, w, config, model)
+        after_m = dict(counts)
         mixture.e_step(data, updated)
-        work.append({name: counts[name] - before[name] for name in counts})
-    expected = {"normal_logpdf": 1, "log_marginal_matrix": 1 if s2 == "unit" else 0}
-    assert work == [expected] * 3
+        work.append([{name: b[name] - a[name] for name in counts} for a, b in ((before, after_m), (after_m, counts))])
+    none, one = {"normal_logpdf": 0, "log_marginal_matrix": 0}, {"normal_logpdf": 1, "log_marginal_matrix": 1}
+    assert work == [[none, one]] * 3

@@ -11,10 +11,13 @@ import oracles
 from ebmix import (
     DataError,
     Family,
+    FitConfig,
     NullMode,
     Observations,
     baseball,
     harness,
+    e_step,
+    em_fit,
     parse_model,
     posterior_summary,
     serialize_model,
@@ -60,24 +63,24 @@ MODEL_JSON = {
         '{"components":[{"kappa":0.012452668697888962,"mean":0.29959795116791937},{"kappa":0,"mean":0.44251396264380732},{"kappa":0,"mean":0.44251396264380743}],"diagnostics":{"converged":true,"iterations":275,"penalized_loglik":-77.528196917866765},"family":"binomial","format_version":1,"n_components":3,"null_mode":"none","penalty":[6,0,0],"pi":[0.9999942648521607,3.6321138821426155e-06,2.1030339571537939e-06],"seed":0,"timestamp":null}\n'
     ),
     "normal-empirical": (
-        '{"components":[{"mean":0.54069185816519139,"var":0.86449042218822791},{"mean":3.3188049545265526,"var":0},{"mean":6.7702178412082272,"var":0}],"diagnostics":{"converged":true,"iterations":80,"penalized_loglik":-76.327371988060293},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97881851485181048,9.1293199334762739e-07,0.021180572216196153],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.43121637553526021,"var":0.89493551610398969},{"mean":-0.67916437136399066,"var":0},{"mean":6.7522618405429213,"var":0}],"diagnostics":{"converged":true,"iterations":73,"penalized_loglik":-76.207644502456205},"family":"normal","format_version":1,"n_components":3,"null_mode":"empirical","penalty":[8,0,0],"pi":[0.97864918421767,6.6111812954931275e-07,0.021350154664200413],"seed":0,"timestamp":null}\n'
     ),
     "normal-none": (
-        '{"components":[{"mean":0.18987136815237851,"var":0.28146355029076031},{"mean":3.2663260700154102,"var":0},{"mean":6.7527714746788243,"var":0}],"diagnostics":{"converged":true,"iterations":65,"penalized_loglik":-76.564974487535849},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.91315699319102006,0.066746558744016887,0.020096448064962982],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0.43112454335918826,"var":0.89475438931865914},{"mean":3.353709875403275,"var":0},{"mean":6.7522635603486236,"var":0}],"diagnostics":{"converged":true,"iterations":244,"penalized_loglik":-76.207670658950249},"family":"normal","format_version":1,"n_components":3,"null_mode":"none","penalty":[8,0,0],"pi":[0.97862390153376999,2.6469603373174442e-05,0.021349628862856799],"seed":0,"timestamp":null}\n'
     ),
     "normal-theoretical": (
-        '{"components":[{"mean":0,"var":0},{"mean":2.5335604074608495,"var":0.60432247943450812},{"mean":6.7460398267333641,"var":0}],"diagnostics":{"converged":true,"iterations":173,"penalized_loglik":-77.790639703671886},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.85488430913339464,0.12530904913497112,0.019806641731634253],"seed":0,"timestamp":null}\n'
+        '{"components":[{"mean":0,"var":0},{"mean":3.0282342912114699,"var":0},{"mean":6.7611828095635094,"var":0}],"diagnostics":{"converged":true,"iterations":92,"penalized_loglik":-77.530210797082347},"family":"normal","format_version":1,"n_components":3,"null_mode":"theoretical","penalty":[8,0,0],"pi":[0.87688643422038315,0.10293092964774127,0.020182636131875608],"seed":0,"timestamp":null}\n'
     ),
 }
 ESTIMATE_CSV = {
     "normal-theoretical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
-        "a,-3.5,0.00016301716509342832,0.0002779292809139429,0.9993749706724129,0.008268559358743733\n"
-        "b,0.0,0.024339544400373173,0.04365045057219373,0.9845875085192681,0.8548843091333946\n"
-        "c,1.96,1.7721838072054363,1.0115148943680279,0.20160709484383693,0.042086714437051476\n"
-        "d,2.5,0.963948088329134,1.7032051376705437,0.6196173121585506,0.4408814317784324\n"
-        "e,4.0,3.10124011894637,0.5432302880845391,0.0055840579355992135,0.0015351229118768625\n"
-        "f,7.25,6.664294231531388,0.23929637699988332,1.1221729039722059e-06,4.04928993560647e-07\n"
+        "a,-3.5,9.046877114328502e-08,2.739606268752635e-07,0.9999999701249103,0.007644663660573481\n"
+        "b,0.0,0.0036223294588870122,0.010956141079466656,0.9988038146654512,0.8768864342203831\n"
+        "c,1.96,1.9260351682363557,2.122874274209818,0.3639741899482382,0.04030408132864726\n"
+        "d,2.5,1.043345926927304,2.090353019269777,0.6564095144428205,0.43837636526916535\n"
+        "e,4.0,3.0401607611630026,0.13713265563629257,0.004530232449236178,0.0014921707783233495\n"
+        "f,7.25,6.707748010910403,0.19663742576207693,1.1404952807586046e-06,4.048413428593787e-07\n"
     ),
     "binomial-empirical": (
         "id,z,effect_mean,effect_var,fdr,FDR\n"
@@ -150,6 +153,35 @@ class TestModelFile:
                 "--null", null, "--seed", "0", "--output", str(out)]
         assert main(argv) == 0
         assert out.read_text(encoding="utf-8") == _fit(tmp_path, case) == MODEL_JSON[case]
+
+    @pytest.mark.parametrize("case", ["normal-theoretical", "normal-empirical", "normal-none"])
+    def test_normal_fit_is_stationary(self, case):
+        """Refitted at rel_tol 1e-12, each free component's scores in mean and var vanish, given w from the final E-step.
+
+        The golden normal file has varying s2.  With w_k the component's
+        weights, v = var + s2 and r = z - mean, the scores of its weighted
+        log marginal are sum w_k r/v and sum w_k (r^2/v^2 - 1/v)/2; each
+        must be within 1e-5 of the size of its terms (the sum of their
+        absolute values), and at var = 0 the score in var only at most
+        that.  At rel_tol 1e-12, EM's linear convergence leaves scores up
+        to 3e-6 of that size; fits that stop at a point that is not
+        stationary show scores of several percent of it.
+        """
+        _, _, null = FIT_CASES[case]
+        obs = Observations.normal(Z, S2)
+        model = em_fit(obs, FitConfig(null_mode=NullMode(null), rel_tol=1e-12))
+        w, _ = e_step(obs, model)
+        for k in range(1 if null == "theoretical" else 0, model.n_components):
+            comp = model.components[k]
+            v = comp.var + obs.s2
+            r = obs.z - comp.mean
+            mean_terms = w[:, k] * r / v
+            var_terms = w[:, k] * (r * r / v**2 - 1.0 / v) / 2.0
+            assert abs(mean_terms.sum()) <= 1e-5 * np.abs(mean_terms).sum()
+            if comp.var > 0.0:
+                assert abs(var_terms.sum()) <= 1e-5 * np.abs(var_terms).sum()
+            else:
+                assert var_terms.sum() <= 1e-5 * np.abs(var_terms).sum()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_fits(self, tmp_path, seed):
@@ -357,6 +389,19 @@ class TestErrors:
         assert code == 1
         assert err == f"ERROR data: {cases}: {reason}\n"
 
+    @pytest.mark.parametrize("null", ["theoretical", "empirical", "none"])
+    @pytest.mark.parametrize(
+        "text",
+        ["id,z\na,1e200\nb,0.5\nc,-1.0\nd,2.0\n", "id,z,s2\na,1e200,1\nb,0.5,2\nc,-1.0,0.5\nd,2.0,1\n"],
+        ids=["common", "per-case"],
+    )
+    def test_overflowing_kernel_prints_only_its_error_line(self, tmp_path, capsys, null, text):
+        """z = 1e200 overflows every kernel: stderr is the ERROR line alone, without numpy's overflow warning."""
+        cases = _write(tmp_path, "cases.csv", text)
+        code, err = self._run(capsys, ["fit", "--input", cases, "--family", "normal", "--null", null])
+        assert code == 1
+        assert err == "ERROR fit: all 3 restarts failed: non-finite component log marginal\n"
+
     @pytest.mark.parametrize("subcommand", ["fit", "estimate"])
     def test_infinite_s2_in_case_file_is_data_error(self, tmp_path, capsys, subcommand):
         cases = _write(tmp_path, "cases.csv", "id,z,s2\na,1.0,1\nb,2.5,inf\nc,0.3,1\n")
@@ -503,18 +548,18 @@ BASEBALL_CSV = (
 # captured from the implementation; outputs must stay byte-identical
 CALIBRATE_MANUAL_CSV = (
     "candidate_P,perturbed_model_index,bootstrap_index,score\n"
-    "2.0,0,0,0.11044524582347193\n"
-    "2.0,0,1,2.8552568538268903e-05\n"
-    "2.0,1,0,0.018268249508777982\n"
-    "2.0,1,1,0.0004666657805882261\n"
-    "8.0,0,0,0.06417062393620424\n"
-    "8.0,0,1,0.0006370473221281323\n"
-    "8.0,1,0,0.0018102792717906828\n"
-    "8.0,1,1,0.00013118130686523428\n"
-    "20.0,0,0,0.007872468346583436\n"
-    "20.0,0,1,0.0016158304543097614\n"
-    "20.0,1,0,0.0004767806529459986\n"
-    "20.0,1,1,2.897749427705004e-05\n"
+    "2.0,0,0,0.39974814616374826\n"
+    "2.0,0,1,0.00047976644097396244\n"
+    "2.0,1,0,0.09971939464794076\n"
+    "2.0,1,1,0.0005254184754601479\n"
+    "8.0,0,0,0.1119216828879631\n"
+    "8.0,0,1,0.0008736521357845422\n"
+    "8.0,1,0,0.0030061884877935854\n"
+    "8.0,1,1,0.00010428061815066856\n"
+    "20.0,0,0,0.010948799586417939\n"
+    "20.0,0,1,0.0016912045358391569\n"
+    "20.0,1,0,0.0006385349662814349\n"
+    "20.0,1,1,2.420925311864277e-05\n"
 )
 CALIBRATE_AUTO_SCORES = (
     0.05042077980839669, 0.0504382720491446, 0.05045576665232842, 0.050473263618414727,
@@ -524,9 +569,9 @@ CALIBRATE_AUTO_SCORES = (
     0.050700939415263546, 0.050718469511370004, 0.05073600197746059, 0.05075353681401276,
 )
 BIC_STDOUT = (
-    "J=1 BIC=164.68443201634096\n"
-    "J=2 BIC=165.08169705163755\n"
-    "J=3 BIC=175.2059300495342\n"
+    "J=1 BIC=164.47396472705356\n"
+    "J=2 BIC=165.17870273741241\n"
+    "J=3 BIC=175.09165370329171\n"
     "selected_J=1\n"
 )
 FDR_STUDY_SHA256 = {

@@ -1,7 +1,6 @@
 """Component marginals and posteriors against quadrature oracles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from ebmix import (
 )
 from ebmix import families, mixture
 from ebmix.families import OBSERVATIONS, RISING_TABLE, log_marginal_matrix, rising_beyond
-from ebmix.model_io import ModelDocument, serialize_model
 
 
 class TestComponentMarginal:
@@ -416,7 +414,7 @@ class TestObservations:
 
 
 def _normal_batch(rng, n):
-    """Normal cases with s2 from 0.05 to 20, where the moment update often loses to its start."""
+    """Normal cases with s2 from 0.05 to 20, wide enough that a moment update would often lose to its start."""
     s2 = np.exp(rng.uniform(np.log(0.05), np.log(20.0), n))
     return Observations.normal(rng.normal(1.0, 1.0, n) + np.sqrt(s2) * rng.standard_normal(n), s2)
 
@@ -440,41 +438,58 @@ FAMILY_CASES = {
     Family.BINOMIAL: (_binomial_batch, _beta_component),
 }
 
+_SPREAD = Observations.normal([-4.0, 3.5, -3.0, 4.2, 0.3], [0.5, 1.0, 2.0, 1.5, 0.8])
+_TIGHT = Observations.normal([0.9, 1.1, 1.0, 0.95, 1.05], [0.5, 1.0, 2.0, 1.5, 0.8])
+
+# per family: (batch, weights, start, None or a check of the updated component) at the edges of its update
+EDGE_CASES = {
+    Family.NORMAL: [
+        # var 0 with a positive score in var: the variance leaves 0
+        (_SPREAD, np.ones(5), NormalComponent(0.0, 0.0), lambda c: c.var > 0.0),
+        # var 0 with a negative score: it stays exactly 0
+        (_TIGHT, np.ones(5), NormalComponent(1.0, 0.0), lambda c: c.var == 0.0),
+        # every weighted residual 0 (the one case off the mean has no weight): var becomes 0, with no warning
+        (Observations.normal([1.5, 1.5, 1.5, 4.0], [0.5, 1.0, 2.0, 1.0]), np.array([1.0, 2.0, 0.5, 0.0]),
+         NormalComponent(1.5, 2.0), lambda c: c.var == 0.0),
+        # one case (a common s2, by definition) and two cases with varying s2
+        (Observations.normal([2.0], [0.7]), np.array([0.6]), NormalComponent(0.0, 1.0), lambda c: c == NormalComponent(2.0, 0.0)),
+        (Observations.normal([-1.0, 2.5], [0.5, 2.0]), np.array([0.7, 0.4]), NormalComponent(0.0, 1.0), None),
+        (Observations.normal([-1.0, 2.5], [0.5, 2.0]), np.array([0.7, 0.4]), NormalComponent(0.0, 0.0), None),
+        # far above the maximum: the downward Newton step overshoots, and the MM step is taken
+        (_SPREAD, np.ones(5), NormalComponent(0.5, 1e6), lambda c: 0.0 < c.var < 1e6),
+    ],
+    Family.BINOMIAL: [],
+}
+
 
 @pytest.mark.parametrize("family", list(Family))
 class TestFamilyContract:
     """What every family class supplies, checked alike for each family."""
 
     def test_update_never_lowers_weighted_objective(self, family):
-        """The update that `mixture.m_step` applies does not lower the component's weighted log marginal, to rounding.
+        """The update, as `mixture.m_step` applies it, does not lower the component's weighted log marginal, to rounding.
 
-        The binomial ``update`` is applied as it is.  With normal s2 this
-        wide about half of the moment updates that ``update`` returns
-        would lower it, and the generalized-EM guard of `m_step` keeps the
-        start instead; both outcomes are seen.
+        Random weights and starts on a random batch, then each of the
+        family's edge cases (`EDGE_CASES`), with what each must give.
+        ``m_step`` keeps every update as it is: no family needs a guard.
         """
         batch, component = FAMILY_CASES[family]
         rng = np.random.default_rng(11)
         obs = batch(rng, 60)
+        cases = [(obs, rng.uniform(0.0, 1.0, len(obs)) ** 2, component(rng), None) for _ in range(30)]
         config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
-        kept = []
-        for _ in range(30):
-            w = rng.uniform(0.0, 1.0, len(obs)) ** 2
-            start = component(rng)
+        for obs, w, start, check in cases + EDGE_CASES[family]:
             (moved,) = obs.update(w[:, None], np.array([w.sum()]), [start], [True])
             model = MixtureModel(pi=np.ones(1), components=(start,), null_mode=NullMode.NONE, penalty=np.zeros(1))
             updated, _ = mixture.m_step(obs, w[:, None], config, model)
             (fit,) = updated.components
             assert type(fit) is OBSERVATIONS[family].component
-            kept.append(fit == moved)
-            if not kept[-1]:
-                assert obs.guarded and fit is start
-            if obs.guarded:  # the kernel bound to the updated model is the returned component's
-                assert updated._kernel[1].tobytes() == obs.log_kernel((fit,)).tobytes()
+            assert fit == moved
             before = w @ component_log_marginal(obs, start)
             after = w @ component_log_marginal(obs, fit)
             assert after >= before - 1e-12 * abs(before)
-        assert 0 < sum(kept) < len(kept) if obs.guarded else all(kept)
+            if check is not None:
+                assert check(fit)
 
     def test_update_leaves_components_outside_fit(self, family):
         batch, component = FAMILY_CASES[family]
@@ -504,57 +519,71 @@ class TestFamilyContract:
                 assert len(comps) == 4 and all(type(c) is obs_type.component for c in comps)
 
 
-@pytest.mark.parametrize("seed, kept", [(1, [True, False]), (6, [False, True]), (10, [False, True]), (23, [True, False])])
-def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
-    """`mixture.m_step` keeps or undoes each fitted component's moment update on that component's own rows.
+def _newton_kept(obs, w, start):
+    """(kept, var): whether the varying-s2 step of the `families` docstring keeps its Newton step, and the step's var.
 
-    Components 1 and 2 are fitted, and the guard keeps the moment update
-    of one and rejects the other's.  At seeds 10 and 23, comparing each
-    new row with the other component's old row would flip a decision.
-    ``update`` returns both moment updates, the rejected one too.  Each
-    decision is checked against the component's own weighted sum
-    w_k @ log f_k, which never falls.
-    Components 0 and 3, with penalty mass but no weight, are not fitted
-    and come back as the same objects.  The kernel bound to the updated
-    model is that of every returned component, bit for bit.
+    In plain numpy sums.  Not kept only where a downward Newton step
+    would lower the minorizer, and the MM step is taken instead.
+    """
+    v = start.var + obs.s2
+    r2 = (obs.z - start.mean) ** 2
+    a, b, c = np.sum(w / v), np.sum(w * r2 / v**2), np.sum(w * r2 / v**3)
+    t = max(0.0, start.var + (b - a) / (2.0 * c))
+    if t >= start.var or np.sum(w * r2 / (v * (t + obs.s2))) <= a:
+        return True, t
+    return False, start.var * math.sqrt(b / a)
+
+
+@pytest.mark.parametrize(
+    "seed, kept",
+    [(1, [True, True]), (6, [True, True]), (10, [True, True]), (23, [True, True]),
+     (8, [False, True]), (19, [True, False]), (35, [True, False])],
+)
+def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
+    """The varying-s2 step's check keeps or replaces each fitted component's Newton step on that component's own row.
+
+    Components 1 and 2 of four are fitted by `mixture.m_step`.  Each
+    comes back with the bits of a one-component update on its own column
+    of w, and with the variance of its own sums' branch: the Newton step
+    (upward, or downward where it does not lower the minorizer), or else
+    the MM step.  At seeds 8, 19 and 35 the check replaces one
+    component's Newton step and keeps the other's, so deciding a
+    component on the other's row would show; at seeds 6 and 23 one step
+    is downward and kept.  Components 0 and 3, with penalty mass but no
+    weight, are not fitted and come back as the same objects.
     """
     rng = np.random.default_rng(seed)
     obs = _normal_batch(rng, 60)
     comps = [_normal_component(rng) for _ in range(4)]
     w = rng.uniform(0.0, 1.0, (4, 60)).T ** 2  # column-major, as e_step lays it out
     w[:, [0, 3]] = 0.0
-    nj = w.sum(axis=0)
-    moments = obs.update(w, nj, comps, [False, True, True, False])
     model = MixtureModel(pi=np.full(4, 0.25), components=comps, null_mode=NullMode.NONE, penalty=np.array([1.0, 0, 0, 1]))
     updated, _ = mixture.m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
     out = updated.components
     assert out[0] is comps[0] and out[3] is comps[3]
-    bound, kernel = updated._kernel
-    assert bound is obs and not kernel.flags.writeable
-    assert kernel.tobytes() == obs.log_kernel(out).tobytes()
     decisions = []
     for k in (1, 2):
-        w_k = w[:, k]
-        mu = w_k @ obs.z / nj[k]
-        moment = NormalComponent(mu, max(0.0, (w_k @ (obs.z - mu) ** 2 - w_k @ obs.s2) / nj[k]))
-        np.testing.assert_allclose([moments[k].mean, moments[k].var], [moment.mean, moment.var], rtol=1e-10)
-        gain = w_k @ component_log_marginal(obs, moment) - w_k @ component_log_marginal(obs, comps[k])
-        decisions.append(bool(gain >= 0))
-        assert out[k] == moments[k] if gain >= 0 else out[k] is comps[k]
-        assert w_k @ component_log_marginal(obs, out[k]) >= w_k @ component_log_marginal(obs, comps[k])
+        (alone,) = obs.update(w[:, [k]], w[:, [k]].sum(axis=0), [comps[k]], [True])
+        assert (out[k].mean, out[k].var) == (alone.mean, alone.var)
+        newton, var = _newton_kept(obs, w[:, k], comps[k])
+        decisions.append(newton)
+        np.testing.assert_allclose(out[k].var, var, rtol=1e-12)
+        u = w[:, k] / (var + obs.s2)
+        np.testing.assert_allclose(out[k].mean, u @ obs.z / u.sum(), rtol=1e-12)
     assert decisions == kept
 
 
-@pytest.mark.parametrize("s2", ["common", "varying"])
+@pytest.mark.parametrize("s2", ["common"])
 def test_normal_update_gives_closed_form_moments(s2):
     """Each fitted component's mean and variance, taken for all of them at once, equal their fsum closed forms.
 
-    ``fit`` has gaps, so the fitted columns of w are not adjacent.  The
-    data spread far beyond s2, so no variance is clipped at 0.
+    With a common s2 the normal M-step is the weighted moments.  ``fit``
+    has gaps, so the fitted columns of w are not adjacent.  The data
+    spread far beyond s2, so no variance is clipped at 0.
     """
     rng = np.random.default_rng(5)
     n = 80
-    s2_values = np.full(n, 1.5) if s2 == "common" else rng.uniform(0.5, 2.0, n)
+    s2_values = np.full(n, 1.5)
     obs = Observations.normal(rng.normal(1.0, 2.0, n) + np.sqrt(s2_values) * rng.standard_normal(n), s2_values)
     comps = [_normal_component(rng) for _ in range(4)]
     w = np.asfortranarray(rng.uniform(0.0, 1.0, (n, 4)) ** 2)
@@ -571,203 +600,27 @@ def test_normal_update_gives_closed_form_moments(s2):
         np.testing.assert_allclose([out[k].mean, out[k].var], [mean, var], rtol=1e-12)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """The batches `log_marginal_matrix` is called on, in order."""
-    calls = []
+@pytest.mark.parametrize("seed", range(6))
+def test_iterated_varying_s2_update_reaches_the_weighted_maximum(seed):
+    """With w fixed, the varying-s2 update iterated from a random start reaches the weighted likelihood's maximum.
 
-    def counted(obs, components, _real=families.log_marginal_matrix):
-        calls.append(obs)
-        return _real(obs, components)
-
-    monkeypatch.setattr(families, "log_marginal_matrix", counted)
-    return calls
-
-
-def _guard_map(seed):
-    """(batch, start model, updated model) of one m_step on the guard test's state, every component fitted.
-
-    The start model has no kernel bound, so the M-step computes its old
-    rows with one `log_marginal_matrix` call and binds them to it.
+    The maximum is `oracles.weighted_normal_fit`'s brute-force search;
+    the update's limit is within 1e-12 nats of it, on either side.  The
+    effects spread by 0 (the maximum is the point mass), 0.5 or 2.
     """
     rng = np.random.default_rng(seed)
-    obs = _normal_batch(rng, 60)
-    comps = tuple(_normal_component(rng) for _ in range(4))
-    w = rng.uniform(0.0, 1.0, (4, 60)).T ** 2
-    model = MixtureModel(pi=np.full(4, 0.25), components=comps, null_mode=NullMode.NONE, penalty=np.zeros(4))
-    updated, reinit = mixture.m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
-    assert not reinit
-    return obs, model, updated
-
-
-class TestBoundKernel:
-    """With varying s2, the rows the M-step's guard scored serve the E-step that follows."""
-
-    @pytest.mark.parametrize("seed, kept", [(1, [True, False]), (6, [False, True])])
-    def test_e_step_bits_equal_a_fresh_model(self, kernel_calls, seed, kept):
-        obs, model, updated = _guard_map(seed)
-        # component 1's moment update is kept and component 2's rejected, or the reverse
-        assert [updated.components[k] is not model.components[k] for k in (1, 2)] == kept
-        assert kernel_calls == [obs] and model._kernel[0] is obs  # the start model's rows, for the guard
-        w_bound, pll_bound = mixture.e_step(obs, updated)
-        assert kernel_calls == [obs]
-        w_fresh, pll_fresh = mixture.e_step(obs, replace(updated))
-        assert kernel_calls == [obs, obs]
-        assert pll_bound == pll_fresh
-        assert w_bound.flags.f_contiguous and w_fresh.flags.f_contiguous
-        assert w_bound.tobytes(order="F") == w_fresh.tobytes(order="F")
-
-    def test_equal_batch_computes_its_own(self, kernel_calls):
-        obs, _, updated = _guard_map(1)
-        twin = Observations.normal(obs.z, obs.s2)
-        mixture.e_step(twin, updated)
-        assert kernel_calls == [obs, twin]
-
-    def test_non_finite_bound_row_raises(self, monkeypatch):
-        calls = []
-
-        def poisoned(x, mean, var, _real=families.normal_logpdf):
-            out = _real(x, mean, var)
-            calls.append(out.shape)
-            if len(calls) == 2:  # the guard's call, after the start model's checked kernel
-                out[1, 0] = np.inf  # component 1's new row: the guard keeps it, unchecked
-            return out
-
-        monkeypatch.setattr(families, "normal_logpdf", poisoned)
-        obs, _, updated = _guard_map(1)
-        with pytest.raises(NumericError, match="non-finite component log marginal"):
-            mixture.e_step(obs, updated)
-
-    def test_model_identity_ignores_the_bound_kernel(self, kernel_calls):
-        obs, _, updated = _guard_map(6)
-        fresh = replace(updated)
-        assert fresh == updated and repr(fresh) == repr(updated)
-        assert serialize_model(ModelDocument(fresh)) == serialize_model(ModelDocument(updated))
-        mixture.e_step(obs, fresh)
-        assert kernel_calls == [obs, obs]
-
-    @pytest.mark.parametrize("null_mode", [NullMode.EMPIRICAL, NullMode.NONE, NullMode.THEORETICAL])
-    def test_guard_on_bound_rows_gives_the_same_bits(self, kernel_calls, monkeypatch, null_mode):
-        """An M-step on a model with no kernel bound returns the bits of one whose E-step bound its kernel.
-
-        Reading the bound rows, an M-step scores its F fitted components'
-        new rows, F x n cells.  Without them it scores F + J rows: the J
-        old ones through `log_marginal_matrix`, which it binds to its
-        input model, and the F new ones in the guard's one call.
-        """
-        cells = [0]
-
-        def counted(x, mean, var, _real=families.normal_logpdf):
-            out = _real(x, mean, var)
-            cells[0] += out.size
-            return out
-
-        monkeypatch.setattr(families, "normal_logpdf", counted)
-        n, j = 120, 4
-        fitted = j - 1 if null_mode is NullMode.THEORETICAL else j
-        obs = _normal_batch(np.random.default_rng(4), n)
-        config = FitConfig(n_components=j, null_mode=null_mode)
-        model = mixture.initialize(obs, config, 1)
-        w, _ = mixture.e_step(obs, model)
-        assert model._kernel[0] is obs
-        for _ in range(3):
-            kernel_calls.clear()
-            cells[0] = 0
-            bound, _ = mixture.m_step(obs, w, config, model)
-            assert kernel_calls == [] and cells[0] == fitted * n
-            cells[0] = 0
-            unbound = replace(model)
-            fresh, _ = mixture.m_step(obs, w, config, unbound)
-            assert kernel_calls == [obs] and cells[0] == (fitted + j) * n
-            assert unbound._kernel[0] is obs
-            assert unbound._kernel[1].tobytes() == model._kernel[1].tobytes()
-            assert bound == fresh
-            assert bound._kernel[1].tobytes() == fresh._kernel[1].tobytes()
-            model = bound
-            w, _ = mixture.e_step(obs, model)
-
-    def test_em_fit_uses_and_drops_the_bound_kernels(self, kernel_calls):
-        """Each restart computes a kernel only at its start; the returned model carries none."""
-        obs = _normal_batch(np.random.default_rng(2), 200)
-        config = FitConfig(n_components=3, null_mode=NullMode.EMPIRICAL, max_iters=50)
-        fitted = mixture.em_fit(obs, config)
-        assert fitted.diagnostics.iterations > 1
-        assert kernel_calls == [obs] * config.n_restarts
-        mixture.e_step(obs, fitted)
-        assert len(kernel_calls) == config.n_restarts + 1
-
-
-@pytest.fixture
-def map_cells(monkeypatch):
-    """Per `mixture.m_step` call: (cells `normal_logpdf` scored in it, its fitted and reinitialized counts, n)."""
-    scored, maps = [0], []
-
-    def counted(x, mean, var, _real=families.normal_logpdf):
-        out = _real(x, mean, var)
-        scored[0] += out.size
-        return out
-
-    def m_step(data, w, config, model, _real=mixture.m_step):
-        before = scored[0]
-        updated, reinit = _real(data, w, config, model)
-        nj = w.sum(axis=0)
-        free = range(1 if model.null_mode is NullMode.THEORETICAL else 0, model.n_components)
-        fitted = sum(bool(nj[k] > 0.0) for k in free)
-        emptied = sum(bool(nj[k] + model.penalty[k] == 0.0) for k in free)
-        maps.append((scored[0] - before, fitted, emptied, len(data)))
-        return updated, reinit
-
-    monkeypatch.setattr(families, "normal_logpdf", counted)
-    monkeypatch.setattr(mixture, "m_step", m_step)
-    return maps
-
-
-class TestCellsPerMap:
-    """Inside EM a varying-s2 map scores F x n cells, F its fitted components, plus n per reinitialized one."""
-
-    @pytest.mark.parametrize("null_mode, fitted", [(NullMode.EMPIRICAL, 3), (NullMode.THEORETICAL, 2)])
-    def test_each_map_scores_its_fitted_rows(self, map_cells, kernel_calls, null_mode, fitted):
-        obs = _normal_batch(np.random.default_rng(2), 200)
-        config = FitConfig(n_components=3, null_mode=null_mode, max_iters=40)
-        mixture.em_fit(obs, config)
-        assert kernel_calls == [obs] * config.n_restarts  # one kernel per restart, in its first E-step
-        assert len(map_cells) > config.n_restarts  # the first map of each restart and later ones
-        assert map_cells == [(fitted * 200, fitted, 0, 200)] * len(map_cells)
-
-    def test_reinitialized_component_adds_its_row(self, map_cells, monkeypatch):
-        obs = _normal_batch(np.random.default_rng(2), 200)
-        config = FitConfig(n_components=3, penalty=0.0, null_mode=NullMode.EMPIRICAL, n_restarts=1, max_iters=20)
-        start = mixture.initialize(obs, config)
-        emptied = replace(start, components=start.components[:2] + (NormalComponent(1000.0, 0.0),))
-        real_initialize = mixture.initialize
-        calls = []
-
-        def initialize_emptied_first(data, cfg, restart_index=0):
-            calls.append(restart_index)
-            return emptied if len(calls) == 1 else real_initialize(data, cfg, restart_index)
-
-        monkeypatch.setattr(mixture, "initialize", initialize_emptied_first)
-        mixture.em_fit(obs, config)
-        assert map_cells[0] == (3 * 200, 2, 1, 200)  # components 0 and 1 fitted, component 2 restarted
-        assert map_cells[1:] == [(3 * 200, 3, 0, 200)] * (len(map_cells) - 1)
-
-    @pytest.mark.parametrize("family", list(Family))
-    def test_only_a_guarded_batch_binds_its_kernel(self, family):
-        """A common-s2 or binomial E-step binds no kernel, nor does its M-step; a varying-s2 one binds both."""
-        rng = np.random.default_rng(9)
-        batches = [FAMILY_CASES[family][0](rng, 50)]
-        if family is Family.NORMAL:
-            batches.append(Observations.normal(batches[0].z))  # s2 = 1 for every case
-        for obs in batches:
-            config = FitConfig(n_components=3, null_mode=NullMode.NONE)
-            model = mixture.initialize(obs, config)
-            w, _ = mixture.e_step(obs, model)
-            updated, _ = mixture.m_step(obs, w, config, model)
-            assert obs.guarded == (family is Family.NORMAL and not obs.homoscedastic)
-            if obs.guarded:
-                assert model._kernel[0] is obs and updated._kernel[0] is obs
-            else:
-                assert model._kernel is None and updated._kernel is None
+    n = int(rng.integers(2, 100))
+    s2 = np.exp(rng.uniform(np.log(0.05), np.log(20.0), n))
+    z = rng.normal(1.0, [0.0, 0.5, 2.0][seed % 3], n) + np.sqrt(s2) * rng.standard_normal(n)
+    obs = Observations.normal(z, s2)
+    w = rng.uniform(0.0, 1.0, n) ** 2
+    comp = _normal_component(rng)
+    for _ in range(200):
+        (comp,) = obs.update(w[:, None], np.array([w.sum()]), [comp], [True])
+    mean, var = oracles.weighted_normal_fit(z, s2, w)
+    best = oracles.weighted_normal_loglik(z, s2, w, mean, var)
+    reached = oracles.weighted_normal_loglik(z, s2, w, comp.mean, comp.var)
+    assert abs(reached - best) <= 1e-12
 
 
 @pytest.mark.parametrize("components", [

@@ -122,17 +122,16 @@ def calibrate_penalty(
     preliminary = em_fit(data, replace(base_config, penalty=None))
     generators = perturbed_models(preliminary, plan)
 
-    k_cand = plan.candidates.size
-    scores = np.zeros((k_cand, plan.n_perturbed * plan.n_bootstrap))
+    configs = [replace(base_config, penalty=float(p), n_restarts=1) for p in plan.candidates]
+    scores = np.zeros((len(configs), plan.n_perturbed * plan.n_bootstrap))
     failed = np.zeros_like(scores, dtype=bool)
     for l, truth in enumerate(generators):
         ref = _fdr_on_grid(truth)  # once per generator, not once per cell
         for b in range(plan.n_bootstrap):
             rng = derive_rng(base_config.seed, STREAM_BOOT, l, b)
             boot = truth.sample(n, rng, s2=data.s2)
-            for k, p in enumerate(plan.candidates):
-                cfg = replace(base_config, penalty=float(p), n_restarts=1)
-                cell = l * plan.n_bootstrap + b
+            cell = l * plan.n_bootstrap + b
+            for k, cfg in enumerate(configs):
                 try:
                     fitted = em_fit(boot, cfg)
                     scores[k, cell] = float(np.mean((_fdr_on_grid(fitted) - ref) ** 2))

@@ -181,16 +181,7 @@ def cmd_simulate_effect(args) -> int:
 def cmd_simulate_fdr(args) -> int:
     _check_out_dir(args.out_dir)
     modes = ("theoretical", "empirical") if args.null == "both" else (args.null,)
-    methods = tuple(
-        harness.FdrMethod(
-            name=f"mixture_{mode}",
-            null_mode=NullMode(mode),
-            n_components=args.J,
-            penalty=args.penalty,
-        )
-        for mode in modes
-    )
-    tables = harness.run_fdr_study(methods, reps=args.reps, seed=args.seed)
+    tables = harness.run_fdr_study(modes, args.J, args.penalty, reps=args.reps, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     curve_header = ["z", "method", "null_mode", "mean", "sd"]
     threshold_header = ["q", "kind", "method", "null_mode", "mean", "sd"]
@@ -328,10 +319,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ebmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    families = [f.value for f in Family]
 
     p_fit = sub.add_parser("fit", help="fit a mixture prior to a case file")
     p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--family", choices=["normal", "binomial"], required=True)
+    p_fit.add_argument("--family", choices=families, required=True)
     p_fit.add_argument("--J", type=int, default=FitConfig.n_components)
     p_fit.add_argument("--penalty", type=float, default=None, help="default N/5")
     p_fit.add_argument("--null", choices=["theoretical", "empirical", "none"], default=None)
@@ -373,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fdr = studies.add_parser("fdr", parents=[shared], help="fdr, FDR and threshold study")
     p_fdr.add_argument("--reps", type=int, default=25)
-    p_fdr.add_argument("--J", type=int, default=harness.FdrMethod.n_components)
-    p_fdr.add_argument("--penalty", type=float, default=harness.FdrMethod.penalty)
+    p_fdr.add_argument("--J", type=int, default=3)
+    p_fdr.add_argument("--penalty", type=float, default=50.0)
     p_fdr.add_argument("--null", choices=["theoretical", "empirical", "both"], default="both")
     p_fdr.set_defaults(func=cmd_simulate_fdr)
 
@@ -402,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bic = sub.add_parser("bic", help="select J by BIC over a range")
     p_bic.add_argument("--input", required=True)
-    p_bic.add_argument("--family", choices=["normal", "binomial"], default="normal")
+    p_bic.add_argument("--family", choices=families, default="normal")
     p_bic.add_argument("--J-range", required=True, dest="J_range")
     p_bic.add_argument("--penalty", type=float, default=None)
     p_bic.add_argument("--null", choices=["theoretical", "empirical", "none"], default=None)

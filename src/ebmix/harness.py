@@ -15,9 +15,11 @@ once below as module constants.
   cases of which K = 50 have effects drawn once from U(2, 4), and tracks
   the bias and spread of fdr/FDR curve estimates on the z grid
   -4, -3.9, ..., 6 and of the rejection thresholds at q in
-  {0.01, 0.02, 0.05, 0.1, 0.2}.  `run_fdr_study` returns the rows of
-  three tables, each led by the plug-in truth: the fdr curves and the
-  tail-FDR curves, (z, method, null_mode, mean, sd), and the thresholds,
+  {0.01, 0.02, 0.05, 0.1, 0.2}.  `run_fdr_study` takes the null modes
+  to fit, J and P as plain values, fits one one-restart mixture per
+  mode to each replication, and returns the rows of three tables, each
+  led by the plug-in truth: the fdr curves and the tail-FDR curves,
+  (z, method, null_mode, mean, sd), and the thresholds,
   (q, kind, method, null_mode, mean, sd).
 
 Both return Python scalars only, ready for the csv module.  The five
@@ -30,7 +32,7 @@ comparisons are paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -354,36 +356,6 @@ def fdr_scenario_sample(deltas, seed: int, rep: int) -> np.ndarray:
     return delta_vec + scenario_noise(seed, rep, FDR_N_CASES)
 
 
-@dataclass(frozen=True)
-class FdrMethod:
-    """A mixture-model fdr estimator configuration for the study.
-
-    Each fit runs one EM restart, and nearly null components join the
-    null set under `nearly_null_grouping`'s default tolerances.  The fit
-    settings are checked on construction.
-    """
-
-    name: str
-    null_mode: NullMode
-    n_components: int = 3
-    penalty: float = 50.0
-    config: FitConfig = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        config = FitConfig(
-            n_components=self.n_components,
-            penalty=self.penalty,
-            null_mode=self.null_mode,
-            n_restarts=1,
-        )
-        object.__setattr__(self, "config", config)
-
-    def fit(self, z):
-        obs = Observations.normal(z)
-        model = em_fit(obs, self.config)
-        return model, nearly_null_grouping(model)
-
-
 def _fdr_outputs(model: MixtureModel, grouping=None) -> np.ndarray:
     """A model's fdr and tail-FDR curves on `FDR_Z_GRID`, then its fdr and FDR thresholds at `FDR_QS`."""
     curves = (fdr_curve(model, FDR_Z_GRID, grouping), tail_fdr_curve(model, FDR_Z_GRID, grouping))
@@ -391,35 +363,44 @@ def _fdr_outputs(model: MixtureModel, grouping=None) -> np.ndarray:
     return np.concatenate((*curves, thresholds))
 
 
-def run_fdr_study(methods: Sequence[FdrMethod], reps: int, seed: int = 0):
+def run_fdr_study(null_modes: Sequence, n_components: int, penalty: float, reps: int, seed: int = 0):
     """Bias/spread study of fdr, FDR and threshold estimates.
 
-    The alternative effects are drawn once from the study seed and held
-    fixed; each replication redraws the noise only.  Returns the rows of
-    the fdr curve, tail-FDR curve and threshold tables: (z, method,
-    null_mode, mean, sd) on `FDR_Z_GRID` for each curve, and (q, kind,
-    method, null_mode, mean, sd) at `FDR_QS` for kind fdr, then FDR.
-    Each table (each kind) starts with the plug-in truth, method
-    "truth" with null_mode "" and sd 0; the methods follow in order,
-    with the mean and sd (ddof 1) over the replications.
+    Each null mode (a `NullMode` or its value) is one method,
+    ``mixture_<mode>``: every replication is fitted by one EM restart
+    with ``n_components`` components and penalty ``penalty``, and nearly
+    null components join the null set under `nearly_null_grouping`'s
+    default tolerances.  The alternative effects are drawn once from the
+    study seed and held fixed; each replication redraws the noise only.
+    Returns the rows of the fdr curve, tail-FDR curve and threshold
+    tables: (z, method, null_mode, mean, sd) on `FDR_Z_GRID` for each
+    curve, and (q, kind, method, null_mode, mean, sd) at `FDR_QS` for
+    kind fdr, then FDR.  Each table (each kind) starts with the plug-in
+    truth, method "truth" with null_mode "" and sd 0; the modes follow
+    in order, with the mean and sd (ddof 1) over the replications.
     """
+    configs = [
+        FitConfig(n_components=n_components, penalty=penalty, null_mode=NullMode(mode), n_restarts=1)
+        for mode in null_modes
+    ]
     check_number("reps", reps)
     if reps < 2:
         raise ContractError("need reps >= 2 to estimate the spread across replications")
     deltas = fdr_scenario_deltas(seed)
     truth = _fdr_outputs(fdr_truth_model(deltas))
-    runs = {m.name: np.empty((reps, truth.size)) for m in methods}
+    runs = np.empty((len(configs), reps, truth.size))
     for rep in range(reps):
-        z = fdr_scenario_sample(deltas, seed, rep)
-        for m in methods:
+        obs = Observations.normal(fdr_scenario_sample(deltas, seed, rep))
+        for config, run in zip(configs, runs):
             try:
-                runs[m.name][rep] = _fdr_outputs(*m.fit(z))
+                model = em_fit(obs, config)
+                run[rep] = _fdr_outputs(model, nearly_null_grouping(model))
             except EbmixError as exc:
-                raise FitError(f"fdr scenario, rep {rep}, method {m.name}: {exc}") from exc
+                raise FitError(f"fdr scenario, rep {rep}, method mixture_{config.null_mode.value}: {exc}") from exc
     stats = [("truth", "", truth.tolist(), [0.0] * truth.size)]
-    for m in methods:
-        run = runs[m.name]
-        stats.append((m.name, m.null_mode.value, run.mean(axis=0).tolist(), run.std(axis=0, ddof=1).tolist()))
+    for config, run in zip(configs, runs):
+        mode = config.null_mode.value
+        stats.append((f"mixture_{mode}", mode, run.mean(axis=0).tolist(), run.std(axis=0, ddof=1).tolist()))
 
     def table(keys, lo, *labels):
         hi = lo + len(keys)

@@ -678,15 +678,15 @@ class TestSimulate:
         class Captured(Exception):
             pass
 
-        def capture(methods, **kwargs):
-            raise Captured(methods)
+        def capture(null_modes, n_components, penalty, **kwargs):
+            raise Captured(null_modes, n_components, penalty)
 
         monkeypatch.setattr(harness, "run_fdr_study", capture)
         with pytest.raises(Captured) as info:
             main(["simulate", "fdr", "--out-dir", str(tmp_path)] + flags)
-        methods = info.value.args[0]
-        assert [(m.null_mode, m.n_components, m.penalty) for m in methods] == expected
-        assert [m.name for m in methods] == [f"mixture_{mode.value}" for mode, _, _ in expected]
+        null_modes, n_components, penalty = info.value.args
+        assert [(NullMode(mode), n_components, penalty) for mode in null_modes] == expected
+        assert type(n_components) is int and type(penalty) is float
 
     @pytest.mark.parametrize(
         "study, flags",

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from ebmix import ContractError, NullMode, fdr_curve, rejection_threshold, tail_fdr_curve
+from ebmix import ContractError, NullMode, fdr_curve, nearly_null_grouping, rejection_threshold, tail_fdr_curve
+from ebmix import harness
 from ebmix.harness import (
     FDR_QS,
     FDR_Z_GRID,
-    FdrMethod,
     ScenarioKind,
     ScenarioSpec,
     baseline_estimate,
@@ -281,25 +281,18 @@ class TestFdrStudy:
         assert model.n_components == 51
         np.testing.assert_allclose(model.pi[0], 0.95)
 
-    def test_truth_as_method_has_zero_bias(self):
-        class TruthMethod:
-            name = "truth_plugin"
-            null_mode = NullMode.THEORETICAL
-
-            def __init__(self, model):
-                self.model = model
-                self.grouping = frozenset({0})
-
-            def fit(self, z):
-                return self.model, self.grouping
-
+    def test_truth_as_method_has_zero_bias(self, monkeypatch):
+        # every replication is "fitted" by the plug-in truth; its deltas lie in U(2, 4),
+        # so the nearly null grouping of the truth is the point-mass null alone
         truth = fdr_truth_model(fdr_scenario_deltas(0))
-        fdr_rows, tail_rows, threshold_rows = run_fdr_study([TruthMethod(truth)], reps=2, seed=0)
+        assert nearly_null_grouping(truth) == frozenset({0})
+        monkeypatch.setattr(harness, "em_fit", lambda obs, config: truth)
+        fdr_rows, tail_rows, threshold_rows = run_fdr_study(["theoretical"], 3, 50.0, reps=2, seed=0)
         n_grid, n_qs = FDR_Z_GRID.size, len(FDR_QS)
         for rows, curve in ((fdr_rows, fdr_curve), (tail_rows, tail_fdr_curve)):
             true, plugin = rows[:n_grid], rows[n_grid:]
             assert [row[:3] for row in true] == [(z, "truth", "") for z in FDR_Z_GRID.tolist()]
-            assert [row[:3] for row in plugin] == [(z, "truth_plugin", "theoretical") for z in FDR_Z_GRID.tolist()]
+            assert [row[:3] for row in plugin] == [(z, "mixture_theoretical", "theoretical") for z in FDR_Z_GRID.tolist()]
             np.testing.assert_array_equal([row[3] for row in true], curve(truth, FDR_Z_GRID))
             assert [row[4] for row in true] == [0.0] * n_grid
             np.testing.assert_allclose([row[3] for row in plugin], [row[3] for row in true], atol=1e-12)
@@ -309,23 +302,22 @@ class TestFdrStudy:
             true = threshold_rows[2 * i * n_qs:][:n_qs]
             plugin = threshold_rows[(2 * i + 1) * n_qs:][:n_qs]
             assert [row[:4] for row in true] == [(q, kind, "truth", "") for q in FDR_QS]
-            assert [row[:4] for row in plugin] == [(q, kind, "truth_plugin", "theoretical") for q in FDR_QS]
+            assert [row[:4] for row in plugin] == [(q, kind, "mixture_theoretical", "theoretical") for q in FDR_QS]
             want = [rejection_threshold(truth, q, kind=kind) for q in FDR_QS]
             np.testing.assert_array_equal([row[4] for row in true], want)
             assert [row[5] for row in true] == [0.0] * n_qs
             np.testing.assert_allclose([row[4] for row in plugin], want, atol=1e-12)
 
     def test_small_mixture_run_shapes(self):
-        methods = [FdrMethod(name="mix_th", null_mode=NullMode.THEORETICAL)]
-        fdr_rows, tail_rows, threshold_rows = run_fdr_study(methods, reps=2, seed=4)
+        fdr_rows, tail_rows, threshold_rows = run_fdr_study([NullMode.THEORETICAL], 3, 50.0, reps=2, seed=4)
         assert len(fdr_rows) == len(tail_rows) == 2 * FDR_Z_GRID.size
         assert [row[0] for row in fdr_rows] == FDR_Z_GRID.tolist() * 2
         assert len(threshold_rows) == 2 * 2 * len(FDR_QS)
-        fitted = [row for row in threshold_rows if row[2] == "mix_th"]
+        fitted = [row for row in threshold_rows if row[2] == "mixture_theoretical"]
         assert [row[1] for row in fitted] == ["fdr"] * 5 + ["FDR"] * 5
         assert np.all(np.isfinite([row[4:] for row in fitted]))
 
     @pytest.mark.parametrize("reps", [2.5, 3.0, True])
     def test_reps_must_be_an_integer(self, reps):
         with pytest.raises(ContractError, match="reps must be an integer"):
-            run_fdr_study([], reps=reps)
+            run_fdr_study(["theoretical"], 3, 50.0, reps=reps)

@@ -155,11 +155,11 @@ def posterior_mean_arcsin(model: MixtureModel, counts, trials, n_points: int = 2
     out = np.zeros(len(obs))
     for j, comp in enumerate(model.components):
         if comp.kappa == 0.0:
-            out += weights[:, j] * np.arcsin(np.sqrt(comp.mean))
+            out += weights[j] * np.arcsin(np.sqrt(comp.mean))
             continue
         a, b = beta_shapes(post.mean[j], post.kappa[j])
         delta = betaincinv(a[:, None], b[:, None], levels[None, :])
-        out += weights[:, j] * (np.arcsin(np.sqrt(delta)) @ wts)
+        out += weights[j] * (np.arcsin(np.sqrt(delta)) @ wts)
     return out
 
 

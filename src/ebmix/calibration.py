@@ -114,10 +114,13 @@ def calibrate_penalty(
     N/5.  Bootstrap fits inherit ``base_config`` except for the penalty
     and run a single restart; per-cell datasets are seeded from
     (base_config.seed, l, b) so the whole table is reproducible and
-    embarrassingly parallel.
+    embarrassingly parallel.  ``base_config`` must have a null: the
+    scores are fdr curves.
     """
     if data.family is not Family.NORMAL:
         raise UnsupportedError("penalty calibration scores fdr curves; normal family only")
+    if base_config.null_mode is NullMode.NONE:
+        raise UnsupportedError("model has no designated null component")
     n = len(data)
     preliminary = em_fit(data, replace(base_config, penalty=None))
     generators = perturbed_models(preliminary, plan)

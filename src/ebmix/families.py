@@ -25,11 +25,12 @@ and it holds every choice that depends on the family:
 * ``posterior``, every component's posterior given each case, per
   component (rows) and case (columns) like ``log_kernel``;
 * ``start``, the EM starting components;
-* ``update``, the weighted M-step of every component flagged in ``fit``,
-  in one call, which returns the components, the others as they are;
-  it never lowers a component's weighted log marginal, so EM needs no
-  guard (normal: exact with a common s2, else one ascent step, below;
-  binomial: the Newton solve, which keeps its start if it cannot gain);
+* ``update``, the weighted M-step of every component it is given, each
+  on its row of the weights, in one call that returns them all
+  (`mixture.m_step` picks the rows to fit).  It never lowers a
+  component's weighted log marginal, so EM needs no guard (normal:
+  exact with a common s2, else one ascent step, below; binomial: the
+  Newton solve, which keeps its start if it cannot gain);
 * ``draw``, cases drawn from a mixture's marginal;
 * ``parse_row``, one case-file row, and ``statistic``, the column that
   `estimate` writes as z.
@@ -370,8 +371,7 @@ class NormalObservations(Observations):
     def log_kernel(self, components) -> np.ndarray:
         """log phi(z; mean, var + s2) per component (rows) and case (columns), in closed form.
 
-        Built (J, n) so that `log_marginal_matrix`'s transpose has contiguous
-        columns; with a common s2 each component's log(var + s2) is taken once.
+        With a common s2 each component's log(var + s2) is taken once.
         """
         mu = np.array([c.mean for c in components])
         var = np.array([c.var for c in components])
@@ -406,31 +406,22 @@ class NormalObservations(Observations):
             comps.append(NormalComponent(float(c) + jitter[len(comps)], 1.0))
         return comps
 
-    def update(self, w: np.ndarray, nj, components, fit) -> list:
-        """The weighted M-step of each component k with ``fit[k]``, by column k of ``w`` (sum ``nj[k]``).
+    def update(self, w: np.ndarray, nj, components) -> list:
+        """The weighted M-step of component k on row k of the (F, n) ``w`` (sum ``nj[k]``, an array), for all F.
 
-        ``nj`` is an array.  The fitted columns of ``w`` are taken as one
-        (F, n) block (`fitted_block`), so each sum over cases is one
-        product for all F fitted components: the weighted moments with a
-        common s2, else `_ascend`.  Components not in ``fit`` come back
-        as they are.
+        Each sum over cases is one product for all F components: the
+        weighted moments with a common s2, else `_ascend`.
         """
-        out = list(components)
-        fitted, block = fitted_block(fit)
-        w_fit = w.T[block]
         if self.homoscedastic:
-            nf = nj[block]
             # einsum, not a BLAS dot: OpenBLAS splits long dots over its threads, so their bits follow the thread count
-            mu = np.einsum("ij,j->i", w_fit, self.z) / nf
+            mu = np.einsum("ij,j->i", w, self.z) / nj
             dev = np.subtract(self.z, mu[:, None])
             np.square(dev, out=dev)
-            var = np.einsum("ij,ij->i", w_fit, dev) / nf - float(self.s2[0])
+            var = np.einsum("ij,ij->i", w, dev) / nj - float(self.s2[0])
             moved = zip(mu.tolist(), var.tolist())
         else:
-            moved = self._ascend(w_fit, [components[k] for k in fitted])
-        for k, (m, v) in zip(fitted, moved):
-            out[k] = NormalComponent(m, max(0.0, v))
-        return out
+            moved = self._ascend(w, components)
+        return [NormalComponent(m, max(0.0, v)) for m, v in moved]
 
     def _ascend(self, w: np.ndarray, components) -> list:
         """(mean, var) of each component after the ascent step of the module docstring, on its row of ``w``.
@@ -656,9 +647,9 @@ class BinomialObservations(Observations):
         """False: the binomial kernel is always scanned."""
         return False
 
-    def update(self, w: np.ndarray, nj, components, fit) -> list:
-        """`_fit_beta_newton` of each component k with ``fit[k]``, on column k of ``w``; the rest as given."""
-        return [_fit_beta_newton(self, w[:, k], c) if fit[k] else c for k, c in enumerate(components)]
+    def update(self, w: np.ndarray, nj, components) -> list:
+        """`_fit_beta_newton` of component k on row k of the (F, n) ``w``, for all F."""
+        return [_fit_beta_newton(self, row, c) for row, c in zip(w, components)]
 
     @staticmethod
     def draw(components, which, rng, s2=1.0, trials=None) -> "BinomialObservations":
@@ -696,9 +687,9 @@ def component_log_marginal(obs: Observations, comp: Component) -> np.ndarray:
     Normal:   log phi(z; mean, var + s2).
     Binomial: log of the beta-binomial pmf C(N,H) B(alpha+H, beta+N-H) / B(alpha, beta),
               the binomial pmf at kappa = 0.
-    One column of `log_marginal_matrix` with ``obs.saturated`` added back.
+    One row of `log_marginal_matrix` with ``obs.saturated`` added back.
     """
-    return log_marginal_matrix(obs, (comp,))[:, 0] + obs.saturated
+    return log_marginal_matrix(obs, (comp,))[0] + obs.saturated
 
 
 # Length of the cumulative tables.  The Stirling series used beyond it are
@@ -783,27 +774,21 @@ def _log_ratio(a, b):
     return np.where(np.abs(t) < 0.5, np.log1p(t), np.log(a / b))
 
 
-def fitted_block(fit):
-    """(fitted, block): the indices k with ``fit[k]``, and an index of them that is a slice where they are adjacent.
+def fitted_block(fitted):
+    """An index of the ascending, nonempty row list ``fitted``: a slice where the rows are adjacent, else the list.
 
-    ``w.T[block]`` is then the fitted columns of a (n, J) ``w`` as the rows
-    of one (F, n) block, a view of ``w`` where it can be.
+    ``w[fitted_block(fitted)]`` is then those rows of a (J, n) ``w`` as one
+    (F, n) block, a view of ``w`` where it can be.
     """
-    fitted = [k for k, f in enumerate(fit) if f]
-    f = len(fitted)
-    return fitted, slice(fitted[0], fitted[-1] + 1) if f and fitted[-1] - fitted[0] == f - 1 else fitted
+    return slice(fitted[0], fitted[-1] + 1) if fitted[-1] - fitted[0] == len(fitted) - 1 else fitted
 
 
 def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
-    """Stacked component log marginals less ``obs.saturated``, shape (n, J): the family's ``log_kernel``.
+    """Stacked component log marginals less ``obs.saturated``, shape (J, n): the family's ``log_kernel``.
 
     Each case's data-only term ``obs.saturated`` (0 for normal cases) is
     left out: posterior weights do not depend on it, and sums over cases
-    add it back once.  The result is the transpose of the (J, n) kernel,
-    so each column is contiguous: numpy reduces a 100k x 3 array along
-    its short rows many times faster in this order, and every array
-    computed from it (posterior weights, `posterior_summary`'s buffers)
-    keeps the order.  The result is a new array that the caller owns:
+    add it back once.  The result is a new array that the caller owns:
     `mixture.MixtureModel.posterior_weights` turns it into the weights
     in place.  NumericError if an entry is not finite: the kernel is
     scanned unless ``obs.proves_finite`` shows it finite.
@@ -814,7 +799,7 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     kernel = obs.log_kernel(components)
     if not (obs.proves_finite(components) or np.all(np.isfinite(kernel))):
         raise NumericError("non-finite component log marginal")
-    return kernel.T
+    return kernel
 
 
 def _beta_mom(p: np.ndarray) -> BetaComponent:

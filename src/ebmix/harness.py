@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, EbmixError, FitError, check_number
+from .errors import ContractError, EbmixError, FitError, UnsupportedError, check_number
 from .families import NormalComponent, Observations
 from .inference import fdr_curve, nearly_null_grouping, posterior_summary, rejection_threshold, tail_fdr_curve
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
@@ -366,7 +366,8 @@ def _fdr_outputs(model: MixtureModel, grouping=None) -> np.ndarray:
 def run_fdr_study(null_modes: Sequence, n_components: int, penalty: float, reps: int, seed: int = 0):
     """Bias/spread study of fdr, FDR and threshold estimates.
 
-    Each null mode (a `NullMode` or its value) is one method,
+    Each null mode (a `NullMode` or its value; at least one, and not
+    NONE, which has no null) is one method,
     ``mixture_<mode>``: every replication is fitted by one EM restart
     with ``n_components`` components and penalty ``penalty``, and nearly
     null components join the null set under `nearly_null_grouping`'s
@@ -383,6 +384,10 @@ def run_fdr_study(null_modes: Sequence, n_components: int, penalty: float, reps:
         FitConfig(n_components=n_components, penalty=penalty, null_mode=NullMode(mode), n_restarts=1)
         for mode in null_modes
     ]
+    if not configs:
+        raise ContractError("at least one null mode is required")
+    if any(config.null_mode is NullMode.NONE for config in configs):
+        raise UnsupportedError("model has no designated null component")
     check_number("reps", reps)
     if reps < 2:
         raise ContractError("need reps >= 2 to estimate the spread across replications")

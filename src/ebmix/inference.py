@@ -67,6 +67,7 @@ def nearly_null_grouping(
 class PosteriorSummary:
     """Per-case posterior output; arrays are aligned with the input cases.
 
+    ``weights`` is `MixtureModel.posterior_weights`'s (J, n) w, one column per case.
     ``fdr`` and ``tail_fdr`` are None when the model has no designated
     null (and tail_fdr also for the binomial family, where no tail-area
     definition exists).
@@ -125,16 +126,14 @@ def posterior_summary(obs: Observations, model: MixtureModel, grouping=None) -> 
     null_set = _null_set(model, grouping)
     w, _ = model.posterior_weights(obs)
     post = obs.posterior(model.components)
-    # (n, J) with contiguous columns, laid out like w
-    means, varis = post.mean.T, post.var.T
-    effect_mean = np.sum(w * means, axis=1)
+    effect_mean = np.sum(w * post.mean, axis=0)
     # centered, so a variance far below the squared mean does not cancel
-    effect_var = np.sum(w * (varis + (means - effect_mean[:, None]) ** 2), axis=1)
+    effect_var = np.sum(w * (post.var + (post.mean - effect_mean) ** 2), axis=0)
 
     fdr = None
     tail = None
     if null_set is not None:
-        fdr = w[:, sorted(null_set)].sum(axis=1)
+        fdr = w[sorted(null_set)].sum(axis=0)
         if model.family is Family.NORMAL:
             tail = tail_fdr_at(obs.z, model, null_set, s2=obs.s2)
     return PosteriorSummary(
@@ -143,8 +142,10 @@ def posterior_summary(obs: Observations, model: MixtureModel, grouping=None) -> 
 
 
 def _curve_args(model: MixtureModel, z_grid, grouping):
-    """The grid and null set of a curve: a nonempty grid, a normal model and a null set."""
-    z_grid = np.asarray(z_grid, dtype=float)
+    """The grid and null set of a curve: a nonempty 1-D grid (a scalar is one point), a normal model and a null set."""
+    z_grid = np.array(z_grid, dtype=float, ndmin=1)
+    if z_grid.ndim != 1:
+        raise ContractError("z grid must be one-dimensional")
     if z_grid.size == 0:
         raise ContractError("z grid must be nonempty")
     if model.family is not Family.NORMAL:
@@ -159,7 +160,7 @@ def fdr_curve(model: MixtureModel, z_grid, grouping=None) -> np.ndarray:
     """Local fdr along a z grid (normal family, unit s2)."""
     z_grid, null_set = _curve_args(model, z_grid, grouping)
     w, _ = model.posterior_weights(Observations.normal(z_grid))
-    return w[:, sorted(null_set)].sum(axis=1)
+    return w[sorted(null_set)].sum(axis=0)
 
 
 def tail_fdr_curve(model: MixtureModel, z_grid, grouping=None) -> np.ndarray:

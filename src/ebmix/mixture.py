@@ -106,16 +106,14 @@ class MixtureModel:
         return len(self.components)
 
     def posterior_weights(self, obs: Observations):
-        """(w, log f - obs.saturated): w[i, j] = pi_j f^(j)(z_i) / f(z_i), shape (n, J).
+        """(w, log f - obs.saturated): w[j, i] = pi_j f^(j)(z_i) / f(z_i), shape (J, n), each column summing to 1.
 
-        w keeps `log_marginal_matrix`'s layout, each column contiguous, so
-        the sums over components and over cases run at full speed.
-        Components with pi_j = 0 get weight exactly 0.  The log
-        marginals leave out each case's data-only term ``obs.saturated``
-        (0 for normal cases; see `families`).
+        w is the C-contiguous (J, n) buffer of `log_marginal_matrix`,
+        which the caller then owns.  Components with pi_j = 0 get weight
+        exactly 0.  The log marginals leave out each case's data-only term
+        ``obs.saturated`` (0 for normal cases; see `families`).
 
-        The (J, n) kernel of `log_marginal_matrix` becomes w in its own
-        buffer, which the caller then owns: add log pi, take each case's
+        The kernel becomes w in place: add log pi, take each case's
         largest term m, subtract it, exponentiate and sum the case's terms
         into s.  Then log f = m + log s, with the bits of a plain
         log-sum-exp, and w is normalized by one reciprocal per case: s
@@ -125,7 +123,7 @@ class MixtureModel:
         (from `log_marginal_matrix`) and at a case of zero mixture
         density f.
         """
-        w = families.log_marginal_matrix(obs, self.components).T
+        w = families.log_marginal_matrix(obs, self.components)
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)
         w += log_pi[:, None]
@@ -139,7 +137,7 @@ class MixtureModel:
         logf = np.log(s)
         logf += m
         w *= np.reciprocal(s, out=s)
-        return w.T, logf
+        return w, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
         """Log of the mixture marginal f(z) = sum_j pi_j f^(j)(z)."""
@@ -226,8 +224,8 @@ def _sum(values) -> float:
 def e_step(data: Observations, model: MixtureModel):
     """Responsibilities and the penalized log-likelihood at the model.
 
-    Returns (w, pll) with w row-stochastic of shape (n, J), each column
-    contiguous (see `MixtureModel.posterior_weights`).  The per-case
+    Returns (w, pll) with w the (J, n) weights of
+    `MixtureModel.posterior_weights`, each column summing to 1.  The per-case
     log marginals are summed without their data-only terms
     (``data.saturated``), whose sum is added once at the end, so the
     pll's rounding does not grow with the binomial trial counts.  The
@@ -248,25 +246,26 @@ def e_step(data: Observations, model: MixtureModel):
 
 
 def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureModel):
-    """One penalized M-step.
+    """One penalized M-step on the (J, n) weights ``w``.
 
     Returns (updated model, reinitialized flag).  A free component left
     with no weight and no penalty restarts as the same component of the
     unjittered start, ``initialize(data, config, 0)``; the flag is then
     True, and the EM objective may legitimately dip for one iteration.
-    The pi update runs on J Python floats, and the components come from
-    one ``data.update`` call.
+    The pi update runs on J Python floats, and the free components with
+    weight are fitted by one ``data.update`` call on their rows
+    (`families.fitted_block`); the others are kept.
     """
-    n, j = w.shape
+    j, n = w.shape
     if j != model.n_components or n != len(data):
         raise ContractError("responsibility matrix shape does not match data/model")
-    nj = w.sum(axis=0)
+    nj = w.sum(axis=1)
     njs, betas = nj.tolist(), model.penalty.tolist()
     scale = n + _sum(betas)
     pis = [(a + b) / scale for a, b in zip(njs, betas)]
 
     comps = list(model.components)
-    fit = [False] * j
+    fitted = []
     reinitialized = False
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     for k in range(start_free, j):
@@ -274,13 +273,17 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
             comps[k] = initialize(data, config, 0).components[k]
             pis[k] = 1.0 / scale
             reinitialized = True
-        else:
-            fit[k] = njs[k] > 0.0  # with penalty mass only there is nothing to fit a component to
+        elif njs[k] > 0.0:  # with penalty mass only there is nothing to fit a component to
+            fitted.append(k)
+    if fitted:
+        block = families.fitted_block(fitted)
+        for k, c in zip(fitted, data.update(w[block], nj[block], [comps[k] for k in fitted])):
+            comps[k] = c
 
     total = _sum(pis)
     updated = MixtureModel(
         pi=np.array([p / total for p in pis]),
-        components=tuple(data.update(w, nj, comps, fit)),
+        components=tuple(comps),
         null_mode=model.null_mode,
         penalty=model.penalty,
         diagnostics=model.diagnostics,

@@ -161,6 +161,17 @@ class TestCalibratePenalty:
         with pytest.raises(UnsupportedError):
             calibrate_penalty(obs, base, small_plan([10.0, 20.0]))
 
+    def test_null_less_config_refused_before_any_fit(self, monkeypatch):
+        """The scores are fdr curves, so a config with no null is refused before the preliminary fit."""
+
+        def no_fit(data, config):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(calibration, "em_fit", no_fit)
+        base = FitConfig(n_components=3, null_mode=NullMode.NONE, n_restarts=1)
+        with pytest.raises(UnsupportedError, match="^model has no designated null component$"):
+            calibrate_penalty(scenario_obs(), base, small_plan([150.0]))
+
     def test_failed_fit_scores_worst(self, monkeypatch):
         def em_fit_failing_at_300(data, config):
             if config.penalty == 300.0:

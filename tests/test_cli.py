@@ -175,8 +175,8 @@ class TestModelFile:
             comp = model.components[k]
             v = comp.var + obs.s2
             r = obs.z - comp.mean
-            mean_terms = w[:, k] * r / v
-            var_terms = w[:, k] * (r * r / v**2 - 1.0 / v) / 2.0
+            mean_terms = w[k] * r / v
+            var_terms = w[k] * (r * r / v**2 - 1.0 / v) / 2.0
             assert abs(mean_terms.sum()) <= 1e-5 * np.abs(mean_terms).sum()
             if comp.var > 0.0:
                 assert abs(var_terms.sum()) <= 1e-5 * np.abs(var_terms).sum()

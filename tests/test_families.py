@@ -89,7 +89,7 @@ class TestComponentMarginal:
                 Observations.binomial([1], [2]), NormalComponent(0.0, 1.0)
             )
 
-    def test_matrix_agrees_with_columns(self):
+    def test_matrix_rows_are_component_marginals(self):
         cases = [
             (
                 Observations.normal([-1.0, 0.5, 3.2], [1.0, 2.0, 0.5]),
@@ -108,7 +108,7 @@ class TestComponentMarginal:
         for obs, comps in cases:
             mat = log_marginal_matrix(obs, comps)
             for j, c in enumerate(comps):
-                np.testing.assert_allclose(mat[:, j] + obs.saturated, component_log_marginal(obs, c), rtol=1e-14)
+                np.testing.assert_allclose(mat[j] + obs.saturated, component_log_marginal(obs, c), rtol=1e-14)
 
     @pytest.mark.parametrize(
         "shape",
@@ -479,9 +479,9 @@ class TestFamilyContract:
         cases = [(obs, rng.uniform(0.0, 1.0, len(obs)) ** 2, component(rng), None) for _ in range(30)]
         config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
         for obs, w, start, check in cases + EDGE_CASES[family]:
-            (moved,) = obs.update(w[:, None], np.array([w.sum()]), [start], [True])
+            (moved,) = obs.update(w[None], np.array([w.sum()]), [start])
             model = MixtureModel(pi=np.ones(1), components=(start,), null_mode=NullMode.NONE, penalty=np.zeros(1))
-            updated, _ = mixture.m_step(obs, w[:, None], config, model)
+            updated, _ = mixture.m_step(obs, w[None], config, model)
             (fit,) = updated.components
             assert type(fit) is OBSERVATIONS[family].component
             assert fit == moved
@@ -492,14 +492,24 @@ class TestFamilyContract:
                 assert check(fit)
 
     def test_update_leaves_components_outside_fit(self, family):
+        """`mixture.m_step` fits only row 1 and keeps components 0 and 2, which have penalty mass but no weight.
+
+        ``update`` returns one component per row it is given, and ``m_step``
+        puts it in its place.
+        """
         batch, component = FAMILY_CASES[family]
         rng = np.random.default_rng(15)
         obs = batch(rng, 40)
         comps = [component(rng) for _ in range(3)]
-        w = rng.uniform(0.0, 1.0, (3, len(obs))).T
-        out = obs.update(w, w.sum(axis=0), comps, [False, True, False])
-        assert type(out) is list and len(out) == 3 and out[0] is comps[0] and out[2] is comps[2]
-        assert type(out[1]) is OBSERVATIONS[family].component
+        w = rng.uniform(0.0, 1.0, (3, len(obs)))
+        w[[0, 2]] = 0.0
+        model = MixtureModel(pi=np.full(3, 1.0 / 3.0), components=comps, null_mode=NullMode.NONE, penalty=np.array([1.0, 0.0, 1.0]))
+        updated, reinit = mixture.m_step(obs, w, FitConfig(n_components=3, null_mode=NullMode.NONE), model)
+        out = updated.components
+        assert not reinit and out[0] is comps[0] and out[2] is comps[2]
+        alone = obs.update(w[1:2], w[1:2].sum(axis=1), [comps[1]])
+        assert type(alone) is list and len(alone) == 1
+        assert type(out[1]) is OBSERVATIONS[family].component and out[1] == alone[0]
 
     def test_draw_gives_n_cases_of_the_family(self, family):
         obs_type = OBSERVATIONS[family]
@@ -543,7 +553,7 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
     """The varying-s2 step's check keeps or replaces each fitted component's Newton step on that component's own row.
 
     Components 1 and 2 of four are fitted by `mixture.m_step`.  Each
-    comes back with the bits of a one-component update on its own column
+    comes back with the bits of a one-component update on its own row
     of w, and with the variance of its own sums' branch: the Newton step
     (upward, or downward where it does not lower the minorizer), or else
     the MM step.  At seeds 8, 19 and 35 the check replaces one
@@ -555,20 +565,20 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
     rng = np.random.default_rng(seed)
     obs = _normal_batch(rng, 60)
     comps = [_normal_component(rng) for _ in range(4)]
-    w = rng.uniform(0.0, 1.0, (4, 60)).T ** 2  # column-major, as e_step lays it out
-    w[:, [0, 3]] = 0.0
+    w = rng.uniform(0.0, 1.0, (4, 60)) ** 2  # (J, n), as e_step lays it out
+    w[[0, 3]] = 0.0
     model = MixtureModel(pi=np.full(4, 0.25), components=comps, null_mode=NullMode.NONE, penalty=np.array([1.0, 0, 0, 1]))
     updated, _ = mixture.m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
     out = updated.components
     assert out[0] is comps[0] and out[3] is comps[3]
     decisions = []
     for k in (1, 2):
-        (alone,) = obs.update(w[:, [k]], w[:, [k]].sum(axis=0), [comps[k]], [True])
+        (alone,) = obs.update(w[[k]], w[[k]].sum(axis=1), [comps[k]])
         assert (out[k].mean, out[k].var) == (alone.mean, alone.var)
-        newton, var = _newton_kept(obs, w[:, k], comps[k])
+        newton, var = _newton_kept(obs, w[k], comps[k])
         decisions.append(newton)
         np.testing.assert_allclose(out[k].var, var, rtol=1e-12)
-        u = w[:, k] / (var + obs.s2)
+        u = w[k] / (var + obs.s2)
         np.testing.assert_allclose(out[k].mean, u @ obs.z / u.sum(), rtol=1e-12)
     assert decisions == kept
 
@@ -577,22 +587,28 @@ def test_varying_s2_guard_decides_each_component_on_its_own_row(seed, kept):
 def test_normal_update_gives_closed_form_moments(s2):
     """Each fitted component's mean and variance, taken for all of them at once, equal their fsum closed forms.
 
-    With a common s2 the normal M-step is the weighted moments.  ``fit``
-    has gaps, so the fitted columns of w are not adjacent.  The data
-    spread far beyond s2, so no variance is clipped at 0.
+    With a common s2 the normal M-step is the weighted moments.
+    `mixture.m_step` fits rows 1 and 3, which are not adjacent, and keeps
+    components 0 and 2 (penalty mass, no weight); ``update`` on those two
+    rows gives ``m_step``'s components.  The data spread far beyond s2, so no
+    variance is clipped at 0.
     """
     rng = np.random.default_rng(5)
     n = 80
     s2_values = np.full(n, 1.5)
     obs = Observations.normal(rng.normal(1.0, 2.0, n) + np.sqrt(s2_values) * rng.standard_normal(n), s2_values)
     comps = [_normal_component(rng) for _ in range(4)]
-    w = np.asfortranarray(rng.uniform(0.0, 1.0, (n, 4)) ** 2)
-    nj = w.sum(axis=0)
-    out = obs.update(w, nj, comps, [False, True, False, True])
+    w = np.ascontiguousarray(rng.uniform(0.0, 1.0, (n, 4)).T ** 2)
+    w[[0, 2]] = 0.0
+    model = MixtureModel(pi=np.full(4, 0.25), components=comps, null_mode=NullMode.NONE, penalty=np.array([1.0, 0, 1.0, 0]))
+    updated, _ = mixture.m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
+    out = updated.components
     assert out[0] is comps[0] and out[2] is comps[2]
+    rows = w[[1, 3]]
+    assert obs.update(rows, rows.sum(axis=1), [comps[1], comps[3]]) == [out[1], out[3]]
     z, v = obs.z.tolist(), obs.s2.tolist()
     for k in (1, 3):
-        w_k = w[:, k].tolist()
+        w_k = w[k].tolist()
         total = math.fsum(w_k)
         mean = math.fsum(a * b for a, b in zip(w_k, z)) / total
         var = (math.fsum(a * (b - mean) ** 2 for a, b in zip(w_k, z)) - math.fsum(a * b for a, b in zip(w_k, v))) / total
@@ -616,7 +632,7 @@ def test_iterated_varying_s2_update_reaches_the_weighted_maximum(seed):
     w = rng.uniform(0.0, 1.0, n) ** 2
     comp = _normal_component(rng)
     for _ in range(200):
-        (comp,) = obs.update(w[:, None], np.array([w.sum()]), [comp], [True])
+        (comp,) = obs.update(w[None], np.array([w.sum()]), [comp])
     mean, var = oracles.weighted_normal_fit(z, s2, w)
     best = oracles.weighted_normal_loglik(z, s2, w, mean, var)
     reached = oracles.weighted_normal_loglik(z, s2, w, comp.mean, comp.var)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ebmix import ContractError, NullMode, fdr_curve, nearly_null_grouping, rejection_threshold, tail_fdr_curve
+from ebmix import ContractError, NullMode, UnsupportedError, fdr_curve, nearly_null_grouping, rejection_threshold, tail_fdr_curve
 from ebmix import harness
 from ebmix.harness import (
     FDR_QS,
@@ -321,3 +321,19 @@ class TestFdrStudy:
     def test_reps_must_be_an_integer(self, reps):
         with pytest.raises(ContractError, match="reps must be an integer"):
             run_fdr_study(["theoretical"], 3, 50.0, reps=reps)
+
+    def test_no_null_mode_rejected(self):
+        with pytest.raises(ContractError, match="at least one null mode is required"):
+            run_fdr_study([], 3, 50.0, reps=2)
+
+    def test_null_less_mode_refused_before_any_fit(self, monkeypatch):
+        """A mode with no null has no fdr to study: refused on entry, after a bad J, and before rep 0 is fitted."""
+
+        def no_fit(obs, config):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(harness, "em_fit", no_fit)
+        with pytest.raises(UnsupportedError, match="^model has no designated null component$"):
+            run_fdr_study(["theoretical", "none"], 3, 50.0, reps=2)
+        with pytest.raises(ContractError, match="n_components must be >= 1"):
+            run_fdr_study(["none"], 0, 50.0, reps=2)

@@ -66,13 +66,13 @@ class TestPosteriorSummary:
         rng = np.random.default_rng(4)
         obs = Observations.normal(rng.normal(size=100))
         s = posterior_summary(obs, two_component_model)
-        np.testing.assert_allclose(s.fdr, s.weights[:, 0], atol=1e-15)
+        np.testing.assert_allclose(s.fdr, s.weights[0], atol=1e-15)
 
     def test_weights_sum_to_one(self, two_component_model):
         rng = np.random.default_rng(5)
         obs = Observations.normal(rng.normal(size=100) * 3)
         s = posterior_summary(obs, two_component_model)
-        np.testing.assert_allclose(s.weights.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(s.weights.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(s.effect_var >= 0)
         assert np.all((0 <= s.fdr) & (s.fdr <= 1))
         assert np.all((0 <= s.tail_fdr) & (s.tail_fdr <= 1))
@@ -163,8 +163,28 @@ class TestCurves:
         np.testing.assert_allclose(got, 0.95 * phi(grid) / f_true, atol=1e-10)
 
     def test_empty_grid_rejected(self, two_component_model):
-        with pytest.raises(ContractError):
-            fdr_curve(two_component_model, np.array([]))
+        for curve in (fdr_curve, tail_fdr_curve):
+            with pytest.raises(ContractError, match="z grid must be nonempty"):
+                curve(two_component_model, np.array([]))
+
+    @pytest.mark.parametrize("curve", [fdr_curve, tail_fdr_curve])
+    def test_scalar_grid_is_one_point(self, curve):
+        """A scalar z is a grid of one point, with the value that point has on a longer grid."""
+        model = MixtureModel(
+            pi=np.array([0.9, 0.1]),
+            components=(NormalComponent(0.0, 0.0), NormalComponent(2.0, 1.0)),
+            null_mode=NullMode.THEORETICAL,
+            penalty=np.zeros(2),
+        )
+        got = curve(model, 0.5)
+        assert got.shape == (1,)
+        assert got[0] == curve(model, [0.5, 1.0, 2.0, 3.0])[0]
+
+    @pytest.mark.parametrize("curve", [fdr_curve, tail_fdr_curve])
+    def test_two_dimensional_grid_rejected(self, two_component_model, curve):
+        """A 2-D grid is refused, not broadcast against the components."""
+        with pytest.raises(ContractError, match="z grid must be one-dimensional"):
+            curve(two_component_model, [[0.5, 1.0], [2.0, 3.0]])
 
     def test_tail_fdr_bounds(self, two_component_model):
         grid = np.linspace(-4, 6, 101)

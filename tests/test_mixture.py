@@ -29,7 +29,7 @@ from ebmix import (
     m_step,
 )
 from ebmix import mixture
-from ebmix.families import log_marginal_matrix
+from ebmix.families import NormalObservations, log_marginal_matrix
 from ebmix.mixture import n_free_parameters, unpenalized_loglik
 from ebmix.seeding import derive_rng
 
@@ -60,17 +60,17 @@ class TestEStep:
             penalty=np.zeros(2),
         )
         w, _ = e_step(Observations.normal([0.0, 2.0, 4.0]), model)
-        np.testing.assert_array_equal(w[:, 1], 0.0)
+        np.testing.assert_array_equal(w[1], 0.0)
 
     def test_density_ratio(self, two_component_model):
         # oracle: phi(2;0,1)=0.05399097, phi(2;0,4)=0.12098536
         w, _ = e_step(Observations.normal([2.0]), two_component_model)
-        np.testing.assert_allclose(w[0], [0.30856, 0.69144], atol=1e-3)
+        np.testing.assert_allclose(w[:, 0], [0.30856, 0.69144], atol=1e-3)
 
-    def test_rows_sum_to_one(self, two_component_model):
+    def test_each_case_sums_to_one(self, two_component_model):
         rng = np.random.default_rng(0)
         w, _ = e_step(Observations.normal(rng.normal(size=200)), two_component_model)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
 
     def test_penalized_loglik_value(self, two_component_model):
         obs = Observations.normal([0.5, -1.0])
@@ -94,17 +94,22 @@ class TestEStep:
         ],
         ids=["normal", "normal-varying-s2", "binomial"],
     )
-    def test_matrices_are_component_major(self, obs, components):
-        """Every cases x components matrix has contiguous columns, so its short rows reduce fast."""
+    def test_matrices_are_component_major(self, monkeypatch, obs, components):
+        """Every components x cases matrix is C-contiguous (J, n), and the weights are the kernel's own buffer."""
         j = len(components)
         model = MixtureModel(pi=np.full(j, 1.0 / j), components=components, null_mode=NullMode.NONE, penalty=np.zeros(j))
-        for mat in (
-            log_marginal_matrix(obs, components),
-            model.posterior_weights(obs)[0],
-            e_step(obs, model)[0],
-        ):
-            assert mat.shape == (len(obs), j)
-            assert all(mat[:, k].flags.c_contiguous for k in range(j))
+        made = []
+
+        def recording(data, comps, _real=mixture.families.log_marginal_matrix):
+            made.append(_real(data, comps))
+            return made[-1]
+
+        monkeypatch.setattr(mixture.families, "log_marginal_matrix", recording)
+        w = model.posterior_weights(obs)[0]
+        assert len(made) == 1 and np.shares_memory(w, made[0])
+        for mat in (log_marginal_matrix(obs, components), w, e_step(obs, model)[0]):
+            assert mat.shape == (j, len(obs))
+            assert mat.flags.c_contiguous
 
 
 def _weights_case(kind):
@@ -131,36 +136,37 @@ class TestPosteriorWeights:
     """The kernel turns into the weights in place, with one exp per cell."""
 
     def test_weights_exact_to_rounding(self, kind):
-        """Each w_ij is within 4 ulps of exp(logw_ij - log f_i), the exact value at the float log terms.
+        """Each w_ji is within 4 ulps of exp(logw_ji - log f_i), the exact value at the float log terms.
 
         The one rounding every float evaluation shares, that of the
-        shifted log term logw_ij - max_j logw_ij, is allowed on top.  Rows
-        sum to 1 within J ulps, and a component with pi_j = 0 gets exactly 0.
+        shifted log term logw_ji - max_j logw_ji, is allowed on top.  Each
+        case's weights sum to 1 within J ulps, and a component with
+        pi_j = 0 gets exactly 0.
         """
         obs, comps, pi = _weights_case(kind)
         w, _ = _model(comps, pi).posterior_weights(obs)
         live = pi > 0
-        assert np.all(w[:, ~live] == 0.0)
-        logw = log_marginal_matrix(obs, comps)[:, live] + np.log(pi[live])
-        shift = logw - logw.max(axis=1, keepdims=True)
+        assert np.all(w[~live] == 0.0)
+        logw = log_marginal_matrix(obs, comps)[live] + np.log(pi[live])[:, None]
+        shift = logw - logw.max(axis=0)
         with mpmath.workdps(30):
             exact = np.array([
-                [float(mpmath.exp(x - mpmath.log(mpmath.fsum(mpmath.exp(y) for y in row)))) for x in row]
-                for row in logw.tolist()
-            ])
+                [float(mpmath.exp(x - mpmath.log(mpmath.fsum(mpmath.exp(y) for y in case)))) for x in case]
+                for case in logw.T.tolist()
+            ]).T
         eps = np.finfo(float).eps
-        assert np.all(np.abs(w[:, live] - exact) <= 4 * np.spacing(exact) - shift * (eps / 2) * exact)
-        row_error = np.array([math.fsum(row) for row in w.tolist()]) - 1.0
-        assert np.all(np.abs(row_error) <= len(comps) * eps)
+        assert np.all(np.abs(w[live] - exact) <= 4 * np.spacing(exact) - shift * (eps / 2) * exact)
+        case_error = np.array([math.fsum(case) for case in w.T.tolist()]) - 1.0
+        assert np.all(np.abs(case_error) <= len(comps) * eps)
 
     def test_log_marginal_keeps_its_bits(self, kind):
         """log f = m + log sum exp(logw - m), the log-sum-exp the weights were once formed from."""
         obs, comps, pi = _weights_case(kind)
         _, logf = _model(comps, pi).posterior_weights(obs)
         with np.errstate(divide="ignore"):
-            logw = log_marginal_matrix(obs, comps) + np.log(pi)
-        m = logw.max(axis=1)
-        assert logf.tobytes() == (m + np.log(np.exp(logw - m[:, None]).sum(axis=1))).tobytes()
+            logw = log_marginal_matrix(obs, comps) + np.log(pi)[:, None]
+        m = logw.max(axis=0)
+        assert logf.tobytes() == (m + np.log(np.exp(logw - m).sum(axis=0))).tobytes()
 
     def test_zero_marginal_density_names_the_first_bad_case(self, monkeypatch, kind):
         """A kernel with no finite entry at a case (which `log_marginal_matrix` itself would refuse)."""
@@ -168,7 +174,7 @@ class TestPosteriorWeights:
 
         def vanishing(data, components, _real=mixture.families.log_marginal_matrix):
             out = _real(data, components)
-            out[[7, 3, 200]] = -np.inf
+            out[:, [7, 3, 200]] = -np.inf
             return out
 
         monkeypatch.setattr(mixture.families, "log_marginal_matrix", vanishing)
@@ -251,7 +257,7 @@ class TestMStep:
             null_mode=NullMode.NONE,
             penalty=np.zeros(1),
         )
-        w = np.ones((400, 1))
+        w = np.ones((1, 400))
         config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
         updated, reinit = m_step(obs, w, config, model)
         assert not reinit
@@ -266,9 +272,9 @@ class TestMStep:
         obs = Observations.normal(z)
         config = FitConfig(n_components=2, penalty=30.0, null_mode=NullMode.THEORETICAL)
         model = initialize(obs, config)
-        w = np.zeros((100, 2))
-        w[:60, 0] = 1.0
-        w[60:, 1] = 1.0
+        w = np.zeros((2, 100))
+        w[0, :60] = 1.0
+        w[1, 60:] = 1.0
         updated, _ = m_step(obs, w, config, model)
         np.testing.assert_allclose(updated.pi[0], (60 + 30) / 130, rtol=1e-12)
         np.testing.assert_allclose(updated.pi[1], 40 / 130, rtol=1e-12)
@@ -279,7 +285,7 @@ class TestMStep:
         delta = rng.beta(2.0, 2.0, size=2000)
         h = rng.binomial(n_tr, delta)
         obs = Observations.binomial(h, n_tr)
-        w = np.ones((2000, 1))
+        w = np.ones((1, 2000))
         config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
         model = initialize(obs, config)
         updated, _ = m_step(obs, w, config, model)
@@ -306,7 +312,7 @@ class TestMStep:
         h, n = self.underdispersed_season()
         obs = Observations.binomial(h, n)
         config = FitConfig(n_components=1, penalty=0.0, null_mode=NullMode.NONE)
-        updated, _ = m_step(obs, np.ones((400, 1)), config, initialize(obs, config))
+        updated, _ = m_step(obs, np.ones((1, 400)), config, initialize(obs, config))
         fit = updated.components[0]
         assert fit.kappa == 0.0
         np.testing.assert_allclose(fit.mean, h.sum() / n.sum(), rtol=1e-15)
@@ -332,7 +338,7 @@ class TestMStep:
                 null_mode=NullMode.NONE,
                 penalty=np.zeros(1),
             )
-            fit = m_step(obs, w[:, None], config, model)[0].components[0]
+            fit = m_step(obs, w[None], config, model)[0].components[0]
             before = oracles.weighted_component_loglik_mp(h, n, w, start)
             after = oracles.weighted_component_loglik_mp(h, n, w, fit)
             assert after >= before
@@ -383,7 +389,7 @@ class TestMStep:
         model = initialize(obs, config)
         tracemalloc.start()
         try:
-            fit = m_step(obs, w[:, None], config, model)[0].components[0]
+            fit = m_step(obs, w[None], config, model)[0].components[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,21 +407,46 @@ class TestMStep:
             assert best > loglik(m0 + dm, t0 + dt)
 
     @pytest.mark.parametrize(
-        "mode, k",
-        [(NullMode.THEORETICAL, 2), (NullMode.EMPIRICAL, 0), (NullMode.EMPIRICAL, 2), (NullMode.NONE, 1)],
+        "mode, j, k",
+        [
+            pytest.param(NullMode.THEORETICAL, 3, 2, id="theoretical-2"),
+            pytest.param(NullMode.THEORETICAL, 2, 1, id="theoretical-1-J2"),
+            pytest.param(NullMode.EMPIRICAL, 3, 0, id="empirical-0"),
+            pytest.param(NullMode.EMPIRICAL, 3, 2, id="empirical-2"),
+            pytest.param(NullMode.NONE, 3, 1, id="none-1"),
+        ],
     )
-    def test_empty_component_restarts_from_initial_model(self, monkeypatch, mode, k):
+    def test_empty_component_restarts_from_initial_model(self, monkeypatch, mode, j, k):
+        """The emptied component k restarts; ``update`` gets the other free rows, each fitted as on its own.
+
+        With a theoretical null and J = 2 no row is left to fit, so
+        ``update`` is not called.  With no null and k = 1 the fitted rows
+        0 and 2 are not adjacent.
+        """
         obs = Observations.normal(derive_rng(5, 0).standard_normal(200))
-        config = FitConfig(n_components=3, penalty=0.0, null_mode=mode, n_restarts=1)
+        config = FitConfig(n_components=j, penalty=0.0, null_mode=mode, n_restarts=1)
         start = initialize(obs, config)
         comps = list(start.components)
         comps[k] = NormalComponent(1000.0, 0.0)
         model = dataclasses.replace(start, components=tuple(comps))
         w, _ = e_step(obs, model)
-        assert np.all(w[:, k] == 0.0)
+        assert np.all(w[k] == 0.0)
+        real_update = NormalObservations.update
+        calls = []
+
+        def counted_update(data, *args):
+            calls.append(args)
+            return real_update(data, *args)
+
+        monkeypatch.setattr(NormalObservations, "update", counted_update)
         updated, reinit = m_step(obs, w, config, model)
         assert reinit
         assert updated.components[k] == start.components[k]
+        fitted = [i for i in range(j) if i != k and (i > 0 or mode is not NullMode.THEORETICAL)]
+        assert len(calls) == (1 if fitted else 0)
+        for i in fitted:
+            (alone,) = real_update(obs, w[[i]], w[[i]].sum(axis=1), [comps[i]])
+            assert updated.components[i] == alone
 
         # EM from the emptied start restarts it and keeps the objective monotone
         calls = []

@@ -92,8 +92,20 @@ log term and its sum of exponentials in the two, and the normal M-step
 frees its one (F, n) block of squared deviations before the E-step.  So
 an EM map with a common s2 holds no new array of length n at its peak
 but the weights and log marginals it returns, and the memory of one map
-is reused by the next.  A batch is therefore not for use from several
-threads at once.
+is reused by the next.  A batch is therefore not for callers to use from
+several threads at once.
+
+The E-step itself is split: each case's kernel column, weights and log
+marginal depend on that case alone, so a large batch cuts its columns
+into ``blocks`` (`each_block`), one per usable CPU and each at least
+BLOCK_FLOOR cases, and runs them at once, the first in the calling
+thread and the rest on a small thread pool (numpy releases the GIL in
+its loops).  Each block writes only its own columns of the one (J, n)
+buffer and of ``scratch``, and every step works per case (the max and
+the sum run over components only), so every result has the same bits at
+any block count.  A block's sub-batch is the family's own class on views
+of its columns, with cached terms of its own.  Sums over cases, as in the
+M-step and the pll, stay in one thread: splitting a sum changes its bits.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -123,9 +135,11 @@ E-step and the M-step agree to rounding.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Union
 
@@ -134,6 +148,8 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Fewest cases in a block of a split E-step: a batch below twice this runs as one block.
+BLOCK_FLOOR = 25_000
 # Below it, `NormalObservations.proves_finite`'s two bounds leave every kernel entry far from overflow.
 _FINITE_BOUND = 1e300
 
@@ -226,20 +242,20 @@ class ComponentPosterior:
     kappa: np.ndarray | None = None
 
 
-def normal_logpdf(x, mean, var):
+def normal_logpdf(x, mean, var, out=None):
     """log phi(x; mean, var); ``var`` broadcasts to the shape of ``x - mean``, which is the result's.
 
-    The result is built in the one new array ``x - mean``; no other array
-    of that shape is made unless ``var`` has it.  The squared deviations
-    are scaled by one reciprocal, 0.5 / var, which is J numbers for a
-    (J, 1) column ``var``, not divided cell by cell.  The steps are those
-    of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var), in that
-    order, so the result has the bits of that closed form.
+    The result is built in the one array ``x - mean``, new or ``out``; no
+    other array of that shape is made unless ``var`` has it.  The squared
+    deviations are scaled by one reciprocal, 0.5 / var, which is J
+    numbers for a (J, 1) column ``var``, not divided cell by cell.  The
+    steps are those of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var),
+    in that order, so the result has the bits of that closed form.
     """
     scale = np.log(var)
     scale += LOG_2PI
     scale *= -0.5
-    out = np.subtract(x, mean)
+    out = np.subtract(x, mean, out=out)
     np.square(out, out=out)
     out *= 0.5 / var
     return np.subtract(scale, out, out=out)
@@ -282,6 +298,41 @@ class Observations:
     def scratch(self) -> np.ndarray:
         """Two writable rows of length n that an EM map works in (see the module docstring)."""
         return np.empty((2, len(self)))
+
+    @property
+    def blocks(self) -> tuple:
+        """The (columns, sub-batch) pairs an E-step runs at once (see the module docstring).
+
+        One pair, ``(slice(None), self)``, below 2 BLOCK_FLOOR cases or
+        with one usable CPU; else k = min(CPUs, n // BLOCK_FLOOR) nearly
+        equal column slices, each with the family's batch of its cases.
+        """
+        return self._split or ((slice(None), self),)
+
+    @functools.cached_property
+    def _split(self) -> tuple:
+        """The pairs of ``blocks`` where the batch splits, else ().
+
+        The one-block pair is not cached: holding ``self``, it would make
+        every batch a reference cycle, freed only by the cycle collector.
+        """
+        n = len(self)
+        k = min(usable_cpus(), n // BLOCK_FLOOR) if n >= 2 * BLOCK_FLOOR else 1
+        if k < 2:
+            return ()
+        edges = [n * b // k for b in range(k + 1)]
+        return tuple((slice(a, b), self._cases(slice(a, b))) for a, b in zip(edges, edges[1:]))
+
+    def _cases(self, cols: slice) -> "Observations":
+        """The batch of the cases in ``cols``, on views of this batch's arrays.
+
+        Every field of a family class is one checked, read-only array of
+        per-case values, so its slices need neither a check nor a copy.
+        """
+        sub = object.__new__(type(self))
+        for f in fields(self):
+            object.__setattr__(sub, f.name, getattr(self, f.name)[cols])
+        return sub
 
     @functools.cached_property
     def saturated_sum(self) -> float:
@@ -368,15 +419,16 @@ class NormalObservations(Observations):
                 return False
         return True
 
-    def log_kernel(self, components) -> np.ndarray:
+    def log_kernel(self, components, out=None) -> np.ndarray:
         """log phi(z; mean, var + s2) per component (rows) and case (columns), in closed form.
 
         With a common s2 each component's log(var + s2) is taken once.
+        Built in ``out`` where it is given.
         """
         mu = np.array([c.mean for c in components])
         var = np.array([c.var for c in components])
         s2 = self.s2[:1] if self.homoscedastic else self.s2
-        return normal_logpdf(self.z, mu[:, None], var[:, None] + s2)
+        return normal_logpdf(self.z, mu[:, None], var[:, None] + s2, out)
 
     def posterior(self, components) -> ComponentPosterior:
         """N((s2*mean + var*z)/(var + s2), var*s2/(var + s2)); a point mass (var = 0) stays one.
@@ -588,8 +640,8 @@ class BinomialObservations(Observations):
         log_fact = self._rising_sums(np.ones((1, 3)))[0]  # R_1(k) = log k!
         return _read_only(xlogy(h, h / n) + xlogy(f, f / n) + log_fact[2] - log_fact[0] - log_fact[1])
 
-    def log_kernel(self, components) -> np.ndarray:
-        """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), built (J, n).
+    def log_kernel(self, components, out=None) -> np.ndarray:
+        """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), built (J, n) or in ``out``.
 
         The form of the module docstring: the per-case log ratios, plus
         R_{kappa/p}, R_{kappa/q} and R_kappa of each component with kappa > 0
@@ -602,7 +654,7 @@ class BinomialObservations(Observations):
         p = np.array([c.mean for c in components])
         kappa = np.array([c.kappa for c in components])
         q = 1.0 - p
-        out = h * _log_ratio(p[:, None], rate_h) + f * _log_ratio(q[:, None], rate_f)
+        out = np.add(h * _log_ratio(p[:, None], rate_h), f * _log_ratio(q[:, None], rate_f), out=out)
         live = kappa > 0  # the rising sums of a point mass are 0
         if np.any(live):
             k = kappa[live]
@@ -790,16 +842,83 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     left out: posterior weights do not depend on it, and sums over cases
     add it back once.  The result is a new array that the caller owns:
     `mixture.MixtureModel.posterior_weights` turns it into the weights
-    in place.  NumericError if an entry is not finite: the kernel is
-    scanned unless ``obs.proves_finite`` shows it finite.
+    in place.  Each of ``obs.blocks`` builds its columns of it
+    (`each_block`).  NumericError if an entry is not finite: a block's
+    kernel is scanned unless its sub-batch's ``proves_finite`` shows it
+    finite.
     """
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):
         raise ContractError(f"{obs.family.value} components must be {obs.component.__name__}")
-    kernel = obs.log_kernel(components)
-    if not (obs.proves_finite(components) or np.all(np.isfinite(kernel))):
+    kernel = np.empty((len(components), len(obs)))
+
+    def fill(cols, sub):
+        block = sub.log_kernel(components, out=kernel[:, cols])
+        return sub.proves_finite(components) or bool(np.all(np.isfinite(block)))
+
+    if not all(each_block(obs, fill)):
         raise NumericError("non-finite component log marginal")
     return kernel
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None  # the blocks' thread pool, made on first use
+
+
+def _drop_pool():
+    """Shut the idle pool down, so no pool thread is alive at a fork and a child never reuses it."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_drop_pool)
+
+
+def _in_caller_state(errors, fn, cols, sub):
+    with np.errstate(**errors):
+        return fn(cols, sub)
+
+
+def each_block(obs: Observations, fn) -> list:
+    """[fn(cols, sub) for (cols, sub) in obs.blocks], the first block in this thread and the others on the pool.
+
+    A pool thread inherits neither the caller's context variables nor
+    its numpy error state, so each block runs in a copy of the context
+    (numpy 2's error state lives there, and so do warning filters where
+    Python keeps them per context) and under the caller's error state
+    (numpy 1 keeps it per thread): an overflow the caller ignores is
+    ignored in every block, and one it raises on raises here.  Every
+    block has finished when this returns or raises, and it raises the
+    error of the first block in column order that failed.
+    """
+    blocks = obs.blocks
+    if len(blocks) == 1:
+        return [fn(*blocks[0])]
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(max(1, usable_cpus() - 1), thread_name_prefix="ebmix-block")
+    errors = np.geterr()
+    futures = [
+        _pool.submit(contextvars.copy_context().run, _in_caller_state, errors, fn, *block) for block in blocks[1:]
+    ]
+    try:
+        head = fn(*blocks[0])
+    finally:
+        for f in futures:
+            f.exception()  # waits, and raises nothing: no block may still write once this returns
+    return [head] + [f.result() for f in futures]
 
 
 def _beta_mom(p: np.ndarray) -> BetaComponent:

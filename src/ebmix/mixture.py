@@ -119,24 +119,32 @@ class MixtureModel:
         log-sum-exp, and w is normalized by one reciprocal per case: s
         becomes 1/s in place and w is multiplied by it, so no (J, n)
         division is made.  m and s are kept in the batch's ``scratch``
-        rows.  Raises NumericError at a non-finite component log marginal
-        (from `log_marginal_matrix`) and at a case of zero mixture
-        density f.
+        rows.  Each of ``obs.blocks`` runs these steps on its own columns
+        (`families.each_block`).  Raises NumericError at a non-finite
+        component log marginal (from `log_marginal_matrix`) and at the
+        first case of zero mixture density f.
         """
         w = families.log_marginal_matrix(obs, self.components)
         with np.errstate(divide="ignore"):
-            log_pi = np.log(self.pi)
-        w += log_pi[:, None]
-        m, s = obs.scratch
-        w.max(axis=0, out=m)
-        if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
-            raise NumericError(f"zero marginal density at case {int(np.flatnonzero(~np.isfinite(m))[0])}")
-        w -= m
-        np.exp(w, out=w)
-        w.sum(axis=0, out=s)
-        logf = np.log(s)
-        logf += m
-        w *= np.reciprocal(s, out=s)
+            log_pi = np.log(self.pi)[:, None]
+        logf = np.empty(len(obs))
+        scratch = obs.scratch
+
+        def weigh(cols, _):
+            wb, m, s, lf = w[:, cols], scratch[0, cols], scratch[1, cols], logf[cols]
+            wb += log_pi
+            wb.max(axis=0, out=m)
+            if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
+                first = int(np.flatnonzero(~np.isfinite(m))[0]) + (cols.start or 0)
+                raise NumericError(f"zero marginal density at case {first}")
+            wb -= m
+            np.exp(wb, out=wb)
+            wb.sum(axis=0, out=s)
+            np.log(s, out=lf)
+            lf += m
+            wb *= np.reciprocal(s, out=s)
+
+        families.each_block(obs, weigh)
         return w, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:

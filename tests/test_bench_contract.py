@@ -6,7 +6,9 @@ functions such as ``cli._fmt`` and ``baseball.synthetic_season(...)``;
 bench/workloads.py also runs ``ebmix fit|estimate|calibrate`` argv lists.
 A rename, a deleted keyword or a changed flag would fail every benchmark
 run, so these tests read bench/ as source and resolve each name on ebmix
-and parse each argv list with the CLI's parser.
+and parse each argv list with the CLI's parser.  One test imports
+bench/tracing.py and bench/replay.py, to run their hooks around an
+E-step split over threads.
 """
 
 import ast
@@ -174,3 +176,44 @@ def test_replayed_map_repeats_its_work(monkeypatch, s2, null_mode):
         work.append([{name: b[name] - a[name] for name in counts} for a, b in ((before, after_m), (after_m, counts))])
     none, one = {"normal_logpdf": 0, "log_marginal_matrix": 0}, {"normal_logpdf": 1, "log_marginal_matrix": 1}
     assert work == [[none, one]] * 3
+
+
+def test_bench_hooks_see_a_split_e_step_from_the_calling_thread(monkeypatch, split):
+    """A fit whose E-steps run in four column blocks, traced and then replayed as bench/ does.
+
+    Pool threads call no function that bench/tracing.py wraps, so the
+    span tree stays consistent and there is one ``log_marginal_matrix``
+    span per E-step, inside it.  The replayed maps still make one kernel
+    call per E-step, and ``normal_logpdf`` runs once per block.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing, replay = importlib.import_module("tracing"), importlib.import_module("replay")
+    split(500, 4)
+    rng = np.random.default_rng(9)
+    data = Observations.normal(rng.normal(size=2000) + np.where(rng.uniform(size=2000) < 0.1, 3.0, 0.0))
+    assert len(data.blocks) == 4
+    log, tracer = tracing.FitLog(capture_every=1), tracing.Tracer()
+    root = tracer.open(tracing.ROOT)
+    with tracing.instrumented(log, tracer):
+        mixture.em_fit(data, FitConfig(n_restarts=2))
+    tracer.close(root)
+    assert tracing.check_tree(tracer.spans) == []
+    e_steps = [s for s in tracer.spans if s.name == "mixture.e_step"]
+    kernels = [s for s in tracer.spans if s.name == "families.log_marginal_matrix"]
+    assert len(e_steps) == sum(r["e_steps"] for r in log.fits[0]["restarts"]) > 2
+    assert [k.parent for k in kernels] == e_steps
+    assert all(k.counts == {"cells": 3 * 2000} for k in kernels)
+
+    calls = {"normal_logpdf": [], "log_marginal_matrix": []}
+    for name, made in calls.items():
+
+        def counted(*args, _real=getattr(families, name), _made=made):
+            _made.append(None)  # list.append is atomic: the blocks' threads call normal_logpdf at once
+            return _real(*args)
+
+        monkeypatch.setattr(families, name, counted)
+    rounds = 3
+    replay.em_step_cost(log.first_steps, rounds, reference=lambda: 1.0)
+    maps = rounds * len(log.first_steps)
+    assert len(log.first_steps) == 2
+    assert {name: len(made) for name, made in calls.items()} == {"normal_logpdf": 4 * maps, "log_marginal_matrix": maps}

@@ -1,8 +1,10 @@
-"""Which scipy modules loading and running ebmix pulls in, checked in a fresh interpreter.
+"""Which scipy and thread-pool modules loading and running ebmix pulls in, checked in a fresh interpreter.
 
 `import ebmix.cli` and a normal-family `fit` load no scipy at all.
 scipy.special is imported inside the functions that use it, so its cost
 moves to the first call: `estimate`, whose tail-area FDR uses `ndtr`.
+Nor do they load `concurrent.futures`: the E-step's thread pool is made
+by the first batch large enough to split, and small batches never are.
 """
 
 import json
@@ -15,20 +17,20 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# one process, three steps; after each, the scipy modules then in sys.modules
+# one process, three steps; after each, the scipy and concurrent modules then in sys.modules
 SCRIPT = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def watched_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))
 
 loaded = {}
 from ebmix.cli import main
-loaded["import"] = scipy_modules()
+loaded["import"] = watched_modules()
 assert main(["fit", "--input", "cases.csv", "--family", "normal", "--output", "model.json"]) == 0
-loaded["fit"] = scipy_modules()
+loaded["fit"] = watched_modules()
 assert main(["estimate", "--model", "model.json", "--input", "cases.csv", "--output", "out.csv"]) == 0
-loaded["estimate"] = scipy_modules()
+loaded["estimate"] = watched_modules()
 print(json.dumps(loaded))
 """
 
@@ -45,12 +47,21 @@ def loaded(tmp_path_factory):
     return {step: set(mods) for step, mods in json.loads(done.stdout).items()}
 
 
+def _scipy(modules):
+    return {m for m in modules if m.split(".")[0] == "scipy"}
+
+
 def test_import_cli_loads_no_scipy(loaded):
-    assert loaded["import"] == set()
+    assert _scipy(loaded["import"]) == set()
 
 
 def test_normal_fit_loads_no_scipy(loaded):
-    assert loaded["fit"] == set()
+    assert _scipy(loaded["fit"]) == set()
+
+
+@pytest.mark.parametrize("step", ["import", "fit"])
+def test_no_thread_pool_is_loaded(loaded, step):
+    assert {m for m in loaded[step] if m.split(".")[0] == "concurrent"} == set()
 
 
 def test_estimate_loads_scipy_special(loaded):

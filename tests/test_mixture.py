@@ -1,7 +1,9 @@
 """EM fitting contracts: E/M steps, penalties, pinning, determinism, BIC."""
 
 import dataclasses
+import hashlib
 import math
+import multiprocessing
 import tracemalloc
 
 import mpmath
@@ -28,8 +30,9 @@ from ebmix import (
     initialize,
     m_step,
 )
-from ebmix import mixture
+from ebmix import families, mixture
 from ebmix.families import NormalObservations, log_marginal_matrix
+from ebmix.model_io import ModelDocument, serialize_model
 from ebmix.mixture import n_free_parameters, unpenalized_loglik
 from ebmix.seeding import derive_rng
 
@@ -181,6 +184,21 @@ class TestPosteriorWeights:
         with pytest.raises(NumericError, match=r"^zero marginal density at case 3$"):
             _model(comps, pi).posterior_weights(obs)
 
+    def test_zero_marginal_density_in_later_blocks_names_the_first(self, monkeypatch, split, kind):
+        """Bad cases in blocks 2 and 3 of three: the error names the earlier, whichever block fails first."""
+        split(100, 3)
+        obs, comps, pi = _weights_case(kind)
+        assert [cols for cols, _ in obs.blocks] == [slice(0, 100), slice(100, 200), slice(200, 300)]
+
+        def vanishing(data, components, _real=mixture.families.log_marginal_matrix):
+            out = _real(data, components)
+            out[:, [250, 170, 230]] = -np.inf
+            return out
+
+        monkeypatch.setattr(mixture.families, "log_marginal_matrix", vanishing)
+        with pytest.raises(NumericError, match=r"^zero marginal density at case 170$"):
+            _model(comps, pi).posterior_weights(obs)
+
     def test_returned_arrays_belong_to_the_caller(self, kind):
         """Later calls on the same batch leave earlier results alone; nothing returned is the batch's scratch."""
         obs, comps, pi = _weights_case(kind)
@@ -220,15 +238,11 @@ def test_bound_kernel_outlives_the_e_step():
     assert w1.flags.writeable and not np.shares_memory(w1, w2)
 
 
-def test_steady_map_allocates_only_its_results():
-    """A map's new memory is its w and log f and little more: the kernel becomes w in place.
-
-    tracemalloc sees numpy's buffers.  The bound is (J + 2) n doubles; w
-    alone is J n and log f n.
-    """
-    n, j = 20_000, 3
+def _steady_map_growth(n, j, blocks):
+    """The most memory one steady map (M-step, then E-step) holds above what was held before it, in bytes."""
     rng = np.random.default_rng(8)
     data = Observations.normal(rng.normal(size=n) + np.where(rng.uniform(size=n) < 0.1, 3.0, 0.0))
+    assert len(data.blocks) == blocks
     config = FitConfig(n_components=j)
     model = initialize(data, config)
     w, _ = e_step(data, model)
@@ -243,7 +257,106 @@ def test_steady_map_allocates_only_its_results():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before <= (j + 2) * n * 8
+    return peak - before
+
+
+def test_steady_map_allocates_only_its_results():
+    """A map's new memory is its w and log f and little more: the kernel becomes w in place.
+
+    tracemalloc sees numpy's buffers.  The bound is (J + 2) n doubles; w
+    alone is J n and log f n.
+    """
+    n, j = 20_000, 3
+    assert _steady_map_growth(n, j, blocks=1) <= (j + 2) * n * 8
+
+
+@pytest.mark.parametrize("blocks", [2, 5])
+def test_steady_map_in_blocks_allocates_only_its_results(split, blocks):
+    """The bound holds when the E-step runs in column blocks: each block works in its columns of w, log f and scratch.
+
+    tracemalloc sees the buffers that numpy allocates in every thread.
+    """
+    n, j = 20_000, 3
+    split(n // blocks, blocks)
+    assert _steady_map_growth(n, j, blocks) <= (j + 2) * n * 8
+
+
+def _block_case(kind):
+    """(batch, config) of 2,000 cases that five blocks of 400 split differently from one.
+
+    The varying-s2 batch has one block whose s2 are all equal (a
+    homoscedastic sub-batch of a heteroscedastic batch), and the binomial
+    batch has trial counts past RISING_TABLE in its first block only, so
+    each block's rising tables have their own length.
+    """
+    rng = np.random.default_rng(31)
+    n = 2000
+    nonnull = rng.uniform(size=n) < 0.15
+    if kind == "binomial":
+        trials = rng.integers(5, 300, n)
+        trials[:40] = rng.integers(3000, 6000, 40)
+        rate = np.where(nonnull, rng.beta(8.0, 4.0, n), rng.beta(3.0, 7.0, n))
+        return Observations.binomial(rng.binomial(trials, rate), trials), FitConfig(
+            null_mode=NullMode.EMPIRICAL, n_restarts=2, max_iters=40
+        )
+    s2 = 1.0
+    if kind == "normal-varying-s2":
+        s2 = rng.uniform(0.5, 2.0, n)
+        s2[800:1200] = 1.3
+    z = np.where(nonnull, rng.uniform(2.0, 4.0, n), 0.0) + np.sqrt(s2) * rng.standard_normal(n)
+    return Observations.normal(z, s2), FitConfig(n_restarts=2)
+
+
+@pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
+def test_bits_do_not_follow_the_block_count(split, kind):
+    """e_step's w and pll and em_fit's model file are the same bytes in five column blocks as in one.
+
+    Every step of the split E-step works per case, so the block count
+    cannot change a bit; the M-step's sums over cases stay serial.
+    """
+    results = []
+    for blocks in (1, 5):
+        if blocks > 1:
+            split(400, 5)
+        data, config = _block_case(kind)
+        assert len(data.blocks) == blocks
+        fitted = em_fit(data, config)
+        start = initialize(data, config, 1)
+        steps = [e_step(data, model) for model in (start, fitted)]
+        results.append((serialize_model(ModelDocument(fitted)), [(w.tobytes(), pll) for w, pll in steps]))
+    assert results[1] == results[0]
+
+
+def _e_step_digest(data, model, conn):
+    w, pll = e_step(data, model)
+    conn.send((hashlib.sha256(w.tobytes()).hexdigest(), pll))
+    conn.close()
+
+
+def test_forked_child_runs_its_own_split_e_step(split):
+    """A forked child never reuses the parent's block pool: the parent drops it at the fork, and both make a new one."""
+    split(400, 4)
+    data, config = _block_case("normal")
+    model = initialize(data, config)
+    w, pll = e_step(data, model)
+    assert families._pool is not None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_e_step_digest, args=(data, model, send))
+    child.start()
+    try:
+        send.close()
+        assert families._pool is None
+        got = receive.recv() if receive.poll(60) else None
+        child.join(60)
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert got == (hashlib.sha256(w.tobytes()).hexdigest(), pll)
+    again, _ = e_step(data, model)
+    assert families._pool is not None and again.tobytes() == w.tobytes()
 
 
 class TestMStep:

@@ -18,22 +18,23 @@ true averages from Beta(302, 884) (mean 0.255), and in each half
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError
 from .families import Family, Observations, beta_shapes
 from .harness import james_stein
 from .mixture import FitConfig, MixtureModel, NullMode, em_fit
+from .model_io import read_csv
 from .seeding import STREAM_SEASON, derive_rng
 
 MIN_AT_BATS = 11
 SEASON_ALPHA = 302.0
 SEASON_BETA = 884.0
 SEASON_MEAN_AT_BATS = 140.0
+_SEASON_HEADER = "player_id,is_pitcher,H1,N1,H2,N2"
 
 
 @dataclass(frozen=True)
@@ -61,36 +62,23 @@ def arcsin_transform(h, n):
     return np.arcsin(np.sqrt((h + 0.25) / (n + 0.5)))
 
 
+def _parse_record(row, _n_cols) -> BaseballRecord:
+    pid, pitcher, h1, n1, h2, n2 = (c.strip() for c in row)
+    if pitcher.lower() not in ("0", "1", "true", "false", "yes", "no"):
+        raise ValueError(f"bad is_pitcher value {pitcher!r}")
+    return BaseballRecord(
+        player_id=pid,
+        is_pitcher=pitcher.lower() in ("1", "true", "yes"),
+        h1=int(h1),
+        n1=int(n1),
+        h2=int(h2) if h2 else None,
+        n2=int(n2) if n2 else None,
+    )
+
+
 def load_baseball_csv(path) -> list:
     """Read records from `player_id,is_pitcher,H1,N1,H2,N2` (H2/N2 may be blank)."""
-    expected = ["player_id", "is_pitcher", "h1", "n1", "h2", "n2"]
-    records = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != expected:
-            raise DataError(f"expected header {','.join(expected)} in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                pid, pitcher, h1, n1, h2, n2 = (c.strip() for c in row)
-                flag = pitcher.lower() in ("1", "true", "yes")
-                if pitcher.lower() not in ("0", "1", "true", "false", "yes", "no"):
-                    raise ValueError(f"bad is_pitcher value {pitcher!r}")
-                records.append(
-                    BaseballRecord(
-                        player_id=pid,
-                        is_pitcher=flag,
-                        h1=int(h1),
-                        n1=int(n1),
-                        h2=int(h2) if h2 else None,
-                        n2=int(n2) if n2 else None,
-                    )
-                )
-            except (ValueError, ContractError) as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-    return records
+    return read_csv(path, (_SEASON_HEADER.lower().split(","),), _SEASON_HEADER, _parse_record)
 
 
 def synthetic_season(n_players: int = 500, seed: int = 0, season_index: int = 0):

@@ -5,7 +5,9 @@ calibrate, bic.  Each simulate study has its own flags, given after its
 name (``ebmix simulate fdr --help``), and writes into --out-dir only
 once it has run.  All randomness flows from --seed; repeated runs with
 identical inputs produce byte-identical outputs.  Errors print a single
-``ERROR <category>: message`` line on stderr and exit nonzero.
+``ERROR <category>: message`` line on stderr and exit nonzero: 2 for a
+usage error, 1 for any other.  Usage errors are reported before any
+file is read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import ContractError, DataError, EbmixError, UsageError
 from .families import OBSERVATIONS, Family
 from .inference import DEFAULT_MEAN_TOL, DEFAULT_VAR_TOL, nearly_null_grouping, posterior_summary
 from .mixture import FitConfig, NullMode, bic, em_fit
-from .model_io import ModelDocument, read_model, serialize_model, write_model
+from .model_io import ModelDocument, read_csv, read_model, serialize_model, write_model
 
 
 def _fmt(value) -> str:
@@ -59,31 +61,35 @@ def _write_csv(path, header, rows):
 
 
 def read_cases(path, family: Family):
-    """Load `id,z[,s2]` (normal) or `id,H,N` (binomial) case files."""
+    """Load `id,z[,s2]` (normal) or `id,H,N` (binomial) case files as (ids, observations or None)."""
     obs_type = OBSERVATIONS[family]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        cols = [c.strip().lower() for c in header]
-        if cols not in obs_type.csv_headers:
-            raise DataError(f"{path}: expected header {obs_type.csv_header}, got {','.join(header)}")
-        ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rows.append(obs_type.parse_row(row, len(cols)))
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-            ids.append(row[0].strip())
-    if not ids:
+    ids = []
+
+    def parse(row, n_cols):
+        # ids are collected here: an (id, values) tuple per row would slow the read of a large file
+        ids.append(row[0].strip())
+        return obs_type.parse_row(row, n_cols)
+
+    rows = read_csv(path, obs_type.csv_headers, obs_type.csv_header, parse)
+    if not rows:
         return [], None
     try:
         return ids, obs_type(*(np.array(col) for col in zip(*rows)))
     except ContractError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _cases(args, family: Family):
+    """The observations of the case file ``--input``, which must hold at least one row."""
+    _, obs = read_cases(args.input, family)
+    if obs is None:
+        raise DataError(f"{args.input}: no data rows")
+    return obs
+
+
+def _config(args, **fields) -> FitConfig:
+    """The FitConfig of ``fields`` with the command's --restarts and --seed."""
+    return FitConfig(n_restarts=args.restarts, seed=args.seed, **fields)
 
 
 def _check_out_dir(path):
@@ -93,6 +99,13 @@ def _check_out_dir(path):
         existing = os.path.dirname(existing)
     if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
         raise OSError(f"output directory {path} is not a writable directory")
+
+
+def _write_study(out_dir, *tables):
+    """Create ``out_dir`` and write each (file name, header, rows) table of a study into it."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, header, rows in tables:
+        _write_csv(os.path.join(out_dir, name), header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +129,8 @@ def _resolve_null(args, family: Family) -> NullMode:
 def cmd_fit(args) -> int:
     family = Family(args.family)
     null_mode = _resolve_null(args, family)
-    ids, obs = read_cases(args.input, family)
-    if obs is None:
-        raise DataError(f"{args.input}: no data rows")
-    config = FitConfig(
-        n_components=args.J,
-        penalty=args.penalty,
-        null_mode=null_mode,
-        n_restarts=args.restarts,
-        seed=args.seed,
-    )
-    model = em_fit(obs, config)
+    obs = _cases(args, family)
+    model = em_fit(obs, _config(args, n_components=args.J, penalty=args.penalty, null_mode=null_mode))
     doc = ModelDocument(model=model, seed=args.seed, timestamp=args.timestamp)
     if args.output:
         write_model(doc, args.output)
@@ -166,12 +170,10 @@ def cmd_simulate_effect(args) -> int:
     methods = harness.default_effect_methods(args.J, args.penalty)
     rows = harness.run_effect_study(methods, reps=args.reps, seed=args.seed)
     summary = harness.effect_summary(rows)
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(os.path.join(args.out_dir, "effect_study.csv"), ["K", "mu", "sided", "method", "rel_error"], rows)
-    _write_csv(
-        os.path.join(args.out_dir, "effect_summary.csv"),
-        ["method", "mean_rel_error", "median_rel_error"],
-        summary,
+    _write_study(
+        args.out_dir,
+        ("effect_study.csv", ["K", "mu", "sided", "method", "rel_error"], rows),
+        ("effect_summary.csv", ["method", "mean_rel_error", "median_rel_error"], summary),
     )
     for name, mean_rel, med_rel in summary:
         print(f"{name}: mean={mean_rel:.4f} median={med_rel:.4f}")
@@ -181,13 +183,14 @@ def cmd_simulate_effect(args) -> int:
 def cmd_simulate_fdr(args) -> int:
     _check_out_dir(args.out_dir)
     modes = ("theoretical", "empirical") if args.null == "both" else (args.null,)
-    tables = harness.run_fdr_study(modes, args.J, args.penalty, reps=args.reps, seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    curves, tail_curves, thresholds = harness.run_fdr_study(modes, args.J, args.penalty, reps=args.reps, seed=args.seed)
     curve_header = ["z", "method", "null_mode", "mean", "sd"]
-    threshold_header = ["q", "kind", "method", "null_mode", "mean", "sd"]
-    files = ("fdr_curves.csv", "FDR_curves.csv", "thresholds.csv")
-    for fname, header, rows in zip(files, (curve_header, curve_header, threshold_header), tables):
-        _write_csv(os.path.join(args.out_dir, fname), header, rows)
+    _write_study(
+        args.out_dir,
+        ("fdr_curves.csv", curve_header, curves),
+        ("FDR_curves.csv", curve_header, tail_curves),
+        ("thresholds.csv", ["q", "kind", "method", "null_mode", "mean", "sd"], thresholds),
+    )
     print(f"fdr study written to {args.out_dir}")
     return 0
 
@@ -206,17 +209,13 @@ def cmd_simulate_baseball(args) -> int:
     if args.input:
         records = bb.load_baseball_csv(args.input)
         result = bb.run_baseball(records, n_components=args.J, seed=args.seed)
-        os.makedirs(args.out_dir, exist_ok=True)
         rows = [
             (group, m, res.n_train, res.n_test, res.n_excluded_missing, res.tse[m], res.normalized_tse[m])
             for group, res in result.groups.items()
             for m in bb.BASEBALL_METHODS
         ]
-        _write_csv(
-            os.path.join(args.out_dir, "baseball_tse.csv"),
-            ["group", "method", "n_train", "n_test", "n_excluded", "tse", "normalized_tse"],
-            rows,
-        )
+        header = ["group", "method", "n_train", "n_test", "n_excluded", "tse", "normalized_tse"]
+        _write_study(args.out_dir, ("baseball_tse.csv", header, rows))
         for group, res in result.groups.items():
             line = " ".join(
                 f"{m}={res.normalized_tse[m]:.3f}" for m in bb.BASEBALL_METHODS
@@ -231,37 +230,24 @@ def cmd_simulate_baseball(args) -> int:
         res = result.groups["overall"]
         wins += res.normalized_tse["mixture"] < 1.0
         rows += [(season, m, res.tse[m], res.normalized_tse[m], res.prior_mean) for m in bb.BASEBALL_METHODS]
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out_dir, "baseball_synthetic.csv"),
-        ["season", "method", "tse", "normalized_tse", "fitted_prior_mean"],
-        rows,
-    )
+    header = ["season", "method", "tse", "normalized_tse", "fitted_prior_mean"]
+    _write_study(args.out_dir, ("baseball_synthetic.csv", header, rows))
     print(f"synthetic seasons: mixture beat naive in {wins}/{n_seasons}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    ids, obs = read_cases(args.input, Family.NORMAL)
-    if obs is None:
-        raise DataError(f"{args.input}: no data rows")
-    null_mode = NullMode(args.null)
-    base = FitConfig(
-        n_components=args.J,
-        null_mode=null_mode,
-        n_restarts=args.restarts,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-    )
-    if args.candidates == "auto":
-        plan = calibration.default_plan(len(obs))
-    else:
+    candidates = None
+    if args.candidates != "auto":
         try:
             candidates = np.array([float(c) for c in args.candidates.split(",")])
         except ValueError as exc:
             raise UsageError(f"--candidates must be 'auto' or a comma list of numbers, got {args.candidates!r}") from exc
-        plan = calibration.CalibrationPlan(candidates=candidates)
+    obs = _cases(args, Family.NORMAL)
+    base = _config(
+        args, n_components=args.J, null_mode=NullMode(args.null), max_iters=args.max_iters, rel_tol=args.rel_tol
+    )
+    plan = calibration.default_plan(len(obs)) if candidates is None else calibration.CalibrationPlan(candidates)
     plan = dataclasses.replace(plan, n_bootstrap=args.bootstrap, n_perturbed=args.perturbed)
     result = calibration.calibrate_penalty(obs, base, plan)
     if args.output:
@@ -276,9 +262,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_bic(args) -> int:
     family = Family(args.family)
-    ids, obs = read_cases(args.input, family)
-    if obs is None:
-        raise DataError(f"{args.input}: no data rows")
     null_mode = _resolve_null(args, family)
     try:
         lo, hi = args.J_range.split("..")
@@ -287,18 +270,12 @@ def cmd_bic(args) -> int:
         raise UsageError(f"--J-range must look like 1..6, got {args.J_range!r}") from exc
     if not 1 <= lo <= hi:
         raise UsageError("--J-range bounds must satisfy 1 <= a <= b")
+    obs = _cases(args, family)
     scores = {}
     for j in range(lo, hi + 1):
         # a one-component model has no room for a designated null
         mode = NullMode.NONE if j == 1 else null_mode
-        config = FitConfig(
-            n_components=j,
-            penalty=args.penalty,
-            null_mode=mode,
-            n_restarts=args.restarts,
-            seed=args.seed,
-        )
-        model = em_fit(obs, config)
+        model = em_fit(obs, _config(args, n_components=j, penalty=args.penalty, null_mode=mode))
         scores[j] = bic(obs, model)
         print(f"J={j} BIC={scores[j]:.17g}")
     selected = min(scores, key=lambda j: (scores[j], j))
@@ -320,15 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ebmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     families = [f.value for f in Family]
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--input", required=True)
+    fitting.add_argument("--seed", type=int, default=0)
+    fitting.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
 
-    p_fit = sub.add_parser("fit", help="fit a mixture prior to a case file")
-    p_fit.add_argument("--input", required=True)
+    p_fit = sub.add_parser("fit", parents=[fitting], help="fit a mixture prior to a case file")
     p_fit.add_argument("--family", choices=families, required=True)
     p_fit.add_argument("--J", type=int, default=FitConfig.n_components)
     p_fit.add_argument("--penalty", type=float, default=None, help="default N/5")
     p_fit.add_argument("--null", choices=["theoretical", "empirical", "none"], default=None)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
     p_fit.add_argument("--output", default=None, help="model JSON path (default stdout)")
     p_fit.add_argument("--timestamp", default=None, help="optional provenance stamp")
     p_fit.set_defaults(func=cmd_fit)
@@ -378,13 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bb.set_defaults(func=cmd_simulate_baseball)
 
-    p_cal = sub.add_parser("calibrate", help="bootstrap-calibrate the penalty")
-    p_cal.add_argument("--input", required=True)
+    p_cal = sub.add_parser("calibrate", parents=[fitting], help="bootstrap-calibrate the penalty")
     p_cal.add_argument("--candidates", default="auto", help="'auto' or comma list")
     p_cal.add_argument("--J", type=int, default=FitConfig.n_components)
     p_cal.add_argument("--null", choices=["theoretical", "empirical"], default="empirical")
-    p_cal.add_argument("--seed", type=int, default=0)
-    p_cal.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
     p_cal.add_argument("--bootstrap", type=int, default=calibration.CalibrationPlan.n_bootstrap)
     p_cal.add_argument("--perturbed", type=int, default=calibration.CalibrationPlan.n_perturbed)
     p_cal.add_argument("--max-iters", type=int, default=FitConfig.max_iters, dest="max_iters")
@@ -392,14 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--output", default=None, help="score table CSV path")
     p_cal.set_defaults(func=cmd_calibrate)
 
-    p_bic = sub.add_parser("bic", help="select J by BIC over a range")
-    p_bic.add_argument("--input", required=True)
+    p_bic = sub.add_parser("bic", parents=[fitting], help="select J by BIC over a range")
     p_bic.add_argument("--family", choices=families, default="normal")
     p_bic.add_argument("--J-range", required=True, dest="J_range")
     p_bic.add_argument("--penalty", type=float, default=None)
     p_bic.add_argument("--null", choices=["theoretical", "empirical", "none"], default=None)
-    p_bic.add_argument("--seed", type=int, default=0)
-    p_bic.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
     p_bic.set_defaults(func=cmd_bic)
     return parser
 

@@ -1,4 +1,4 @@
-"""On-disk model format: canonical JSON, format_version 1.
+"""On-disk formats: the model file (canonical JSON, format_version 1) and the CSV inputs.
 
 Canonical means sorted keys, compact separators and floats printed with
 17 significant digits, so identical models serialize to identical bytes
@@ -10,10 +10,24 @@ for a beta component, where kappa = 1/(alpha + beta) and kappa = 0 is
 the point mass that shape parameters cannot express.  Beta records in
 the older ``{"alpha", "beta"}`` form are still read, as the same
 component (`BetaComponent.from_shapes`).
+
+The CSV inputs are read by `read_csv`, one row per record under a
+header row that is matched case-insensitively:
+
+* case files, ``id,z[,s2]`` (normal; a blank or missing s2 is 1) or
+  ``id,H,N`` (binomial), read by `cli.read_cases`;
+* season files, ``player_id,is_pitcher,H1,N1,H2,N2`` with H2 and N2
+  blank for a player who has no second half, read by
+  `baseball.load_baseball_csv`.
+
+A UTF-8 byte order mark is skipped, and so are blank and
+whitespace-only rows.  An empty file, a wrong header or a bad row is a
+`DataError` that names the file, and for a row its line number.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -167,3 +181,30 @@ def write_model(doc: ModelDocument, path) -> None:
 def read_model(path) -> ModelDocument:
     with open(path, encoding="utf-8") as fh:
         return parse_model(fh.read())
+
+
+def read_csv(path, headers, shown: str, parse) -> list:
+    """``parse(row, n_cols)`` of each data row of the CSV file at ``path``, in file order.
+
+    The header, stripped and lowercased, must be one of the column lists
+    ``headers``; ``shown`` is how an error message names them.  A
+    ValueError from ``parse``, a ContractError among them, becomes a
+    DataError that names the row's line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        cols = [c.strip().lower() for c in header]
+        if cols not in headers:
+            raise DataError(f"{path}: expected header {shown}, got {','.join(header)}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                rows.append(parse(row, len(cols)))
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}: {exc}") from exc
+    return rows

@@ -238,6 +238,14 @@ class TestEstimate:
         assert main(["estimate", "--model", model, "--input", cases]) == 0
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
+    def test_quoted_id_comes_back_quoted(self, tmp_path):
+        cases = _write(tmp_path, "cases.csv", NORMAL_CSV + '"a,1",0.5,1\n')
+        model = str(tmp_path / "model.json")
+        assert main(["fit", "--input", cases, "--family", "normal", "--output", model]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--model", model, "--input", cases, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[-1].startswith('"a,1",0.5,')
+
 
 class TestErrors:
     @staticmethod
@@ -276,6 +284,22 @@ class TestErrors:
         code, err = self._run(capsys, ["estimate", "--model", model, "--input", cases])
         assert code == 1
         assert err == "ERROR data: malformed model document: mixture proportions and penalty must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--family", "binomial", "--null", "theoretical"],
+            ["bic", "--family", "binomial", "--null", "theoretical", "--J-range", "1..2"],
+            ["bic", "--J-range", "x"],
+            ["calibrate", "--candidates", "5,x"],
+        ],
+    )
+    @pytest.mark.parametrize("text", [None, "id,z\n"], ids=["absent", "header-only"])
+    def test_usage_error_comes_before_the_input_is_read(self, tmp_path, capsys, argv, text):
+        cases = str(tmp_path / "cases.csv") if text is None else _write(tmp_path, "cases.csv", text)
+        code, err = self._run(capsys, argv + ["--input", cases])
+        assert code == 2
+        assert err.startswith("ERROR usage:")
 
     def test_bad_candidates_is_usage_error(self, tmp_path, capsys):
         cases = _write(tmp_path, "cases.csv", NORMAL_CSV)
@@ -466,7 +490,35 @@ class TestErrors:
         assert err.startswith("ERROR io:")
 
 
+def _load_cases(path):
+    ids, obs = read_cases(path, Family.NORMAL)
+    return list(zip(ids, obs.z.tolist(), obs.s2.tolist()))
+
+
+# each file kind the shared CSV reader serves: header line, one data row, loader, what it loads from the row
+FILE_KINDS = {
+    "cases": ("id,z,s2\n", "a,1.5,2\n", _load_cases, ("a", 1.5, 2.0)),
+    "season": (
+        "player_id,is_pitcher,H1,N1,H2,N2\n",
+        "p1,0,30,100,25,90\n",
+        baseball.load_baseball_csv,
+        baseball.BaseballRecord("p1", False, 30, 100, 25, 90),
+    ),
+}
+
+
 class TestReadCases:
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_whitespace_only_rows_are_skipped(self, tmp_path, kind):
+        header, row, load, loaded = FILE_KINDS[kind]
+        assert load(_write(tmp_path, "in.csv", header + "   \n" + row + " , \t,\n\n")) == [loaded]
+
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_empty_file_is_named(self, tmp_path, kind):
+        load = FILE_KINDS[kind][2]
+        with pytest.raises(DataError, match="in.csv: empty file"):
+            load(_write(tmp_path, "in.csv", ""))
+
     @pytest.mark.parametrize(
         "family, text",
         [
@@ -663,6 +715,26 @@ class TestCalibrate:
 def test_bic_pinned(tmp_path, capsys):
     assert main(["bic", "--input", _write(tmp_path, "cases.csv", NORMAL_CSV), "--J-range", "1..3"]) == 0
     assert capsys.readouterr().out == BIC_STDOUT
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("fit", {"--input", "--family", "--J", "--penalty", "--null", "--seed", "--restarts", "--output", "--timestamp"}),
+        ("estimate", {"--model", "--input", "--nearly-null", "--mean-tol", "--var-tol", "--output"}),
+        (
+            "calibrate",
+            {"--input", "--candidates", "--J", "--null", "--seed", "--restarts", "--bootstrap", "--perturbed",
+             "--max-iters", "--rel-tol", "--output"},
+        ),
+        ("bic", {"--input", "--family", "--J-range", "--penalty", "--null", "--seed", "--restarts"}),
+    ],
+)
+def test_fit_command_help_lists_its_own_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {"--help"} | flags
 
 
 def _sha256(path):

@@ -7,7 +7,8 @@ once it has run.  All randomness flows from --seed; repeated runs with
 identical inputs produce byte-identical outputs.  Errors print a single
 ``ERROR <category>: message`` line on stderr and exit nonzero: 2 for a
 usage error, 1 for any other.  Usage errors are reported before any
-file is read.
+file is read; a count out of range (--J, --restarts, --max-iters,
+--bootstrap, --perturbed of fit, calibrate and bic) is one.
 """
 
 from __future__ import annotations
@@ -293,6 +294,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"ERROR usage: {message}\n")
 
 
+def _count(low=1, high=None):
+    """An argparse type: an integer from ``low`` up to ``high`` (unbounded where None), so a bad count is a usage error."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ebmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -300,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     fitting = argparse.ArgumentParser(add_help=False)
     fitting.add_argument("--input", required=True)
     fitting.add_argument("--seed", type=int, default=0)
-    fitting.add_argument("--restarts", type=int, default=FitConfig.n_restarts)
+    fitting.add_argument("--restarts", type=_count(), default=FitConfig.n_restarts)
 
     p_fit = sub.add_parser("fit", parents=[fitting], help="fit a mixture prior to a case file")
     p_fit.add_argument("--family", choices=families, required=True)
-    p_fit.add_argument("--J", type=int, default=FitConfig.n_components)
+    p_fit.add_argument("--J", type=_count(), default=FitConfig.n_components)
     p_fit.add_argument("--penalty", type=float, default=None, help="default N/5")
     p_fit.add_argument("--null", choices=["theoretical", "empirical", "none"], default=None)
     p_fit.add_argument("--output", default=None, help="model JSON path (default stdout)")
@@ -358,11 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", parents=[fitting], help="bootstrap-calibrate the penalty")
     p_cal.add_argument("--candidates", default="auto", help="'auto' or comma list")
-    p_cal.add_argument("--J", type=int, default=FitConfig.n_components)
+    p_cal.add_argument("--J", type=_count(), default=FitConfig.n_components)
     p_cal.add_argument("--null", choices=["theoretical", "empirical"], default="empirical")
-    p_cal.add_argument("--bootstrap", type=int, default=calibration.CalibrationPlan.n_bootstrap)
-    p_cal.add_argument("--perturbed", type=int, default=calibration.CalibrationPlan.n_perturbed)
-    p_cal.add_argument("--max-iters", type=int, default=FitConfig.max_iters, dest="max_iters")
+    p_cal.add_argument("--bootstrap", type=_count(), default=calibration.CalibrationPlan.n_bootstrap)
+    p_cal.add_argument(
+        "--perturbed",
+        type=_count(1, len(calibration.NULL_SD_SCALES)),
+        default=calibration.CalibrationPlan.n_perturbed,
+    )
+    p_cal.add_argument("--max-iters", type=_count(), default=FitConfig.max_iters, dest="max_iters")
     p_cal.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol, dest="rel_tol")
     p_cal.add_argument("--output", default=None, help="score table CSV path")
     p_cal.set_defaults(func=cmd_calibrate)

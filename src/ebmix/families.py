@@ -100,12 +100,24 @@ marginal depend on that case alone, so a large batch cuts its columns
 into ``blocks`` (`each_block`), one per usable CPU and each at least
 BLOCK_FLOOR cases, and runs them at once, the first in the calling
 thread and the rest on a small thread pool (numpy releases the GIL in
-its loops).  Each block writes only its own columns of the one (J, n)
-buffer and of ``scratch``, and every step works per case (the max and
-the sum run over components only), so every result has the same bits at
-any block count.  A block's sub-batch is the family's own class on views
-of its columns, with cached terms of its own.  Sums over cases, as in the
-M-step and the pll, stay in one thread: splitting a sum changes its bits.
+its loops).  Each block builds its kernel columns and turns them into
+weights in one task (`log_marginal_matrix`'s ``then``), so an E-step
+wakes the pool once.  Each block writes only its own columns of the one
+(J, n) buffer and of ``scratch``, and every step works per case (the max
+and the sum run over components only), so every result has the same
+bits at any block count.  A block's sub-batch is the family's own class
+on views of its columns, with cached terms of its own.
+
+Sums over cases are never split: splitting a sum changes its bits.  The
+pll's sum stays in one thread.  The M-step's sums run whole, one
+component's row at a time: from 2 BLOCK_FLOOR cases on, on any host,
+`mixture.m_step` fits each component by its own ``update`` call on its
+own row, and the rows run at once on the pool, dealt round-robin into
+one group per block (`run_calls`).  Below that size one ``update`` call
+takes all F fitted rows.  The rule goes by the batch's size, never by
+the CPU count: above about 8k cases a (1, n) `np.einsum` and the same
+row of an (F, n) one differ in their last bits, so a rule by CPUs would
+make a model's bytes follow the host.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -301,7 +313,7 @@ class Observations:
 
     @property
     def blocks(self) -> tuple:
-        """The (columns, sub-batch) pairs an E-step runs at once (see the module docstring).
+        """The (columns, sub-batch) pairs an E-step runs at once; their count is that of a large M-step's row groups.
 
         One pair, ``(slice(None), self)``, below 2 BLOCK_FLOOR cases or
         with one usable CPU; else k = min(CPUs, n // BLOCK_FLOOR) nearly
@@ -835,17 +847,20 @@ def fitted_block(fitted):
     return slice(fitted[0], fitted[-1] + 1) if fitted[-1] - fitted[0] == len(fitted) - 1 else fitted
 
 
-def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
+def log_marginal_matrix(obs: Observations, components, then=None) -> np.ndarray:
     """Stacked component log marginals less ``obs.saturated``, shape (J, n): the family's ``log_kernel``.
 
     Each case's data-only term ``obs.saturated`` (0 for normal cases) is
     left out: posterior weights do not depend on it, and sums over cases
-    add it back once.  The result is a new array that the caller owns:
-    `mixture.MixtureModel.posterior_weights` turns it into the weights
-    in place.  Each of ``obs.blocks`` builds its columns of it
-    (`each_block`).  NumericError if an entry is not finite: a block's
-    kernel is scanned unless its sub-batch's ``proves_finite`` shows it
-    finite.
+    add it back once.  The result is a new array that the caller owns.
+    Each of ``obs.blocks`` builds its columns of it (`each_block`) and,
+    given ``then``, runs ``then(cols, block)`` on them in the same task,
+    with ``block`` its columns of the result:
+    `mixture.MixtureModel.posterior_weights` turns them into the weights
+    in place there, so an E-step is one dispatch.  NumericError if an
+    entry is not finite, after every block has run: a block's kernel is
+    scanned unless its sub-batch's ``proves_finite`` shows it finite, and
+    a block that is not finite skips ``then``.
     """
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):
@@ -854,7 +869,11 @@ def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
 
     def fill(cols, sub):
         block = sub.log_kernel(components, out=kernel[:, cols])
-        return sub.proves_finite(components) or bool(np.all(np.isfinite(block)))
+        if not (sub.proves_finite(components) or bool(np.all(np.isfinite(block)))):
+            return False
+        if then is not None:
+            then(cols, block)
+        return True
 
     if not all(each_block(obs, fill)):
         raise NumericError("non-finite component log marginal")
@@ -884,41 +903,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_drop_pool)
 
 
-def _in_caller_state(errors, fn, cols, sub):
+def _in_caller_state(errors, call):
     with np.errstate(**errors):
-        return fn(cols, sub)
+        return call()
 
 
-def each_block(obs: Observations, fn) -> list:
-    """[fn(cols, sub) for (cols, sub) in obs.blocks], the first block in this thread and the others on the pool.
+def run_calls(calls) -> list:
+    """[call() for call in calls], the first in this thread and the others on the pool.
 
     A pool thread inherits neither the caller's context variables nor
-    its numpy error state, so each block runs in a copy of the context
+    its numpy error state, so each call runs in a copy of the context
     (numpy 2's error state lives there, and so do warning filters where
     Python keeps them per context) and under the caller's error state
     (numpy 1 keeps it per thread): an overflow the caller ignores is
-    ignored in every block, and one it raises on raises here.  Every
-    block has finished when this returns or raises, and it raises the
-    error of the first block in column order that failed.
+    ignored in every call, and one it raises on raises here.  Every call
+    has finished when this returns or raises, and it raises the error of
+    the first call in list order that failed.
     """
-    blocks = obs.blocks
-    if len(blocks) == 1:
-        return [fn(*blocks[0])]
+    if len(calls) == 1:
+        return [calls[0]()]
     global _pool
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(max(1, usable_cpus() - 1), thread_name_prefix="ebmix-block")
     errors = np.geterr()
-    futures = [
-        _pool.submit(contextvars.copy_context().run, _in_caller_state, errors, fn, *block) for block in blocks[1:]
-    ]
+    futures = [_pool.submit(contextvars.copy_context().run, _in_caller_state, errors, call) for call in calls[1:]]
     try:
-        head = fn(*blocks[0])
+        head = calls[0]()
     finally:
         for f in futures:
-            f.exception()  # waits, and raises nothing: no block may still write once this returns
+            f.exception()  # waits, and raises nothing: no call may still write once this returns
     return [head] + [f.result() for f in futures]
+
+
+def each_block(obs: Observations, fn) -> list:
+    """[fn(cols, sub) for (cols, sub) in obs.blocks], at once by `run_calls`: the first block in this thread."""
+    return run_calls([functools.partial(fn, cols, sub) for cols, sub in obs.blocks])
 
 
 def _beta_mom(p: np.ndarray) -> BetaComponent:

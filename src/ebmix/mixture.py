@@ -22,6 +22,7 @@ kernel afresh: EM has one code path for every family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -119,24 +120,25 @@ class MixtureModel:
         log-sum-exp, and w is normalized by one reciprocal per case: s
         becomes 1/s in place and w is multiplied by it, so no (J, n)
         division is made.  m and s are kept in the batch's ``scratch``
-        rows.  Each of ``obs.blocks`` runs these steps on its own columns
-        (`families.each_block`).  Raises NumericError at a non-finite
-        component log marginal (from `log_marginal_matrix`) and at the
-        first case of zero mixture density f.
+        rows.  Each of ``obs.blocks`` runs these steps on its own columns,
+        in the task that built them (``then`` of `log_marginal_matrix`).
+        Raises NumericError at a non-finite component log marginal (from
+        `log_marginal_matrix`), else at the first case of zero mixture
+        density f over all blocks.
         """
-        w = families.log_marginal_matrix(obs, self.components)
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)[:, None]
         logf = np.empty(len(obs))
         scratch = obs.scratch
+        zero = []  # the first zero-density case of each block that has one
 
-        def weigh(cols, _):
-            wb, m, s, lf = w[:, cols], scratch[0, cols], scratch[1, cols], logf[cols]
+        def weigh(cols, wb):
+            m, s, lf = scratch[0, cols], scratch[1, cols], logf[cols]
             wb += log_pi
             wb.max(axis=0, out=m)
             if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
-                first = int(np.flatnonzero(~np.isfinite(m))[0]) + (cols.start or 0)
-                raise NumericError(f"zero marginal density at case {first}")
+                zero.append(int(np.flatnonzero(~np.isfinite(m))[0]) + (cols.start or 0))
+                return
             wb -= m
             np.exp(wb, out=wb)
             wb.sum(axis=0, out=s)
@@ -144,7 +146,9 @@ class MixtureModel:
             lf += m
             wb *= np.reciprocal(s, out=s)
 
-        families.each_block(obs, weigh)
+        w = families.log_marginal_matrix(obs, self.components, weigh)
+        if zero:
+            raise NumericError(f"zero marginal density at case {min(zero)}")
         return w, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
@@ -260,33 +264,38 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     with no weight and no penalty restarts as the same component of the
     unjittered start, ``initialize(data, config, 0)``; the flag is then
     True, and the EM objective may legitimately dip for one iteration.
-    The pi update runs on J Python floats, and the free components with
-    weight are fitted by one ``data.update`` call on their rows
-    (`families.fitted_block`); the others are kept.
+    The pi update runs on J Python floats.  The free components with
+    weight are fitted by ``data.update``, the others are kept:
+    - below 2 ``families.BLOCK_FLOOR`` cases, by one call on their rows
+      (`families.fitted_block`);
+    - from there, on any host, each by its own call on its own row, which
+      also sums that row (`_fit_rows`).
     """
     j, n = w.shape
     if j != model.n_components or n != len(data):
         raise ContractError("responsibility matrix shape does not match data/model")
-    nj = w.sum(axis=1)
-    njs, betas = nj.tolist(), model.penalty.tolist()
+    comps = list(model.components)
+    start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
+    if n >= 2 * families.BLOCK_FLOOR:
+        njs = _fit_rows(data, w, comps, start_free)
+    else:
+        nj = w.sum(axis=1)
+        njs = nj.tolist()
+        # with penalty mass only there is nothing to fit a component to
+        fitted = [k for k in range(start_free, j) if njs[k] > 0.0]
+        if fitted:
+            block = families.fitted_block(fitted)
+            for k, c in zip(fitted, data.update(w[block], nj[block], [comps[k] for k in fitted])):
+                comps[k] = c
+    betas = model.penalty.tolist()
     scale = n + _sum(betas)
     pis = [(a + b) / scale for a, b in zip(njs, betas)]
-
-    comps = list(model.components)
-    fitted = []
     reinitialized = False
-    start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     for k in range(start_free, j):
         if njs[k] + betas[k] == 0.0:
             comps[k] = initialize(data, config, 0).components[k]
             pis[k] = 1.0 / scale
             reinitialized = True
-        elif njs[k] > 0.0:  # with penalty mass only there is nothing to fit a component to
-            fitted.append(k)
-    if fitted:
-        block = families.fitted_block(fitted)
-        for k, c in zip(fitted, data.update(w[block], nj[block], [comps[k] for k in fitted])):
-            comps[k] = c
 
     total = _sum(pis)
     updated = MixtureModel(
@@ -297,6 +306,33 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
         diagnostics=model.diagnostics,
     )
     return updated, reinitialized
+
+
+def _fit_rows(data: Observations, w: np.ndarray, comps: list, start_free: int) -> list:
+    """Each row's weight sum nj, as a list; the free ``comps`` with nj > 0 are fitted in place, each on its own row.
+
+    A row's sum and fit read that row alone, so they have the same bits
+    whichever task runs them: the J rows are dealt round-robin into one
+    group per block of ``data.blocks``, and the groups run at once
+    (`families.run_calls`).  A row's sum is the same (1, n) reduction as
+    its row of ``w.sum(axis=1)``; its fit is not the (F, n) one of
+    `m_step`'s small batches in the last bits (einsum's sums over long
+    rows differ), which is why the rule goes by the batch's size.
+    """
+    j = len(comps)
+
+    def fit(rows):
+        for k in rows:
+            row = w[k : k + 1]
+            nj = row.sum(axis=1)
+            njs[k] = float(nj[0])
+            if k >= start_free and njs[k] > 0.0:
+                comps[k] = data.update(row, nj, [comps[k]])[0]
+
+    njs = [0.0] * j
+    groups = min(len(data.blocks), j)
+    families.run_calls([functools.partial(fit, range(g, j, groups)) for g in range(groups)])
+    return njs
 
 
 def _run_em(data: Observations, config: FitConfig, restart_index: int) -> MixtureModel:

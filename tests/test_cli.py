@@ -292,14 +292,40 @@ class TestErrors:
             ["bic", "--family", "binomial", "--null", "theoretical", "--J-range", "1..2"],
             ["bic", "--J-range", "x"],
             ["calibrate", "--candidates", "5,x"],
+            ["fit", "--family", "normal", "--J", "0"],
+            ["fit", "--family", "normal", "--restarts", "0"],
+            ["bic", "--J-range", "1..2", "--restarts", "-1"],
+            ["calibrate", "--J", "0"],
+            ["calibrate", "--max-iters", "0"],
+            ["calibrate", "--bootstrap", "0"],
+            ["calibrate", "--perturbed", "0"],
+            ["calibrate", "--perturbed", "5"],
         ],
     )
-    @pytest.mark.parametrize("text", [None, "id,z\n"], ids=["absent", "header-only"])
+    @pytest.mark.parametrize("text", [None, "id,z\n", NORMAL_CSV], ids=["absent", "header-only", "cases"])
     def test_usage_error_comes_before_the_input_is_read(self, tmp_path, capsys, argv, text):
+        """Also a count flag out of range, which the parser refuses (SystemExit) before any command runs."""
         cases = str(tmp_path / "cases.csv") if text is None else _write(tmp_path, "cases.csv", text)
-        code, err = self._run(capsys, argv + ["--input", cases])
+        try:
+            code, err = self._run(capsys, argv + ["--input", cases])
+        except SystemExit as exc:
+            code, err = exc.code, capsys.readouterr().err
         assert code == 2
         assert err.startswith("ERROR usage:")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--J", "0", "argument --J: must be >= 1, got 0"),
+            ("--perturbed", "5", "argument --perturbed: must be in 1..4, got 5"),
+            ("--bootstrap", "x", "argument --bootstrap: invalid int value: 'x'"),
+        ],
+    )
+    def test_count_flag_out_of_range_names_the_flag(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as info:
+            main(["calibrate", "--input", str(tmp_path / "absent.csv"), flag, value])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"ERROR usage: {message}\n"
 
     def test_bad_candidates_is_usage_error(self, tmp_path, capsys):
         cases = _write(tmp_path, "cases.csv", NORMAL_CSV)

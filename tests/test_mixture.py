@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import time
 import tracemalloc
 
 import mpmath
@@ -103,8 +104,8 @@ class TestEStep:
         model = MixtureModel(pi=np.full(j, 1.0 / j), components=components, null_mode=NullMode.NONE, penalty=np.zeros(j))
         made = []
 
-        def recording(data, comps, _real=mixture.families.log_marginal_matrix):
-            made.append(_real(data, comps))
+        def recording(data, comps, then=None, _real=mixture.families.log_marginal_matrix):
+            made.append(_real(data, comps, then))
             return made[-1]
 
         monkeypatch.setattr(mixture.families, "log_marginal_matrix", recording)
@@ -128,6 +129,31 @@ def _weights_case(kind):
         obs = Observations.normal(rng.normal(0.0, 3.0, n), s2)
         comps = (NormalComponent(0.0, 0.0), NormalComponent(2.0, 1.0), NormalComponent(-1.0, 4.0), NormalComponent(6.0, 0.0))
     return obs, comps, np.array([0.5, 0.0, 0.3, 0.2])
+
+
+def _poison_kernel(monkeypatch, obs, zero=(), nan=()):
+    """Make the kernel of ``obs`` -inf in every row at cases ``zero``, unseen by the finiteness check, and nan at ``nan``.
+
+    Each block writes its own columns, so a case is placed by its block's
+    first column; a block with a nan case does not prove itself finite,
+    so it is scanned.
+    """
+    first = {id(sub): cols.start or 0 for cols, sub in obs.blocks}
+    cls = type(obs)
+    real = cls.log_kernel
+
+    def local(sub, cases):
+        start = first[id(sub)]
+        return [i - start for i in cases if start <= i < start + len(sub)]
+
+    def log_kernel(self, components, out=None):
+        out = real(self, components, out)
+        out[:, local(self, zero)] = -np.inf
+        out[:, local(self, nan)] = np.nan
+        return out
+
+    monkeypatch.setattr(cls, "log_kernel", log_kernel)
+    monkeypatch.setattr(cls, "proves_finite", lambda self, components: not local(self, nan))
 
 
 def _model(comps, pi):
@@ -174,13 +200,7 @@ class TestPosteriorWeights:
     def test_zero_marginal_density_names_the_first_bad_case(self, monkeypatch, kind):
         """A kernel with no finite entry at a case (which `log_marginal_matrix` itself would refuse)."""
         obs, comps, pi = _weights_case(kind)
-
-        def vanishing(data, components, _real=mixture.families.log_marginal_matrix):
-            out = _real(data, components)
-            out[:, [7, 3, 200]] = -np.inf
-            return out
-
-        monkeypatch.setattr(mixture.families, "log_marginal_matrix", vanishing)
+        _poison_kernel(monkeypatch, obs, zero=[7, 3, 200])
         with pytest.raises(NumericError, match=r"^zero marginal density at case 3$"):
             _model(comps, pi).posterior_weights(obs)
 
@@ -189,14 +209,16 @@ class TestPosteriorWeights:
         split(100, 3)
         obs, comps, pi = _weights_case(kind)
         assert [cols for cols, _ in obs.blocks] == [slice(0, 100), slice(100, 200), slice(200, 300)]
-
-        def vanishing(data, components, _real=mixture.families.log_marginal_matrix):
-            out = _real(data, components)
-            out[:, [250, 170, 230]] = -np.inf
-            return out
-
-        monkeypatch.setattr(mixture.families, "log_marginal_matrix", vanishing)
+        _poison_kernel(monkeypatch, obs, zero=[250, 170, 230])
         with pytest.raises(NumericError, match=r"^zero marginal density at case 170$"):
+            _model(comps, pi).posterior_weights(obs)
+
+    def test_non_finite_kernel_comes_before_an_earlier_zero_density(self, monkeypatch, split, kind):
+        """Zero density in block 1 and a non-finite kernel in block 3: the kernel's error, as in an E-step of one block."""
+        split(100, 3)
+        obs, comps, pi = _weights_case(kind)
+        _poison_kernel(monkeypatch, obs, zero=[40], nan=[260])
+        with pytest.raises(NumericError, match=r"^non-finite component log marginal$"):
             _model(comps, pi).posterior_weights(obs)
 
     def test_returned_arrays_belong_to_the_caller(self, kind):
@@ -281,8 +303,8 @@ def test_steady_map_in_blocks_allocates_only_its_results(split, blocks):
     assert _steady_map_growth(n, j, blocks) <= (j + 2) * n * 8
 
 
-def _block_case(kind):
-    """(batch, config) of 2,000 cases that five blocks of 400 split differently from one.
+def _block_case(kind, n=2000):
+    """(batch, config) of n cases that five blocks of n/5 split differently from one.
 
     The varying-s2 batch has one block whose s2 are all equal (a
     homoscedastic sub-batch of a heteroscedastic batch), and the binomial
@@ -290,11 +312,10 @@ def _block_case(kind):
     each block's rising tables have their own length.
     """
     rng = np.random.default_rng(31)
-    n = 2000
     nonnull = rng.uniform(size=n) < 0.15
     if kind == "binomial":
         trials = rng.integers(5, 300, n)
-        trials[:40] = rng.integers(3000, 6000, 40)
+        trials[: n // 50] = rng.integers(3000, 6000, n // 50)
         rate = np.where(nonnull, rng.beta(8.0, 4.0, n), rng.beta(3.0, 7.0, n))
         return Observations.binomial(rng.binomial(trials, rate), trials), FitConfig(
             null_mode=NullMode.EMPIRICAL, n_restarts=2, max_iters=40
@@ -302,9 +323,16 @@ def _block_case(kind):
     s2 = 1.0
     if kind == "normal-varying-s2":
         s2 = rng.uniform(0.5, 2.0, n)
-        s2[800:1200] = 1.3
+        s2[2 * n // 5 : 3 * n // 5] = 1.3
     z = np.where(nonnull, rng.uniform(2.0, 4.0, n), 0.0) + np.sqrt(s2) * rng.standard_normal(n)
     return Observations.normal(z, s2), FitConfig(n_restarts=2)
+
+
+def _fit_bytes(data, config):
+    """em_fit's model file, and e_step's w bytes and pll at a jittered start and at the fit."""
+    fitted = em_fit(data, config)
+    steps = [e_step(data, model) for model in (initialize(data, config, 1), fitted)]
+    return serialize_model(ModelDocument(fitted)), [(w.tobytes(), pll) for w, pll in steps]
 
 
 @pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
@@ -312,7 +340,7 @@ def test_bits_do_not_follow_the_block_count(split, kind):
     """e_step's w and pll and em_fit's model file are the same bytes in five column blocks as in one.
 
     Every step of the split E-step works per case, so the block count
-    cannot change a bit; the M-step's sums over cases stay serial.
+    cannot change a bit; the M-step never splits a sum over cases.
     """
     results = []
     for blocks in (1, 5):
@@ -320,11 +348,47 @@ def test_bits_do_not_follow_the_block_count(split, kind):
             split(400, 5)
         data, config = _block_case(kind)
         assert len(data.blocks) == blocks
-        fitted = em_fit(data, config)
-        start = initialize(data, config, 1)
-        steps = [e_step(data, model) for model in (start, fitted)]
-        results.append((serialize_model(ModelDocument(fitted)), [(w.tobytes(), pll) for w, pll in steps]))
+        results.append(_fit_bytes(data, config))
     assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
+def test_bits_do_not_follow_the_cpu_count_above_einsums_buffer(split, kind):
+    """A batch of 20,000 cases, fitted per row from 2 floors on: the same bytes on one CPU as on five.
+
+    At this size a one-row einsum and the same row of an (F, n) einsum
+    differ in their last bits, so the M-step must pick its path by the
+    batch's size, never by its block count.
+    """
+    results = []
+    for cpus in (1, 5):
+        split(4000, cpus)
+        data, config = _block_case(kind, 20_000)
+        assert len(data.blocks) == cpus
+        results.append(_fit_bytes(data, config))
+    assert results[1] == results[0]
+
+
+def test_m_step_raises_a_pool_rows_error_after_every_row(monkeypatch, split):
+    """A row fitted on the pool that fails: its error reaches the caller once every other row has finished."""
+    split(100, 3)
+    obs, comps, _ = _weights_case("normal")
+    model = _model(comps, np.full(4, 0.25))
+    w, _ = e_step(obs, model)
+    real, done = NormalObservations.update, []
+
+    def update(self, w, nj, components):
+        if components == [comps[1]]:  # row 1: the second of three groups, on the pool
+            raise NumericError("row 1")
+        if components == [comps[2]]:  # row 2: the third group, on the pool, still running when row 1 fails
+            time.sleep(0.1)
+        done.append(components[0])
+        return real(self, w, nj, components)
+
+    monkeypatch.setattr(NormalObservations, "update", update)
+    with pytest.raises(NumericError, match="^row 1$"):
+        m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
+    assert sorted(done, key=comps.index) == [comps[0], comps[2], comps[3]]
 
 
 def _e_step_digest(data, model, conn):

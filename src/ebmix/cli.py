@@ -6,9 +6,11 @@ name (``ebmix simulate fdr --help``), and writes into --out-dir only
 once it has run.  All randomness flows from --seed; repeated runs with
 identical inputs produce byte-identical outputs.  Errors print a single
 ``ERROR <category>: message`` line on stderr and exit nonzero: 2 for a
-usage error, 1 for any other.  Usage errors are reported before any
-file is read; a count out of range (--J, --restarts, --max-iters,
---bootstrap, --perturbed of fit, calibrate and bic) is one.
+usage error, 1 for any other.  Every flag is checked before any file is
+read: a usage error, such as a count out of range (--J, --restarts,
+--max-iters, --bootstrap, --perturbed of fit, calibrate and bic), and a
+contract error, such as a designated null with --J 1, a negative
+--penalty, a non-finite --rel-tol or a bad --mean-tol or --var-tol.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import baseball as bb
 from . import calibration, harness
 from .errors import ContractError, DataError, EbmixError, UsageError
 from .families import OBSERVATIONS, Family
-from .inference import DEFAULT_MEAN_TOL, DEFAULT_VAR_TOL, nearly_null_grouping, posterior_summary
+from .inference import DEFAULT_MEAN_TOL, DEFAULT_VAR_TOL, check_tolerances, nearly_null_grouping, posterior_summary
 from .mixture import FitConfig, NullMode, bic, em_fit
 from .model_io import ModelDocument, read_csv, read_model, serialize_model, write_model
 
@@ -129,9 +131,8 @@ def _resolve_null(args, family: Family) -> NullMode:
 
 def cmd_fit(args) -> int:
     family = Family(args.family)
-    null_mode = _resolve_null(args, family)
-    obs = _cases(args, family)
-    model = em_fit(obs, _config(args, n_components=args.J, penalty=args.penalty, null_mode=null_mode))
+    config = _config(args, n_components=args.J, penalty=args.penalty, null_mode=_resolve_null(args, family))
+    model = em_fit(_cases(args, family), config)
     doc = ModelDocument(model=model, seed=args.seed, timestamp=args.timestamp)
     if args.output:
         write_model(doc, args.output)
@@ -141,6 +142,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    check_tolerances(args.mean_tol, args.var_tol)
     doc = read_model(args.model)
     model = doc.model
     ids, obs = read_cases(args.input, model.family)
@@ -244,11 +246,12 @@ def cmd_calibrate(args) -> int:
             candidates = np.array([float(c) for c in args.candidates.split(",")])
         except ValueError as exc:
             raise UsageError(f"--candidates must be 'auto' or a comma list of numbers, got {args.candidates!r}") from exc
-    obs = _cases(args, Family.NORMAL)
     base = _config(
         args, n_components=args.J, null_mode=NullMode(args.null), max_iters=args.max_iters, rel_tol=args.rel_tol
     )
-    plan = calibration.default_plan(len(obs)) if candidates is None else calibration.CalibrationPlan(candidates)
+    plan = None if candidates is None else calibration.CalibrationPlan(candidates)
+    obs = _cases(args, Family.NORMAL)
+    plan = plan or calibration.default_plan(len(obs))  # the default candidates follow the number of cases
     plan = dataclasses.replace(plan, n_bootstrap=args.bootstrap, n_perturbed=args.perturbed)
     result = calibration.calibrate_penalty(obs, base, plan)
     if args.output:
@@ -271,13 +274,15 @@ def cmd_bic(args) -> int:
         raise UsageError(f"--J-range must look like 1..6, got {args.J_range!r}") from exc
     if not 1 <= lo <= hi:
         raise UsageError("--J-range bounds must satisfy 1 <= a <= b")
+    # a one-component model has no room for a designated null
+    configs = {
+        j: _config(args, n_components=j, penalty=args.penalty, null_mode=NullMode.NONE if j == 1 else null_mode)
+        for j in range(lo, hi + 1)
+    }
     obs = _cases(args, family)
     scores = {}
-    for j in range(lo, hi + 1):
-        # a one-component model has no room for a designated null
-        mode = NullMode.NONE if j == 1 else null_mode
-        model = em_fit(obs, _config(args, n_components=j, penalty=args.penalty, null_mode=mode))
-        scores[j] = bic(obs, model)
+    for j, config in configs.items():
+        scores[j] = bic(obs, em_fit(obs, config))
         print(f"J={j} BIC={scores[j]:.17g}")
     selected = min(scores, key=lambda j: (scores[j], j))
     print(f"selected_J={selected}")

@@ -10,18 +10,20 @@ Two sampling families are supported:
   binomial.
 
 Each family is one subclass of `Observations`, listed in `OBSERVATIONS`,
-and it holds every choice that depends on the family:
+and it holds every choice that depends on the family.  `Observations`
+gives the defaults, which a family states again only to change them:
 
 * ``family``, ``component`` (the prior component type), ``theoretical_null``
-  (None where the family has none) and the case-file header, as shown
-  (``csv_header``) and as accepted (``csv_headers``);
-* ``saturated``, each case's data-only term of the log marginal, and
-  ``saturated_sum``, its sum over cases;
+  (default None, where the family has none; normal: the point mass at 0)
+  and the case-file header, as shown (``csv_header``) and as accepted
+  (``csv_headers``);
+* ``saturated``, each case's data-only term of the log marginal (default
+  0; binomial: below), and ``saturated_sum``, its sum over cases;
 * ``log_kernel``, the kernel behind `log_marginal_matrix`;
 * ``proves_finite``, whether a fresh ``log_kernel`` is shown finite from
-  a few numbers, so that `log_marginal_matrix` need not scan it (normal:
-  from the batch's extent, where no entry can overflow; binomial: never,
-  so it is always scanned);
+  a few numbers, so that `log_marginal_matrix` need not scan it (default
+  never, so binomial kernels are always scanned; normal: from the
+  batch's extent, where no entry can overflow);
 * ``posterior``, every component's posterior given each case, per
   component (rows) and case (columns) like ``log_kernel``;
 * ``start``, the EM starting components;
@@ -97,8 +99,8 @@ several threads at once.
 
 The E-step itself is split: each case's kernel column, weights and log
 marginal depend on that case alone, so a large batch cuts its columns
-into ``blocks`` (`each_block`), one per usable CPU and each at least
-BLOCK_FLOOR cases, and runs them at once, the first in the calling
+into ``blocks``, one per usable CPU and each at least BLOCK_FLOOR
+cases, and runs them at once by `run_calls`, the first in the calling
 thread and the rest on a small thread pool (numpy releases the GIL in
 its loops).  Each block builds its kernel columns and turns them into
 weights in one task (`log_marginal_matrix`'s ``then``), so an E-step
@@ -300,8 +302,12 @@ class Observations:
     """A batch of cases from one sampling family, of that family's class (see the module docstring).
 
     A batch compares and hashes by identity (``eq=False``): two batches
-    with equal values are still two batches.
+    with equal values are still two batches.  A family class states only
+    what differs from the defaults here: no theoretical null, no
+    data-only term and a kernel that is always scanned.
     """
+
+    theoretical_null = None
 
     def __len__(self) -> int:
         return int(self.statistic.shape[0])
@@ -347,27 +353,26 @@ class Observations:
         return sub
 
     @functools.cached_property
+    def saturated(self) -> np.ndarray:
+        """0 for every case: a marginal with no data-only term."""
+        return np.broadcast_to(0.0, (len(self),))
+
+    @functools.cached_property
     def saturated_sum(self) -> float:
         """The sum of ``saturated`` over cases, which `mixture.e_step` adds to the pll once."""
         return float(self.saturated.sum())
 
-    @staticmethod
-    def normal(z, s2=None) -> "NormalObservations":
-        """Normal cases: statistics ``z`` with known sampling variances ``s2`` (default 1 for every case)."""
-        return NormalObservations(z, 1.0 if s2 is None else s2)
-
-    @staticmethod
-    def binomial(counts, trials) -> "BinomialObservations":
-        """Binomial cases: success counts ``counts`` out of ``trials``."""
-        return BinomialObservations(counts, trials)
+    def proves_finite(self, components) -> bool:
+        """False: nothing is shown without a scan, so `log_marginal_matrix` scans the kernel."""
+        return False
 
 
 @dataclass(frozen=True, eq=False)
 class NormalObservations(Observations):
-    """Normal cases: statistics ``z`` with known sampling variances ``s2``, broadcast to z's shape."""
+    """Normal cases: statistics ``z`` with known sampling variances ``s2`` (default 1), broadcast to z's shape."""
 
     z: np.ndarray
-    s2: np.ndarray
+    s2: np.ndarray = 1.0
 
     family = Family.NORMAL
     component = NormalComponent
@@ -391,11 +396,6 @@ class NormalObservations(Observations):
     @property
     def statistic(self) -> np.ndarray:
         return self.z
-
-    @functools.cached_property
-    def saturated(self) -> np.ndarray:
-        """0 for every case: the normal marginal has no data-only term."""
-        return np.broadcast_to(0.0, (len(self),))
 
     @functools.cached_property
     def homoscedastic(self) -> bool:
@@ -542,7 +542,6 @@ class BinomialObservations(Observations):
 
     family = Family.BINOMIAL
     component = BetaComponent
-    theoretical_null = None  # no binomial null rate is supported
     csv_header = "id,H,N"
     csv_headers = (["id", "h", "n"],)
 
@@ -707,10 +706,6 @@ class BinomialObservations(Observations):
             comps.append(base)
         return comps
 
-    def proves_finite(self, components) -> bool:
-        """False: the binomial kernel is always scanned."""
-        return False
-
     def update(self, w: np.ndarray, nj, components) -> list:
         """`_fit_beta_newton` of component k on row k of the (F, n) ``w``, for all F."""
         return [_fit_beta_newton(self, row, c) for row, c in zip(w, components)]
@@ -734,6 +729,7 @@ class BinomialObservations(Observations):
         return int(row[1]), int(row[2])
 
 
+Observations.normal, Observations.binomial = NormalObservations, BinomialObservations
 OBSERVATIONS = {Family.NORMAL: NormalObservations, Family.BINOMIAL: BinomialObservations}
 
 
@@ -835,7 +831,8 @@ def _log_ratio(a, b):
     """log(a/b) for a, b > 0, to full relative precision also where a is close to b."""
     # both logs on every cell: a where=-masked form gives the same bits but ran 1.5-1.9x slower on 3 x 500 arrays
     t = (a - b) / b
-    return np.where(np.abs(t) < 0.5, np.log1p(t), np.log(a / b))
+    with np.errstate(divide="ignore"):  # log1p(-1), where a is far below b, is in the branch not taken
+        return np.where(np.abs(t) < 0.5, np.log1p(t), np.log(a / b))
 
 
 def fitted_block(fitted):
@@ -853,9 +850,9 @@ def log_marginal_matrix(obs: Observations, components, then=None) -> np.ndarray:
     Each case's data-only term ``obs.saturated`` (0 for normal cases) is
     left out: posterior weights do not depend on it, and sums over cases
     add it back once.  The result is a new array that the caller owns.
-    Each of ``obs.blocks`` builds its columns of it (`each_block`) and,
-    given ``then``, runs ``then(cols, block)`` on them in the same task,
-    with ``block`` its columns of the result:
+    Each of ``obs.blocks`` builds its columns of it, all at once by
+    `run_calls`, and, given ``then``, runs ``then(cols, block)`` on them
+    in the same task, with ``block`` its columns of the result:
     `mixture.MixtureModel.posterior_weights` turns them into the weights
     in place there, so an E-step is one dispatch.  NumericError if an
     entry is not finite, after every block has run: a block's kernel is
@@ -875,7 +872,7 @@ def log_marginal_matrix(obs: Observations, components, then=None) -> np.ndarray:
             then(cols, block)
         return True
 
-    if not all(each_block(obs, fill)):
+    if not all(run_calls([functools.partial(fill, cols, sub) for cols, sub in obs.blocks])):
         raise NumericError("non-finite component log marginal")
     return kernel
 
@@ -937,11 +934,6 @@ def run_calls(calls) -> list:
     return [head] + [f.result() for f in futures]
 
 
-def each_block(obs: Observations, fn) -> list:
-    """[fn(cols, sub) for (cols, sub) in obs.blocks], at once by `run_calls`: the first block in this thread."""
-    return run_calls([functools.partial(fn, cols, sub) for cols, sub in obs.blocks])
-
-
 def _beta_mom(p: np.ndarray) -> BetaComponent:
     """Method-of-moments Beta fit to raw proportions, with safe fallbacks."""
     m = float(np.clip(np.mean(p), 1e-4, 1.0 - 1e-4))
@@ -1001,9 +993,10 @@ def _fit_beta_newton(obs: "BinomialObservations", w_j, start: BetaComponent) -> 
     that only chase their rounding would be seen by the E-step as a
     falling likelihood.  The solve stops when the predicted gain
     g.step/2, or that of the halved step, falls below tol, when 30
-    halvings do not improve F, or after 50 Newton steps.  If F ended
-    below F(start), the start is returned, so the update never lowers
-    the EM objective.
+    halvings do not improve F, or after 50 Newton steps.  A start may
+    lie outside the bounds: Newton accepts only steps projected onto them
+    that raise F, so F never ends below F(start), and the update never
+    lowers the EM objective.
     """
     counts, cut, t = obs.stacked, obs.cut, obs._newton_terms
     # W(i) = sum of w over cases with count > i, for i < cut: one bincount of (row, min(count, cut))
@@ -1022,9 +1015,11 @@ def _fit_beta_newton(obs: "BinomialObservations", w_j, start: BetaComponent) -> 
 
     def objective(p, kappa):
         """F and the size of its terms, the sum of their absolute values."""
-        # log(p/p*) and log(q/q*) as log1p, exact near p*; off by about p*/p (q*/q) ulps far below it
-        log_h = s_h * math.log1p((p - p_star) / p_star)
-        log_f = s_f * math.log1p((1.0 - p - q_star) / q_star)
+        # log(p/p*) and log(q/q*) as log1p, exact near p*; off by about p*/p (q*/q) ulps far below it,
+        # and a plain log so far below that log1p's argument rounds to -1
+        t_h, t_f = (p - p_star) / p_star, (1.0 - p - q_star) / q_star
+        log_h = s_h * (math.log1p(t_h) if t_h > -1.0 else math.log(p / p_star))
+        log_f = s_f * (math.log1p(t_f) if t_f > -1.0 else math.log((1.0 - p) / q_star))
         obj, size = log_h + log_f, abs(log_h) + abs(log_f)
         if kappa > 0.0:
             r = np.array([kappa / p, kappa / (1.0 - p), kappa])
@@ -1048,15 +1043,12 @@ def _fit_beta_newton(obs: "BinomialObservations", w_j, start: BetaComponent) -> 
             t2 += np.bincount(rows, weights=us * b2, minlength=3)
         return g1, t1, t2
 
-    start_obj, _ = objective(start.mean, start.kappa)
+    p, kappa = start.mean, start.kappa
+    obj, size = objective(p, kappa)
     zero_obj, _ = objective(p_star, 0.0)
     pa, pb, pc = t["pairs"] @ w_j / 2.0  # sum w k(k-1)/2 for k = H, N-H, N
-    if pa / p_star + pb / q_star - pc <= 0.0 and zero_obj >= start_obj:
+    if pa / p_star + pb / q_star - pc <= 0.0 and zero_obj >= obj:
         return BetaComponent(mean=p_star, kappa=0.0)
-
-    p = min(max(start.mean, _BETA_MEAN_MIN), 1.0 - _BETA_MEAN_MIN)
-    kappa = min(start.kappa, _BETA_KAPPA_MAX)
-    obj, size = objective(p, kappa)
     if zero_obj > obj:
         p, kappa, obj, size = p_star, 0.0, zero_obj, 0.0
     for _ in range(50):
@@ -1104,7 +1096,5 @@ def _fit_beta_newton(obs: "BinomialObservations", w_j, start: BetaComponent) -> 
                 break
         if not moved:
             break
-    if obj < start_obj:
-        return start
     return BetaComponent(mean=float(p), kappa=float(kappa))
 

@@ -38,6 +38,12 @@ DEFAULT_MEAN_TOL = 0.25
 DEFAULT_VAR_TOL = 0.25
 
 
+def check_tolerances(mean_tol: float, var_tol: float) -> None:
+    """ContractError unless both tolerances of `nearly_null_grouping` are finite and >= 0."""
+    if not (0.0 <= mean_tol < np.inf and 0.0 <= var_tol < np.inf):
+        raise ContractError("mean_tol and var_tol must be finite and >= 0")
+
+
 def nearly_null_grouping(
     model: MixtureModel,
     mean_tol: float = DEFAULT_MEAN_TOL,
@@ -49,8 +55,7 @@ def nearly_null_grouping(
     var_j <= var_0 + var_tol.  Such components are artifacts of tuning
     more often than real structure, so they default into the null.
     """
-    if not (0.0 <= mean_tol < np.inf and 0.0 <= var_tol < np.inf):
-        raise ContractError("mean_tol and var_tol must be finite and >= 0")
+    check_tolerances(mean_tol, var_tol)
     if model.family is not Family.NORMAL:
         raise UnsupportedError("nearly-null grouping is defined for the normal family")
     if model.null_mode is NullMode.NONE:

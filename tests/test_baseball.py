@@ -1,6 +1,7 @@
 """Baseball analysis: transform, quadrature, TSE and synthetic seasons."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestQuadrature:
         ]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
         assert np.all((got >= 0.0) & (got <= np.pi / 2))
+
+
+def test_arcsin_means_need_a_binomial_model():
+    from ebmix import NormalComponent
+
+    model = MixtureModel(pi=np.ones(1), components=(NormalComponent(0.0, 1.0),), null_mode=NullMode.NONE, penalty=np.zeros(1))
+    with pytest.raises(ContractError, match="^arcsin posterior means require a binomial model$"):
+        posterior_mean_arcsin(model, [3], [10])
 
 
 class TestTse:
@@ -190,6 +199,11 @@ class TestRunBaseball:
         assert res.n_train == res.n_test == 2
         assert res.normalized_tse["james_stein"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_unknown_group_is_refused(self):
+        records, _ = synthetic_season(n_players=30, seed=1)
+        with pytest.raises(ContractError, match="^unknown group 'catchers'$"):
+            run_baseball(records, n_components=1, groups=("overall", "catchers"))
+
     def test_empty_group_skipped(self):
         records, _ = synthetic_season(n_players=60, seed=1)
         result = run_baseball(records, n_components=1, groups=("overall", "pitchers"))
@@ -225,6 +239,21 @@ class TestLoader:
         path = tmp_path / "bad.csv"
         path.write_text("id,p,H1,N1,H2,N2\n")
         with pytest.raises(DataError, match="header"):
+            load_baseball_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("p1,0,30,100,25,", "player p1: partial second-half record"),
+            ("p1,0,30,100,,90", "player p1: partial second-half record"),
+            ("p1,maybe,30,100,25,90", "bad is_pitcher value 'maybe'"),
+        ],
+        ids=["no-N2", "no-H2", "is-pitcher"],
+    )
+    def test_bad_row_names_its_line_and_reason(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"player_id,is_pitcher,H1,N1,H2,N2\np0,0,30,100,25,90\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path} line 3: {reason}')}$"):
             load_baseball_csv(path)
 
     def test_count_bound_violation_names_line(self, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from ebmix import (
+    ContractError,
     DataError,
     Family,
     FitConfig,
@@ -23,6 +24,7 @@ from ebmix import (
     serialize_model,
 )
 from ebmix.cli import main, read_cases
+from ebmix.model_io import canonical_json
 
 Z = [
     2.22, 0.05, -1.0, -1.62, 3.91, 0.49, -2.58, -0.36, 0.79, 1.29,
@@ -183,6 +185,19 @@ class TestModelFile:
             else:
                 assert var_terms.sum() <= 1e-5 * np.abs(var_terms).sum()
 
+    @pytest.mark.parametrize("case", ["normal-theoretical", "binomial-none"])
+    def test_stdout_matches_file(self, tmp_path, capsys, case):
+        """Without --output, fit writes the model to stdout with the same bytes."""
+        family, data, null = FIT_CASES[case]
+        argv = ["fit", "--input", _write(tmp_path, "cases.csv", data), "--family", family, "--null", null]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == MODEL_JSON[case]
+
+    def test_header_only_case_file_has_no_data_rows(self, tmp_path, capsys):
+        cases = _write(tmp_path, "cases.csv", "id,z\n")
+        assert main(["fit", "--input", cases, "--family", "normal"]) == 1
+        assert capsys.readouterr().err == f"ERROR data: {cases}: no data rows\n"
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_fits(self, tmp_path, seed):
         # restarts past the first draw jitter from the seed, taken mod 2^64
@@ -237,6 +252,14 @@ class TestEstimate:
         capsys.readouterr()
         assert main(["estimate", "--model", model, "--input", cases]) == 0
         assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("case", ["normal-theoretical", "binomial-none"])
+    def test_header_only_case_file_gives_the_header_alone(self, tmp_path, case):
+        model = _write(tmp_path, "model.json", MODEL_JSON[case])
+        cases = _write(tmp_path, "est.csv", _estimate_input(case).splitlines(keepends=True)[0])
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--model", model, "--input", cases, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "id,z,effect_mean,effect_var,fdr,FDR\n"
 
     def test_quoted_id_comes_back_quoted(self, tmp_path):
         cases = _write(tmp_path, "cases.csv", NORMAL_CSV + '"a,1",0.5,1\n')
@@ -499,6 +522,36 @@ class TestErrors:
         assert err == "ERROR contract: mean_tol and var_tol must be finite and >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--family", "normal", "--J", "1"], "a designated null requires J >= 2"),
+            (["fit", "--family", "normal", "--penalty", "-1"], "penalty must be finite and >= 0"),
+            (["bic", "--J-range", "1..2", "--penalty", "-1"], "penalty must be finite and >= 0"),
+            (["calibrate", "--rel-tol", "nan"], "invalid convergence controls"),
+            (["calibrate", "--candidates", "300,-1"], "penalties must be finite and >= 0"),
+        ],
+        ids=["fit-J-1", "fit-penalty", "bic-penalty", "calibrate-rel-tol", "calibrate-candidates"],
+    )
+    @pytest.mark.parametrize("text", [None, "id,z\n", NORMAL_CSV], ids=["absent", "header-only", "cases"])
+    def test_contract_error_comes_before_the_input_is_read(self, tmp_path, capsys, argv, message, text):
+        cases = str(tmp_path / "cases.csv") if text is None else _write(tmp_path, "cases.csv", text)
+        code, err = self._run(capsys, [*argv, "--input", cases])
+        assert code == 1
+        assert err == f"ERROR contract: {message}\n"
+
+    @pytest.mark.parametrize("flags", [["--mean-tol", "nan"], ["--var-tol", "-1"], ["--nearly-null", "off", "--var-tol", "-1"]])
+    @pytest.mark.parametrize("case", ["binomial-none", "normal-none", "normal-theoretical", None])
+    def test_bad_tolerance_is_rejected_for_any_model(self, tmp_path, capsys, flags, case):
+        """Whether or not the model is grouped, and before the model file (absent where ``case`` is None) is read."""
+        model = str(tmp_path / "absent.json") if case is None else _write(tmp_path, "model.json", MODEL_JSON[case])
+        cases = _write(tmp_path, "est.csv", BINOMIAL_ESTIMATE_CSV if case == "binomial-none" else NORMAL_ESTIMATE_CSV)
+        out = tmp_path / "out.csv"
+        code, err = self._run(capsys, ["estimate", "--model", model, "--input", cases, "--output", str(out), *flags])
+        assert code == 1
+        assert err == "ERROR contract: mean_tol and var_tol must be finite and >= 0\n"
+        assert not out.exists()
+
     def test_non_finite_rel_tol_is_rejected(self, tmp_path, capsys):
         cases = _write(tmp_path, "cases.csv", NORMAL_CSV)
         out = tmp_path / "scores.csv"
@@ -594,6 +647,34 @@ class TestParseModel:
         with pytest.raises(DataError, match=keys[-1]):
             parse_model(json.dumps(payload))
 
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{", "model document is not valid JSON: "), ("[1, 2]", "model document must be a JSON object")],
+        ids=["invalid-json", "array"],
+    )
+    def test_document_that_is_not_a_json_object(self, text, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            parse_model(text)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("format_version", 2, "unsupported model format_version 2"),
+            ("n_components", 4, "n_components disagrees with the component list"),
+            ("pi", 1.0, "pi must be a JSON array of numbers, got 1.0"),
+        ],
+    )
+    def test_inconsistent_document_is_malformed(self, field, value, reason):
+        payload = json.loads(MODEL_JSON["normal-theoretical"])
+        payload[field] = value
+        with pytest.raises(DataError, match=f"^malformed model document: {re.escape(reason)}$"):
+            parse_model(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf)])
+    def test_canonical_json_refuses_non_finite_floats(self, value):
+        with pytest.raises(ContractError, match="^canonical JSON forbids non-finite floats$"):
+            canonical_json({"pi": [0.5, value]})
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_mistyped_beta_shape_rejected(self, field):

@@ -1,5 +1,6 @@
 """Component marginals and posteriors against quadrature oracles."""
 
+import functools
 import gc
 import math
 import threading
@@ -339,7 +340,36 @@ class TestComponentPosterior:
             np.testing.assert_allclose(post.var[0], vm, atol=1e-6)
 
 
+class TestComponents:
+    @pytest.mark.parametrize(
+        "mean, var, message",
+        [
+            (np.nan, 1.0, "normal component parameters must be finite"),
+            (0.0, np.inf, "normal component parameters must be finite"),
+            (0.0, -0.5, "component variance must be >= 0, got -0.5"),
+        ],
+    )
+    def test_invalid_normal_component(self, mean, var, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            NormalComponent(mean, var)
+
+    @pytest.mark.parametrize("mean, kappa", [(np.nan, 0.1), (0.3, np.inf), (-np.inf, 0.1)])
+    def test_non_finite_beta_component(self, mean, kappa):
+        with pytest.raises(ContractError, match="^beta component parameters must be finite$"):
+            BetaComponent(mean, kappa)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (2.0, -1.0), (np.inf, 1.0), (1.0, np.nan)])
+    def test_invalid_beta_shapes(self, alpha, beta):
+        with pytest.raises(ContractError, match=r"^beta shapes must be finite and > 0, got \("):
+            BetaComponent.from_shapes(alpha, beta)
+
+
 class TestObservations:
+    @pytest.mark.parametrize("counts, trials", [([1.5, 2.0], [3.0, 3.0]), ([1.0, 2.0], [3.0, 3.25])])
+    def test_binomial_float_values_must_be_whole(self, counts, trials):
+        with pytest.raises(ContractError, match="^binomial counts and trials must be integers$"):
+            Observations.binomial(counts, trials)
+
     def test_binomial_count_bounds(self):
         with pytest.raises(ContractError):
             Observations.binomial([5], [3])
@@ -402,6 +432,7 @@ class TestObservations:
             (Observations.binomial, [1, 2], [3, 4, 5], "trials"),
             (Observations.binomial, [1.0, 2.0, 3.0], [4.0, 5.0], "trials"),
         ],
+        ids=lambda value: value.family.value if isinstance(value, type) else None,
     )
     def test_per_case_length_must_match(self, make, values, per_case, name):
         with pytest.raises(ContractError, match=f"{name} must be a scalar or one value per case"):
@@ -461,6 +492,9 @@ FAMILY_CASES = {
     Family.BINOMIAL: (_binomial_batch, _beta_component),
 }
 
+_RATES = _binomial_batch(np.random.default_rng(3), 40)
+_NO_HITS = Observations.binomial(np.zeros(6, dtype=int), [3, 10, 40, 7, 1, 25])
+_ALL_HITS = Observations.binomial([3, 10, 40, 7, 1, 25], [3, 10, 40, 7, 1, 25])
 _SPREAD = Observations.normal([-4.0, 3.5, -3.0, 4.2, 0.3], [0.5, 1.0, 2.0, 1.5, 0.8])
 _TIGHT = Observations.normal([0.9, 1.1, 1.0, 0.95, 1.05], [0.5, 1.0, 2.0, 1.5, 0.8])
 
@@ -481,7 +515,20 @@ EDGE_CASES = {
         # far above the maximum: the downward Newton step overshoots, and the MM step is taken
         (_SPREAD, np.ones(5), NormalComponent(0.5, 1e6), lambda c: 0.0 < c.var < 1e6),
     ],
-    Family.BINOMIAL: [],
+    Family.BINOMIAL: [
+        # kappa above its cap of 5e7: the solve moves it into the bounds
+        (_RATES, np.ones(40), BetaComponent(0.3, 1e9), lambda c: 0.0 < c.kappa <= 5e7),
+        # means far outside [1e-15, 1 - 1e-15], where log1p((p - p*)/p*) would see -1: finite, and moved inside
+        (_RATES, np.ones(40), BetaComponent(1e-20, 0.01), lambda c: 1e-15 <= c.mean <= 0.5),
+        (_RATES, np.ones(40), BetaComponent(1.0 - 1e-16, 0.01), lambda c: 0.1 <= c.mean <= 1.0 - 1e-15),
+        # every H = 0 or every H = N: the mean stops at its logit bound, whose gradient points outward
+        (_NO_HITS, np.ones(6), BetaComponent(0.3, 0.05), lambda c: c.mean < 1e-14),
+        (_ALL_HITS, np.ones(6), BetaComponent(0.3, 0.05), lambda c: c.mean > 1.0 - 1e-14),
+        (_ALL_HITS, np.ones(6), BetaComponent(1.0 - 1e-16, 0.0), None),
+        # a point-mass start: overdispersed cases leave it, underdispersed ones take the closed form (p*, 0)
+        (_RATES, np.ones(40), BetaComponent(0.3, 0.0), lambda c: c.kappa > 0.0),
+        (Observations.binomial([5, 5, 5, 5], 10), np.ones(4), BetaComponent(0.3, 0.0), lambda c: c == BetaComponent(0.5, 0.0)),
+    ],
 }
 
 
@@ -671,8 +718,13 @@ def test_model_mixing_families_rejected(components):
         MixtureModel(pi=np.array([0.5, 0.5]), components=components, null_mode=NullMode.NONE, penalty=np.zeros(2))
 
 
+def _run_blocks(obs, fn):
+    """``fn(cols, sub)`` for each of ``obs.blocks``, run at once by `families.run_calls`, as an E-step runs them."""
+    return families.run_calls([functools.partial(fn, cols, sub) for cols, sub in obs.blocks])
+
+
 class TestEachBlock:
-    """`families.each_block` runs a function on every column block of a batch, the first in the calling thread."""
+    """`families.run_calls` runs a function on every column block of a batch, the first in the calling thread."""
 
     @staticmethod
     def _batch(split):
@@ -684,7 +736,7 @@ class TestEachBlock:
     def test_results_in_column_order_from_sub_batches_of_the_columns(self, split):
         obs = self._batch(split)
         caller = threading.get_ident()
-        got = families.each_block(obs, lambda cols, sub: (cols, len(sub), threading.get_ident() == caller))
+        got = _run_blocks(obs, lambda cols, sub: (cols, len(sub), threading.get_ident() == caller))
         assert got == [(slice(0, 100), 100, True), (slice(100, 200), 100, False), (slice(200, 300), 100, False)]
         for _, sub in obs.blocks:
             assert type(sub) is type(obs) and not sub.z.flags.writeable and not sub.s2.flags.writeable
@@ -725,7 +777,7 @@ class TestEachBlock:
             done.append(cols.start)
 
         with pytest.raises(NumericError, match="^block 1$"):
-            families.each_block(obs, fn)
+            _run_blocks(obs, fn)
         assert sorted(done) == [100, 200]
 
     def test_raises_the_first_failed_block_in_column_order(self, split):
@@ -738,7 +790,7 @@ class TestEachBlock:
                 raise NumericError(f"block at {cols.start}")
 
         with pytest.raises(NumericError, match="^block at 100$"):
-            families.each_block(obs, fn)
+            _run_blocks(obs, fn)
 
     def test_blocks_run_under_the_callers_numpy_error_state(self, split):
         """A pool thread does not inherit np.errstate; each block runs under the caller's."""
@@ -748,6 +800,6 @@ class TestEachBlock:
             return float(np.square(np.array([1e200]))[0])
 
         with np.errstate(over="ignore"):
-            assert families.each_block(obs, square) == [math.inf] * 3
+            assert _run_blocks(obs, square) == [math.inf] * 3
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            families.each_block(obs, lambda cols, sub: square(cols, sub) if cols.start == 200 else None)
+            _run_blocks(obs, lambda cols, sub: square(cols, sub) if cols.start == 200 else None)

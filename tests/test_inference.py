@@ -90,6 +90,23 @@ class TestPosteriorSummary:
         assert s.fdr is None and s.tail_fdr is None
         np.testing.assert_allclose(s.effect_mean[0], 5.0 / 17.0, rtol=1e-12)
 
+    def test_beta_component_far_below_the_rates_warns_nothing(self):
+        """A component mean of 1e-18 gives numpy no log1p(-1) to warn of, and the moments of the mpmath oracle.
+
+        Its log ratios to each case's rate h = H/N are far from 0, so
+        they come from log(p/h); log1p((p - h)/h), whose argument rounds
+        to -1, is computed for the branch not taken.
+        """
+        from ebmix import BetaComponent
+
+        comps = (BetaComponent(1e-18, 0.01), BetaComponent(0.3, 0.05))
+        model = MixtureModel(pi=np.array([0.5, 0.5]), components=comps, null_mode=NullMode.NONE, penalty=np.zeros(2))
+        h, n = [0, 9, 17], [20, 30, 40]
+        s = posterior_summary(Observations.binomial(h, n), model)
+        for k in range(3):
+            mean, var = oracles.beta_mixture_posterior_moments_mp(h[k], n[k], model.pi, comps)
+            np.testing.assert_allclose([s.effect_mean[k], s.effect_var[k]], [float(mean), float(var)], rtol=1e-10)
+
     @pytest.mark.parametrize("family", ["normal", "normal-s2", "binomial"])
     def test_empty_batch_gives_empty_results(self, family):
         from ebmix import BetaComponent
@@ -125,6 +142,13 @@ class TestPosteriorSummary:
         small = posterior_summary(obs, model, frozenset({0}))
         big = posterior_summary(obs, model, frozenset({0, 1}))
         assert np.all(big.fdr >= small.fdr - 1e-15)
+
+    def test_grouping_without_component_0(self, two_component_model):
+        """A model with a designated null keeps component 0 in every null set, for summaries and curves alike."""
+        with pytest.raises(ContractError, match="^null grouping must contain component 0$"):
+            posterior_summary(Observations.normal([0.5, 2.0]), two_component_model, {1})
+        with pytest.raises(ContractError, match="^null grouping must contain component 0$"):
+            fdr_curve(two_component_model, [0.5, 2.0], grouping={1})
 
     @pytest.mark.parametrize("grouping", [{0, -1}, {0, 3}, {0, 5}])
     def test_null_set_index_out_of_range(self, grouping):
@@ -219,6 +243,17 @@ class TestCurves:
         with pytest.raises(UnsupportedError):
             tail_fdr_curve(model, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("curve", [fdr_curve, tail_fdr_curve])
+    def test_curve_needs_a_designated_null(self, curve):
+        model = MixtureModel(
+            pi=np.array([0.5, 0.5]),
+            components=(NormalComponent(0.0, 1.0), NormalComponent(2.0, 1.0)),
+            null_mode=NullMode.NONE,
+            penalty=np.zeros(2),
+        )
+        with pytest.raises(UnsupportedError, match="^model has no designated null component$"):
+            curve(model, [0.5, 2.0])
+
     def test_tail_fdr_symmetric_in_z(self):
         rng = np.random.default_rng(32)
         z = rng.normal(scale=3.0, size=50)
@@ -252,6 +287,10 @@ class TestRejectionThreshold:
     def test_invalid_q(self, two_component_model):
         with pytest.raises(ContractError):
             rejection_threshold(two_component_model, q=0.0)
+
+    def test_unknown_curve_kind(self, two_component_model):
+        with pytest.raises(ContractError, match="^unknown curve kind 'x'$"):
+            rejection_threshold(two_component_model, q=0.1, kind="x")
 
     def test_curve_below_q_beyond_threshold(self, two_component_model):
         t = rejection_threshold(two_component_model, q=0.2)
@@ -290,6 +329,18 @@ class TestNearlyNullGrouping:
             penalty=np.zeros(1),
         )
         with pytest.raises(UnsupportedError):
+            nearly_null_grouping(model)
+
+    def test_binomial_model_unsupported(self):
+        from ebmix import BetaComponent
+
+        model = MixtureModel(
+            pi=np.array([0.6, 0.4]),
+            components=(BetaComponent(0.3, 0.01), BetaComponent(0.5, 0.0)),
+            null_mode=NullMode.EMPIRICAL,
+            penalty=np.array([5.0, 0.0]),
+        )
+        with pytest.raises(UnsupportedError, match="^nearly-null grouping is defined for the normal family$"):
             nearly_null_grouping(model)
 
     @pytest.mark.parametrize("mean_tol, var_tol", [(np.nan, 0.25), (np.inf, 0.25), (0.25, -1.0), (0.25, np.nan)])

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import re
 import time
 import tracemalloc
 
@@ -424,6 +425,13 @@ def test_forked_child_runs_its_own_split_e_step(split):
 
 
 class TestMStep:
+    @pytest.mark.parametrize("shape", [(2, 10), (3, 9)], ids=["rows", "columns"])
+    def test_weights_of_the_wrong_shape_are_refused(self, shape):
+        obs = Observations.normal(np.linspace(-2.0, 2.0, 10))
+        model = MixtureModel(pi=np.full(3, 1 / 3), components=(_NULL, _ALT, _ALT), null_mode=NullMode.NONE, penalty=np.zeros(3))
+        with pytest.raises(ContractError, match="^responsibility matrix shape does not match data/model$"):
+            m_step(obs, np.full(shape, 0.1), FitConfig(null_mode=NullMode.NONE), model)
+
     def test_unweighted_moment_match(self):
         rng = np.random.default_rng(1)
         z = rng.normal(1.0, 2.0, size=400)
@@ -970,6 +978,31 @@ class TestConfigValidation:
         config = FitConfig(n_components=np.int64(2), max_iters=np.int32(5), n_restarts=np.int64(1), seed=np.uint64(7))
         obs = Observations.normal(derive_rng(5, 0).standard_normal(50))
         assert em_fit(obs, config).n_components == 2
+
+
+_NULL = NormalComponent(0.0, 0.0)
+_ALT = NormalComponent(2.0, 1.0)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(pi=[0.5, 0.3, 0.2]), "pi, penalty and components must share length J >= 1"),
+            (dict(penalty=[1.0]), "pi, penalty and components must share length J >= 1"),
+            (dict(pi=[0.6, 0.6]), "mixture proportions must be a simplex point"),
+            (dict(pi=[1.5, -0.5]), "mixture proportions must be a simplex point"),
+            (dict(penalty=[1.0, -1.0]), "penalty entries must be nonnegative"),
+            (dict(components=(NormalComponent(0.5, 0.0), _ALT)), "theoretical null must be NormalComponent(mean=0.0, var=0.0)"),
+            (dict(null_mode=NullMode.EMPIRICAL, penalty=[1.0, 2.0]), "empirical null requires beta_0 >= beta_j"),
+        ],
+        ids=["pi-length", "penalty-length", "pi-sum", "pi-negative", "penalty-negative", "theoretical-null", "empirical-penalty"],
+    )
+    def test_invalid_model_is_refused(self, fields, message):
+        """Each field of a valid two-component theoretical-null model changed on its own."""
+        model = dict(pi=[0.5, 0.5], components=(_NULL, _ALT), null_mode=NullMode.THEORETICAL, penalty=[1.0, 0.0])
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            MixtureModel(**{**model, **fields})
 
 
 class TestBic:

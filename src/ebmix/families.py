@@ -491,8 +491,15 @@ class NormalObservations(Observations):
         """(mean, var) of each component after the ascent step of the module docstring, on its row of ``w``.
 
         The (F, n) sums are `np.einsum`s, and the step runs on F Python
-        floats.  Row k of 1/v becomes 1/(t + s2) in place, and only where
-        the component's var moved.
+        floats.  Once every Newton step t is known, the whole block of 1/v
+        becomes 1/(t + s2) in place by one add and one reciprocal; a row
+        whose var did not move gets its old bits back, as t = tau there.
+        One more product gives the minorizer check of every downward
+        step, and only a row whose Newton step the MM step replaces is
+        refilled on its own.  Up to 8,192 cases that product's row k has
+        the bits of a one-row product; above, its last bits may differ,
+        so a check that ties to a few ulps could take the other step.
+        From 2 ``BLOCK_FLOOR`` cases each row runs alone (`m_step`).
         """
         tau = [c.var for c in components]
         iv = np.add(np.array(tau)[:, None], self.s2)
@@ -504,15 +511,16 @@ class NormalObservations(Observations):
         a = np.einsum("ij,ij->i", w, iv).tolist()
         b = np.einsum("ij,ij->i", p, iv).tolist()
         c = np.einsum("ij,ij,ij->i", p, iv, iv).tolist()
-        t = []
-        for k, (t0, ak, bk, ck) in enumerate(zip(tau, a, b, c)):
-            tk = max(0.0, t0 + (bk - ak) / (2.0 * ck)) if ck > 0.0 else 0.0
-            if tk != t0:
-                row = np.reciprocal(np.add(self.s2, tk, out=iv[k]), out=iv[k])
-                if tk < t0 and np.einsum("j,j->", p[k], row) > ak:  # a downward step that lowers G: the MM step
-                    tk = t0 * math.sqrt(bk / ak)
-                    np.reciprocal(np.add(self.s2, tk, out=row), out=row)
-            t.append(tk)
+        t = [max(0.0, t0 + (bk - ak) / (2.0 * ck)) if ck > 0.0 else 0.0 for t0, ak, bk, ck in zip(tau, a, b, c)]
+        np.add(np.array(t)[:, None], self.s2, out=iv)
+        np.reciprocal(iv, out=iv)  # 1/(t + s2)
+        down = [k for k, (tk, t0) in enumerate(zip(t, tau)) if tk < t0]
+        if down:
+            g = np.einsum("ij,ij->i", p, iv).tolist()  # sum w r^2/(v (t + s2))
+            for k in down:
+                if g[k] > a[k]:  # a downward step that lowers G: the MM step
+                    t[k] = tau[k] * math.sqrt(b[k] / a[k])
+                    np.reciprocal(np.add(self.s2, t[k], out=iv[k]), out=iv[k])
         iv *= w  # w/(t + s2)
         mu = np.einsum("ij,j->i", iv, self.z) / np.einsum("ij->i", iv)
         return list(zip(mu.tolist(), t))

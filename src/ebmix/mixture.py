@@ -54,6 +54,11 @@ class MixtureModel:
     or empirical; with ``NullMode.NONE`` no component is special and
     fdr/FDR operations are unavailable.  The family is that of the
     components' type, and every component must have it.
+
+    The constructor checks every model that enters from outside EM: a
+    parsed model file, a start from `initialize`, a caller's own model,
+    each restart's fit (``dataclasses.replace``).  Only `m_step` builds
+    its models without these checks, from a model that passed them.
     """
 
     pi: np.ndarray
@@ -124,7 +129,8 @@ class MixtureModel:
         in the task that built them (``then`` of `log_marginal_matrix`).
         Raises NumericError at a non-finite component log marginal (from
         `log_marginal_matrix`), else at the first case of zero mixture
-        density f over all blocks.
+        density f over all blocks.  log pi is taken under
+        ``np.errstate(divide="ignore")``, as a zero pi_j has log -inf.
         """
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)[:, None]
@@ -270,10 +276,18 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
       (`families.fitted_block`);
     - from there, on any host, each by its own call on its own row, which
       also sums that row (`_fit_rows`).
+
+    The updated model is built without the constructor's checks
+    (`_refitted`), as every field either is the checked ``model``'s or
+    is made here in a checked form: pi is renormalized from nj + beta_j
+    once these are checked finite and non-negative with a positive sum
+    (a caller's own w may hold anything), each component comes from
+    ``data.update``, whose component class checks itself, or from
+    `initialize`, and a theoretical null is never refitted.
     """
-    j, n = w.shape
-    if j != model.n_components or n != len(data):
+    if w.shape != (model.n_components, len(data)):
         raise ContractError("responsibility matrix shape does not match data/model")
+    j, n = w.shape
     comps = list(model.components)
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
     if n >= 2 * families.BLOCK_FLOOR:
@@ -298,14 +312,26 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
             reinitialized = True
 
     total = _sum(pis)
-    updated = MixtureModel(
-        pi=np.array([p / total for p in pis]),
-        components=tuple(comps),
+    if not (0.0 < total < math.inf and min(pis) >= 0.0):
+        raise ContractError("responsibilities must give finite, non-negative mixture proportions")
+    return _refitted(model, np.array([p / total for p in pis]), tuple(comps)), reinitialized
+
+
+def _refitted(model: MixtureModel, pi: np.ndarray, components: tuple) -> MixtureModel:
+    """``model`` with new ``pi`` and ``components``, built without `MixtureModel`'s checks; for `m_step` only.
+
+    The null mode, penalty, diagnostics and family are ``model``'s own.
+    """
+    updated = object.__new__(MixtureModel)
+    updated.__dict__.update(
+        pi=pi,
+        components=components,
         null_mode=model.null_mode,
         penalty=model.penalty,
         diagnostics=model.diagnostics,
+        family=model.family,
     )
-    return updated, reinitialized
+    return updated
 
 
 def _fit_rows(data: Observations, w: np.ndarray, comps: list, start_free: int) -> list:

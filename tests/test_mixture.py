@@ -370,6 +370,43 @@ def test_bits_do_not_follow_the_cpu_count_above_einsums_buffer(split, kind):
     assert results[1] == results[0]
 
 
+@pytest.mark.parametrize("path", ["one-call", "per-row"])
+@pytest.mark.parametrize(
+    "kind, mode",
+    [(kind, mode) for kind in ("normal", "normal-varying-s2") for mode in NullMode]
+    + [("binomial", NullMode.EMPIRICAL), ("binomial", NullMode.NONE)],
+)
+def test_m_step_models_pass_the_public_checks(split, path, kind, mode):
+    """Every model `m_step` builds without the constructor's checks comes out of the public constructor equal and of its family.
+
+    Three maps from a jittered start, then one with component 2 (free,
+    with no penalty) given no weight, which is reinitialized and makes
+    pi renormalize.  ``per-row`` lowers the floor so that each row is
+    fitted by its own call.
+    """
+    if path == "per-row":
+        split(400, 2)
+    data, config = _block_case(kind)
+    config = dataclasses.replace(config, null_mode=mode)
+    model = initialize(data, config, 1)
+    for it in range(4):
+        w, _ = e_step(data, model)
+        if it == 3:
+            w[2] = 0.0
+        model, reinit = m_step(data, w, config, model)
+        again = MixtureModel(
+            pi=model.pi,
+            components=model.components,
+            null_mode=model.null_mode,
+            penalty=model.penalty,
+            diagnostics=model.diagnostics,
+        )
+        assert again == model
+        assert model.family is again.family is data.family
+    assert reinit
+    assert (len(data) >= 2 * families.BLOCK_FLOOR) is (path == "per-row")
+
+
 def test_m_step_raises_a_pool_rows_error_after_every_row(monkeypatch, split):
     """A row fitted on the pool that fails: its error reaches the caller once every other row has finished."""
     split(100, 3)
@@ -425,12 +462,21 @@ def test_forked_child_runs_its_own_split_e_step(split):
 
 
 class TestMStep:
-    @pytest.mark.parametrize("shape", [(2, 10), (3, 9)], ids=["rows", "columns"])
+    @pytest.mark.parametrize("shape", [(2, 10), (3, 9), (30,)], ids=["rows", "columns", "one-dimensional"])
     def test_weights_of_the_wrong_shape_are_refused(self, shape):
         obs = Observations.normal(np.linspace(-2.0, 2.0, 10))
         model = MixtureModel(pi=np.full(3, 1 / 3), components=(_NULL, _ALT, _ALT), null_mode=NullMode.NONE, penalty=np.zeros(3))
         with pytest.raises(ContractError, match="^responsibility matrix shape does not match data/model$"):
             m_step(obs, np.full(shape, 0.1), FitConfig(null_mode=NullMode.NONE), model)
+
+    @pytest.mark.parametrize("row", [[np.nan] * 10, [2.0] * 10], ids=["nan", "negative"])
+    def test_weights_that_give_no_simplex_point_are_refused(self, row):
+        """A caller's w whose counts are not finite and non-negative: the model is refused, not built."""
+        obs = Observations.normal(np.linspace(-2.0, 2.0, 10))
+        model = MixtureModel(pi=np.full(3, 1 / 3), components=(_NULL, _ALT, _ALT), null_mode=NullMode.NONE, penalty=np.zeros(3))
+        w = np.array([row, [-1.0] * 10, [0.0] * 10])
+        with pytest.raises(ContractError, match="^responsibilities must give finite, non-negative mixture proportions$"):
+            m_step(obs, w, FitConfig(null_mode=NullMode.NONE), model)
 
     def test_unweighted_moment_match(self):
         rng = np.random.default_rng(1)

@@ -97,29 +97,12 @@ but the weights and log marginals it returns, and the memory of one map
 is reused by the next.  A batch is therefore not for callers to use from
 several threads at once.
 
-The E-step itself is split: each case's kernel column, weights and log
-marginal depend on that case alone, so a large batch cuts its columns
-into ``blocks``, one per usable CPU and each at least BLOCK_FLOOR
-cases, and runs them at once by `run_calls`, the first in the calling
-thread and the rest on a small thread pool (numpy releases the GIL in
-its loops).  Each block builds its kernel columns and turns them into
-weights in one task (`log_marginal_matrix`'s ``then``), so an E-step
-wakes the pool once.  Each block writes only its own columns of the one
-(J, n) buffer and of ``scratch``, and every step works per case (the max
-and the sum run over components only), so every result has the same
-bits at any block count.  A block's sub-batch is the family's own class
-on views of its columns, with cached terms of its own.
-
-Sums over cases are never split: splitting a sum changes its bits.  The
-pll's sum stays in one thread.  The M-step's sums run whole, one
-component's row at a time: from 2 BLOCK_FLOOR cases on, on any host,
-`mixture.m_step` fits each component by its own ``update`` call on its
-own row, and the rows run at once on the pool, dealt round-robin into
-one group per block (`run_calls`).  Below that size one ``update`` call
-takes all F fitted rows.  The rule goes by the batch's size, never by
-the CPU count: above about 8k cases a (1, n) `np.einsum` and the same
-row of an (F, n) one differ in their last bits, so a rule by CPUs would
-make a model's bytes follow the host.
+Every sum over cases runs whole, in the calling thread, and so does
+the rest of an EM map: the E-step builds the one (J, n) kernel and
+weighs it in place, the pll sums the log marginals once, and
+`mixture.m_step` fits all F fitted components by one ``update`` call on
+their rows of the weights, at every batch size.  So no bit of a fit
+follows the host's CPUs.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -149,11 +132,9 @@ E-step and the M-step agree to rounding.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -162,8 +143,6 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# Fewest cases in a block of a split E-step: a batch below twice this runs as one block.
-BLOCK_FLOOR = 25_000
 # Below it, `NormalObservations.proves_finite`'s two bounds leave every kernel entry far from overflow.
 _FINITE_BOUND = 1e300
 
@@ -256,20 +235,20 @@ class ComponentPosterior:
     kappa: np.ndarray | None = None
 
 
-def normal_logpdf(x, mean, var, out=None):
+def normal_logpdf(x, mean, var):
     """log phi(x; mean, var); ``var`` broadcasts to the shape of ``x - mean``, which is the result's.
 
-    The result is built in the one array ``x - mean``, new or ``out``; no
-    other array of that shape is made unless ``var`` has it.  The squared
-    deviations are scaled by one reciprocal, 0.5 / var, which is J
-    numbers for a (J, 1) column ``var``, not divided cell by cell.  The
-    steps are those of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var),
-    in that order, so the result has the bits of that closed form.
+    The result is built in the one new array ``x - mean``; no other array
+    of that shape is made unless ``var`` has it.  The squared deviations
+    are scaled by one reciprocal, 0.5 / var, which is J numbers for a
+    (J, 1) column ``var``, not divided cell by cell.  The steps are those
+    of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var), in that
+    order, so the result has the bits of that closed form.
     """
     scale = np.log(var)
     scale += LOG_2PI
     scale *= -0.5
-    out = np.subtract(x, mean, out=out)
+    out = np.subtract(x, mean)
     np.square(out, out=out)
     out *= 0.5 / var
     return np.subtract(scale, out, out=out)
@@ -316,41 +295,6 @@ class Observations:
     def scratch(self) -> np.ndarray:
         """Two writable rows of length n that an EM map works in (see the module docstring)."""
         return np.empty((2, len(self)))
-
-    @property
-    def blocks(self) -> tuple:
-        """The (columns, sub-batch) pairs an E-step runs at once; their count is that of a large M-step's row groups.
-
-        One pair, ``(slice(None), self)``, below 2 BLOCK_FLOOR cases or
-        with one usable CPU; else k = min(CPUs, n // BLOCK_FLOOR) nearly
-        equal column slices, each with the family's batch of its cases.
-        """
-        return self._split or ((slice(None), self),)
-
-    @functools.cached_property
-    def _split(self) -> tuple:
-        """The pairs of ``blocks`` where the batch splits, else ().
-
-        The one-block pair is not cached: holding ``self``, it would make
-        every batch a reference cycle, freed only by the cycle collector.
-        """
-        n = len(self)
-        k = min(usable_cpus(), n // BLOCK_FLOOR) if n >= 2 * BLOCK_FLOOR else 1
-        if k < 2:
-            return ()
-        edges = [n * b // k for b in range(k + 1)]
-        return tuple((slice(a, b), self._cases(slice(a, b))) for a, b in zip(edges, edges[1:]))
-
-    def _cases(self, cols: slice) -> "Observations":
-        """The batch of the cases in ``cols``, on views of this batch's arrays.
-
-        Every field of a family class is one checked, read-only array of
-        per-case values, so its slices need neither a check nor a copy.
-        """
-        sub = object.__new__(type(self))
-        for f in fields(self):
-            object.__setattr__(sub, f.name, getattr(self, f.name)[cols])
-        return sub
 
     @functools.cached_property
     def saturated(self) -> np.ndarray:
@@ -431,16 +375,15 @@ class NormalObservations(Observations):
                 return False
         return True
 
-    def log_kernel(self, components, out=None) -> np.ndarray:
+    def log_kernel(self, components) -> np.ndarray:
         """log phi(z; mean, var + s2) per component (rows) and case (columns), in closed form.
 
         With a common s2 each component's log(var + s2) is taken once.
-        Built in ``out`` where it is given.
         """
         mu = np.array([c.mean for c in components])
         var = np.array([c.var for c in components])
         s2 = self.s2[:1] if self.homoscedastic else self.s2
-        return normal_logpdf(self.z, mu[:, None], var[:, None] + s2, out)
+        return normal_logpdf(self.z, mu[:, None], var[:, None] + s2)
 
     def posterior(self, components) -> ComponentPosterior:
         """N((s2*mean + var*z)/(var + s2), var*s2/(var + s2)); a point mass (var = 0) stays one.
@@ -496,10 +439,7 @@ class NormalObservations(Observations):
         whose var did not move gets its old bits back, as t = tau there.
         One more product gives the minorizer check of every downward
         step, and only a row whose Newton step the MM step replaces is
-        refilled on its own.  Up to 8,192 cases that product's row k has
-        the bits of a one-row product; above, its last bits may differ,
-        so a check that ties to a few ulps could take the other step.
-        From 2 ``BLOCK_FLOOR`` cases each row runs alone (`m_step`).
+        refilled on its own.
         """
         tau = [c.var for c in components]
         iv = np.add(np.array(tau)[:, None], self.s2)
@@ -659,8 +599,8 @@ class BinomialObservations(Observations):
         log_fact = self._rising_sums(np.ones((1, 3)))[0]  # R_1(k) = log k!
         return _read_only(xlogy(h, h / n) + xlogy(f, f / n) + log_fact[2] - log_fact[0] - log_fact[1])
 
-    def log_kernel(self, components, out=None) -> np.ndarray:
-        """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), built (J, n) or in ``out``.
+    def log_kernel(self, components) -> np.ndarray:
+        """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), a new (J, n) array.
 
         The form of the module docstring: the per-case log ratios, plus
         R_{kappa/p}, R_{kappa/q} and R_kappa of each component with kappa > 0
@@ -673,7 +613,7 @@ class BinomialObservations(Observations):
         p = np.array([c.mean for c in components])
         kappa = np.array([c.kappa for c in components])
         q = 1.0 - p
-        out = np.add(h * _log_ratio(p[:, None], rate_h), f * _log_ratio(q[:, None], rate_f), out=out)
+        out = np.add(h * _log_ratio(p[:, None], rate_h), f * _log_ratio(q[:, None], rate_f))
         live = kappa > 0  # the rising sums of a point mass are 0
         if np.any(live):
             k = kappa[live]
@@ -852,94 +792,22 @@ def fitted_block(fitted):
     return slice(fitted[0], fitted[-1] + 1) if fitted[-1] - fitted[0] == len(fitted) - 1 else fitted
 
 
-def log_marginal_matrix(obs: Observations, components, then=None) -> np.ndarray:
+def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
     """Stacked component log marginals less ``obs.saturated``, shape (J, n): the family's ``log_kernel``.
 
     Each case's data-only term ``obs.saturated`` (0 for normal cases) is
     left out: posterior weights do not depend on it, and sums over cases
-    add it back once.  The result is a new array that the caller owns.
-    Each of ``obs.blocks`` builds its columns of it, all at once by
-    `run_calls`, and, given ``then``, runs ``then(cols, block)`` on them
-    in the same task, with ``block`` its columns of the result:
-    `mixture.MixtureModel.posterior_weights` turns them into the weights
-    in place there, so an E-step is one dispatch.  NumericError if an
-    entry is not finite, after every block has run: a block's kernel is
-    scanned unless its sub-batch's ``proves_finite`` shows it finite, and
-    a block that is not finite skips ``then``.
+    add it back once.  The result is a new C-contiguous array that the
+    caller owns.  NumericError if an entry is not finite: the kernel is
+    scanned unless ``obs.proves_finite`` shows it finite.
     """
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):
         raise ContractError(f"{obs.family.value} components must be {obs.component.__name__}")
-    kernel = np.empty((len(components), len(obs)))
-
-    def fill(cols, sub):
-        block = sub.log_kernel(components, out=kernel[:, cols])
-        if not (sub.proves_finite(components) or bool(np.all(np.isfinite(block)))):
-            return False
-        if then is not None:
-            then(cols, block)
-        return True
-
-    if not all(run_calls([functools.partial(fill, cols, sub) for cols, sub in obs.blocks])):
+    kernel = obs.log_kernel(components)
+    if not (obs.proves_finite(components) or bool(np.all(np.isfinite(kernel)))):
         raise NumericError("non-finite component log marginal")
     return kernel
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-_pool = None  # the blocks' thread pool, made on first use
-
-
-def _drop_pool():
-    """Shut the idle pool down, so no pool thread is alive at a fork and a child never reuses it."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_drop_pool)
-
-
-def _in_caller_state(errors, call):
-    with np.errstate(**errors):
-        return call()
-
-
-def run_calls(calls) -> list:
-    """[call() for call in calls], the first in this thread and the others on the pool.
-
-    A pool thread inherits neither the caller's context variables nor
-    its numpy error state, so each call runs in a copy of the context
-    (numpy 2's error state lives there, and so do warning filters where
-    Python keeps them per context) and under the caller's error state
-    (numpy 1 keeps it per thread): an overflow the caller ignores is
-    ignored in every call, and one it raises on raises here.  Every call
-    has finished when this returns or raises, and it raises the error of
-    the first call in list order that failed.
-    """
-    if len(calls) == 1:
-        return [calls[0]()]
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(max(1, usable_cpus() - 1), thread_name_prefix="ebmix-block")
-    errors = np.geterr()
-    futures = [_pool.submit(contextvars.copy_context().run, _in_caller_state, errors, call) for call in calls[1:]]
-    try:
-        head = calls[0]()
-    finally:
-        for f in futures:
-            f.exception()  # waits, and raises nothing: no call may still write once this returns
-    return [head] + [f.result() for f in futures]
 
 
 def _beta_mom(p: np.ndarray) -> BetaComponent:

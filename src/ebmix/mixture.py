@@ -22,7 +22,6 @@ kernel afresh: EM has one code path for every family.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -125,36 +124,25 @@ class MixtureModel:
         log-sum-exp, and w is normalized by one reciprocal per case: s
         becomes 1/s in place and w is multiplied by it, so no (J, n)
         division is made.  m and s are kept in the batch's ``scratch``
-        rows.  Each of ``obs.blocks`` runs these steps on its own columns,
-        in the task that built them (``then`` of `log_marginal_matrix`).
-        Raises NumericError at a non-finite component log marginal (from
-        `log_marginal_matrix`), else at the first case of zero mixture
-        density f over all blocks.  log pi is taken under
+        rows.  Raises NumericError at a non-finite component log marginal
+        (from `log_marginal_matrix`), else at the first case of zero
+        mixture density f.  log pi is taken under
         ``np.errstate(divide="ignore")``, as a zero pi_j has log -inf.
         """
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)[:, None]
-        logf = np.empty(len(obs))
-        scratch = obs.scratch
-        zero = []  # the first zero-density case of each block that has one
-
-        def weigh(cols, wb):
-            m, s, lf = scratch[0, cols], scratch[1, cols], logf[cols]
-            wb += log_pi
-            wb.max(axis=0, out=m)
-            if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
-                zero.append(int(np.flatnonzero(~np.isfinite(m))[0]) + (cols.start or 0))
-                return
-            wb -= m
-            np.exp(wb, out=wb)
-            wb.sum(axis=0, out=s)
-            np.log(s, out=lf)
-            lf += m
-            wb *= np.reciprocal(s, out=s)
-
-        w = families.log_marginal_matrix(obs, self.components, weigh)
-        if zero:
-            raise NumericError(f"zero marginal density at case {min(zero)}")
+        w = families.log_marginal_matrix(obs, self.components)
+        m, s = obs.scratch
+        w += log_pi
+        w.max(axis=0, out=m)
+        if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
+            raise NumericError(f"zero marginal density at case {int(np.flatnonzero(~np.isfinite(m))[0])}")
+        w -= m
+        np.exp(w, out=w)
+        w.sum(axis=0, out=s)
+        logf = np.log(s)
+        logf += m
+        w *= np.reciprocal(s, out=s)
         return w, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:
@@ -271,11 +259,9 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     unjittered start, ``initialize(data, config, 0)``; the flag is then
     True, and the EM objective may legitimately dip for one iteration.
     The pi update runs on J Python floats.  The free components with
-    weight are fitted by ``data.update``, the others are kept:
-    - below 2 ``families.BLOCK_FLOOR`` cases, by one call on their rows
-      (`families.fitted_block`);
-    - from there, on any host, each by its own call on its own row, which
-      also sums that row (`_fit_rows`).
+    weight are fitted by one ``data.update`` call on their rows of ``w``
+    (`families.fitted_block`) at every batch size, and the others are
+    kept.
 
     The updated model is built without the constructor's checks
     (`_refitted`), as every field either is the checked ``model``'s or
@@ -290,17 +276,14 @@ def m_step(data: Observations, w: np.ndarray, config: FitConfig, model: MixtureM
     j, n = w.shape
     comps = list(model.components)
     start_free = 1 if model.null_mode is NullMode.THEORETICAL else 0
-    if n >= 2 * families.BLOCK_FLOOR:
-        njs = _fit_rows(data, w, comps, start_free)
-    else:
-        nj = w.sum(axis=1)
-        njs = nj.tolist()
-        # with penalty mass only there is nothing to fit a component to
-        fitted = [k for k in range(start_free, j) if njs[k] > 0.0]
-        if fitted:
-            block = families.fitted_block(fitted)
-            for k, c in zip(fitted, data.update(w[block], nj[block], [comps[k] for k in fitted])):
-                comps[k] = c
+    nj = w.sum(axis=1)
+    njs = nj.tolist()
+    # with penalty mass only there is nothing to fit a component to
+    fitted = [k for k in range(start_free, j) if njs[k] > 0.0]
+    if fitted:
+        block = families.fitted_block(fitted)
+        for k, c in zip(fitted, data.update(w[block], nj[block], [comps[k] for k in fitted])):
+            comps[k] = c
     betas = model.penalty.tolist()
     scale = n + _sum(betas)
     pis = [(a + b) / scale for a, b in zip(njs, betas)]
@@ -332,33 +315,6 @@ def _refitted(model: MixtureModel, pi: np.ndarray, components: tuple) -> Mixture
         family=model.family,
     )
     return updated
-
-
-def _fit_rows(data: Observations, w: np.ndarray, comps: list, start_free: int) -> list:
-    """Each row's weight sum nj, as a list; the free ``comps`` with nj > 0 are fitted in place, each on its own row.
-
-    A row's sum and fit read that row alone, so they have the same bits
-    whichever task runs them: the J rows are dealt round-robin into one
-    group per block of ``data.blocks``, and the groups run at once
-    (`families.run_calls`).  A row's sum is the same (1, n) reduction as
-    its row of ``w.sum(axis=1)``; its fit is not the (F, n) one of
-    `m_step`'s small batches in the last bits (einsum's sums over long
-    rows differ), which is why the rule goes by the batch's size.
-    """
-    j = len(comps)
-
-    def fit(rows):
-        for k in rows:
-            row = w[k : k + 1]
-            nj = row.sum(axis=1)
-            njs[k] = float(nj[0])
-            if k >= start_free and njs[k] > 0.0:
-                comps[k] = data.update(row, nj, [comps[k]])[0]
-
-    njs = [0.0] * j
-    groups = min(len(data.blocks), j)
-    families.run_calls([functools.partial(fit, range(g, j, groups)) for g in range(groups)])
-    return njs
 
 
 def _run_em(data: Observations, config: FitConfig, restart_index: int) -> MixtureModel:

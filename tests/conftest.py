@@ -2,26 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ebmix import MixtureModel, NormalComponent, NullMode, families
+from ebmix import MixtureModel, NormalComponent, NullMode
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """split(floor, cpus): a batch made afterwards runs its E-steps in min(cpus, n // floor) column blocks.
-
-    A batch of fewer than 2 floor cases stays one block.
-    """
-
-    def apply(floor, cpus):
-        monkeypatch.setattr(families, "BLOCK_FLOOR", floor)
-        monkeypatch.setattr(families, "usable_cpus", lambda: cpus)
-
-    return apply
 
 
 @pytest.fixture

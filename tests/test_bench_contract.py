@@ -7,8 +7,7 @@ bench/workloads.py also runs ``ebmix fit|estimate|calibrate`` argv lists.
 A rename, a deleted keyword or a changed flag would fail every benchmark
 run, so these tests read bench/ as source and resolve each name on ebmix
 and parse each argv list with the CLI's parser.  One test imports
-bench/tracing.py and bench/replay.py, to run their hooks around an
-E-step split over threads.
+bench/tracing.py and bench/replay.py, to run their hooks around a fit.
 """
 
 import ast
@@ -178,20 +177,17 @@ def test_replayed_map_repeats_its_work(monkeypatch, s2, null_mode):
     assert work == [[none, one]] * 3
 
 
-def test_bench_hooks_see_a_split_e_step_from_the_calling_thread(monkeypatch, split):
-    """A fit whose E-steps run in four column blocks, traced and then replayed as bench/ does.
+def test_bench_hooks_see_one_kernel_span_per_e_step(monkeypatch):
+    """A fit traced and then replayed as bench/ does.
 
-    Pool threads call no function that bench/tracing.py wraps, so the
-    span tree stays consistent and there is one ``log_marginal_matrix``
-    span per E-step, inside it.  The replayed maps still make one kernel
-    call per E-step, and ``normal_logpdf`` runs once per block.
+    The span tree stays consistent, with one ``log_marginal_matrix`` span
+    per E-step, inside it.  The replayed maps make one kernel call per
+    E-step, and ``normal_logpdf`` runs once per kernel.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     tracing, replay = importlib.import_module("tracing"), importlib.import_module("replay")
-    split(500, 4)
     rng = np.random.default_rng(9)
     data = Observations.normal(rng.normal(size=2000) + np.where(rng.uniform(size=2000) < 0.1, 3.0, 0.0))
-    assert len(data.blocks) == 4
     log, tracer = tracing.FitLog(capture_every=1), tracing.Tracer()
     root = tracer.open(tracing.ROOT)
     with tracing.instrumented(log, tracer):
@@ -208,7 +204,7 @@ def test_bench_hooks_see_a_split_e_step_from_the_calling_thread(monkeypatch, spl
     for name, made in calls.items():
 
         def counted(*args, _real=getattr(families, name), _made=made):
-            _made.append(None)  # list.append is atomic: the blocks' threads call normal_logpdf at once
+            _made.append(None)
             return _real(*args)
 
         monkeypatch.setattr(families, name, counted)
@@ -216,4 +212,4 @@ def test_bench_hooks_see_a_split_e_step_from_the_calling_thread(monkeypatch, spl
     replay.em_step_cost(log.first_steps, rounds, reference=lambda: 1.0)
     maps = rounds * len(log.first_steps)
     assert len(log.first_steps) == 2
-    assert {name: len(made) for name, made in calls.items()} == {"normal_logpdf": 4 * maps, "log_marginal_matrix": maps}
+    assert {name: len(made) for name, made in calls.items()} == {"normal_logpdf": maps, "log_marginal_matrix": maps}

@@ -1,10 +1,7 @@
 """Component marginals and posteriors against quadrature oracles."""
 
-import functools
 import gc
 import math
-import threading
-import time
 import weakref
 
 import numpy as np
@@ -257,30 +254,16 @@ def test_normal_logpdf_is_within_ulps_of_the_exact_density(var_shape):
 class TestKernelFiniteness:
     """A normal kernel is shown finite from the batch's extent where it can be, and scanned where it cannot."""
 
-    @pytest.mark.parametrize(
-        "s2, blocks",
-        [(1.0, 1), ([1.0, 2.0, 0.5], 1), (1.0, 4), ("per-case", 4)],
-        ids=["common", "per-case", "common-4-blocks", "per-case-4-blocks"],
-    )
-    def test_overflowing_kernel_raises(self, split, s2, blocks):
-        """Also where the overflowing case lies in block 3 of 4, which a pool thread computes.
+    @pytest.mark.parametrize("s2", [1.0, [1.0, 2.0, 0.5]], ids=["common", "per-case"])
+    def test_overflowing_kernel_raises(self, s2):
+        """z = 1e200 is not shown finite, so the kernel is scanned and the NumericError is raised.
 
-        The caller's ``over="ignore"`` must reach that thread: under
-        tier-1's error::RuntimeWarning its overflow warning would
-        otherwise take the place of the NumericError.
+        Under tier-1's error::RuntimeWarning the caller's ``over="ignore"``
+        is what keeps numpy's overflow warning from taking its place.
         """
-        if blocks == 1:
-            obs = Observations.normal([0.0, 1e200, -3.0], s2)
-        else:
-            split(250, 4)
-            rng = np.random.default_rng(6)
-            z = rng.standard_normal(1000)
-            z[600] = 1e200
-            obs = Observations.normal(z, rng.uniform(0.5, 2.0, 1000) if s2 == "per-case" else s2)
+        obs = Observations.normal([0.0, 1e200, -3.0], s2)
         model = mixture.initialize(obs, FitConfig(n_components=2))
         assert not obs.proves_finite(model.components)
-        proven = [sub.proves_finite(model.components) for _, sub in obs.blocks]
-        assert proven == ([False] if blocks == 1 else [True, True, False, True])
         with np.errstate(over="ignore"):  # (z - mean)^2 overflows to inf
             with pytest.raises(NumericError, match="non-finite component log marginal"):
                 log_marginal_matrix(obs, model.components)
@@ -718,88 +701,14 @@ def test_model_mixing_families_rejected(components):
         MixtureModel(pi=np.array([0.5, 0.5]), components=components, null_mode=NullMode.NONE, penalty=np.zeros(2))
 
 
-def _run_blocks(obs, fn):
-    """``fn(cols, sub)`` for each of ``obs.blocks``, run at once by `families.run_calls`, as an E-step runs them."""
-    return families.run_calls([functools.partial(fn, cols, sub) for cols, sub in obs.blocks])
-
-
-class TestEachBlock:
-    """`families.run_calls` runs a function on every column block of a batch, the first in the calling thread."""
-
-    @staticmethod
-    def _batch(split):
-        split(100, 3)
-        obs = Observations.normal(np.zeros(300))
-        assert [cols for cols, _ in obs.blocks] == [slice(0, 100), slice(100, 200), slice(200, 300)]
-        return obs
-
-    def test_results_in_column_order_from_sub_batches_of_the_columns(self, split):
-        obs = self._batch(split)
-        caller = threading.get_ident()
-        got = _run_blocks(obs, lambda cols, sub: (cols, len(sub), threading.get_ident() == caller))
-        assert got == [(slice(0, 100), 100, True), (slice(100, 200), 100, False), (slice(200, 300), 100, False)]
-        for _, sub in obs.blocks:
-            assert type(sub) is type(obs) and not sub.z.flags.writeable and not sub.s2.flags.writeable
-            assert np.shares_memory(sub.z, obs.z) and np.shares_memory(sub.s2, obs.s2)  # views, not copies
-
-    def test_small_batch_is_one_block_of_itself(self, split):
-        split(100, 3)
-        obs = Observations.normal(np.zeros(199))
-        assert obs.blocks == ((slice(None), obs),)
-        split(100, 1)
-        obs = Observations.normal(np.zeros(300))
-        assert obs.blocks == ((slice(None), obs),)
-
-    @pytest.mark.parametrize("n", [199, 300], ids=["one-block", "split"])
-    def test_batch_is_freed_without_the_cycle_collector(self, split, n):
-        """Neither ``blocks`` nor its sub-batches keep a batch alive: a fitted batch goes when its last reference does."""
-        split(100, 3)
-        obs = Observations.normal(np.random.default_rng(2).standard_normal(n))
-        mixture.e_step(obs, mixture.initialize(obs, FitConfig()))
-        assert len(obs.blocks) == (1 if n < 200 else 3)
-        gone = weakref.ref(obs)
-        gc.disable()
-        try:
-            del obs
-            assert gone() is None
-        finally:
-            gc.enable()
-
-    def test_every_block_finishes_before_it_raises(self, split):
-        """A failed first block must not leave a pool block writing into the caller's buffers."""
-        obs = self._batch(split)
-        done = []
-
-        def fn(cols, sub):
-            if cols.start == 0:
-                raise NumericError("block 1")
-            time.sleep(0.05)
-            done.append(cols.start)
-
-        with pytest.raises(NumericError, match="^block 1$"):
-            _run_blocks(obs, fn)
-        assert sorted(done) == [100, 200]
-
-    def test_raises_the_first_failed_block_in_column_order(self, split):
-        obs = self._batch(split)
-
-        def fn(cols, sub):
-            if cols.start == 100:
-                time.sleep(0.05)  # block 3 fails first
-            if cols.start:
-                raise NumericError(f"block at {cols.start}")
-
-        with pytest.raises(NumericError, match="^block at 100$"):
-            _run_blocks(obs, fn)
-
-    def test_blocks_run_under_the_callers_numpy_error_state(self, split):
-        """A pool thread does not inherit np.errstate; each block runs under the caller's."""
-        obs = self._batch(split)
-
-        def square(cols, sub):
-            return float(np.square(np.array([1e200]))[0])
-
-        with np.errstate(over="ignore"):
-            assert _run_blocks(obs, square) == [math.inf] * 3
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _run_blocks(obs, lambda cols, sub: square(cols, sub) if cols.start == 200 else None)
+def test_batch_is_freed_without_the_cycle_collector():
+    """No cached term keeps a batch alive: a fitted batch goes when its last reference does."""
+    obs = Observations.normal(np.random.default_rng(2).standard_normal(300))
+    mixture.e_step(obs, mixture.initialize(obs, FitConfig()))
+    gone = weakref.ref(obs)
+    gc.disable()
+    try:
+        del obs
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -3,8 +3,10 @@
 `import ebmix.cli` and a normal-family `fit` load no scipy at all.
 scipy.special is imported inside the functions that use it, so its cost
 moves to the first call: `estimate`, whose tail-area FDR uses `ndtr`.
-Nor do they load `concurrent.futures`: the E-step's thread pool is made
-by the first batch large enough to split, and small batches never are.
+Neither they nor an E-step and M-step on 60,000 cases load
+`concurrent.futures`: every EM map runs in the calling thread.  That map
+runs before `estimate`, since scipy.special loads `concurrent.futures`
+itself.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# one process, three steps; after each, the scipy and concurrent modules then in sys.modules
+# one process, four steps; after each, the scipy and concurrent modules then in sys.modules
 SCRIPT = """
 import json, sys
 
@@ -29,6 +31,12 @@ from ebmix.cli import main
 loaded["import"] = watched_modules()
 assert main(["fit", "--input", "cases.csv", "--family", "normal", "--output", "model.json"]) == 0
 loaded["fit"] = watched_modules()
+import numpy as np
+from ebmix import FitConfig, Observations, e_step, initialize, m_step
+data, config = Observations.normal(np.random.default_rng(0).standard_normal(60_000)), FitConfig()
+model = initialize(data, config)
+m_step(data, e_step(data, model)[0], config, model)
+loaded["large-map"] = watched_modules()
 assert main(["estimate", "--model", "model.json", "--input", "cases.csv", "--output", "out.csv"]) == 0
 loaded["estimate"] = watched_modules()
 print(json.dumps(loaded))
@@ -59,7 +67,7 @@ def test_normal_fit_loads_no_scipy(loaded):
     assert _scipy(loaded["fit"]) == set()
 
 
-@pytest.mark.parametrize("step", ["import", "fit"])
+@pytest.mark.parametrize("step", ["import", "fit", "large-map"])
 def test_no_thread_pool_is_loaded(loaded, step):
     assert {m for m in loaded[step] if m.split(".")[0] == "concurrent"} == set()
 

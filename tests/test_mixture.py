@@ -1,11 +1,8 @@
 """EM fitting contracts: E/M steps, penalties, pinning, determinism, BIC."""
 
 import dataclasses
-import hashlib
 import math
-import multiprocessing
 import re
-import time
 import tracemalloc
 
 import mpmath
@@ -32,9 +29,8 @@ from ebmix import (
     initialize,
     m_step,
 )
-from ebmix import families, mixture
+from ebmix import mixture
 from ebmix.families import NormalObservations, log_marginal_matrix
-from ebmix.model_io import ModelDocument, serialize_model
 from ebmix.mixture import n_free_parameters, unpenalized_loglik
 from ebmix.seeding import derive_rng
 
@@ -105,8 +101,8 @@ class TestEStep:
         model = MixtureModel(pi=np.full(j, 1.0 / j), components=components, null_mode=NullMode.NONE, penalty=np.zeros(j))
         made = []
 
-        def recording(data, comps, then=None, _real=mixture.families.log_marginal_matrix):
-            made.append(_real(data, comps, then))
+        def recording(data, comps, _real=mixture.families.log_marginal_matrix):
+            made.append(_real(data, comps))
             return made[-1]
 
         monkeypatch.setattr(mixture.families, "log_marginal_matrix", recording)
@@ -135,26 +131,19 @@ def _weights_case(kind):
 def _poison_kernel(monkeypatch, obs, zero=(), nan=()):
     """Make the kernel of ``obs`` -inf in every row at cases ``zero``, unseen by the finiteness check, and nan at ``nan``.
 
-    Each block writes its own columns, so a case is placed by its block's
-    first column; a block with a nan case does not prove itself finite,
-    so it is scanned.
+    A kernel with a nan case is not shown finite, so it is scanned.
     """
-    first = {id(sub): cols.start or 0 for cols, sub in obs.blocks}
     cls = type(obs)
     real = cls.log_kernel
 
-    def local(sub, cases):
-        start = first[id(sub)]
-        return [i - start for i in cases if start <= i < start + len(sub)]
-
-    def log_kernel(self, components, out=None):
-        out = real(self, components, out)
-        out[:, local(self, zero)] = -np.inf
-        out[:, local(self, nan)] = np.nan
+    def log_kernel(self, components):
+        out = real(self, components)
+        out[:, list(zero)] = -np.inf
+        out[:, list(nan)] = np.nan
         return out
 
     monkeypatch.setattr(cls, "log_kernel", log_kernel)
-    monkeypatch.setattr(cls, "proves_finite", lambda self, components: not local(self, nan))
+    monkeypatch.setattr(cls, "proves_finite", lambda self, components: not nan)
 
 
 def _model(comps, pi):
@@ -205,18 +194,8 @@ class TestPosteriorWeights:
         with pytest.raises(NumericError, match=r"^zero marginal density at case 3$"):
             _model(comps, pi).posterior_weights(obs)
 
-    def test_zero_marginal_density_in_later_blocks_names_the_first(self, monkeypatch, split, kind):
-        """Bad cases in blocks 2 and 3 of three: the error names the earlier, whichever block fails first."""
-        split(100, 3)
-        obs, comps, pi = _weights_case(kind)
-        assert [cols for cols, _ in obs.blocks] == [slice(0, 100), slice(100, 200), slice(200, 300)]
-        _poison_kernel(monkeypatch, obs, zero=[250, 170, 230])
-        with pytest.raises(NumericError, match=r"^zero marginal density at case 170$"):
-            _model(comps, pi).posterior_weights(obs)
-
-    def test_non_finite_kernel_comes_before_an_earlier_zero_density(self, monkeypatch, split, kind):
-        """Zero density in block 1 and a non-finite kernel in block 3: the kernel's error, as in an E-step of one block."""
-        split(100, 3)
+    def test_non_finite_kernel_comes_before_an_earlier_zero_density(self, monkeypatch, kind):
+        """Zero density at case 40 and a non-finite kernel at case 260: the kernel's error."""
         obs, comps, pi = _weights_case(kind)
         _poison_kernel(monkeypatch, obs, zero=[40], nan=[260])
         with pytest.raises(NumericError, match=r"^non-finite component log marginal$"):
@@ -261,11 +240,15 @@ def test_bound_kernel_outlives_the_e_step():
     assert w1.flags.writeable and not np.shares_memory(w1, w2)
 
 
-def _steady_map_growth(n, j, blocks):
-    """The most memory one steady map (M-step, then E-step) holds above what was held before it, in bytes."""
+def test_steady_map_allocates_only_its_results():
+    """A map's new memory is its w and log f and little more: the kernel becomes w in place.
+
+    tracemalloc sees numpy's buffers.  The bound is (J + 2) n doubles; w
+    alone is J n and log f n.
+    """
+    n, j = 20_000, 3
     rng = np.random.default_rng(8)
     data = Observations.normal(rng.normal(size=n) + np.where(rng.uniform(size=n) < 0.1, 3.0, 0.0))
-    assert len(data.blocks) == blocks
     config = FitConfig(n_components=j)
     model = initialize(data, config)
     w, _ = e_step(data, model)
@@ -280,37 +263,15 @@ def _steady_map_growth(n, j, blocks):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - before
+    assert peak - before <= (j + 2) * n * 8
 
 
-def test_steady_map_allocates_only_its_results():
-    """A map's new memory is its w and log f and little more: the kernel becomes w in place.
+def _fit_case(kind, n):
+    """(batch, config) of n cases, 15% of them non-null.
 
-    tracemalloc sees numpy's buffers.  The bound is (J + 2) n doubles; w
-    alone is J n and log f n.
-    """
-    n, j = 20_000, 3
-    assert _steady_map_growth(n, j, blocks=1) <= (j + 2) * n * 8
-
-
-@pytest.mark.parametrize("blocks", [2, 5])
-def test_steady_map_in_blocks_allocates_only_its_results(split, blocks):
-    """The bound holds when the E-step runs in column blocks: each block works in its columns of w, log f and scratch.
-
-    tracemalloc sees the buffers that numpy allocates in every thread.
-    """
-    n, j = 20_000, 3
-    split(n // blocks, blocks)
-    assert _steady_map_growth(n, j, blocks) <= (j + 2) * n * 8
-
-
-def _block_case(kind, n=2000):
-    """(batch, config) of n cases that five blocks of n/5 split differently from one.
-
-    The varying-s2 batch has one block whose s2 are all equal (a
-    homoscedastic sub-batch of a heteroscedastic batch), and the binomial
-    batch has trial counts past RISING_TABLE in its first block only, so
-    each block's rising tables have their own length.
+    The varying-s2 batch has a run of cases with equal s2 in its middle
+    fifth, and the binomial batch has trial counts past RISING_TABLE in its
+    first fiftieth.
     """
     rng = np.random.default_rng(31)
     nonnull = rng.uniform(size=n) < 0.15
@@ -329,71 +290,40 @@ def _block_case(kind, n=2000):
     return Observations.normal(z, s2), FitConfig(n_restarts=2)
 
 
-def _fit_bytes(data, config):
-    """em_fit's model file, and e_step's w bytes and pll at a jittered start and at the fit."""
-    fitted = em_fit(data, config)
-    steps = [e_step(data, model) for model in (initialize(data, config, 1), fitted)]
-    return serialize_model(ModelDocument(fitted)), [(w.tobytes(), pll) for w, pll in steps]
-
-
-@pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
-def test_bits_do_not_follow_the_block_count(split, kind):
-    """e_step's w and pll and em_fit's model file are the same bytes in five column blocks as in one.
-
-    Every step of the split E-step works per case, so the block count
-    cannot change a bit; the M-step never splits a sum over cases.
-    """
-    results = []
-    for blocks in (1, 5):
-        if blocks > 1:
-            split(400, 5)
-        data, config = _block_case(kind)
-        assert len(data.blocks) == blocks
-        results.append(_fit_bytes(data, config))
-    assert results[1] == results[0]
-
-
-@pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
-def test_bits_do_not_follow_the_cpu_count_above_einsums_buffer(split, kind):
-    """A batch of 20,000 cases, fitted per row from 2 floors on: the same bytes on one CPU as on five.
-
-    At this size a one-row einsum and the same row of an (F, n) einsum
-    differ in their last bits, so the M-step must pick its path by the
-    batch's size, never by its block count.
-    """
-    results = []
-    for cpus in (1, 5):
-        split(4000, cpus)
-        data, config = _block_case(kind, 20_000)
-        assert len(data.blocks) == cpus
-        results.append(_fit_bytes(data, config))
-    assert results[1] == results[0]
-
-
-@pytest.mark.parametrize("path", ["one-call", "per-row"])
 @pytest.mark.parametrize(
-    "kind, mode",
-    [(kind, mode) for kind in ("normal", "normal-varying-s2") for mode in NullMode]
-    + [("binomial", NullMode.EMPIRICAL), ("binomial", NullMode.NONE)],
+    "kind, mode, n",
+    [
+        pytest.param(kind, mode, n, id=f"{kind}-{mode.value}-one-call" + ("" if n == 2000 else f"-{n}-cases"))
+        for kind, mode, n in [(kind, mode, 2000) for kind in ("normal", "normal-varying-s2") for mode in NullMode]
+        + [("binomial", NullMode.EMPIRICAL, 2000), ("binomial", NullMode.NONE, 2000)]
+        + [("normal-varying-s2", mode, 12_000) for mode in NullMode]
+    ],
 )
-def test_m_step_models_pass_the_public_checks(split, path, kind, mode):
+def test_m_step_models_pass_the_public_checks(monkeypatch, kind, mode, n):
     """Every model `m_step` builds without the constructor's checks comes out of the public constructor equal and of its family.
 
     Three maps from a jittered start, then one with component 2 (free,
     with no penalty) given no weight, which is reinitialized and makes
-    pi renormalize.  ``per-row`` lowers the floor so that each row is
-    fitted by its own call.
+    pi renormalize.  Each map fits its components by one ``update`` call,
+    also past einsum's 8,192-case buffer (the 12,000-case batches).
     """
-    if path == "per-row":
-        split(400, 2)
-    data, config = _block_case(kind)
+    data, config = _fit_case(kind, n)
     config = dataclasses.replace(config, null_mode=mode)
+    real, calls = type(data).update, []
+
+    def update(self, w, nj, components):
+        calls.append(len(components))
+        return real(self, w, nj, components)
+
+    monkeypatch.setattr(type(data), "update", update)
     model = initialize(data, config, 1)
     for it in range(4):
         w, _ = e_step(data, model)
         if it == 3:
             w[2] = 0.0
+        calls.clear()
         model, reinit = m_step(data, w, config, model)
+        assert len(calls) == 1
         again = MixtureModel(
             pi=model.pi,
             components=model.components,
@@ -404,61 +334,6 @@ def test_m_step_models_pass_the_public_checks(split, path, kind, mode):
         assert again == model
         assert model.family is again.family is data.family
     assert reinit
-    assert (len(data) >= 2 * families.BLOCK_FLOOR) is (path == "per-row")
-
-
-def test_m_step_raises_a_pool_rows_error_after_every_row(monkeypatch, split):
-    """A row fitted on the pool that fails: its error reaches the caller once every other row has finished."""
-    split(100, 3)
-    obs, comps, _ = _weights_case("normal")
-    model = _model(comps, np.full(4, 0.25))
-    w, _ = e_step(obs, model)
-    real, done = NormalObservations.update, []
-
-    def update(self, w, nj, components):
-        if components == [comps[1]]:  # row 1: the second of three groups, on the pool
-            raise NumericError("row 1")
-        if components == [comps[2]]:  # row 2: the third group, on the pool, still running when row 1 fails
-            time.sleep(0.1)
-        done.append(components[0])
-        return real(self, w, nj, components)
-
-    monkeypatch.setattr(NormalObservations, "update", update)
-    with pytest.raises(NumericError, match="^row 1$"):
-        m_step(obs, w, FitConfig(n_components=4, null_mode=NullMode.NONE), model)
-    assert sorted(done, key=comps.index) == [comps[0], comps[2], comps[3]]
-
-
-def _e_step_digest(data, model, conn):
-    w, pll = e_step(data, model)
-    conn.send((hashlib.sha256(w.tobytes()).hexdigest(), pll))
-    conn.close()
-
-
-def test_forked_child_runs_its_own_split_e_step(split):
-    """A forked child never reuses the parent's block pool: the parent drops it at the fork, and both make a new one."""
-    split(400, 4)
-    data, config = _block_case("normal")
-    model = initialize(data, config)
-    w, pll = e_step(data, model)
-    assert families._pool is not None
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_e_step_digest, args=(data, model, send))
-    child.start()
-    try:
-        send.close()
-        assert families._pool is None
-        got = receive.recv() if receive.poll(60) else None
-        child.join(60)
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert child.exitcode == 0
-    assert got == (hashlib.sha256(w.tobytes()).hexdigest(), pll)
-    again, _ = e_step(data, model)
-    assert families._pool is not None and again.tobytes() == w.tobytes()
 
 
 class TestMStep:

@@ -90,19 +90,30 @@ point mass stays one): a stationary point of Q.
 A batch also keeps ``scratch``, two writable rows of length n, made on
 first use.  They hold no cached term: their contents mean nothing between
 calls.  `mixture.MixtureModel.posterior_weights` keeps each case's largest
-log term and its sum of exponentials in the two, and the normal M-step
-frees its one (F, n) block of squared deviations before the E-step.  So
-an EM map with a common s2 holds no new array of length n at its peak
-but the weights and log marginals it returns, and the memory of one map
-is reused by the next.  A batch is therefore not for callers to use from
-several threads at once.
+log term and its sum of exponentials in the two (in a split batch, below,
+each block in its columns of them), and the normal M-step frees its one
+(F, n) block of squared deviations before the E-step.  So an EM map with a
+common s2 holds no new array of length n at its peak but the weights and
+log marginals it returns, and the memory of one map is reused by the next.
+A batch is therefore not for callers to use from several threads at once.
 
-Every sum over cases runs whole, in the calling thread, and so does
-the rest of an EM map: the E-step builds the one (J, n) kernel and
-weighs it in place, the pll sums the log marginals once, and
-`mixture.m_step` fits all F fitted components by one ``update`` call on
-their rows of the weights, at every batch size.  So no bit of a fit
-follows the host's CPUs.
+The E-step walks the cases in column blocks of about BLOCK_CELLS kernel
+cells (``blocks``), 1 MB, so that its passes over a block (build the
+kernel, scan it, add log pi, max, shift, exp, sum, log, reciprocal,
+multiply) run while the block is in a core's L2 cache, not each over a
+(J, n) buffer in memory: cache blocking (Lam, Rothberg & Wolf 1991).  A
+batch of at most one block is its own one block.  A larger one splits
+into sub-batches, each the family's own class on views of its cases'
+columns, with cached terms of its own; each builds its kernel in its
+columns of the one (J, n) buffer the E-step returns
+(`log_marginal_matrix`'s ``out``).  No step of a block sums over cases:
+the max and the sum run over components only.  So no bit of the weights
+or the log marginals follows the block size.
+
+Every sum over cases runs whole, in the calling thread: the pll sums the
+log marginals once, and `mixture.m_step` fits all F fitted components by
+one ``update`` call on their rows of the weights, at every batch size.
+So no bit of a fit follows the block size or the host's CPUs.
 
 The beta-binomial marginal uses one exact, cancellation-free form
 (Minka 2000, "Estimating a Dirichlet distribution").  With q = 1 - p and
@@ -134,7 +145,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Union
 
@@ -143,6 +154,8 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Kernel cells of one E-step block, 1 MB of doubles: a block of BLOCK_CELLS // J cases stays in a core's L2.
+BLOCK_CELLS = 2**17
 # Below it, `NormalObservations.proves_finite`'s two bounds leave every kernel entry far from overflow.
 _FINITE_BOUND = 1e300
 
@@ -235,22 +248,24 @@ class ComponentPosterior:
     kappa: np.ndarray | None = None
 
 
-def normal_logpdf(x, mean, var):
+def normal_logpdf(x, mean, var, out=None):
     """log phi(x; mean, var); ``var`` broadcasts to the shape of ``x - mean``, which is the result's.
 
-    The result is built in the one new array ``x - mean``; no other array
-    of that shape is made unless ``var`` has it.  The squared deviations
-    are scaled by one reciprocal, 0.5 / var, which is J numbers for a
-    (J, 1) column ``var``, not divided cell by cell.  The steps are those
-    of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var), in that
-    order, so the result has the bits of that closed form.
+    The result is built in the one array ``x - mean``, new or ``out``.
+    The squared deviations are scaled by one reciprocal, 0.5 / var, which
+    is J numbers for a (J, 1) column ``var``, not divided cell by cell.
+    Where ``var`` has the result's shape, its reciprocal is freed before
+    its log is made, so besides ``var`` one array of that shape is alive
+    at a time, and the blocks of an E-step reuse its memory.  The steps
+    are those of -0.5 (log 2pi + log var) - (x - mean)^2 (0.5 / var), so
+    the result has the bits of that closed form.
     """
+    out = np.subtract(x, mean, out=out)
+    np.square(out, out=out)
+    out *= 0.5 / var
     scale = np.log(var)
     scale += LOG_2PI
     scale *= -0.5
-    out = np.subtract(x, mean)
-    np.square(out, out=out)
-    out *= 0.5 / var
     return np.subtract(scale, out, out=out)
 
 
@@ -295,6 +310,45 @@ class Observations:
     def scratch(self) -> np.ndarray:
         """Two writable rows of length n that an EM map works in (see the module docstring)."""
         return np.empty((2, len(self)))
+
+    def blocks(self, j: int) -> tuple:
+        """The (columns, sub-batch) pairs, in column order, that an E-step with ``j`` components walks.
+
+        The fewest blocks of at most BLOCK_CELLS // j cases each, of
+        sizes that differ by at most one case, so that each block's
+        arrays reuse the memory of the block before.  A batch of one
+        block is its own one pair, made afresh: held in a cache, it would
+        make the batch a reference cycle.
+        """
+        n = len(self)
+        if n * j <= BLOCK_CELLS:
+            return ((slice(0, n), self),)
+        k = -(-n // max(1, BLOCK_CELLS // j))
+        split = self._splits.get(k)
+        if split is None:
+            edges = [n * b // k for b in range(k + 1)]
+            cuts = [slice(a, b) for a, b in zip(edges, edges[1:])]
+            split = self._splits[k] = tuple((cols, self._cases(cols)) for cols in cuts)
+        return split
+
+    @functools.cached_property
+    def _splits(self) -> dict:
+        """The pairs of ``blocks`` of a batch that splits, by block count."""
+        return {}
+
+    def _cases(self, cols: slice) -> "Observations":
+        """The batch of the cases in ``cols``, on views of this batch's arrays and ``scratch`` rows.
+
+        Every field of a family class is one checked, read-only array of
+        per-case values, so its slices need neither a check nor a copy.
+        The scratch rows are shared, so the splits for several J hold no
+        more of them than the batch.
+        """
+        sub = object.__new__(type(self))
+        for f in fields(self):
+            object.__setattr__(sub, f.name, getattr(self, f.name)[cols])
+        sub.__dict__["scratch"] = self.scratch[:, cols]
+        return sub
 
     @functools.cached_property
     def saturated(self) -> np.ndarray:
@@ -375,15 +429,19 @@ class NormalObservations(Observations):
                 return False
         return True
 
-    def log_kernel(self, components) -> np.ndarray:
+    def log_kernel(self, components, out=None) -> np.ndarray:
         """log phi(z; mean, var + s2) per component (rows) and case (columns), in closed form.
 
-        With a common s2 each component's log(var + s2) is taken once.
+        Built in ``out``, a (J, n) array or a block's columns of one, where
+        it is given, else in a new array.  With a common s2 each
+        component's log(var + s2) is taken once; a sub-batch slices z and
+        s2 (``_cases``), so a block of varying s2 makes its (J, n) arrays
+        of var + s2 for its own cases only.
         """
         mu = np.array([c.mean for c in components])
         var = np.array([c.var for c in components])
         s2 = self.s2[:1] if self.homoscedastic else self.s2
-        return normal_logpdf(self.z, mu[:, None], var[:, None] + s2)
+        return normal_logpdf(self.z, mu[:, None], var[:, None] + s2, out)
 
     def posterior(self, components) -> ComponentPosterior:
         """N((s2*mean + var*z)/(var + s2), var*s2/(var + s2)); a point mass (var = 0) stays one.
@@ -548,6 +606,22 @@ class BinomialObservations(Observations):
         h, f, n = self.stacked
         return _read_only(np.stack([np.where(h > 0, h / n, 1.0), np.where(f > 0, f / n, 1.0)]))
 
+    def _cases(self, cols: slice) -> "BinomialObservations":
+        """The batch of the cases in ``cols``, with this batch's ``cut`` and views of its kernel terms.
+
+        The cut is the whole batch's, which the ``_table_keys`` index, so
+        each count's rising sum is read from the table or from
+        `rising_beyond` as in the whole kernel.
+        """
+        sub = super()._cases(cols)
+        sub.__dict__.update(
+            cut=self.cut,
+            stacked=self.stacked[:, cols],
+            _table_keys=self._table_keys[:, cols],
+            _safe_rates=self._safe_rates[:, cols],
+        )
+        return sub
+
     @functools.cached_property
     def _newton_terms(self) -> dict:
         """The data-only terms of `_fit_beta_newton`, each read-only.
@@ -599,21 +673,25 @@ class BinomialObservations(Observations):
         log_fact = self._rising_sums(np.ones((1, 3)))[0]  # R_1(k) = log k!
         return _read_only(xlogy(h, h / n) + xlogy(f, f / n) + log_fact[2] - log_fact[0] - log_fact[1])
 
-    def log_kernel(self, components) -> np.ndarray:
-        """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), a new (J, n) array.
+    def log_kernel(self, components, out=None) -> np.ndarray:
+        """log BB(H | N, p, kappa) - saturated per component (rows) and case (columns), new or in ``out``.
 
         The form of the module docstring: the per-case log ratios, plus
         R_{kappa/p}, R_{kappa/q} and R_kappa of each component with kappa > 0
         gathered at H, N-H and N from cumulative tables up to RISING_TABLE
         and `rising_beyond` for larger counts, at O(n + RISING_TABLE) cost
-        per component and with no special function.
+        per component and with no special function.  ``out`` is a (J, n)
+        array or a block's columns of one.  A sub-batch reads its own
+        columns of ``stacked``, ``_safe_rates`` and ``_table_keys``, and
+        its own counts above ``cut`` (``_cases``), and builds its own
+        tables: O(RISING_TABLE) per component and block.
         """
         h, f, _ = self.stacked
         rate_h, rate_f = self._safe_rates
         p = np.array([c.mean for c in components])
         kappa = np.array([c.kappa for c in components])
         q = 1.0 - p
-        out = np.add(h * _log_ratio(p[:, None], rate_h), f * _log_ratio(q[:, None], rate_f))
+        out = np.add(h * _log_ratio(p[:, None], rate_h), f * _log_ratio(q[:, None], rate_f), out=out)
         live = kappa > 0  # the rising sums of a point mass are 0
         if np.any(live):
             k = kappa[live]
@@ -792,19 +870,22 @@ def fitted_block(fitted):
     return slice(fitted[0], fitted[-1] + 1) if fitted[-1] - fitted[0] == len(fitted) - 1 else fitted
 
 
-def log_marginal_matrix(obs: Observations, components) -> np.ndarray:
+def log_marginal_matrix(obs: Observations, components, out=None) -> np.ndarray:
     """Stacked component log marginals less ``obs.saturated``, shape (J, n): the family's ``log_kernel``.
 
     Each case's data-only term ``obs.saturated`` (0 for normal cases) is
     left out: posterior weights do not depend on it, and sums over cases
     add it back once.  The result is a new C-contiguous array that the
-    caller owns.  NumericError if an entry is not finite: the kernel is
+    caller owns, or ``out`` where it is given, which is then passed on to
+    the family's ``log_kernel``: `mixture.MixtureModel.posterior_weights`
+    gives each block of a split batch its columns of the E-step's (J, n)
+    buffer.  NumericError if an entry is not finite: the kernel is
     scanned unless ``obs.proves_finite`` shows it finite.
     """
     components = tuple(components)
     if not all(isinstance(c, obs.component) for c in components):
         raise ContractError(f"{obs.family.value} components must be {obs.component.__name__}")
-    kernel = obs.log_kernel(components)
+    kernel = obs.log_kernel(components) if out is None else obs.log_kernel(components, out)
     if not (obs.proves_finite(components) or bool(np.all(np.isfinite(kernel)))):
         raise NumericError("non-finite component log marginal")
     return kernel

@@ -113,36 +113,62 @@ class MixtureModel:
     def posterior_weights(self, obs: Observations):
         """(w, log f - obs.saturated): w[j, i] = pi_j f^(j)(z_i) / f(z_i), shape (J, n), each column summing to 1.
 
-        w is the C-contiguous (J, n) buffer of `log_marginal_matrix`,
-        which the caller then owns.  Components with pi_j = 0 get weight
-        exactly 0.  The log marginals leave out each case's data-only term
-        ``obs.saturated`` (0 for normal cases; see `families`).
+        w is one new C-contiguous (J, n) buffer, which the caller then
+        owns.  Components with pi_j = 0 get weight exactly 0.  The log
+        marginals leave out each case's data-only term ``obs.saturated``
+        (0 for normal cases; see `families`).
 
-        The kernel becomes w in place: add log pi, take each case's
-        largest term m, subtract it, exponentiate and sum the case's terms
-        into s.  Then log f = m + log s, with the bits of a plain
-        log-sum-exp, and w is normalized by one reciprocal per case: s
-        becomes 1/s in place and w is multiplied by it, so no (J, n)
-        division is made.  m and s are kept in the batch's ``scratch``
-        rows.  Raises NumericError at a non-finite component log marginal
-        (from `log_marginal_matrix`), else at the first case of zero
-        mixture density f.  log pi is taken under
-        ``np.errstate(divide="ignore")``, as a zero pi_j has log -inf.
+        The cases are walked in the blocks of ``obs.blocks(J)``, about
+        1 MB of kernel each (one block up to ``families.BLOCK_CELLS``
+        cells).  Each block's kernel comes from `log_marginal_matrix`:
+        the new buffer itself for a batch of one block, else built in the
+        block's columns of w.  While the block is in cache it becomes w in
+        place: add log pi, take each case's largest term m, subtract it,
+        exponentiate and sum the case's terms into s.  Then log f =
+        m + log s, with the bits of a plain log-sum-exp, and w is
+        normalized by one reciprocal per case: s becomes 1/s in place and
+        w is multiplied by it, so no (J, n) division is made.  m and s
+        are kept in the block's ``scratch`` rows.  No step sums over
+        cases, so no bit of w or log f follows the blocks.
+
+        Raises NumericError at a non-finite component log marginal in any
+        block (from `log_marginal_matrix`), else at the first case of the
+        batch with zero mixture density f: after a block with such a case
+        the later blocks are only built and checked.  log pi is taken
+        under ``np.errstate(divide="ignore")``, as a zero pi_j has log
+        -inf.
         """
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.pi)[:, None]
-        w = families.log_marginal_matrix(obs, self.components)
-        m, s = obs.scratch
-        w += log_pi
-        w.max(axis=0, out=m)
-        if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
-            raise NumericError(f"zero marginal density at case {int(np.flatnonzero(~np.isfinite(m))[0])}")
-        w -= m
-        np.exp(w, out=w)
-        w.sum(axis=0, out=s)
-        logf = np.log(s)
-        logf += m
-        w *= np.reciprocal(s, out=s)
+        comps = self.components
+        blocks = obs.blocks(len(comps))
+        whole = len(blocks) == 1  # the kernel's new buffer becomes w, and log s becomes log f
+        if not whole:
+            w, logf = np.empty((len(comps), len(obs))), np.empty(len(obs))
+        zero = None  # the first case of zero density
+        for cols, part in blocks:
+            if whole:
+                kernel = families.log_marginal_matrix(part, comps)
+            else:
+                kernel = families.log_marginal_matrix(part, comps, w[:, cols])
+            if zero is not None:  # only the later blocks' finiteness is left to check
+                continue
+            m, s = part.scratch
+            kernel += log_pi
+            kernel.max(axis=0, out=m)
+            if not math.isfinite(m.min(initial=0.0)):  # every pi_j f^(j) of some case is 0
+                zero = cols.start + int(np.flatnonzero(~np.isfinite(m))[0])
+                continue
+            kernel -= m
+            np.exp(kernel, out=kernel)
+            kernel.sum(axis=0, out=s)
+            lf = np.log(s) if whole else np.log(s, out=logf[cols])
+            lf += m
+            kernel *= np.reciprocal(s, out=s)
+        if zero is not None:
+            raise NumericError(f"zero marginal density at case {zero}")
+        if whole:
+            w, logf = kernel, lf
         return w, logf
 
     def log_marginal(self, obs: Observations) -> np.ndarray:

@@ -712,3 +712,54 @@ def test_batch_is_freed_without_the_cycle_collector():
         assert gone() is None
     finally:
         gc.enable()
+
+
+def test_split_batch_is_freed_without_the_cycle_collector(monkeypatch):
+    """The same where the E-step walks the 300 cases in 3 blocks, whose sub-batches the batch caches."""
+    monkeypatch.setattr(families, "BLOCK_CELLS", 3 * 100)
+    assert len(Observations.normal(np.zeros(300)).blocks(3)) == 3
+    test_batch_is_freed_without_the_cycle_collector()
+
+
+@pytest.mark.parametrize(
+    "n, j, cells, sizes",
+    [
+        (300, 4, 1200, [300]),
+        (301, 4, 1200, [150, 151]),
+        (1000, 3, 450, [142] + [143] * 6),
+        (3, 10, 5, [1, 1, 1]),
+    ],
+)
+@pytest.mark.parametrize("family", ["normal", "binomial"])
+def test_blocks_cover_the_cases_in_order(monkeypatch, family, n, j, cells, sizes):
+    """The fewest blocks of at most cells // j cases (at least one), sizes within one case; sub-batches on views.
+
+    A batch of one block is its own block.  A split is made once per
+    block count, and each sub-batch holds read-only views of the batch's
+    arrays and views of its scratch rows, with the batch's ``cut`` and
+    views of its binomial kernel terms.
+    """
+    monkeypatch.setattr(families, "BLOCK_CELLS", cells)
+    rng = np.random.default_rng(5)
+    if family == "normal":
+        obs = Observations.normal(rng.standard_normal(n), rng.uniform(0.5, 2.0, n))
+    else:
+        trials = rng.integers(1, 3000, n)
+        obs = Observations.binomial(rng.binomial(trials, 0.3), trials)
+    blocks = obs.blocks(j)
+    assert [cols.stop - cols.start for cols, _ in blocks] == sizes
+    assert [cols.start for cols, _ in blocks] == [0] + list(np.cumsum(sizes)[:-1])
+    if len(sizes) == 1:
+        assert blocks[0][1] is obs
+        return
+    assert obs.blocks(j) is blocks
+    for cols, part in blocks:
+        assert type(part) is type(obs) and len(part) == cols.stop - cols.start
+        for whole, view in [(obs.statistic, part.statistic)] + (
+            [(obs.stacked, part.stacked), (obs._table_keys, part._table_keys)] if family == "binomial" else []
+        ):
+            assert np.shares_memory(whole, view) and not view.flags.writeable
+            assert view.tobytes() == whole[..., cols].tobytes()
+        assert np.shares_memory(part.scratch, obs.scratch) and part.scratch.shape == (2, len(part))
+        if family == "binomial":
+            assert part.cut == obs.cut

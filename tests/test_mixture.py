@@ -29,8 +29,9 @@ from ebmix import (
     initialize,
     m_step,
 )
-from ebmix import mixture
+from ebmix import families, mixture
 from ebmix.families import NormalObservations, log_marginal_matrix
+from ebmix.model_io import ModelDocument, serialize_model
 from ebmix.mixture import n_free_parameters, unpenalized_loglik
 from ebmix.seeding import derive_rng
 
@@ -264,6 +265,17 @@ def test_steady_map_allocates_only_its_results():
     finally:
         tracemalloc.stop()
     assert peak - before <= (j + 2) * n * 8
+
+
+def test_steady_split_map_allocates_only_its_results(monkeypatch):
+    """The bound of the one-block map holds where the E-step walks its 20,000 cases in 7 blocks.
+
+    So no block's temporary grows with n: each block's kernel is built in
+    its columns of w.
+    """
+    monkeypatch.setattr(families, "BLOCK_CELLS", 3 * 2_900)
+    assert len(Observations.normal(np.zeros(20_000)).blocks(3)) == 7
+    test_steady_map_allocates_only_its_results()
 
 
 def _fit_case(kind, n):
@@ -997,3 +1009,81 @@ class TestSample:
         low = obs.counts[obs.counts < 240] / 400.0  # the point-mass draws; the Be(90, 10) ones sit near 0.9
         assert abs(low.mean() - 0.3) < 0.002
         np.testing.assert_allclose(low.var(), 0.3 * 0.7 / 400, rtol=0.1)
+
+
+def _split(monkeypatch, data, j, width):
+    """Blocks of at most ``width`` cases for ``j`` components; their (first, last) case counts."""
+    monkeypatch.setattr(families, "BLOCK_CELLS", j * width)
+    sizes = [cols.stop - cols.start for cols, _ in data.blocks(j)]
+    return sizes[0], sizes[-1]
+
+
+@pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
+def test_bits_do_not_follow_the_block_size(monkeypatch, kind):
+    """Seven blocks of 142 and 143 cases give every bit of one block.
+
+    Bit for bit: an E-step's w and pll, the log marginals, and the model
+    file of a short fit.  One varying-s2 block lies in the run of equal
+    s2, and the first binomial block holds the counts past RISING_TABLE.
+    """
+    data, config = _fit_case(kind, 1000)
+    config = dataclasses.replace(config, max_iters=25)
+    model = initialize(data, config, 1)
+
+    def outputs():
+        w, pll = e_step(data, model)
+        assert w.flags.c_contiguous
+        fit = serialize_model(ModelDocument(model=em_fit(data, config), seed=config.seed))
+        return w.tobytes(), pll, model.log_marginal(data).tobytes(), fit
+
+    whole = outputs()
+    assert len(data.blocks(3)) == 1
+    assert _split(monkeypatch, data, 3, 150) == (142, 143)
+    assert outputs() == whole
+
+
+def test_empty_batch_has_empty_weights():
+    obs = Observations.normal(np.array([]))
+    w, logf = _model((NormalComponent(0.0, 0.0), NormalComponent(1.0, 2.0)), np.array([0.5, 0.5])).posterior_weights(obs)
+    assert w.shape == (2, 0) and logf.shape == (0,)
+
+
+def _poison_blocks(monkeypatch, obs, zero=(), nan=()):
+    """`_poison_kernel` for the blocks of a split batch, with cases ``zero`` and ``nan`` numbered in the whole batch.
+
+    Only a block with a nan case is not shown finite, so only it is scanned.
+    """
+    cls = type(obs)
+    real = cls.log_kernel
+    cases = {id(part): range(cols.start, cols.stop) for cols, part in obs.blocks(4)}
+
+    def log_kernel(self, components, out=None):
+        out = real(self, components, out)
+        own = cases[id(self)]
+        out[:, [c - own.start for c in zero if c in own]] = -np.inf
+        out[:, [c - own.start for c in nan if c in own]] = np.nan
+        return out
+
+    monkeypatch.setattr(cls, "log_kernel", log_kernel)
+    monkeypatch.setattr(cls, "proves_finite", lambda self, components: not any(c in cases[id(self)] for c in nan))
+
+
+@pytest.mark.parametrize("kind", ["normal", "normal-varying-s2", "binomial"])
+class TestErrorsAcrossBlocks:
+    """The 300 cases of `_weights_case` in 7 blocks of 42 and 43 cases: the errors of one block."""
+
+    def test_non_finite_kernel_in_a_later_block_comes_first(self, monkeypatch, kind):
+        """Zero density at case 3, in the first block, and a non-finite kernel at case 260, in the last: the kernel's error."""
+        obs, comps, pi = _weights_case(kind)
+        assert _split(monkeypatch, obs, 4, 45) == (42, 43)
+        _poison_blocks(monkeypatch, obs, zero=[3], nan=[260])
+        with pytest.raises(NumericError, match=r"^non-finite component log marginal$"):
+            _model(comps, pi).posterior_weights(obs)
+
+    def test_zero_density_in_a_later_block_names_its_case(self, monkeypatch, kind):
+        """Zero density at cases 270, 130 and 131 only, in the last and the fourth block: case 130."""
+        obs, comps, pi = _weights_case(kind)
+        _split(monkeypatch, obs, 4, 45)
+        _poison_blocks(monkeypatch, obs, zero=[270, 130, 131])
+        with pytest.raises(NumericError, match=r"^zero marginal density at case 130$"):
+            _model(comps, pi).posterior_weights(obs)
